@@ -4,12 +4,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_core::count::{
-    count_permutations, count_permutations_flat, count_permutations_flat_parallel,
-    count_permutations_parallel,
+    count_permutations, count_permutations_flat_sharded, count_permutations_parallel,
 };
 use dp_datasets::{uniform_unit_cube, uniform_unit_cube_flat};
 use dp_metric::L2Squared;
-use dp_permutation::encoding::Codebook;
+use dp_permutation::encoding::FlatCodebook;
 use dp_permutation::{compute::database_permutations, PermutationCounter};
 use std::hint::black_box;
 
@@ -27,7 +26,10 @@ fn bench_count_distinct(c: &mut Criterion) {
         let sites_flat = uniform_unit_cube_flat(k, d, 2);
         group.bench_function(format!("d{d}_k{k}_flat"), |b| {
             b.iter(|| {
-                black_box(count_permutations_flat(&L2Squared, &sites_flat, &db_flat).distinct)
+                black_box(
+                    count_permutations_flat_sharded(&L2Squared, &sites_flat, &db_flat, 1, 0)
+                        .distinct,
+                )
             });
         });
     }
@@ -50,7 +52,7 @@ fn bench_count_parallel(c: &mut Criterion) {
         group.bench_function(format!("threads{threads}_flat"), |b| {
             b.iter(|| {
                 black_box(
-                    count_permutations_flat_parallel(&L2Squared, &sites_flat, &db_flat, threads)
+                    count_permutations_flat_sharded(&L2Squared, &sites_flat, &db_flat, threads, 0)
                         .distinct,
                 )
             });
@@ -72,14 +74,8 @@ fn bench_counter_and_codebook(c: &mut Criterion) {
             black_box(counter.distinct())
         });
     });
-    c.bench_function("codebook_intern_20k", |b| {
-        b.iter(|| {
-            let mut cb = Codebook::new();
-            for &p in &perms {
-                cb.intern(p);
-            }
-            black_box(cb.len())
-        });
+    c.bench_function("codebook_build_20k", |b| {
+        b.iter(|| black_box(FlatCodebook::from_permutations(&perms).len()));
     });
 }
 

@@ -27,7 +27,7 @@ use dp_datasets::vectors::uniform_unit_cube_flat;
 use dp_metric::{BatchDistance, L2Squared, TransposedSites};
 use dp_permutation::compute::rank_distance_rows_packed;
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::{collect_packed_flat, packed_keys_flat, PackedCodebook, RadixSorter};
+use dp_permutation::{collect_packed_flat_parallel, packed_keys_flat, PackedCodebook, RadixSorter};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -102,7 +102,8 @@ fn bench_sort(c: &mut Criterion) {
 fn bench_codebook(c: &mut Criterion) {
     for k in [4usize, 12] {
         let (db, sites_t) = setup(k);
-        let summary = collect_packed_flat::<u64, _>(&L2Squared, &sites_t, &db).finalize();
+        let summary =
+            collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1).finalize();
         let freqs = summary.lexicographic_counts();
         let mut group = c.benchmark_group(format!("phase_codebook_n{N}_k{k}_d{DIM}"));
         group.sample_size(20);

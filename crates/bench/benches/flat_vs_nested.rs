@@ -11,7 +11,7 @@
 //! medians; the committed baseline was recorded that way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dp_core::count::{count_permutations, count_permutations_flat};
+use dp_core::count::{count_permutations, count_permutations_flat_sharded};
 use dp_datasets::vectors::{uniform_unit_cube, uniform_unit_cube_flat};
 use dp_metric::L2Squared;
 use std::hint::black_box;
@@ -35,7 +35,10 @@ fn bench_count(c: &mut Criterion) {
             });
             group.bench_function(format!("flat_k{k}"), |b| {
                 b.iter(|| {
-                    black_box(count_permutations_flat(&L2Squared, &flat_sites, &flat_db).distinct)
+                    black_box(
+                        count_permutations_flat_sharded(&L2Squared, &flat_sites, &flat_db, 1, 0)
+                            .distinct,
+                    )
                 });
             });
         }

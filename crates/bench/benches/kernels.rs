@@ -11,7 +11,7 @@
 //!   flat kernel).  The acceptance bar for the strip kernel is ≥ 1.4×
 //!   the rowwise kernel on the k = 12 configuration.
 //! * `count_*` — the full Table 3 counting pipeline
-//!   (`count_permutations_flat`) through each kernel; `Rowwise<M>`
+//!   (`count_permutations_flat_sharded`) through each kernel; `Rowwise<M>`
 //!   routes `batch_distances` to the reference kernel so the identical
 //!   pipeline can be measured both ways.
 //!
@@ -19,7 +19,7 @@
 //! medians; the committed baseline was recorded that way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dp_core::count::count_permutations_flat;
+use dp_core::count::count_permutations_flat_sharded;
 use dp_datasets::vectors::uniform_unit_cube_flat;
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, F64Dist, L2Squared, Metric, TransposedSites};
@@ -85,10 +85,16 @@ fn bench_count(c: &mut Criterion) {
     group.sample_size(30);
     group.throughput(Throughput::Elements(N as u64));
     group.bench_function("flat_rowwise", |b| {
-        b.iter(|| black_box(count_permutations_flat(&Rowwise(L2Squared), &sites, &db).distinct));
+        b.iter(|| {
+            black_box(
+                count_permutations_flat_sharded(&Rowwise(L2Squared), &sites, &db, 1, 0).distinct,
+            )
+        });
     });
     group.bench_function("flat_strip", |b| {
-        b.iter(|| black_box(count_permutations_flat(&L2Squared, &sites, &db).distinct));
+        b.iter(|| {
+            black_box(count_permutations_flat_sharded(&L2Squared, &sites, &db, 1, 0).distinct)
+        });
     });
     group.finish();
 }

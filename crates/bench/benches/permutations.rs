@@ -36,7 +36,7 @@ fn bench_distance_permutation(c: &mut Criterion) {
 
 fn bench_database_permutations_flat(c: &mut Criterion) {
     use dp_metric::TransposedSites;
-    use dp_permutation::compute::{database_permutations, database_permutations_flat};
+    use dp_permutation::compute::{database_permutations, database_permutations_flat_parallel};
     let mut group = c.benchmark_group("database_permutations_n10k_d8");
     group.sample_size(15);
     for k in [4usize, 12] {
@@ -50,7 +50,10 @@ fn bench_database_permutations_flat(c: &mut Criterion) {
         let sites_t = TransposedSites::from_rows(sites_flat.as_flat(), sites_flat.dim());
         group.bench_function(format!("flat_k{k}"), |b| {
             b.iter(|| {
-                black_box(database_permutations_flat(&L2Squared, &sites_t, db_flat.as_flat()).len())
+                black_box(
+                    database_permutations_flat_parallel(&L2Squared, &sites_t, db_flat.as_flat(), 1)
+                        .len(),
+                )
             });
         });
     }

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dp_metric::L2Squared;
 use dp_permutation::huffman::HuffmanPermStore;
 use dp_permutation::store::{PackedPermStore, RawPermStore};
-use dp_permutation::{distance_permutation, Codebook, Permutation};
+use dp_permutation::{distance_permutation, FlatCodebook, Permutation};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -72,13 +72,13 @@ fn bench_sequential_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_codebook_intern(c: &mut Criterion) {
+fn bench_codebook_build(c: &mut Criterion) {
     let perms = permutation_column(20_000, 3, 10, 4);
     let mut group = c.benchmark_group("codebook_n20k_k10");
     group.throughput(Throughput::Elements(perms.len() as u64));
-    group.bench_function("intern_all", |b| {
+    group.bench_function("build_all", |b| {
         b.iter(|| {
-            let cb: Codebook = perms.iter().copied().collect();
+            let cb: FlatCodebook = perms.iter().copied().collect();
             black_box(cb.len())
         });
     });
@@ -90,6 +90,6 @@ criterion_group!(
     bench_store_build,
     bench_random_access,
     bench_sequential_decode,
-    bench_codebook_intern
+    bench_codebook_build
 );
 criterion_main!(benches);

@@ -5,7 +5,7 @@
 //! count with storage costs, over 100k uniform d = 8 points — the
 //! configuration the ROADMAP names for the survey speedup.  The
 //! `generic` row is the per-point engine on nested storage; `flat` is
-//! [`dp_core::survey_database_flat`] (site-transposed kernels,
+//! [`dp_core::survey_database_flat_sharded`] (site-transposed kernels,
 //! packed-u64 counting); `flat_t4` adds 4 counting workers (expect
 //! overhead, not speedup, on a single-core container).
 //!
@@ -13,7 +13,7 @@
 //! medians; the committed baseline was recorded that way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dp_core::{survey_database, survey_database_flat, survey_database_flat_parallel, SurveyConfig};
+use dp_core::{survey_database, survey_database_flat_sharded, SurveyConfig};
 use dp_datasets::vectors::{uniform_unit_cube, uniform_unit_cube_flat};
 use dp_metric::L2Squared;
 use std::hint::black_box;
@@ -34,13 +34,19 @@ fn bench_survey(c: &mut Criterion) {
     });
     group.bench_function(format!("flat_k{K}"), |b| {
         b.iter(|| {
-            black_box(survey_database_flat(&L2Squared, &flat, &cfg).per_k[0].report.distinct)
+            black_box(
+                survey_database_flat_sharded(&L2Squared, &flat, &cfg, 1, 0).per_k[0]
+                    .report
+                    .distinct,
+            )
         });
     });
     group.bench_function(format!("flat_k{K}_t4"), |b| {
         b.iter(|| {
             black_box(
-                survey_database_flat_parallel(&L2Squared, &flat, &cfg, 4).per_k[0].report.distinct,
+                survey_database_flat_sharded(&L2Squared, &flat, &cfg, 4, 0).per_k[0]
+                    .report
+                    .distinct,
             )
         });
     });

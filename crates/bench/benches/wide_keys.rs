@@ -10,8 +10,8 @@
 //! * the `count` groups run the bare counting pipeline (distances →
 //!   ranking → count) — `packed` is the width the `for_packed_k!`
 //!   dispatcher would pick (`u64` for k ≤ 12, `u128` above) via
-//!   [`collect_packed_flat`]; `hash` is the permutation-materialising
-//!   counter ([`collect_counter_flat`]), the only pre-PR option for
+//!   [`collect_packed_flat_parallel`]; `hash` is the permutation-materialising
+//!   counter ([`collect_counter_flat_parallel`]), once the only option for
 //!   k > 12 and still the reference oracle;
 //! * the `survey` groups add the per-k survey tail on top — the
 //!   codebook-ordered frequency table (`lexicographic_counts`, a clone
@@ -33,7 +33,9 @@ use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dp_datasets::vectors::uniform_unit_cube_flat;
 use dp_metric::{L2Squared, TransposedSites};
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::{collect_counter_flat, collect_packed_flat, PackedKey, PACKED_MAX_K};
+use dp_permutation::{
+    collect_counter_flat_parallel, collect_packed_flat_parallel, PackedKey, PACKED_MAX_K,
+};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -53,11 +55,11 @@ fn huffman_tail(freqs: &[u64]) -> f64 {
 }
 
 fn count_packed<K: PackedKey>(sites_t: &TransposedSites, rows: &[f64]) -> usize {
-    collect_packed_flat::<K, _>(&L2Squared, sites_t, rows).finalize().distinct()
+    collect_packed_flat_parallel::<K, _>(&L2Squared, sites_t, rows, 1).finalize().distinct()
 }
 
 fn survey_packed<K: PackedKey>(sites_t: &TransposedSites, rows: &[f64]) -> f64 {
-    let summary = collect_packed_flat::<K, _>(&L2Squared, sites_t, rows).finalize();
+    let summary = collect_packed_flat_parallel::<K, _>(&L2Squared, sites_t, rows, 1).finalize();
     huffman_tail(&summary.lexicographic_counts())
 }
 
@@ -75,7 +77,9 @@ fn bench_wide_counting(c: &mut Criterion) {
             }
         });
         group.bench_function("hash", |b| {
-            b.iter(|| black_box(collect_counter_flat(&L2Squared, &sites_t, &db).distinct()));
+            b.iter(|| {
+                black_box(collect_counter_flat_parallel(&L2Squared, &sites_t, &db, 1).distinct())
+            });
         });
         group.finish();
     }
@@ -96,7 +100,7 @@ fn bench_wide_survey(c: &mut Criterion) {
         });
         group.bench_function("hash", |b| {
             b.iter(|| {
-                let counter = collect_counter_flat(&L2Squared, &sites_t, &db);
+                let counter = collect_counter_flat_parallel(&L2Squared, &sites_t, &db, 1);
                 let freqs: Vec<u64> = counter.sorted_counts().into_iter().map(|(_, c)| c).collect();
                 black_box(huffman_tail(&freqs))
             });

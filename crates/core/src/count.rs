@@ -2,16 +2,21 @@
 //!
 //! Two equivalent engines are provided:
 //!
-//! * the generic per-point path ([`count_permutations`]) for any metric
+//! * the generic per-point path ([`count_permutations`], or
+//!   [`count_permutations_parallel`] on scoped workers) for any metric
 //!   over any point type (strings, trees, sparse vectors, …);
-//! * the flat batched path ([`count_permutations_flat`]) for real-vector
-//!   data in [`VectorSet`] storage — site-transposed, 4-wide strip-mined
-//!   distance kernels feeding the width-generic packed sorted-run
-//!   counter (LSD radix sort over the `5k` significant key bits,
-//!   run-length scan; the parallel variant radix-sorts per-chunk key
-//!   buffers in the workers and merges the sorted runs), identical
-//!   results, several times the throughput.  This is the engine behind
-//!   the Table 3 protocol in [`crate::experiments`].
+//! * the flat batched path for real-vector data in [`VectorSet`]
+//!   storage, with **one entry point**,
+//!   [`count_permutations_flat_sharded`]`(metric, sites, database,
+//!   threads, shard_rows)`: site-transposed, 4-wide strip-mined distance
+//!   kernels feeding the width-generic packed sorted-run counter (LSD
+//!   radix sort over the `5k` significant key bits, run-length scan).
+//!   `threads = 1` runs inline; more threads radix-sort per-chunk key
+//!   buffers in the workers and merge the sorted runs.  `shard_rows = 0`
+//!   buffers every key in memory; a positive value streams them through
+//!   bounded shards.  Identical results, several times the throughput.
+//!   This is the engine behind the Table 3 protocol in
+//!   [`crate::experiments`].
 //!
 //! The flat path dispatches once per workload over the packed-key width
 //! ([`CountEngine::for_k`]): `u64` keys for k ≤ 12, `u128` keys for
@@ -19,13 +24,14 @@
 //! that.  All three engines produce bit-identical reports.
 
 use dp_datasets::VectorSet;
+use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 use dp_permutation::compute::{
-    collect_counter_flat, collect_counter_flat_parallel, collect_packed_flat,
-    collect_packed_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
+    collect_counter_flat_parallel, collect_packed_flat_parallel, collect_sharded_flat_parallel,
+    PACKED_MAX_K, WIDE_MAX_K,
 };
 use dp_permutation::counter::collect_counter;
-use dp_permutation::{DistPermComputer, PackedCountSummary, PackedKey, PermutationCounter};
+use dp_permutation::{PackedCountSummary, PackedKey, PermutationCounter};
 
 /// Summary of one counting run.
 #[derive(Debug, Clone, PartialEq)]
@@ -111,31 +117,11 @@ where
     P: Sync,
     M: Metric<P> + Sync,
 {
-    let threads = threads.max(1).min(database.len().max(1));
     if threads <= 1 || database.len() < 1024 {
         return count_permutations(metric, sites, database);
     }
-    let chunk = database.len().div_ceil(threads);
-    let mut counters: Vec<PermutationCounter> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = database
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    let mut computer = DistPermComputer::new(sites.len());
-                    let mut counter = PermutationCounter::new();
-                    for y in part {
-                        counter.insert(computer.compute(metric, sites, y));
-                    }
-                    counter
-                })
-            })
-            .collect();
-        for h in handles {
-            counters.push(h.join().expect("counting worker panicked"));
-        }
-    })
-    .expect("crossbeam scope");
+    let chunk = chunk_len(database.len(), threads);
+    let counters = fork_join(database.chunks(chunk), |part| collect_counter(metric, sites, part));
     let mut merged = PermutationCounter::new();
     for c in &counters {
         merged.merge(c);
@@ -143,56 +129,29 @@ where
     CountReport::from(&merged)
 }
 
-/// Counts distinct distance permutations over flat vector storage.
+/// Counts distinct distance permutations over flat vector storage — the
+/// one flat counting entry point.
 ///
 /// Batched equivalent of [`count_permutations`]: same `distinct`,
 /// `total` and `mean_occupancy` (distances are bit-for-bit identical),
-/// computed by the site-transposed block kernel.
+/// computed by the site-transposed block kernel.  The database rows
+/// split across `threads` scoped workers (1 runs inline); the report is
+/// independent of the split.
 ///
-/// # Panics
-/// Panics if the site and database dimensions disagree (when both are
-/// non-empty).
-pub fn count_permutations_flat<M: BatchDistance>(
-    metric: &M,
-    sites: &VectorSet,
-    database: &VectorSet,
-) -> CountReport {
-    flat_counter(metric, sites, database)
-}
-
-/// Parallel [`count_permutations_flat`]: splits the database rows across
-/// `threads` scoped workers and merges the per-chunk counters.
-/// Deterministic — the report is independent of the split.
-pub fn count_permutations_flat_parallel<M: BatchDistance + Sync>(
-    metric: &M,
-    sites: &VectorSet,
-    database: &VectorSet,
-    threads: usize,
-) -> CountReport {
-    check_flat_dims(sites, database);
-    let sites_t = transpose_sites(sites, database);
-    let flat = database.as_flat();
-    dp_permutation::for_packed_k!(
-        sites.len(),
-        K => {
-            let counter = collect_packed_flat_parallel::<K, _>(metric, &sites_t, flat, threads);
-            CountReport::from(&counter.finalize())
-        },
-        _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
-    )
-}
-
-/// [`count_permutations_flat_parallel`] with bounded memory: packed
-/// keys stream through a [`dp_permutation::ShardedCounter`] per worker
-/// (each holding at most `shard_rows` keys plus the distinct-run
-/// frontier) instead of buffering all n keys before the sort.
-/// `shard_rows = 0` means "in-memory" and delegates to the buffering
-/// engine.  The report is bit-identical either way — sharding changes
-/// the working set, never the counts.
+/// `shard_rows = 0` counts in memory: every packed key is buffered and
+/// sorted.  Any other value streams the keys through a
+/// [`dp_permutation::ShardedCounter`] per worker, each holding at most
+/// `shard_rows` keys plus the distinct-run frontier.  The report is
+/// bit-identical either way — sharding changes the working set, never
+/// the counts.
 ///
 /// Beyond [`WIDE_MAX_K`] there is no packed key to shard on, so the
 /// hash engine runs regardless of `shard_rows` (its working set is
 /// already one entry per distinct permutation).
+///
+/// # Panics
+/// Panics if the site and database dimensions disagree (when both are
+/// non-empty).
 pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     metric: &M,
     sites: &VectorSet,
@@ -200,36 +159,17 @@ pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     threads: usize,
     shard_rows: usize,
 ) -> CountReport {
-    if shard_rows == 0 {
-        return count_permutations_flat_parallel(metric, sites, database, threads);
-    }
     check_flat_dims(sites, database);
     let sites_t = transpose_sites(sites, database);
     let flat = database.as_flat();
     dp_permutation::for_packed_k!(
         sites.len(),
-        K => {
-            let summary =
-                collect_sharded_flat_parallel::<K, _>(metric, &sites_t, flat, threads, shard_rows);
-            CountReport::from(&summary)
-        },
+        K => CountReport::from(&if shard_rows == 0 {
+            collect_packed_flat_parallel::<K, _>(metric, &sites_t, flat, threads).finalize()
+        } else {
+            collect_sharded_flat_parallel::<K, _>(metric, &sites_t, flat, threads, shard_rows)
+        }),
         _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
-    )
-}
-
-fn flat_counter<M: BatchDistance>(
-    metric: &M,
-    sites: &VectorSet,
-    database: &VectorSet,
-) -> CountReport {
-    check_flat_dims(sites, database);
-    let sites_t = transpose_sites(sites, database);
-    dp_permutation::for_packed_k!(
-        sites.len(),
-        K => CountReport::from(
-            &collect_packed_flat::<K, _>(metric, &sites_t, database.as_flat()).finalize(),
-        ),
-        _ => CountReport::from(&collect_counter_flat(metric, &sites_t, database.as_flat())),
     )
 }
 
@@ -298,14 +238,14 @@ mod tests {
             let db_flat = uniform_unit_cube_flat(3000, d, seed);
             let sites_flat = uniform_unit_cube_flat(k, d, seed ^ 1);
             let nested = count_permutations(&L2Squared, &sites, &db);
-            let flat = count_permutations_flat(&L2Squared, &sites_flat, &db_flat);
+            let flat = count_permutations_flat_sharded(&L2Squared, &sites_flat, &db_flat, 1, 0);
             assert_eq!(flat, nested, "d={d} k={k}");
             assert_eq!(
-                count_permutations_flat(&dp_metric::L1, &sites_flat, &db_flat),
+                count_permutations_flat_sharded(&dp_metric::L1, &sites_flat, &db_flat, 1, 0),
                 count_permutations(&dp_metric::L1, &sites, &db)
             );
             assert_eq!(
-                count_permutations_flat(&dp_metric::LInf, &sites_flat, &db_flat),
+                count_permutations_flat_sharded(&dp_metric::LInf, &sites_flat, &db_flat, 1, 0),
                 count_permutations(&dp_metric::LInf, &sites, &db)
             );
         }
@@ -318,7 +258,8 @@ mod tests {
         let db = uniform_unit_cube(500, 3, 30);
         let db_flat = uniform_unit_cube_flat(500, 3, 30);
         let nested = count_permutations(&L2, &Vec::<Vec<f64>>::new(), &db);
-        let flat = count_permutations_flat(&L2, &dp_datasets::VectorSet::new(0), &db_flat);
+        let flat =
+            count_permutations_flat_sharded(&L2, &dp_datasets::VectorSet::new(0), &db_flat, 1, 0);
         assert_eq!(flat, nested);
         assert_eq!(flat.total, 500);
         assert_eq!(flat.distinct, 1);
@@ -328,10 +269,10 @@ mod tests {
     fn flat_parallel_deterministic_in_thread_count() {
         let db = uniform_unit_cube_flat(20_000, 3, 21);
         let sites = uniform_unit_cube_flat(8, 3, 22);
-        let seq = count_permutations_flat(&L2Squared, &sites, &db);
+        let seq = count_permutations_flat_sharded(&L2Squared, &sites, &db, 1, 0);
         for threads in [2, 3, 5, 8] {
             assert_eq!(
-                count_permutations_flat_parallel(&L2Squared, &sites, &db, threads),
+                count_permutations_flat_sharded(&L2Squared, &sites, &db, threads, 0),
                 seq,
                 "threads={threads}"
             );
@@ -366,7 +307,7 @@ mod tests {
             let db_flat = uniform_unit_cube_flat(1500, 4, 40 + k as u64);
             let sites_flat = uniform_unit_cube_flat(k, 4, 41 ^ k as u64);
             let nested = count_permutations(&L2Squared, &sites, &db);
-            let flat = count_permutations_flat(&L2Squared, &sites_flat, &db_flat);
+            let flat = count_permutations_flat_sharded(&L2Squared, &sites_flat, &db_flat, 1, 0);
             assert_eq!(flat, nested, "k = {k} ({})", CountEngine::for_k(k).name());
             assert_eq!(flat.mean_occupancy.to_bits(), nested.mean_occupancy.to_bits(), "k = {k}");
         }
@@ -376,10 +317,10 @@ mod tests {
     fn wide_flat_parallel_deterministic_in_thread_count() {
         let db = uniform_unit_cube_flat(8_000, 3, 42);
         let sites = uniform_unit_cube_flat(16, 3, 43);
-        let seq = count_permutations_flat(&L2Squared, &sites, &db);
+        let seq = count_permutations_flat_sharded(&L2Squared, &sites, &db, 1, 0);
         for threads in [2, 3, 5, 8] {
             assert_eq!(
-                count_permutations_flat_parallel(&L2Squared, &sites, &db, threads),
+                count_permutations_flat_sharded(&L2Squared, &sites, &db, threads, 0),
                 seq,
                 "threads={threads}"
             );

@@ -5,11 +5,12 @@
 //! sites, counts distinct distance permutations, and repeats 100 times,
 //! reporting the mean and the maximum.  This module implements that
 //! protocol with the scale (n, runs) as parameters; runs execute in
-//! parallel via crossbeam scoped threads.
+//! parallel on [`dp_metric::par::fork_join`] workers.
 
-use crate::count::count_permutations_flat;
+use crate::count::count_permutations_flat_sharded;
 use dp_datasets::vectors::{choose_distinct_indices, uniform_unit_cube_flat};
 use dp_datasets::VectorSet;
+use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{L2Squared, LInf, L1};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -40,9 +41,9 @@ impl MetricKind {
 
     fn count(self, sites: &VectorSet, db: &VectorSet) -> usize {
         match self {
-            MetricKind::L1 => count_permutations_flat(&L1, sites, db).distinct,
-            MetricKind::L2 => count_permutations_flat(&L2Squared, sites, db).distinct,
-            MetricKind::LInf => count_permutations_flat(&LInf, sites, db).distinct,
+            MetricKind::L1 => count_permutations_flat_sharded(&L1, sites, db, 1, 0).distinct,
+            MetricKind::L2 => count_permutations_flat_sharded(&L2Squared, sites, db, 1, 0).distinct,
+            MetricKind::LInf => count_permutations_flat_sharded(&LInf, sites, db, 1, 0).distinct,
         }
     }
 }
@@ -96,32 +97,14 @@ fn run_counts(
     seed: u64,
     threads: usize,
 ) -> Vec<usize> {
-    let threads = threads.clamp(1, runs);
-    let mut results = vec![0usize; runs];
-    crossbeam::thread::scope(|scope| {
-        let mut rest: &mut [usize] = &mut results;
-        let per = runs.div_ceil(threads);
-        let mut start = 0usize;
-        let mut handles = Vec::new();
-        while !rest.is_empty() {
-            let take = per.min(rest.len());
-            let (chunk, tail) = rest.split_at_mut(take);
-            rest = tail;
-            let first_run = start;
-            start += take;
-            handles.push(scope.spawn(move |_| {
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let run = first_run + i;
-                    *slot = single_run(d, metric, k, n, seed.wrapping_add(run as u64));
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("experiment worker panicked");
-        }
+    let run_ids: Vec<usize> = (0..runs).collect();
+    fork_join(run_ids.chunks(chunk_len(runs, threads)), |chunk| {
+        chunk
+            .iter()
+            .map(|&run| single_run(d, metric, k, n, seed.wrapping_add(run as u64)))
+            .collect::<Vec<_>>()
     })
-    .expect("crossbeam scope");
-    results
+    .concat()
 }
 
 fn single_run(d: usize, metric: MetricKind, k: usize, n: usize, seed: u64) -> usize {

@@ -40,16 +40,19 @@
 //! are bit-for-bit equal (enforced by the workspace property suites),
 //! so callers may pick purely on storage layout.
 //!
-//! The flat engines additionally come in a **streaming** flavour with
-//! bounded memory: [`count_permutations_flat_sharded`] and
-//! [`survey_flat::survey_database_flat_sharded`] stream packed keys
-//! through fixed-size shards (at most `shard_rows` buffered keys plus
-//! one `(key, count)` run per distinct permutation) instead of
-//! buffering every key before the sort.  `shard_rows = 0` means
-//! in-memory; any other value changes the working set, never the
-//! report — sharded output is bit-identical, floats included, which the
-//! root `sharded_equivalence` suite enforces.  On the command line this
-//! is `distperm count/survey --shard-rows <n>`.
+//! Each flat measurement has **one entry point**:
+//! [`count_permutations_flat_sharded`] and
+//! [`survey_flat::survey_database_flat_sharded`], both taking
+//! `(threads, shard_rows)`.  `threads = 1` runs inline on the calling
+//! thread; more threads split the rows into contiguous chunks whose
+//! results merge independently of the split.  `shard_rows = 0` counts
+//! in memory, buffering every packed key before the sort; a positive
+//! value streams the keys through fixed-size shards (at most
+//! `shard_rows` buffered keys plus one `(key, count)` run per distinct
+//! permutation).  Neither parameter changes the report — sharded output
+//! is bit-identical, floats included, which the root
+//! `sharded_equivalence` suite enforces.  On the command line these are
+//! `distperm count/survey --threads <n> --shard-rows <n>`.
 
 #![forbid(unsafe_code)]
 
@@ -63,8 +66,8 @@ pub mod survey;
 pub mod survey_flat;
 
 pub use count::{
-    count_permutations, count_permutations_flat, count_permutations_flat_parallel,
-    count_permutations_flat_sharded, count_permutations_parallel, CountEngine, CountReport,
+    count_permutations, count_permutations_flat_sharded, count_permutations_parallel, CountEngine,
+    CountReport,
 };
 pub use counterexample::{eq12_sites, verify_eq12};
 pub use dimension::{estimate_dimension, ReferenceProfile};
@@ -72,6 +75,4 @@ pub use experiments::{uniform_experiment, MetricKind, UniformExperiment};
 pub use orders::{count_distinct_prefixes, refinement_chain, PrefixKind};
 pub use spaces::{theoretical_max, SpaceKind};
 pub use survey::{survey_database, DatabaseSurvey, SurveyConfig};
-pub use survey_flat::{
-    survey_database_flat, survey_database_flat_parallel, survey_database_flat_sharded,
-};
+pub use survey_flat::survey_database_flat_sharded;

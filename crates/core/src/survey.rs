@@ -15,7 +15,7 @@
 //!
 //! This module is the generic per-point engine, usable with any metric
 //! over any point type.  Real-vector databases in flat storage should
-//! prefer [`crate::survey_flat::survey_database_flat`], which produces
+//! prefer [`crate::survey_flat::survey_database_flat_sharded`], which produces
 //! the identical `DatabaseSurvey` (bit for bit) through the batched
 //! kernels several times faster.
 

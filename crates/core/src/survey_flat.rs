@@ -1,11 +1,12 @@
 //! The §5 survey on the flat batched engine — same report, several
 //! times the throughput.
 //!
-//! [`survey_database_flat`] is the [`crate::survey::survey_database`]
-//! protocol specialised to [`VectorSet`] storage: ρ sampling runs over
-//! row views with the identical pair stream, and every per-k counting
-//! pass runs through the site-transposed, 4-wide strip-mined
-//! [`BatchDistance`] kernels with
+//! [`survey_database_flat_sharded`]`(metric, database, config, threads,
+//! shard_rows)` is the one flat survey entry point: the
+//! [`crate::survey::survey_database`] protocol specialised to
+//! [`VectorSet`] storage.  ρ sampling runs over row views with the
+//! identical pair stream, and every per-k counting pass runs through the
+//! site-transposed, 4-wide strip-mined [`BatchDistance`] kernels with
 //! the branchless k²/2 ranking — width-generic packed sort+scan
 //! counting (`u64` keys for k ≤ [`PACKED_MAX_K`], `u128` keys for
 //! k ≤ [`WIDE_MAX_K`]), the hash counter beyond.  Distances, counts,
@@ -15,9 +16,11 @@
 //! (`tests/survey_equivalence.rs`) enforces that, and the
 //! `survey` bench records the speedup (`BENCH_survey.json`).
 //!
-//! [`survey_database_flat_parallel`] splits each counting scan across
-//! crossbeam-scoped workers; merged counts are independent of the
-//! split, so the report is also identical at any thread count.
+//! `threads` splits each counting scan across scoped workers (1 runs
+//! inline); merged counts are independent of the split, so the report
+//! is identical at any thread count.  `shard_rows = 0` counts in memory
+//! and a positive value streams through bounded shards, again with an
+//! identical report.
 
 use crate::count::CountReport;
 use crate::survey::{
@@ -46,30 +49,8 @@ struct FlatSurveySorters {
 /// per-k permutation counts and storage costs through the batched
 /// engine.  Bit-identical to the generic path on equal coordinates.
 ///
-/// # Panics
-/// Panics if the database has fewer than two points or any `k` exceeds
-/// the database size or [`dp_permutation::MAX_K`].
-pub fn survey_database_flat<M: BatchDistance + Sync>(
-    metric: &M,
-    database: &VectorSet,
-    config: &SurveyConfig,
-) -> DatabaseSurvey {
-    survey_database_flat_parallel(metric, database, config, 1)
-}
-
-/// Parallel [`survey_database_flat`]: each per-k counting scan is split
-/// across `threads` scoped workers.  Deterministic — the survey is
-/// independent of the thread count.
-pub fn survey_database_flat_parallel<M: BatchDistance + Sync>(
-    metric: &M,
-    database: &VectorSet,
-    config: &SurveyConfig,
-    threads: usize,
-) -> DatabaseSurvey {
-    survey_database_flat_sharded(metric, database, config, threads, 0)
-}
-
-/// [`survey_database_flat_parallel`] with bounded counting memory: for
+/// Each per-k counting scan is split across `threads` scoped workers;
+/// the survey is independent of the thread count.  For
 /// `shard_rows > 0`, every packed per-k scan streams through
 /// [`dp_permutation::ShardedCounter`]s holding at most `shard_rows`
 /// keys each plus the distinct-run frontier, instead of buffering all
@@ -78,6 +59,10 @@ pub fn survey_database_flat_parallel<M: BatchDistance + Sync>(
 /// floating-point Huffman/entropy sums all derive from the same
 /// distinct-key/occupancy table, which sharding reproduces exactly
 /// (`tests/sharded_equivalence.rs` pins every field).
+///
+/// # Panics
+/// Panics if the database has fewer than two points or any `k` exceeds
+/// the database size or [`dp_permutation::MAX_K`].
 pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
@@ -221,7 +206,7 @@ mod tests {
         let flat = uniform_unit_cube_flat(2500, 3, 23);
         let cfg = SurveyConfig { ks: vec![4, 7, 12], rho_pairs: 4000, ..Default::default() };
         let generic = survey_database(&L2, &nested, &cfg);
-        let fast = survey_database_flat(&L2, &flat, &cfg);
+        let fast = survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0);
         assert_surveys_identical(&generic, &fast);
     }
 
@@ -229,9 +214,9 @@ mod tests {
     fn parallel_flat_survey_is_thread_count_invariant() {
         let flat = uniform_unit_cube_flat(3000, 2, 29);
         let cfg = SurveyConfig { ks: vec![5], rho_pairs: 2000, ..Default::default() };
-        let seq = survey_database_flat(&L2, &flat, &cfg);
+        let seq = survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0);
         for threads in [2, 3, 8] {
-            let par = survey_database_flat_parallel(&L2, &flat, &cfg, threads);
+            let par = survey_database_flat_sharded(&L2, &flat, &cfg, threads, 0);
             assert_surveys_identical(&seq, &par);
         }
     }
@@ -247,7 +232,7 @@ mod tests {
         let cfg = SurveyConfig { ks: vec![12, 13, 25, 26], rho_pairs: 1500, ..Default::default() };
         assert_surveys_identical(
             &survey_database(&L2, &nested, &cfg),
-            &survey_database_flat(&L2, &flat, &cfg),
+            &survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0),
         );
     }
 
@@ -255,6 +240,6 @@ mod tests {
     #[should_panic(expected = "at least two points")]
     fn tiny_flat_database_rejected() {
         let db = uniform_unit_cube_flat(1, 2, 1);
-        survey_database_flat(&L2, &db, &SurveyConfig::default());
+        survey_database_flat_sharded(&L2, &db, &SurveyConfig::default(), 1, 0);
     }
 }

@@ -9,7 +9,7 @@
 //!   implementations apply unchanged;
 //! * the whole database streams linearly, which the batched
 //!   distance-permutation kernels (`dp_metric::batch`,
-//!   `dp_permutation::compute::database_permutations_flat`) exploit;
+//!   `dp_permutation::compute::database_permutations_flat_parallel`) exploit;
 //! * conversions to/from the nested representation and `FromIterator`
 //!   keep the old API reachable as a thin compatibility shim.
 //!
@@ -23,6 +23,7 @@
 //! scoped threads from a per-row closure, so results are deterministic
 //! regardless of thread count.
 
+use dp_metric::par::{chunk_len, fork_join};
 use std::ops::Index;
 
 /// n points of fixed dimension d in one contiguous row-major buffer.
@@ -153,24 +154,16 @@ impl VectorSet {
         threads: usize,
         fill: impl Fn(usize, &mut [f64]) + Sync,
     ) -> Self {
-        let threads = threads.max(1).min(n.max(1));
-        if threads == 1 || n * dim < 1 << 14 {
+        if threads <= 1 || n * dim < 1 << 14 {
             return Self::generate(n, dim, fill);
         }
         let mut data = vec![0.0; n * dim];
-        let rows_per = n.div_ceil(threads);
-        let fill = &fill;
-        crossbeam::thread::scope(|scope| {
-            for (chunk_idx, chunk) in data.chunks_mut(rows_per * dim).enumerate() {
-                let first_row = chunk_idx * rows_per;
-                scope.spawn(move |_| {
-                    for (i, row) in chunk.chunks_exact_mut(dim).enumerate() {
-                        fill(first_row + i, row);
-                    }
-                });
+        let rows_per = chunk_len(n, threads);
+        fork_join(data.chunks_mut(rows_per * dim).enumerate(), |(chunk_idx, chunk)| {
+            for (i, row) in chunk.chunks_exact_mut(dim).enumerate() {
+                fill(chunk_idx * rows_per + i, row);
             }
-        })
-        .expect("generate_parallel scope");
+        });
         VectorSet { dim, data }
     }
 }

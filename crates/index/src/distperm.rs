@@ -19,7 +19,7 @@ use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor, QueryStats};
 use dp_metric::Metric;
-use dp_permutation::encoding::Codebook;
+use dp_permutation::encoding::FlatCodebook;
 use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
 use dp_permutation::{DistPermComputer, Permutation, PermutationCounter};
 
@@ -155,10 +155,10 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
     }
 
     /// A codebook over the stored permutations plus the id stream — the
-    /// paper's compact storage layout.
-    pub fn codebook(&self) -> (Codebook, Vec<u32>) {
-        let mut cb = Codebook::new();
-        let ids = self.perms.iter().map(|&p| cb.intern(p)).collect();
+    /// paper's compact storage layout.  Ids are lexicographic ranks.
+    pub fn codebook(&self) -> (FlatCodebook, Vec<u32>) {
+        let cb = FlatCodebook::from_permutations(&self.perms);
+        let ids = cb.encode_all(&self.perms);
         (cb, ids)
     }
 
@@ -168,7 +168,7 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
         self.len() as u64 * self.k() as u64 * u64::from(element_bits(self.k()))
     }
 
-    /// Codebook storage bits: n·⌈log₂ N⌉ ids plus the N-permutation
+    /// The codebook's storage bits: n·⌈log₂ N⌉ ids plus the N-permutation
     /// table — the paper's improved layout (Θ(nd log k) in d-dimensional
     /// Euclidean space by Corollary 8).
     pub fn storage_bits_codebook(&self) -> u64 {

@@ -129,7 +129,7 @@ impl<P, M: Metric<P>> PrefixPermIndex<P, M> {
         self.len() as u64 * self.prefix_len as u64 * u64::from(element_bits(self.k()))
     }
 
-    /// Codebook storage bits: n·⌈log₂ N_ℓ⌉ for the id column plus the
+    /// The codebook's storage bits: n·⌈log₂ N_ℓ⌉ for the id column plus the
     /// table of N_ℓ distinct prefixes.
     pub fn storage_bits_codebook(&self) -> u64 {
         let n_distinct = self.distinct_prefixes();

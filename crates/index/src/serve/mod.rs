@@ -5,12 +5,14 @@
 //! [`Searcher`] session, and a batch of queries is partitioned into
 //! contiguous chunks — one per worker — so the output order is
 //! **deterministic** and [`query_batch_parallel`] returns bit-identical
-//! results (and stats) to sequential [`query_batch`].  That equivalence
-//! holds because a reused searcher answers exactly like a fresh one,
-//! which the cross-crate property suite enforces for every index type.
+//! results (and stats) at every thread count, `threads = 1` being the
+//! sequential path.  That equivalence holds because a reused searcher
+//! answers exactly like a fresh one, which the cross-crate property
+//! suite enforces for every index type.
 //!
-//! Workers are crossbeam-style scoped threads, so queries may borrow
-//! from the caller's stack and no `'static` bounds infect the API.
+//! Workers are scoped threads ([`dp_metric::par::fork_join`]), so
+//! queries may borrow from the caller's stack and no `'static` bounds
+//! infect the API.
 //!
 //! # Serving & failure model
 //!
@@ -55,6 +57,7 @@ pub use steal::{query_batch_stealing, serve_resilient, BatchOptions};
 
 use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::query::{Neighbor, QueryStats};
+use dp_metric::par::{chunk_len, fork_join};
 use std::borrow::Borrow;
 
 /// One batched query request, applied to every query point in the batch.
@@ -130,24 +133,12 @@ pub(crate) fn run_one_approx<P: ?Sized, S: ApproxSearcher<P>>(
     }
 }
 
-/// Splits `n` queries into at most `threads` contiguous chunks of
-/// near-equal size; returns the chunk length (0 for an empty batch).
-///
-/// The worker count is clamped to `max(1, min(threads, n))`: `threads`
-/// = 0 serves sequentially, and `threads` > n spawns exactly n workers —
-/// never an empty chunk, so oversubscribed batches cannot panic a
-/// serving worker (and, by the chunks-in-order construction, results
-/// stay bit-identical under the clamp).
-fn chunk_len(n: usize, threads: usize) -> usize {
-    let workers = threads.clamp(1, n.max(1));
-    n.div_ceil(workers)
-}
-
-/// The one serving engine behind all four public entry points: splits
-/// the batch into contiguous chunks, runs `serve_one` on each query
-/// through a per-worker searcher, and concatenates chunk results in
-/// order.  `threads <= 1` (or a single query) runs inline without
-/// spawning.
+/// The one serving engine behind both strict entry points: splits the
+/// batch into contiguous chunks, runs `serve_one` on each query through
+/// a per-worker searcher, and concatenates chunk results in order.
+/// `threads <= 1` (or a single query) runs inline without spawning.  A
+/// query panic propagates to the caller, exactly like the sequential
+/// path; [`serve_resilient`] is the isolated engine.
 fn serve_chunks<'i, P, Q, I, F>(
     index: &'i I,
     queries: &[Q],
@@ -164,66 +155,21 @@ where
         let mut searcher = index.searcher();
         return queries.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect();
     }
-    let chunk = chunk_len(queries.len(), threads);
-    let serve_one = &serve_one;
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = queries
-            .chunks(chunk)
-            .map(|part| {
-                scope.spawn(move |_| {
-                    let mut searcher = index.searcher();
-                    part.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        // dplint: allow(panic-boundary, reason = "query_batch_parallel is the
-        // documented strict engine: a query panic propagates to the caller,
-        // exactly like the sequential path; serve_resilient is the isolated one")
-        handles.into_iter().flat_map(|h| h.join().expect("serving worker panicked")).collect()
-    })
-    // dplint: allow(panic-boundary, reason = "same strict-engine contract: the
-    // scope Err re-raises a worker panic the join above already surfaced")
-    .expect("serving scope failed")
-}
-
-/// Serves a batch of queries sequentially through one reused searcher.
-///
-/// Queries are anything that borrows as the index's point type — e.g.
-/// `Vec<f64>` rows against a `ProximityIndex<[f64]>`.
-pub fn query_batch<P, Q, I>(
-    index: &I,
-    queries: &[Q],
-    request: Request<I::Dist>,
-) -> Vec<Response<I::Dist>>
-where
-    P: ?Sized,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-{
-    serve_chunks(index, queries, 1, |searcher, q| run_one(searcher, q, request))
-}
-
-/// [`query_batch`] for budgeted queries.
-pub fn query_batch_approx<'i, P, Q, I>(
-    index: &'i I,
-    queries: &[Q],
-    request: ApproxRequest<I::Dist>,
-) -> Vec<Response<I::Dist>>
-where
-    P: ?Sized,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-    I::Searcher<'i>: ApproxSearcher<P>,
-{
-    serve_chunks(index, queries, 1, |searcher, q| run_one_approx(searcher, q, request))
+    let chunks = fork_join(queries.chunks(chunk_len(queries.len(), threads)), |part| {
+        let mut searcher = index.searcher();
+        part.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect::<Vec<_>>()
+    });
+    chunks.into_iter().flatten().collect()
 }
 
 /// Serves a batch of queries on `threads` scoped worker threads, one
 /// searcher per worker, returning results in query order.
 ///
-/// Bit-identical to [`query_batch`] — same answers, same per-query
-/// stats — regardless of the thread count; `threads <= 1` runs
-/// sequentially without spawning.
+/// Queries are anything that borrows as the index's point type — e.g.
+/// `Vec<f64>` rows against a `ProximityIndex<[f64]>`.  Bit-identical at
+/// every thread count — same answers, same per-query stats — because a
+/// reused searcher answers exactly like a fresh one; `threads <= 1`
+/// serves sequentially through one searcher without spawning.
 pub fn query_batch_parallel<P, Q, I>(
     index: &I,
     queries: &[Q],
@@ -274,7 +220,7 @@ mod tests {
         let pts = random_points(300, 3, 1);
         let tree = VpTree::build(L2, pts);
         let queries = random_points(37, 3, 2);
-        let seq = query_batch(&tree, &queries, Request::Knn { k: 3 });
+        let seq = query_batch_parallel(&tree, &queries, Request::Knn { k: 3 }, 1);
         for threads in [2usize, 3, 8, 64] {
             let par = query_batch_parallel(&tree, &queries, Request::Knn { k: 3 }, threads);
             assert_eq!(par, seq, "threads = {threads}");
@@ -303,7 +249,7 @@ mod tests {
         let idx = FlatDistPermIndex::build(L2, flat, 8, PivotSelection::MaxMin, 1);
         let queries = VectorSet::from_nested(&random_points(23, 4, 6));
         let rows: Vec<&[f64]> = queries.rows().collect();
-        let seq = query_batch::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 });
+        let seq = query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, 1);
         let par = query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, 5);
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 23);
@@ -317,7 +263,7 @@ mod tests {
         let idx = DistPermIndex::build(L2, pts, 10, PivotSelection::MaxMin);
         let queries = random_points(19, 3, 8);
         let req = ApproxRequest::Knn { k: 3, frac: 0.1 };
-        let seq = query_batch_approx(&idx, &queries, req);
+        let seq = query_batch_parallel_approx(&idx, &queries, req, 1);
         let par = query_batch_parallel_approx(&idx, &queries, req, 3);
         assert_eq!(seq, par);
         for (q, (neighbors, stats)) in queries.iter().zip(&seq) {
@@ -349,9 +295,9 @@ mod tests {
         for nq in [0usize, 1, 2, 7] {
             let queries = random_points(nq, 3, 13 + nq as u64);
             let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
-            let seq = query_batch::<[f64], _, _>(&idx, &rows, Request::Knn { k: 3 });
+            let seq = query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 3 }, 1);
             let approx_req = ApproxRequest::Knn { k: 3, frac: 0.4 };
-            let seq_approx = query_batch_approx::<[f64], _, _>(&idx, &rows, approx_req);
+            let seq_approx = query_batch_parallel_approx::<[f64], _, _>(&idx, &rows, approx_req, 1);
             for threads in [0usize, 1, nq, nq + 1, 1000] {
                 let par = query_batch_parallel::<[f64], _, _>(
                     &idx,
@@ -363,24 +309,6 @@ mod tests {
                 let par_approx =
                     query_batch_parallel_approx::<[f64], _, _>(&idx, &rows, approx_req, threads);
                 assert_eq!(par_approx, seq_approx, "approx: {nq} queries, {threads} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_len_never_produces_empty_chunks() {
-        for n in [0usize, 1, 2, 5, 64] {
-            for threads in [0usize, 1, 2, n, n + 1, 1000] {
-                let chunk = chunk_len(n, threads);
-                if n == 0 {
-                    assert_eq!(chunk, 0);
-                    continue;
-                }
-                assert!(chunk >= 1, "n={n} threads={threads}");
-                // At most `threads.max(1)` chunks, each non-empty.
-                let chunks = n.div_ceil(chunk);
-                assert!(chunks <= threads.max(1).min(n));
-                assert!(chunk * chunks >= n);
             }
         }
     }

@@ -14,7 +14,9 @@
 //! * **weighted tree metrics** of Definition 2 ([`tree`]) — the spaces of
 //!   Theorem 4 and Corollary 5 — with O(log n) distance queries;
 //! * metric **axiom checking** ([`axioms`]) and Buneman's **four-point
-//!   condition** ([`fourpoint`]) used throughout the test suites.
+//!   condition** ([`fourpoint`]) used throughout the test suites;
+//! * the contiguous-chunk **fork-join** ([`par`]) every data-parallel
+//!   scan in the workspace runs on.
 //!
 //! The central abstractions are [`Metric`] and [`Distance`].  Distances are
 //! totally ordered (`Ord`) so that distance permutations — which sort sites
@@ -29,6 +31,7 @@ pub mod axioms;
 pub mod batch;
 pub mod dist;
 pub mod fourpoint;
+pub mod par;
 pub mod reconstruct;
 pub mod sparse;
 pub mod string;

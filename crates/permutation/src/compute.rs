@@ -9,6 +9,7 @@ use crate::counter::{PackedCountSummary, PackedPermutationCounter, PermutationCo
 use crate::key::PackedKey;
 use crate::perm::{Permutation, MAX_K};
 use crate::shard::{merge_counted_run_sets, ShardedCounter};
+use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 
 /// Computes the distance permutation of `query` with respect to `sites`.
@@ -105,7 +106,20 @@ pub fn database_permutations<P, M: Metric<P>>(
 const FLAT_BLOCK_ROWS: usize = 64 * dp_metric::STRIP_POINTS;
 const _: () = assert!(FLAT_BLOCK_ROWS.is_multiple_of(dp_metric::STRIP_POINTS));
 
-/// Computes Π_y for every row of a flat row-major database.
+/// The contiguous row ranges `threads` workers scan: the whole database
+/// as one range, scanned inline, at one thread or below 1024 rows.
+fn worker_rows<'a>(sites: &TransposedSites, db_rows: &'a [f64], threads: usize) -> Vec<&'a [f64]> {
+    let dim = sites.dim().max(1);
+    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
+    let n = db_rows.len() / dim;
+    if threads <= 1 || n < 1024 {
+        return vec![db_rows];
+    }
+    db_rows.chunks(chunk_len(n, threads) * dim).collect()
+}
+
+/// Computes Π_y for every row of a flat row-major database, split
+/// across `threads` scoped workers.
 ///
 /// The batched equivalent of [`database_permutations`]: distances come
 /// from [`BatchDistance::batch_distances`] (site-transposed, strip-mined
@@ -113,23 +127,11 @@ const _: () = assert!(FLAT_BLOCK_ROWS.is_multiple_of(dp_metric::STRIP_POINTS));
 /// 256 rows, and each row's ranking runs on a stack
 /// scratch — no per-row allocation.
 /// Results are **identical** (bit-for-bit distances, same tie-break) to
-/// the per-point path.
+/// the per-point path, at any thread count.
 ///
 /// # Panics
 /// Panics if `sites.k() > MAX_K`, if `db_rows` is not a multiple of
 /// `sites.dim()`, or if any distance is NaN.
-pub fn database_permutations_flat<M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-) -> Vec<Permutation> {
-    let mut out = Vec::new();
-    flat_scan(metric, sites, db_rows, |p| out.push(p));
-    out
-}
-
-/// Parallel [`database_permutations_flat`] over crossbeam-style scoped
-/// threads.  Deterministic: the output is independent of `threads`.
 pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
@@ -137,74 +139,47 @@ pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
     threads: usize,
 ) -> Vec<Permutation> {
     let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return database_permutations_flat(metric, sites, db_rows);
-    }
-    let rows_per = n.div_ceil(threads);
-    let mut perms = vec![Permutation::identity(0); n];
-    crossbeam::thread::scope(|scope| {
-        for (rows, slots) in db_rows.chunks(rows_per * dim).zip(perms.chunks_mut(rows_per)) {
-            scope.spawn(move |_| {
-                let mut slot = slots.iter_mut();
-                flat_scan(metric, sites, rows, |p| {
-                    *slot.next().expect("chunk sizes agree") = p;
-                });
-            });
-        }
-    })
-    .expect("flat permutation scope");
+    let parts = worker_rows(sites, db_rows, threads);
+    let mut perms = vec![Permutation::identity(0); db_rows.len() / dim];
+    let mut free = perms.as_mut_slice();
+    let work: Vec<_> = parts
+        .into_iter()
+        .map(|rows| {
+            let (slots, rest) = std::mem::take(&mut free).split_at_mut(rows.len() / dim);
+            free = rest;
+            (rows, slots)
+        })
+        .collect();
+    fork_join(work, |(rows, slots)| {
+        let mut slot = slots.iter_mut();
+        flat_scan(metric, sites, rows, |p| *slot.next().expect("chunk sizes agree") = p);
+    });
     perms
 }
 
 /// Counts permutation occurrences over a flat database — the batched
 /// core of the paper's measurement, feeding a [`PermutationCounter`]
-/// without materialising the permutation vector.
-pub fn collect_counter_flat<M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-) -> PermutationCounter {
-    let mut counter = PermutationCounter::new();
-    flat_scan(metric, sites, db_rows, |p| counter.insert(p));
-    counter
-}
-
-/// Parallel [`collect_counter_flat`]: splits the rows across `threads`
-/// crossbeam-scoped workers and merges the per-chunk counters.
-/// Deterministic — the merged counts are independent of the split.
+/// without materialising the permutation vector.  The rows split across
+/// `threads` scoped workers and the per-chunk counters merge;
+/// deterministic — the merged counts are independent of the split.
 pub fn collect_counter_flat_parallel<M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
     threads: usize,
 ) -> PermutationCounter {
-    let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return collect_counter_flat(metric, sites, db_rows);
-    }
-    let rows_per = n.div_ceil(threads);
-    let mut counters: Vec<PermutationCounter> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = db_rows
-            .chunks(rows_per * dim)
-            .map(|rows| scope.spawn(move |_| collect_counter_flat(metric, sites, rows)))
-            .collect();
-        for h in handles {
-            counters.push(h.join().expect("flat counting worker panicked"));
-        }
-    })
-    .expect("flat counting scope");
-    let mut merged = PermutationCounter::new();
-    for c in &counters {
-        merged.merge(c);
-    }
-    merged
+    let counters = fork_join(worker_rows(sites, db_rows, threads), |rows| {
+        let mut counter = PermutationCounter::new();
+        flat_scan(metric, sites, rows, |p| counter.insert(p));
+        counter
+    });
+    counters
+        .into_iter()
+        .reduce(|mut merged, c| {
+            merged.merge(&c);
+            merged
+        })
+        .unwrap_or_default()
 }
 
 /// Largest k whose permutations pack into a u64 key (5 bits per
@@ -625,8 +600,8 @@ fn flat_scan<M: BatchDistance>(
 
 /// Computes the packed permutation key of every row — the
 /// distance + ranking phases of the counting pipeline with no sort and
-/// no counter, in database order, at either key width.
-/// [`collect_packed_flat`] is exactly this buffer wrapped in a
+/// no counter, in database order, at either key width.  The one-thread
+/// [`collect_packed_flat_parallel`] is exactly this buffer wrapped in a
 /// [`PackedPermutationCounter`]; the `counting_phases` bench measures
 /// the phases separately through it.
 ///
@@ -662,26 +637,16 @@ pub fn rank_distance_rows_packed<K: PackedKey>(row_dists: &[f64], k: usize) -> V
 }
 
 /// Counts permutation occurrences over a flat database into a
-/// [`PackedPermutationCounter`] — the fastest counting path: no
+/// [`PackedPermutationCounter`] — the in-memory packed counting path: no
 /// permutation value is materialised, keys are single machine words.
 ///
-/// # Panics
-/// Panics if `sites.k() > K::MAX_K`.
-pub fn collect_packed_flat<K: PackedKey, M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-) -> PackedPermutationCounter<K> {
-    PackedPermutationCounter::from_keys(sites.k(), packed_keys_flat(metric, sites, db_rows))
-}
-
-/// Parallel [`collect_packed_flat`]: splits the rows across `threads`
-/// crossbeam-scoped workers, radix-sorts each per-chunk key buffer
-/// inside its worker, and merges the **sorted** runs — so the returned
-/// counter's later `finalize` hits the sorted fast path instead of
-/// re-sorting from scratch.  Deterministic: the finalized summary is
-/// independent of the split (a merge of sorted chunk multisets is the
-/// sorted multiset of the concatenation).
+/// At one thread (or below 1024 rows) the counter holds the keys in
+/// database order.  Otherwise the rows split across `threads` scoped
+/// workers, each radix-sorts its chunk's key buffer, and the **sorted**
+/// runs merge — so the returned counter's later `finalize` hits the
+/// sorted fast path instead of re-sorting from scratch.  Deterministic:
+/// the finalized summary is independent of the split (a merge of sorted
+/// chunk multisets is the sorted multiset of the concatenation).
 ///
 /// # Panics
 /// Panics if `sites.k() > K::MAX_K`.
@@ -698,66 +663,39 @@ pub fn collect_packed_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
         K::MAX_K,
         K::BITS
     );
-    let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return collect_packed_flat(metric, sites, db_rows);
+    let parts = worker_rows(sites, db_rows, threads);
+    if parts.len() == 1 {
+        return PackedPermutationCounter::from_keys(
+            sites.k(),
+            packed_keys_flat(metric, sites, db_rows),
+        );
     }
-    let rows_per = n.div_ceil(threads);
-    let mut runs: Vec<Vec<K>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = db_rows
-            .chunks(rows_per * dim)
-            .map(|rows| {
-                scope.spawn(move |_| {
-                    let mut counter = collect_packed_flat::<K, M>(metric, sites, rows);
-                    counter.sort_keys(&mut crate::radix::RadixSorter::new());
-                    counter.into_keys()
-                })
-            })
-            .collect();
-        for h in handles {
-            runs.push(h.join().expect("flat counting worker panicked"));
-        }
-    })
-    .expect("flat counting scope");
+    let runs = fork_join(parts, |rows| {
+        let mut counter = PackedPermutationCounter::<K>::from_keys(
+            sites.k(),
+            packed_keys_flat(metric, sites, rows),
+        );
+        counter.sort_keys(&mut crate::radix::RadixSorter::new());
+        counter.into_keys()
+    });
     PackedPermutationCounter::from_keys(sites.k(), merge_sorted_runs(runs))
 }
 
 /// Streaming sharded counting over a flat database: the summary is
-/// identical to [`collect_packed_flat`] + finalize, but the working set
-/// never holds all n keys — at most `shard_rows` buffered keys (plus
-/// equal sort scratch) and one `(key, count)` frontier entry per
-/// distinct permutation (see [`ShardedCounter`]).  The block driver
-/// feeds fused rank+pack tiles straight into the counter, so the
-/// distance and ranking phases are untouched.
+/// identical to [`collect_packed_flat_parallel`] + finalize, but the
+/// working set never holds all n keys — each of `threads` scoped
+/// workers streams its row range through its own [`ShardedCounter`]
+/// (at most `shard_rows` buffered keys plus equal sort scratch, and one
+/// `(key, count)` frontier entry per distinct permutation).  The block
+/// scan feeds fused rank+pack tiles straight into the counter, so the
+/// distance and ranking phases are untouched.  The per-worker frontiers
+/// — already sorted `(key, count)` runs — merge pairwise with counts
+/// summed; the merged run set is the run-length scan of the full
+/// multiset regardless of the split.
 ///
 /// # Panics
 /// Panics if `sites.k() > K::MAX_K` or `shard_rows` is 0 (callers treat
 /// 0 as "in-memory" and must dispatch before reaching this).
-pub fn collect_sharded_flat<K: PackedKey, M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    shard_rows: usize,
-) -> PackedCountSummary<K> {
-    let mut counter = ShardedCounter::new(sites.k(), shard_rows);
-    flat_scan_keys(metric, sites, db_rows, |key| counter.insert_key(key));
-    counter.finalize()
-}
-
-/// Parallel [`collect_sharded_flat`]: each of `threads` scoped workers
-/// streams its row range through its own [`ShardedCounter`] (each
-/// bounded by `shard_rows`), and the per-worker frontiers — already
-/// sorted `(key, count)` runs — merge pairwise with counts summed.
-/// Deterministic and identical to the sequential path: the merged run
-/// set is the run-length scan of the full multiset regardless of the
-/// split.
-///
-/// # Panics
-/// Panics if `sites.k() > K::MAX_K` or `shard_rows` is 0.
 pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
@@ -765,31 +703,11 @@ pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     threads: usize,
     shard_rows: usize,
 ) -> PackedCountSummary<K> {
-    let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < 1024 {
-        return collect_sharded_flat(metric, sites, db_rows, shard_rows);
-    }
-    let rows_per = n.div_ceil(threads);
-    let mut runs: Vec<Vec<(K, u64)>> = Vec::new();
-    crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = db_rows
-            .chunks(rows_per * dim)
-            .map(|rows| {
-                scope.spawn(move |_| {
-                    let mut counter = ShardedCounter::<K>::new(sites.k(), shard_rows);
-                    flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
-                    counter.into_runs()
-                })
-            })
-            .collect();
-        for h in handles {
-            runs.push(h.join().expect("sharded counting worker panicked"));
-        }
-    })
-    .expect("sharded counting scope");
+    let runs = fork_join(worker_rows(sites, db_rows, threads), |rows| {
+        let mut counter = ShardedCounter::<K>::new(sites.k(), shard_rows);
+        flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
+        counter.into_runs()
+    });
     PackedCountSummary::from_counted_runs(sites.k(), merge_counted_run_sets(runs))
 }
 
@@ -934,10 +852,10 @@ mod tests {
         let nested_db: Vec<Vec<f64>> = db.chunks_exact(dim).map(<[f64]>::to_vec).collect();
         let nested_sites: Vec<Vec<f64>> =
             site_rows.chunks_exact(dim).map(<[f64]>::to_vec).collect();
-        let flat = database_permutations_flat(&L2Squared, &sites_t, &db);
+        let flat = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
         let nested = database_permutations(&L2Squared, &nested_sites, &nested_db);
         assert_eq!(flat, nested);
-        let flat_linf = database_permutations_flat(&LInf, &sites_t, &db);
+        let flat_linf = database_permutations_flat_parallel(&LInf, &sites_t, &db, 1);
         let nested_linf = database_permutations(&LInf, &nested_sites, &nested_db);
         assert_eq!(flat_linf, nested_linf);
     }
@@ -948,7 +866,7 @@ mod tests {
         let (n, k, dim) = (5000, 7, 3);
         let db = weyl_rows(n, dim, 3);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 4), dim);
-        let seq = database_permutations_flat(&L2Squared, &sites_t, &db);
+        let seq = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
         for threads in [1, 2, 3, 8] {
             assert_eq!(
                 database_permutations_flat_parallel(&L2Squared, &sites_t, &db, threads),
@@ -964,8 +882,8 @@ mod tests {
         let (n, k, dim) = (800, 6, 2);
         let db = weyl_rows(n, dim, 5);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 6), dim);
-        let counter = collect_counter_flat(&L1, &sites_t, &db);
-        let perms = database_permutations_flat(&L1, &sites_t, &db);
+        let counter = collect_counter_flat_parallel(&L1, &sites_t, &db, 1);
+        let perms = database_permutations_flat_parallel(&L1, &sites_t, &db, 1);
         let mut direct = PermutationCounter::new();
         for &p in &perms {
             direct.insert(p);
@@ -981,8 +899,9 @@ mod tests {
         let (n, k, dim) = (6000, 8, 3);
         let db = weyl_rows(n, dim, 7);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 8), dim);
-        let seq_packed = collect_packed_flat::<u64, _>(&L2Squared, &sites_t, &db).finalize();
-        let seq_hash = collect_counter_flat(&L2Squared, &sites_t, &db);
+        let seq_packed =
+            collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1).finalize();
+        let seq_hash = collect_counter_flat_parallel(&L2Squared, &sites_t, &db, 1);
         for threads in [1, 2, 3, 8] {
             let par = collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, threads)
                 .finalize();
@@ -1003,8 +922,8 @@ mod tests {
         let (n, k, dim) = (4000, 16, 3);
         let db = weyl_rows(n, dim, 11);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 12), dim);
-        let wide = collect_packed_flat::<u128, _>(&L2Squared, &sites_t, &db).finalize();
-        let hash = collect_counter_flat(&L2Squared, &sites_t, &db);
+        let wide = collect_packed_flat_parallel::<u128, _>(&L2Squared, &sites_t, &db, 1).finalize();
+        let hash = collect_counter_flat_parallel(&L2Squared, &sites_t, &db, 1);
         assert_eq!(wide.distinct(), hash.distinct());
         assert_eq!(wide.total(), hash.total());
         assert_eq!(wide.mean_occupancy().to_bits(), hash.mean_occupancy().to_bits());
@@ -1049,9 +968,11 @@ mod tests {
         let (n, k, dim) = (4099, 9, 3); // n mod RANK_LANES = 3
         let db = weyl_rows(n, dim, 51);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 52), dim);
-        let expected = collect_packed_flat::<u64, _>(&L2Squared, &sites_t, &db).finalize();
+        let expected =
+            collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1).finalize();
         for shard_rows in [1usize, 1000, n, n + 1] {
-            let sharded = collect_sharded_flat::<u64, _>(&L2Squared, &sites_t, &db, shard_rows);
+            let sharded =
+                collect_sharded_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1, shard_rows);
             assert_eq!(sharded.distinct(), expected.distinct(), "shard_rows = {shard_rows}");
             assert_eq!(sharded.total(), expected.total());
             assert_eq!(sharded.lexicographic_counts(), expected.lexicographic_counts());
@@ -1070,9 +991,9 @@ mod tests {
     #[test]
     fn flat_kernel_handles_empty_inputs() {
         let sites_t = TransposedSites::from_rows(&[0.25, 0.75], 1);
-        assert!(database_permutations_flat(&L2, &sites_t, &[]).is_empty());
+        assert!(database_permutations_flat_parallel(&L2, &sites_t, &[], 1).is_empty());
         let no_sites = TransposedSites::from_rows(&[], 0);
-        let perms = database_permutations_flat(&L2, &no_sites, &[]);
+        let perms = database_permutations_flat_parallel(&L2, &no_sites, &[], 1);
         assert!(perms.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! sites needs Θ(k log k) bits, but when the space limits the achievable
 //! set to N permutations, "the bound can be achieved simply by storing the
 //! full permutations in a separate table and storing the index numbers into
-//! that table alongside the points".  [`Codebook`] is that table; in
+//! that table alongside the points".  [`FlatCodebook`] is that table; in
 //! d-dimensional Euclidean space its ids take ⌈log₂ N_{d,2}(k)⌉ = Θ(d log k)
 //! bits each.
 //!
@@ -12,23 +12,22 @@
 //! element) so the two strategies can be compared byte-for-byte in the
 //! storage experiment (E13).
 //!
-//! Three codebook shapes, one id assignment where it matters:
+//! One codebook family, ids = lexicographic ranks, in two shapes:
 //!
-//! * [`Codebook`] — hash-interned, ids in first-seen order; the general
-//!   incremental form (any insertion stream, any k).
-//! * [`FlatCodebook`] — a sorted array, ids = lexicographic ranks,
-//!   lookup by binary search; what a codebook built by interning a
-//!   *sorted* permutation run comes out as, with no hash table.
+//! * [`FlatCodebook`] — a sorted array of distinct permutations, lookup
+//!   by binary search; built by a sort + run scan of any permutation
+//!   stream, any k, with no hash table.
 //! * [`PackedCodebook`] — [`FlatCodebook`] for the packed counting
 //!   pipeline at either key width (`u64` for k ≤ 12, `u128` for
 //!   k ≤ 25): built straight off a [`PackedCountSummary`]'s sorted
 //!   distinct keys — the lexicographic key layout makes the sorted key
 //!   rank *be* the codebook id, so no permutation is ever decoded.
+//!
+//! Neither the ⌈log₂ N⌉ id width nor a Huffman code's total bits depend
+//! on which id a permutation gets, so the storage costs are those of any
+//! other id assignment.
 
 use crate::counter::{count_sorted_runs, decode_packed, pack_perm, PackedCountSummary};
-// dplint: allow(hot-path-hash, reason = generic-path interner for arbitrary k; the
-// flat hot path uses FlatCodebook/PackedCodebook which never touch a hash table)
-use crate::fxhash::FxHashMap;
 use crate::key::PackedKey;
 use crate::perm::{Permutation, PermutationError};
 
@@ -90,96 +89,16 @@ pub fn unpack(bytes: &[u8], k: usize) -> Result<Permutation, PermutationError> {
     Permutation::from_slice(&items)
 }
 
-/// A permutation → small-integer-id table (the paper's storage strategy).
-///
-/// Ids are assigned in first-seen order; [`Codebook::id_bits`] is the
-/// per-element storage cost once the codebook is built.  Build one from a
-/// database scan with `collect()` (it implements `FromIterator`).
-#[derive(Debug, Clone, Default)]
-pub struct Codebook {
-    // dplint: allow(hot-path-hash, reason = legacy generic interner kept for
-    // arbitrary-k correctness checks; flat kernels intern via radix-built tables)
-    to_id: FxHashMap<Permutation, u32>,
-    from_id: Vec<Permutation>,
-}
-
-impl Codebook {
-    /// An empty codebook.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the id for `p`, inserting it if new.
-    pub fn intern(&mut self, p: Permutation) -> u32 {
-        if let Some(&id) = self.to_id.get(&p) {
-            return id;
-        }
-        let id = self.from_id.len() as u32;
-        self.to_id.insert(p, id);
-        self.from_id.push(p);
-        id
-    }
-
-    /// Looks up the id of `p` without inserting.
-    pub fn id_of(&self, p: &Permutation) -> Option<u32> {
-        self.to_id.get(p).copied()
-    }
-
-    /// The permutation with a given id.
-    pub fn permutation(&self, id: u32) -> Option<&Permutation> {
-        self.from_id.get(id as usize)
-    }
-
-    /// Number of distinct permutations interned.
-    pub fn len(&self) -> usize {
-        self.from_id.len()
-    }
-
-    /// True iff no permutation has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.from_id.is_empty()
-    }
-
-    /// Bits per element needed to store an id: ⌈log₂ len⌉.
-    pub fn id_bits(&self) -> u32 {
-        element_bits(self.len())
-    }
-
-    /// Encodes a database of permutations as ids.
-    ///
-    /// # Panics
-    /// Panics if any permutation was not interned.
-    pub fn encode_all(&self, perms: &[Permutation]) -> Vec<u32> {
-        perms.iter().map(|p| self.id_of(p).expect("permutation missing from codebook")).collect()
-    }
-
-    /// Decodes ids back to permutations.
-    ///
-    /// # Panics
-    /// Panics if any id is out of range.
-    pub fn decode_all(&self, ids: &[u32]) -> Vec<Permutation> {
-        ids.iter().map(|&id| *self.permutation(id).expect("id out of range")).collect()
-    }
-}
-
-impl FromIterator<Permutation> for Codebook {
-    fn from_iter<I: IntoIterator<Item = Permutation>>(perms: I) -> Self {
-        let mut cb = Self::new();
-        for p in perms {
-            cb.intern(p);
-        }
-        cb
-    }
-}
-
-/// A flat (sorted-array) permutation → id table — the hash-free codebook.
+/// A permutation → small-integer-id table (the paper's storage strategy)
+/// as a sorted array.
 ///
 /// Ids are **lexicographic ranks**: building one is a sort + run scan,
-/// and the result is id-for-id identical to interning
-/// [`crate::counter::PermutationCounter::sorted_permutations`] into a
-/// [`Codebook`] in order.  Lookup is a binary search over the sorted
-/// table (no hash table, no per-entry heap box), decoding is an array
-/// index.
+/// and id `i` is the `i`-th entry of
+/// [`crate::counter::PermutationCounter::sorted_permutations`].  Lookup
+/// is a binary search over the sorted table (no hash table, no
+/// per-entry heap box), decoding is an array index;
+/// [`FlatCodebook::id_bits`] is the per-element storage cost.  Build one
+/// from a database scan with `collect()` (it implements `FromIterator`).
 #[derive(Debug, Clone, Default)]
 pub struct FlatCodebook {
     perms: Vec<Permutation>,
@@ -446,43 +365,20 @@ mod tests {
     }
 
     #[test]
-    fn codebook_assigns_first_seen_ids() {
-        let a = Permutation::identity(3);
-        let b = Permutation::from_slice(&[2, 1, 0]).unwrap();
-        let mut cb = Codebook::new();
-        assert_eq!(cb.intern(a), 0);
-        assert_eq!(cb.intern(b), 1);
-        assert_eq!(cb.intern(a), 0);
-        assert_eq!(cb.len(), 2);
-        assert_eq!(cb.permutation(1), Some(&b));
-        assert_eq!(cb.id_of(&a), Some(0));
-    }
-
-    #[test]
     fn codebook_id_bits_tracks_size() {
-        let mut cb = Codebook::new();
-        assert_eq!(cb.id_bits(), 0);
-        for (i, p) in Permutation::all(4).enumerate() {
-            cb.intern(p);
-            let expected = element_bits(i + 1);
-            assert_eq!(cb.id_bits(), expected);
+        assert_eq!(FlatCodebook::default().id_bits(), 0);
+        let all: Vec<Permutation> = Permutation::all(4).collect();
+        for n in 1..=all.len() {
+            let cb = FlatCodebook::from_permutations(&all[..n]);
+            assert_eq!(cb.id_bits(), element_bits(n), "n = {n}");
         }
-        assert_eq!(cb.len(), 24);
-        assert_eq!(cb.id_bits(), 5);
-    }
-
-    #[test]
-    fn encode_decode_roundtrip() {
-        let perms: Vec<Permutation> = Permutation::all(4).step_by(3).collect();
-        let cb: Codebook = perms.iter().copied().collect();
-        let ids = cb.encode_all(&perms);
-        assert_eq!(cb.decode_all(&ids), perms);
+        assert_eq!(FlatCodebook::from_permutations(&all).id_bits(), 5);
     }
 
     #[test]
     #[should_panic(expected = "missing from codebook")]
     fn encode_unknown_panics() {
-        let cb = Codebook::new();
+        let cb = FlatCodebook::default();
         let _ = cb.encode_all(&[Permutation::identity(2)]);
     }
 
@@ -531,21 +427,17 @@ mod tests {
     }
 
     #[test]
-    fn flat_codebook_matches_hash_codebook_on_sorted_interning() {
+    fn flat_codebook_ids_are_lexicographic_ranks() {
         let perms = sample_perms();
         let flat = FlatCodebook::from_permutations(&perms);
         let mut sorted = perms.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        let hash: Codebook = sorted.into_iter().collect();
-        assert_eq!(flat.len(), hash.len());
+        assert_eq!(flat.as_slice(), sorted.as_slice());
         for p in &perms {
-            assert_eq!(flat.id_of(p), hash.id_of(p), "{p}");
+            assert_eq!(flat.id_of(p), sorted.binary_search(p).ok().map(|i| i as u32), "{p}");
         }
-        for id in 0..flat.len() as u32 {
-            assert_eq!(flat.permutation(id), hash.permutation(id));
-        }
-        assert_eq!(flat.id_bits(), hash.id_bits());
+        assert_eq!(flat.id_bits(), element_bits(sorted.len()));
         assert_eq!(flat.id_of(&Permutation::identity(4)), Some(0));
         assert!(flat.id_of(&Permutation::identity(5)).is_none());
     }
@@ -641,8 +533,8 @@ mod tests {
     fn end_to_end_codebook_pipeline() {
         // permutations -> codebook -> ids -> packed bits -> back.
         let perms: Vec<Permutation> = Permutation::all(4).collect();
-        let mut cb = Codebook::new();
-        let ids: Vec<u32> = perms.iter().map(|&p| cb.intern(p)).collect();
+        let cb: FlatCodebook = perms.iter().copied().collect();
+        let ids = cb.encode_all(&perms);
         let stream = pack_ids(&ids, cb.id_bits());
         let restored = cb.decode_all(&unpack_ids(&stream, cb.id_bits(), ids.len()));
         assert_eq!(restored, perms);

@@ -12,14 +12,14 @@
 //! better.
 //!
 //! [`HuffmanCode`] is a canonical Huffman code over `u32` symbols
-//! (codebook ids); [`HuffmanPermStore`] couples it with a [`Codebook`]
-//! into a sequential-access permutation store.  The trade-off against
+//! (codebook ids); [`HuffmanPermStore`] couples it with a
+//! [`FlatCodebook`] into a sequential-access permutation store.  The trade-off against
 //! [`crate::store::PackedPermStore`] (random access, fixed width) is
 //! measured by the E13 storage experiment.
 
 use crate::bits::{BitReader, BitWriter};
 use crate::counter::PermutationCounter;
-use crate::encoding::{Codebook, FlatCodebook};
+use crate::encoding::FlatCodebook;
 use crate::perm::Permutation;
 use crate::radix::RadixSorter;
 
@@ -90,7 +90,7 @@ impl HuffmanCode {
     /// # Panics
     /// Panics if the counter contains a permutation absent from the
     /// codebook.
-    pub fn from_counter(counter: &PermutationCounter, codebook: &Codebook) -> Self {
+    pub fn from_counter(counter: &PermutationCounter, codebook: &FlatCodebook) -> Self {
         let mut freqs = vec![0u64; codebook.len()];
         for (p, &n) in counter.iter() {
             let id = codebook.id_of(p).expect("counter permutation missing from codebook");

@@ -43,9 +43,18 @@
 //! runs is associative, the finalized summary — and everything
 //! downstream of it, including the float Huffman/entropy sums — is
 //! bit-identical to the buffer-everything engine
-//! ([`compute::collect_sharded_flat`] /
-//! [`compute::collect_sharded_flat_parallel`]; `distperm count/survey
+//! ([`compute::collect_sharded_flat_parallel`]; `distperm count/survey
 //! --shard-rows` on the command line).
+//!
+//! Each flat computation has **one entry point**, taking a `threads`
+//! count (1 scans inline on the calling thread):
+//! [`compute::database_permutations_flat_parallel`] (one permutation per
+//! row), [`compute::collect_packed_flat_parallel`] (in-memory packed
+//! counting), [`compute::collect_sharded_flat_parallel`] (streaming
+//! packed counting, plus `shard_rows`) and
+//! [`compute::collect_counter_flat_parallel`] (hash counting, any k).
+//! All four split the rows into contiguous chunks on
+//! [`dp_metric::par::fork_join`], so results never depend on `threads`.
 //!
 //! The hash path ([`counter::PermutationCounter`]) survives as the
 //! reference oracle for arbitrary k and as the fallback for k > 25; the
@@ -57,15 +66,14 @@
 //! * [`Permutation`] — a compact, copyable permutation of up to
 //!   [`MAX_K`] = 32 elements (the paper's experiments use k ≤ 12);
 //! * [`compute::distance_permutation`] and the allocation-free
-//!   [`compute::DistPermComputer`] for per-point scans, plus the batched
-//!   flat-storage kernels [`compute::database_permutations_flat`] /
-//!   [`compute::collect_counter_flat`] (site-transposed, block-resident,
-//!   optionally parallel, bit-identical to the per-point path);
+//!   [`compute::DistPermComputer`] for per-point scans; the batched
+//!   flat-storage entry points above are bit-identical to that per-point
+//!   path;
 //! * [`lehmer`] — factorial-base ranking/unranking (k ≤ 33 fits in `u128`);
 //! * [`permdist`] — Kendall tau, Spearman footrule and Spearman rho
 //!   permutation distances (used by the `distperm`/iAESA index types for
 //!   candidate ordering);
-//! * [`encoding`] — bit-packed codes and the [`encoding::Codebook`]
+//! * [`encoding`] — bit-packed codes and the [`encoding::FlatCodebook`]
 //!   realising the paper's storage claim: once only N distinct permutations
 //!   occur, each element needs only ⌈log₂ N⌉ bits;
 //! * [`store`] — random-access physical layouts: [`store::RawPermStore`]
@@ -97,15 +105,14 @@ pub mod shard;
 pub mod store;
 
 pub use compute::{
-    collect_counter_flat, collect_counter_flat_parallel, collect_packed_flat,
-    collect_packed_flat_parallel, collect_sharded_flat, collect_sharded_flat_parallel,
-    database_permutations_flat, database_permutations_flat_parallel, distance_permutation,
-    packed_keys_flat, DistPermComputer, PACKED_MAX_K, WIDE_MAX_K,
+    collect_counter_flat_parallel, collect_packed_flat_parallel, collect_sharded_flat_parallel,
+    database_permutations_flat_parallel, distance_permutation, packed_keys_flat, DistPermComputer,
+    PACKED_MAX_K, WIDE_MAX_K,
 };
 pub use counter::{
     count_sorted_runs, pack_perm, PackedCountSummary, PackedPermutationCounter, PermutationCounter,
 };
-pub use encoding::{Codebook, FlatCodebook, PackedCodebook};
+pub use encoding::{FlatCodebook, PackedCodebook};
 pub use huffman::{HuffmanCode, HuffmanPermStore};
 pub use key::PackedKey;
 pub use perm::{Permutation, PermutationError, MAX_K};

@@ -8,7 +8,7 @@
 //! * [`RawPermStore`] — each permutation packed positionally at
 //!   `k·⌈log₂ k⌉` bits (the unrestricted O(nk log k)-bit layout the paper
 //!   credits to Chávez–Figueroa–Navarro);
-//! * [`PackedPermStore`] — a [`Codebook`] of the N distinct permutations
+//! * [`PackedPermStore`] — a [`FlatCodebook`] of the N distinct permutations
 //!   plus ⌈log₂ N⌉ bits per element (the paper's improvement; Θ(nd log k)
 //!   bits in d-dimensional Euclidean space by Corollary 8).
 //!
@@ -17,7 +17,7 @@
 //! storage experiment and the `storage_formats` example.
 
 use crate::bits::{read_bits_at, BitWriter};
-use crate::encoding::{element_bits, Codebook};
+use crate::encoding::{element_bits, FlatCodebook};
 use crate::perm::{Permutation, MAX_K};
 
 /// Fixed-width positional store: `k·⌈log₂ k⌉` bits per permutation.
@@ -97,7 +97,7 @@ impl RawPermStore {
     }
 }
 
-/// Codebook store: one ⌈log₂ N⌉-bit id per element plus the table of the
+/// The paper's codebook store: one ⌈log₂ N⌉-bit id per element plus the table of the
 /// N distinct permutations.
 ///
 /// This is the paper's storage strategy verbatim: "the bound can be
@@ -106,7 +106,7 @@ impl RawPermStore {
 /// (§4).
 #[derive(Debug, Clone)]
 pub struct PackedPermStore {
-    codebook: Codebook,
+    codebook: FlatCodebook,
     data: Vec<u8>,
     bits: u32,
     len: usize,
@@ -115,7 +115,7 @@ pub struct PackedPermStore {
 impl PackedPermStore {
     /// Builds the codebook and packs ids in two passes over `perms`.
     pub fn from_permutations(perms: &[Permutation]) -> Self {
-        let codebook: Codebook = perms.iter().copied().collect();
+        let codebook = FlatCodebook::from_permutations(perms);
         let bits = codebook.id_bits();
         let mut w = BitWriter::with_capacity(perms.len() * bits as usize);
         for p in perms {
@@ -169,16 +169,13 @@ impl PackedPermStore {
     }
 
     /// Borrows the codebook (e.g. to share with a Huffman store).
-    pub fn codebook(&self) -> &Codebook {
+    pub fn codebook(&self) -> &FlatCodebook {
         &self.codebook
     }
 
-    /// Heap bytes: packed ids + the codebook's permutation table.
-    ///
-    /// The codebook side counts the dense `from_id` table
-    /// (`N × size_of::<Permutation>()`); the hash index used for interning
-    /// is build-time scaffolding and excluded, matching how the paper
-    /// accounts storage (table + ids).
+    /// Heap bytes: packed ids + the codebook's permutation table
+    /// (`N × size_of::<Permutation>()`), matching how the paper accounts
+    /// storage (table + ids).
     pub fn heap_bytes(&self) -> usize {
         self.data.len() + self.codebook.len() * std::mem::size_of::<Permutation>()
     }

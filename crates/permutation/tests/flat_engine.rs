@@ -7,7 +7,7 @@ use dp_datasets::uniform_unit_cube_flat;
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, L2Squared, LInf, TransposedSites, L1};
 use dp_permutation::compute::{
-    collect_counter_flat, collect_packed_flat, database_permutations_flat,
+    collect_counter_flat_parallel, collect_packed_flat_parallel,
     database_permutations_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
 };
 use dp_permutation::{DistPermComputer, Permutation};
@@ -42,11 +42,11 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, sites, sites_t) = flat_setup(n, d, k, seed);
-        let l1 = database_permutations_flat(&L1, &sites_t, db.as_flat());
+        let l1 = database_permutations_flat_parallel(&L1, &sites_t, db.as_flat(), 1);
         prop_assert_eq!(&l1, &reference_perms(&L1, &sites, &db));
-        let l2 = database_permutations_flat(&L2Squared, &sites_t, db.as_flat());
+        let l2 = database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
         prop_assert_eq!(&l2, &reference_perms(&L2Squared, &sites, &db));
-        let linf = database_permutations_flat(&LInf, &sites_t, db.as_flat());
+        let linf = database_permutations_flat_parallel(&LInf, &sites_t, db.as_flat(), 1);
         prop_assert_eq!(&linf, &reference_perms(&LInf, &sites, &db));
     }
 
@@ -57,7 +57,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, _, sites_t) = flat_setup(n, 3, k, seed);
-        let seq = database_permutations_flat(&L2Squared, &sites_t, db.as_flat());
+        let seq = database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
         for threads in [2usize, 3, 7] {
             prop_assert_eq!(
                 &database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), threads),
@@ -74,8 +74,8 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, _, sites_t) = flat_setup(n, d, k, seed);
-        let hashed = collect_counter_flat(&L2Squared, &sites_t, db.as_flat());
-        let packed = collect_packed_flat::<u64, _>(&L2Squared, &sites_t, db.as_flat()).finalize();
+        let hashed = collect_counter_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
+        let packed = collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, db.as_flat(), 1).finalize();
         prop_assert_eq!(packed.distinct(), hashed.distinct());
         prop_assert_eq!(packed.total(), hashed.total());
         // Decoded permutation sets agree exactly.
@@ -90,8 +90,8 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, _, sites_t) = flat_setup(n, d, k, seed);
-        let hashed = collect_counter_flat(&L2Squared, &sites_t, db.as_flat());
-        let wide = collect_packed_flat::<u128, _>(&L2Squared, &sites_t, db.as_flat()).finalize();
+        let hashed = collect_counter_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
+        let wide = collect_packed_flat_parallel::<u128, _>(&L2Squared, &sites_t, db.as_flat(), 1).finalize();
         prop_assert_eq!(wide.distinct(), hashed.distinct());
         prop_assert_eq!(wide.total(), hashed.total());
         prop_assert_eq!(wide.unpack().sorted_permutations(), hashed.sorted_permutations());

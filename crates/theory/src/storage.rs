@@ -31,7 +31,7 @@ pub struct StorageRow {
     pub full_perm_bits: u32,
     /// Positional packing: k·⌈log₂ k⌉.
     pub packed_bits: u32,
-    /// Codebook id: ⌈log₂ N_{d,2}(k)⌉ (the paper's Θ(d log k) result).
+    /// The codebook id: ⌈log₂ N_{d,2}(k)⌉ (the paper's Θ(d log k) result).
     pub codebook_bits: u32,
 }
 

@@ -15,9 +15,7 @@
 
 use distance_permutations::datasets::{uniform_unit_cube, VectorSet};
 use distance_permutations::index::laesa::PivotSelection;
-use distance_permutations::index::serve::{
-    query_batch, query_batch_parallel, total_stats, Request,
-};
+use distance_permutations::index::serve::{query_batch_parallel, total_stats, Request};
 use distance_permutations::index::{AnyIndex, FlatDistPermIndex, IndexSpec};
 use distance_permutations::metric::L2;
 use std::time::Instant;
@@ -42,7 +40,7 @@ fn main() {
         // 2. Serve the batch sequentially and in parallel; answers and
         //    stats are bit-identical, only wall-clock changes.
         let t0 = Instant::now();
-        let seq = query_batch(&index, &queries, Request::Knn { k: 3 });
+        let seq = query_batch_parallel(&index, &queries, Request::Knn { k: 3 }, 1);
         let seq_time = t0.elapsed();
         let t0 = Instant::now();
         let par = query_batch_parallel(&index, &queries, Request::Knn { k: 3 }, threads);

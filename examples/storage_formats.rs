@@ -21,7 +21,8 @@ use distance_permutations::datasets::uniform_unit_cube;
 use distance_permutations::metric::L2;
 use distance_permutations::permutation::huffman::entropy_bits;
 use distance_permutations::permutation::{
-    distance_permutation, Codebook, HuffmanPermStore, PackedPermStore, Permutation, RawPermStore,
+    distance_permutation, FlatCodebook, HuffmanPermStore, PackedPermStore, Permutation,
+    RawPermStore,
 };
 use distance_permutations::theory::storage::log2_factorial_ceil;
 
@@ -44,13 +45,13 @@ fn main() {
     let naive_bits = log2_factorial_ceil(k as u32);
     // 2. Raw positional packing.
     let raw = RawPermStore::from_permutations(k, &perms);
-    // 3. Codebook ids.
+    // 3. The paper's codebook ids.
     let packed = PackedPermStore::from_permutations(&perms);
     // 4. Huffman.
     let huff = HuffmanPermStore::from_permutations(&perms);
 
     // The entropy floor of the observed distribution.
-    let codebook: Codebook = perms.iter().copied().collect();
+    let codebook: FlatCodebook = perms.iter().copied().collect();
     let mut freqs = vec![0u64; codebook.len()];
     for p in &perms {
         freqs[codebook.id_of(p).unwrap() as usize] += 1;

@@ -18,6 +18,27 @@ cargo run -q -p dp-analyze --bin dplint
 echo "== cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+# The benchmark's own packages build against the library crates' public
+# API: perfbench/trace imports count_permutations_flat_sharded,
+# survey_database_flat_sharded, collect_packed_flat_parallel and
+# packed_keys_flat by name.  Checking both here makes a rename they
+# depend on fail this gate before it fails a benchmark run.  Cargo
+# rewrites a package's Cargo.lock when a path crate's dependency list
+# moves; those lock files belong to the benchmark, so each is put back
+# as it was after its check.
+echo "== cargo check perfbench/{trace,tools} (the benchmark's packages)"
+for pkg in trace tools; do
+    lock="perfbench/$pkg/Cargo.lock"
+    saved=$(mktemp)
+    cp "$lock" "$saved"
+    status=0
+    cargo check --release --manifest-path "perfbench/$pkg/Cargo.toml" \
+        --target-dir target/perfbench || status=$?
+    cp "$saved" "$lock"
+    rm -f "$saved"
+    [ "$status" -eq 0 ] || exit "$status"
+done
+
 echo "== cargo build --workspace --release"
 # --workspace so the `distperm` binary exists for the serve smoke below.
 cargo build --workspace --release

@@ -5,8 +5,9 @@
 //! all-identical databases, k = 1, ties everywhere.  Invalid *numerics*
 //! (NaN) must be rejected loudly, never silently mis-sorted.
 
-use distance_permutations::core::count::count_permutations;
+use distance_permutations::core::count::{count_permutations, count_permutations_flat_sharded};
 use distance_permutations::core::survey::{survey_database, SurveyConfig};
+use distance_permutations::datasets::VectorSet;
 use distance_permutations::index::laesa::PivotSelection;
 use distance_permutations::index::{DistPermIndex, LinearScan, PrefixPermIndex};
 use distance_permutations::metric::{F64Dist, Levenshtein, Metric, L2};
@@ -73,6 +74,43 @@ fn colinear_equidistant_grid_ties_are_deterministic() {
 #[should_panic(expected = "NaN")]
 fn nan_distance_is_rejected() {
     let _ = F64Dist::new(f64::NAN);
+}
+
+/// Counts a 4096 × 2 grid database whose row 3000 is NaN through the
+/// flat counting entry point.  Every `(threads, shard_rows)` must reject
+/// it with the kernel's own message, whether the NaN row lands on the
+/// calling thread or on a worker.
+fn count_with_nan_row(threads: usize, shard_rows: usize) {
+    let db = VectorSet::generate(4096, 2, |i, row| {
+        row[0] = (i % 64) as f64 / 64.0;
+        row[1] = if i == 3000 { f64::NAN } else { (i / 64) as f64 / 64.0 };
+    });
+    let sites = db.gather(&[0, 100, 2000, 4000]);
+    let _ = count_permutations_flat_sharded(&L2, &sites, &db, threads, shard_rows);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_inline_in_memory() {
+    count_with_nan_row(1, 0);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_inline_sharded() {
+    count_with_nan_row(1, 512);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_by_a_worker_in_memory() {
+    count_with_nan_row(2, 0);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_by_a_worker_sharded() {
+    count_with_nan_row(2, 512);
 }
 
 #[test]

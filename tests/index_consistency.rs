@@ -10,8 +10,7 @@ use distance_permutations::datasets::documents::{generate_documents, long_profil
 use distance_permutations::datasets::{uniform_unit_cube, VectorSet};
 use distance_permutations::index::laesa::PivotSelection;
 use distance_permutations::index::serve::{
-    query_batch, query_batch_approx, query_batch_parallel, query_batch_parallel_approx,
-    ApproxRequest, Request,
+    query_batch_parallel, query_batch_parallel_approx, ApproxRequest, Request,
 };
 use distance_permutations::index::{
     Aesa, AnyIndex, BkTree, DistPermIndex, FlatDistPermIndex, GhTree, IAesa, IndexSpec, Laesa,
@@ -120,7 +119,7 @@ where
     I: ProximityIndex<P>,
 {
     let request = Request::Knn { k };
-    let seq = query_batch(index, queries, request);
+    let seq = query_batch_parallel(index, queries, request, 1);
     assert_eq!(seq.len(), queries.len(), "{name}: one response per query");
     for threads in [2usize, 3, 8, 100] {
         let par = query_batch_parallel(index, queries, request, threads);
@@ -140,7 +139,7 @@ fn check_parallel_matches_sequential_range<P, Q, I>(
     I: ProximityIndex<P>,
 {
     let request = Request::Range { radius };
-    let seq = query_batch(index, queries, request);
+    let seq = query_batch_parallel(index, queries, request, 1);
     for threads in [2usize, 5] {
         let par = query_batch_parallel(index, queries, request, threads);
         assert_eq!(par, seq, "{name}: parallel range({threads}) != sequential");
@@ -237,12 +236,12 @@ fn budgeted_parallel_serving_matches_sequential_for_the_permutation_family() {
     for threads in [2usize, 7] {
         assert_eq!(
             query_batch_parallel_approx(&dp, &queries, knn_req, threads),
-            query_batch_approx(&dp, &queries, knn_req),
+            query_batch_parallel_approx(&dp, &queries, knn_req, 1),
             "distperm approx knn, {threads} threads"
         );
         assert_eq!(
             query_batch_parallel_approx(&pre, &queries, range_req, threads),
-            query_batch_approx(&pre, &queries, range_req),
+            query_batch_parallel_approx(&pre, &queries, range_req, 1),
             "prefixperm approx range, {threads} threads"
         );
     }
@@ -251,7 +250,7 @@ fn budgeted_parallel_serving_matches_sequential_for_the_permutation_family() {
         FlatDistPermIndex::build(L2, VectorSet::from_nested(&pts), 8, PivotSelection::MaxMin, 2);
     let qset = VectorSet::from_nested(&queries);
     let rows: Vec<&[f64]> = qset.rows().collect();
-    let seq = query_batch_approx::<[f64], _, _>(&flat, &rows, knn_req);
+    let seq = query_batch_parallel_approx::<[f64], _, _>(&flat, &rows, knn_req, 1);
     assert_eq!(
         query_batch_parallel_approx::<[f64], _, _>(&flat, &rows, knn_req, 3),
         seq,

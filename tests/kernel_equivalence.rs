@@ -10,16 +10,14 @@
 //! the configuration in which strip-kernel bit-identity could really
 //! break.
 
-use distance_permutations::core::count::{
-    count_permutations, count_permutations_flat, count_permutations_flat_parallel,
-};
+use distance_permutations::core::count::{count_permutations, count_permutations_flat_sharded};
 use distance_permutations::datasets::VectorSet;
 use distance_permutations::index::{DistPermIndex, FlatDistPermIndex};
 use distance_permutations::metric::{
     BatchDistance, F64Dist, L2Squared, LInf, Lp, Metric, TransposedSites, L1, L2,
 };
 use distance_permutations::permutation::compute::{
-    database_permutations, database_permutations_flat, database_permutations_flat_parallel,
+    database_permutations, database_permutations_flat_parallel,
 };
 use proptest::prelude::*;
 
@@ -136,7 +134,7 @@ proptest! {
             site_rows.chunks_exact(dim).map(<[f64]>::to_vec).collect();
 
         let nested = database_permutations(&L2Squared, &nested_sites, &nested_db);
-        let flat = database_permutations_flat(&L2Squared, &sites_t, &db);
+        let flat = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
         prop_assert_eq!(&flat, &nested);
         for threads in [1usize, 2, 4] {
             let par = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, threads);
@@ -146,10 +144,10 @@ proptest! {
         let db_set = VectorSet::from_raw(dim, db);
         let sites_set = VectorSet::from_raw(dim, site_rows);
         let nested_count = count_permutations(&L2Squared, &nested_sites, &nested_db);
-        prop_assert_eq!(&count_permutations_flat(&L2Squared, &sites_set, &db_set), &nested_count);
+        prop_assert_eq!(&count_permutations_flat_sharded(&L2Squared, &sites_set, &db_set, 1, 0), &nested_count);
         for threads in [1usize, 2, 4] {
             prop_assert_eq!(
-                &count_permutations_flat_parallel(&L2Squared, &sites_set, &db_set, threads),
+                &count_permutations_flat_sharded(&L2Squared, &sites_set, &db_set, threads, 0),
                 &nested_count,
                 "threads = {}", threads
             );
@@ -181,7 +179,7 @@ fn counting_bit_identity_all_metrics_at_1_2_4_threads() {
     ) {
         let nested = count_permutations(metric, nested_sites, nested_db);
         for threads in [1usize, 2, 4] {
-            let flat = count_permutations_flat_parallel(metric, sites_set, db_set, threads);
+            let flat = count_permutations_flat_sharded(metric, sites_set, db_set, threads, 0);
             assert_eq!(flat, nested, "{tag}, threads = {threads}");
         }
     }
@@ -260,9 +258,10 @@ fn budget_clamp_boundaries_answer_identically() {
 #[test]
 fn zero_dim_sites_with_nonempty_database_panic_loudly() {
     let sites_t = TransposedSites::from_rows(&[], 0);
-    let err =
-        std::panic::catch_unwind(|| database_permutations_flat(&L2Squared, &sites_t, &[1.0, 2.0]))
-            .expect_err("dim-0 sites over a non-empty database must panic");
+    let err = std::panic::catch_unwind(|| {
+        database_permutations_flat_parallel(&L2Squared, &sites_t, &[1.0, 2.0], 1)
+    })
+    .expect_err("dim-0 sites over a non-empty database must panic");
     let msg = err
         .downcast_ref::<String>()
         .cloned()

@@ -17,16 +17,12 @@
 //! The sharded path is what `distperm count/survey --shard-rows` runs,
 //! so any divergence here is a user-visible wrong answer.
 
-use distance_permutations::core::survey_flat::{
-    survey_database_flat_parallel, survey_database_flat_sharded,
-};
-use distance_permutations::core::{
-    count_permutations_flat_parallel, count_permutations_flat_sharded, DatabaseSurvey, SurveyConfig,
-};
+use distance_permutations::core::survey_flat::survey_database_flat_sharded;
+use distance_permutations::core::{count_permutations_flat_sharded, DatabaseSurvey, SurveyConfig};
 use distance_permutations::datasets::vectors::uniform_unit_cube_flat;
 use distance_permutations::metric::{TransposedSites, L2};
 use distance_permutations::permutation::compute::{
-    database_permutations_flat, packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K,
+    database_permutations_flat_parallel, packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K,
 };
 use distance_permutations::permutation::{pack_perm, ShardedCounter};
 use proptest::prelude::*;
@@ -72,7 +68,7 @@ where
     let sites = uniform_unit_cube_flat(k, d, seed ^ 0xABCD);
     let sites_t = TransposedSites::from_rows(sites.as_flat(), d);
     let fused: Vec<K> = packed_keys_flat(&L2, &sites_t, db.as_flat());
-    let perms = database_permutations_flat(&L2, &sites_t, db.as_flat());
+    let perms = database_permutations_flat_parallel(&L2, &sites_t, db.as_flat(), 1);
     assert_eq!(fused.len(), perms.len(), "n = {n}, k = {k}: key count");
     for (row, (key, perm)) in fused.iter().zip(perms.iter()).enumerate() {
         let reference: K = pack_perm(perm);
@@ -112,7 +108,7 @@ proptest! {
     ) {
         let db = uniform_unit_cube_flat(n, d, seed);
         let sites = uniform_unit_cube_flat(k, d, seed ^ 0x5A5A);
-        let reference = count_permutations_flat_parallel(&L2, &sites, &db, 1);
+        let reference = count_permutations_flat_sharded(&L2, &sites, &db, 1, 0);
         for shard_rows in [1usize, n - 1, n, n + 1] {
             for threads in [1usize, 2, 4] {
                 let sharded =
@@ -136,7 +132,7 @@ proptest! {
 fn check_sharded_survey_k(k: usize, n: usize, d: usize) {
     let flat = uniform_unit_cube_flat(n, d, 131);
     let cfg = SurveyConfig { ks: vec![k], rho_pairs: 300, ..Default::default() };
-    let reference = survey_database_flat_parallel(&L2, &flat, &cfg, 1);
+    let reference = survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0);
     for shard_rows in [1usize, n - 1, n, n + 1] {
         for threads in [1usize, 2, 4] {
             let sharded = survey_database_flat_sharded(&L2, &flat, &cfg, threads, shard_rows);
@@ -203,7 +199,7 @@ fn million_point_sharded_count_is_bounded_and_identical() {
     assert!(distinct < N / 10, "duplication expected at d = 2: {distinct}");
 
     // And the end-to-end report agrees with the in-memory engine.
-    let reference = count_permutations_flat_parallel(&L2, &sites, &db, 1);
+    let reference = count_permutations_flat_sharded(&L2, &sites, &db, 1, 0);
     let sharded = count_permutations_flat_sharded(&L2, &sites, &db, 1, SHARD_ROWS);
     assert_eq!(reference.distinct, sharded.distinct);
     assert_eq!(reference.total, sharded.total);

@@ -8,7 +8,8 @@ use distance_permutations::datasets::uniform_unit_cube;
 use distance_permutations::metric::{Levenshtein, L2};
 use distance_permutations::permutation::huffman::entropy_bits;
 use distance_permutations::permutation::{
-    distance_permutation, Codebook, HuffmanPermStore, PackedPermStore, Permutation, RawPermStore,
+    distance_permutation, FlatCodebook, HuffmanPermStore, PackedPermStore, Permutation,
+    RawPermStore,
 };
 use distance_permutations::theory::euclidean::storage_bits;
 
@@ -39,7 +40,7 @@ fn size_hierarchy_matches_the_paper() {
     let packed = PackedPermStore::from_permutations(&perms);
     let huff = HuffmanPermStore::from_permutations(&perms);
 
-    let codebook: Codebook = perms.iter().copied().collect();
+    let codebook: FlatCodebook = perms.iter().copied().collect();
     let mut freqs = vec![0u64; codebook.len()];
     for p in &perms {
         freqs[codebook.id_of(p).unwrap() as usize] += 1;

@@ -1,4 +1,4 @@
-//! Flat-engine survey equivalence: `survey_database_flat` must
+//! Flat-engine survey equivalence: `survey_database_flat_sharded` must
 //! reproduce `survey_database` **bit for bit** — ρ, every per-k
 //! distinct/total/occupancy, every storage-cost column (including the
 //! floating-point Huffman and entropy sums), the site ids, and the
@@ -8,11 +8,10 @@
 //! survey is the engine behind `distperm survey` on vector files, so
 //! any divergence here is a user-visible wrong answer.
 
-use distance_permutations::core::survey_flat::{
-    survey_database_flat, survey_database_flat_parallel,
-};
+use distance_permutations::core::survey_flat::survey_database_flat_sharded;
 use distance_permutations::core::{
-    count_permutations, count_permutations_flat, survey_database, DatabaseSurvey, SurveyConfig,
+    count_permutations, count_permutations_flat_sharded, survey_database, DatabaseSurvey,
+    SurveyConfig,
 };
 use distance_permutations::datasets::vectors::{uniform_unit_cube, uniform_unit_cube_flat};
 use distance_permutations::metric::{BatchDistance, L2Squared, LInf, Lp, Metric, L1, L2};
@@ -58,7 +57,7 @@ where
     let nested = uniform_unit_cube(n, d, seed);
     let flat = uniform_unit_cube_flat(n, d, seed);
     let generic = survey_database(metric, &nested, cfg);
-    assert_bit_identical(&generic, &survey_database_flat(metric, &flat, cfg), tag);
+    assert_bit_identical(&generic, &survey_database_flat_sharded(metric, &flat, cfg, 1, 0), tag);
 }
 
 proptest! {
@@ -98,7 +97,7 @@ proptest! {
         let nested = uniform_unit_cube(n, d, seed);
         let generic = survey_database(&L2, &nested, &cfg);
         for threads in [1usize, 2, 4] {
-            let par = survey_database_flat_parallel(&L2, &flat, &cfg, threads);
+            let par = survey_database_flat_sharded(&L2, &flat, &cfg, threads, 0);
             assert_bit_identical(&generic, &par, &format!("threads = {threads}"));
         }
     }
@@ -115,17 +114,17 @@ fn check_cutover_k(k: usize, n: usize, d: usize) {
     let sites_nested = uniform_unit_cube(k, d, 98);
     let sites_flat = uniform_unit_cube_flat(k, d, 98);
     let hash = count_permutations(&L2, &sites_nested, &nested);
-    let fast = count_permutations_flat(&L2, &sites_flat, &flat);
+    let fast = count_permutations_flat_sharded(&L2, &sites_flat, &flat, 1, 0);
     assert_eq!(fast.distinct, hash.distinct, "k = {k}: distinct");
     assert_eq!(fast.total, hash.total, "k = {k}: total");
     assert_eq!(fast.mean_occupancy.to_bits(), hash.mean_occupancy.to_bits(), "k = {k}: occupancy");
     let cfg = SurveyConfig { ks: vec![k], rho_pairs: 300, ..Default::default() };
     let generic = survey_database(&L2, &nested, &cfg);
-    assert_bit_identical(&generic, &survey_database_flat(&L2, &flat, &cfg), "survey");
+    assert_bit_identical(&generic, &survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0), "survey");
     for threads in [1usize, 2, 4] {
         assert_bit_identical(
             &generic,
-            &survey_database_flat_parallel(&L2, &flat, &cfg, threads),
+            &survey_database_flat_sharded(&L2, &flat, &cfg, threads, 0),
             &format!("survey, k = {k}, {threads} threads"),
         );
     }
@@ -174,11 +173,15 @@ fn duplicate_heavy_low_dimensional_data_agrees_across_engines() {
         // 1-D, k sites: at most C(k,2)+1 distinct permutations — heavy
         // duplication by construction.
         assert!(generic.per_k[0].report.distinct <= k * (k - 1) / 2 + 1);
-        assert_bit_identical(&generic, &survey_database_flat(&L2, &flat, &cfg), "sequential");
+        assert_bit_identical(
+            &generic,
+            &survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0),
+            "sequential",
+        );
         for threads in [2usize, 3, 4] {
             assert_bit_identical(
                 &generic,
-                &survey_database_flat_parallel(&L2, &flat, &cfg, threads),
+                &survey_database_flat_sharded(&L2, &flat, &cfg, threads, 0),
                 &format!("k = {k}, threads = {threads}"),
             );
         }
