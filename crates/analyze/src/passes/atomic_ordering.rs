@@ -6,7 +6,7 @@
 //! `Ordering::{Relaxed, Acquire, Release, AcqRel, SeqCst}` use must have
 //! an adjacent `// ordering:` comment (same line, or the contiguous
 //! comment block directly above) justifying the choice — starting with
-//! the steal cursor's `fetch_add(chunk, Ordering::Relaxed)`.
+//! the serving dispatcher's cursor `fetch_add(1, Ordering::Relaxed)`.
 //! `std::cmp::Ordering`'s variants (`Less`/`Equal`/`Greater`) never
 //! collide with the atomic set, so the pass keys on the variant names.
 

@@ -2,7 +2,7 @@
 //!
 //! Builds an index over a vector database, then reads line-delimited
 //! query batches from stdin until EOF, answering on stdout through
-//! [`dp_index::serve::serve_session`]: work-stealing dispatch, per-query
+//! [`dp_index::serve::serve_session`]: atomic-cursor dispatch, per-query
 //! panic isolation, deadline-aware degradation to budgeted queries, and
 //! bounded-queue admission control.  Protocol:
 //!
@@ -63,20 +63,9 @@ fn parse_options(parsed: &ParsedArgs) -> Result<ServeOptions, CliError> {
             "--degrade-frac must be in [0,1], got {degrade_frac}"
         )));
     }
-    let steal_chunk = parsed.usize_or("steal-chunk", 1)?;
-    if steal_chunk == 0 {
-        return Err(CliError::usage("--steal-chunk must be at least 1"));
-    }
     let faults = FaultPlan::none().panic_on_all(parsed.usize_list_or("fault-panics", &[])?);
     Ok(ServeOptions {
-        config: SessionConfig {
-            threads,
-            queue_capacity,
-            max_batch,
-            soft_deadline,
-            degrade_frac,
-            steal_chunk,
-        },
+        config: SessionConfig { threads, queue_capacity, max_batch, soft_deadline, degrade_frac },
         faults,
     })
 }
@@ -332,7 +321,10 @@ mod tests {
         for (tail, needle) in [
             (&["--index", "distperm:4", "--queue", "0"][..], "--queue"),
             (&["--index", "distperm:4", "--degrade-frac", "1.5"][..], "--degrade-frac"),
-            (&["--index", "distperm:4", "--steal-chunk", "0"][..], "--steal-chunk"),
+            (
+                &["--index", "distperm:4", "--steal-chunk", "0"][..],
+                "unknown option(s): --steal-chunk",
+            ),
             (&["--index", "distperm:4", "--deadline-ms", "soon"][..], "--deadline-ms"),
             (&["--index", "nosuch"][..], "nosuch"),
         ] {

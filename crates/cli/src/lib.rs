@@ -127,7 +127,7 @@ COMMANDS:
             --vectors <db> --index <spec> | --load <store>
             [--metric …] [--threads 2]
             [--queue 4] [--max-batch 4096] [--deadline-ms <ms>]
-            [--degrade-frac 0.25] [--steal-chunk 1]
+            [--degrade-frac 0.25]
             protocol: `begin <id> [deadline-ms=…] [frac=…]`, then
             `knn <k> <coords…>` / `range <r> <coords…>`, then `end`;
             EOF shuts down cleanly

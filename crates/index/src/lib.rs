@@ -29,8 +29,14 @@
 //!
 //! ## Serving & failure model
 //!
-//! The [`serve`] module also hosts the fault-tolerant serving subsystem
-//! behind `distperm serve` (see its module docs for the full contract):
+//! Every batch, strict or resilient, goes through one dispatcher: up to
+//! `threads` workers, one searcher each, claim queries one at a time
+//! from a shared atomic cursor, and results come back in query order.
+//! On the strict path ([`serve::query_batch_parallel`], behind
+//! `distperm search`) a panicking query takes the batch down with its
+//! own message.  The [`serve`] module also hosts the fault-tolerant
+//! serving subsystem behind `distperm serve` (see its module docs for
+//! the full contract):
 //!
 //! * **isolation** — every query runs under `catch_unwind`
 //!   ([`serve::serve_resilient`]); a panicking query becomes a
@@ -49,8 +55,9 @@
 //!   session.
 //!
 //! With zero faults and no deadline the resilient path returns answers
-//! and stats bit-identical to [`serve::query_batch_parallel`] at any
-//! thread count — the release-mode robustness suite pins this.
+//! and stats bit-identical to one searcher serving the batch in order,
+//! at any thread count — the release-mode robustness suite pins this
+//! against a sequential loop of its own.
 //!
 //! ## Index types
 //!

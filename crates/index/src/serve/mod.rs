@@ -2,13 +2,13 @@
 //!
 //! The serving model is the one the trait family was shaped for: the
 //! index is built once and shared (`Sync`), each worker owns one
-//! [`Searcher`] session, and a batch of queries is partitioned into
-//! contiguous chunks — one per worker — so the output order is
-//! **deterministic** and [`query_batch_parallel`] returns bit-identical
-//! results (and stats) at every thread count, `threads = 1` being the
-//! sequential path.  That equivalence holds because a reused searcher
-//! answers exactly like a fresh one, which the cross-crate property
-//! suite enforces for every index type.
+//! [`Searcher`] session, and workers claim the batch's queries one at a
+//! time from a shared atomic cursor.  Results are put back in query
+//! order, so the output is **deterministic** and [`query_batch_parallel`]
+//! returns bit-identical results (and stats) at every thread count,
+//! `threads = 1` being the sequential path.  That equivalence holds
+//! because a reused searcher answers exactly like a fresh one, which the
+//! cross-crate property suite enforces for every index type.
 //!
 //! Workers are scoped threads ([`dp_metric::par::fork_join`]), so
 //! queries may borrow from the caller's stack and no `'static` bounds
@@ -16,16 +16,14 @@
 //!
 //! # Serving & failure model
 //!
-//! The strict batch API above is one-shot: a panicking query or one
-//! slow skewed query takes the whole batch with it.  The submodules
-//! layer a fault-tolerant serving subsystem on top, used by
-//! `distperm serve`:
+//! The strict batch API above is one-shot: a panicking query takes the
+//! whole batch with it, re-raised with its own message.  The submodules
+//! layer a fault-tolerant serving subsystem on the same dispatcher, used
+//! by `distperm serve`:
 //!
-//! - [`steal`] — [`serve_resilient`]: the work-stealing engine.
-//!   Workers claim query indices off an atomic cursor (default chunk 1)
-//!   instead of contiguous splits, so a skewed budgeted batch cannot
-//!   strand workers idle; outcomes are merged back into query order, so
-//!   the zero-fault, no-deadline path stays **bit-identical** to
+//! - [`steal`] — [`serve_resilient`]: the resilient engine.  Per query
+//!   it applies the deadline and panic isolation below; with no faults
+//!   and no deadline its responses are **bit-identical** to
 //!   [`query_batch_parallel`] at any thread count.
 //! - [`isolate`] — panic isolation: each query runs under
 //!   `catch_unwind`; a panic becomes a structured [`QueryError`] in
@@ -53,12 +51,13 @@ pub use deadline::{BatchReport, Deadline, Outcome, ServeRequest};
 pub use isolate::{FaultPlan, QueryError};
 pub use protocol::{Frame, LineParser, ProtocolError, QueryKind};
 pub use session::{serve_session, SessionConfig, SessionSummary};
-pub use steal::{query_batch_stealing, serve_resilient, BatchOptions};
+pub use steal::{serve_resilient, BatchOptions};
 
 use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::query::{Neighbor, QueryStats};
-use dp_metric::par::{chunk_len, fork_join};
+use dp_metric::par::fork_join;
 use std::borrow::Borrow;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// One batched query request, applied to every query point in the batch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -133,33 +132,43 @@ pub(crate) fn run_one_approx<P: ?Sized, S: ApproxSearcher<P>>(
     }
 }
 
-/// The one serving engine behind both strict entry points: splits the
-/// batch into contiguous chunks, runs `serve_one` on each query through
-/// a per-worker searcher, and concatenates chunk results in order.
-/// `threads <= 1` (or a single query) runs inline without spawning.  A
-/// query panic propagates to the caller, exactly like the sequential
-/// path; [`serve_resilient`] is the isolated engine.
-fn serve_chunks<'i, P, Q, I, F>(
-    index: &'i I,
-    queries: &[Q],
-    threads: usize,
-    serve_one: F,
-) -> Vec<Response<I::Dist>>
+/// The one batch dispatcher behind every serving entry point.
+///
+/// Starts `min(threads, queries)` workers, at least one for a non-empty
+/// batch; a single worker runs inline on the caller's thread.  Each
+/// worker builds one searcher and claims query indices one at a time
+/// from a shared cursor, so a batch whose per-query cost is skewed
+/// cannot strand a worker behind a fixed share of heavy queries.
+/// `serve_one` receives the worker's searcher, the query's index and
+/// the query; results come back in query order, whichever worker served
+/// them.  A panic in `serve_one` propagates to the caller with its own
+/// payload.
+fn dispatch<'i, P, Q, I, R, F>(index: &'i I, queries: &[Q], threads: usize, serve_one: F) -> Vec<R>
 where
     P: ?Sized,
     Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
-    F: Fn(&mut I::Searcher<'i>, &P) -> Response<I::Dist> + Sync,
+    R: Send,
+    F: Fn(&mut I::Searcher<'i>, usize, &P) -> R + Sync,
 {
-    if threads <= 1 || queries.len() <= 1 {
+    let cursor = AtomicUsize::new(0);
+    let served = fork_join(0..threads.max(1).min(queries.len()), |_| {
         let mut searcher = index.searcher();
-        return queries.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect();
-    }
-    let chunks = fork_join(queries.chunks(chunk_len(queries.len(), threads)), |part| {
-        let mut searcher = index.searcher();
-        part.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect::<Vec<_>>()
+        let mut served = Vec::new();
+        loop {
+            // ordering: Relaxed suffices — the cursor only hands out
+            // disjoint indices (fetch_add is atomic at every ordering) and
+            // publishes no other memory; results reach the caller through
+            // the worker joins in fork_join.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(query) = queries.get(i) else { break };
+            served.push((i, serve_one(&mut searcher, i, query.borrow())));
+        }
+        served
     });
-    chunks.into_iter().flatten().collect()
+    let mut tagged: Vec<(usize, R)> = served.into_iter().flatten().collect();
+    tagged.sort_unstable_by_key(|&(i, _)| i);
+    tagged.into_iter().map(|(_, r)| r).collect()
 }
 
 /// Serves a batch of queries on `threads` scoped worker threads, one
@@ -181,7 +190,7 @@ where
     Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
 {
-    serve_chunks(index, queries, threads, |searcher, q| run_one(searcher, q, request))
+    dispatch(index, queries, threads, |searcher, _, q| run_one(searcher, q, request))
 }
 
 /// [`query_batch_parallel`] for budgeted queries.
@@ -197,7 +206,7 @@ where
     I: ProximityIndex<P>,
     I::Searcher<'i>: ApproxSearcher<P>,
 {
-    serve_chunks(index, queries, threads, |searcher, q| run_one_approx(searcher, q, request))
+    dispatch(index, queries, threads, |searcher, _, q| run_one_approx(searcher, q, request))
 }
 
 #[cfg(test)]
@@ -215,13 +224,23 @@ mod tests {
         (0..n).map(|_| (0..d).map(|_| rng.random::<f64>()).collect()).collect()
     }
 
+    /// The oracle: one searcher serving the batch in query order.
+    pub(super) fn sequential<'i, P: ?Sized, Q: Borrow<P>, I: ProximityIndex<P>>(
+        index: &'i I,
+        queries: &[Q],
+        mut serve_one: impl FnMut(&mut I::Searcher<'i>, &P) -> Response<I::Dist>,
+    ) -> Vec<Response<I::Dist>> {
+        let mut searcher = index.searcher();
+        queries.iter().map(|q| serve_one(&mut searcher, q.borrow())).collect()
+    }
+
     #[test]
     fn parallel_matches_sequential_on_vptree() {
         let pts = random_points(300, 3, 1);
         let tree = VpTree::build(L2, pts);
         let queries = random_points(37, 3, 2);
-        let seq = query_batch_parallel(&tree, &queries, Request::Knn { k: 3 }, 1);
-        for threads in [2usize, 3, 8, 64] {
+        let seq = sequential(&tree, &queries, |s, q| s.knn(q, 3));
+        for threads in [1usize, 2, 3, 8, 64] {
             let par = query_batch_parallel(&tree, &queries, Request::Knn { k: 3 }, threads);
             assert_eq!(par, seq, "threads = {threads}");
         }
@@ -249,7 +268,7 @@ mod tests {
         let idx = FlatDistPermIndex::build(L2, flat, 8, PivotSelection::MaxMin, 1);
         let queries = VectorSet::from_nested(&random_points(23, 4, 6));
         let rows: Vec<&[f64]> = queries.rows().collect();
-        let seq = query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, 1);
+        let seq = sequential::<[f64], _, _>(&idx, &rows, |s, q| s.knn(q, 2));
         let par = query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, 5);
         assert_eq!(seq, par);
         assert_eq!(seq.len(), 23);
@@ -263,42 +282,30 @@ mod tests {
         let idx = DistPermIndex::build(L2, pts, 10, PivotSelection::MaxMin);
         let queries = random_points(19, 3, 8);
         let req = ApproxRequest::Knn { k: 3, frac: 0.1 };
-        let seq = query_batch_parallel_approx(&idx, &queries, req, 1);
         let par = query_batch_parallel_approx(&idx, &queries, req, 3);
-        assert_eq!(seq, par);
-        for (q, (neighbors, stats)) in queries.iter().zip(&seq) {
+        assert_eq!(par.len(), queries.len());
+        for (q, (neighbors, stats)) in queries.iter().zip(&par) {
             assert_eq!(neighbors, &idx.knn_approx(q, 3, 0.1));
             assert_eq!(*stats, QueryStats::new(10 + 50));
         }
     }
 
     #[test]
-    fn empty_batch_and_oversubscribed_threads() {
-        let pts = random_points(50, 2, 9);
-        let tree = VpTree::build(L2, pts);
-        let none: Vec<Vec<f64>> = Vec::new();
-        assert!(query_batch_parallel(&tree, &none, Request::Knn { k: 1 }, 8).is_empty());
-        let one = random_points(1, 2, 10);
-        let out = query_batch_parallel(&tree, &one, Request::Knn { k: 1 }, 8);
-        assert_eq!(out.len(), 1);
-    }
-
-    #[test]
-    fn worker_clamp_keeps_results_bit_identical() {
-        // Regression suite for the worker-count clamp: threads = 0,
-        // threads > queries, and absurd oversubscription must all return
-        // exactly the sequential answers and stats, for both the exact
-        // and the budgeted serving surfaces.
+    fn any_thread_count_matches_the_sequential_loop() {
+        // threads = 0, 1, 2, the batch size, one more than it, and
+        // oversubscription must all return exactly the answers and stats
+        // of one searcher serving the batch in order, empty batches
+        // included, on both the exact and the budgeted surface.
         let pts = random_points(120, 3, 12);
         let flat = VectorSet::from_nested(&pts);
         let idx = FlatDistPermIndex::build(L2, flat, 6, PivotSelection::MaxMin, 1);
-        for nq in [0usize, 1, 2, 7] {
+        let approx_req = ApproxRequest::Knn { k: 3, frac: 0.4 };
+        for nq in [0usize, 1, 2, 7, 64, 65] {
             let queries = random_points(nq, 3, 13 + nq as u64);
             let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
-            let seq = query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 3 }, 1);
-            let approx_req = ApproxRequest::Knn { k: 3, frac: 0.4 };
-            let seq_approx = query_batch_parallel_approx::<[f64], _, _>(&idx, &rows, approx_req, 1);
-            for threads in [0usize, 1, nq, nq + 1, 1000] {
+            let seq = sequential::<[f64], _, _>(&idx, &rows, |s, q| s.knn(q, 3));
+            let seq_approx = sequential::<[f64], _, _>(&idx, &rows, |s, q| s.knn_approx(q, 3, 0.4));
+            for threads in [0usize, 1, 2, nq, nq + 1, 64, 1000] {
                 let par = query_batch_parallel::<[f64], _, _>(
                     &idx,
                     &rows,
@@ -311,6 +318,30 @@ mod tests {
                 assert_eq!(par_approx, seq_approx, "approx: {nq} queries, {threads} threads");
             }
         }
+    }
+
+    /// Serves a batch whose fourth query has the wrong dimension.  It is
+    /// empty, because the site-distance kernel rejects a longer query
+    /// with a shape message before the index's dimension check runs.
+    fn serve_wrong_dimension(threads: usize) {
+        let flat = VectorSet::from_nested(&random_points(60, 3, 14));
+        let idx = FlatDistPermIndex::build(L2, flat, 4, PivotSelection::MaxMin, 1);
+        let mut queries = random_points(6, 3, 15);
+        queries[3].clear();
+        let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, threads);
+    }
+
+    #[test]
+    #[should_panic(expected = "different dimension")]
+    fn strict_query_panic_keeps_its_message_inline() {
+        serve_wrong_dimension(1);
+    }
+
+    #[test]
+    #[should_panic(expected = "different dimension")]
+    fn strict_query_panic_keeps_its_message_on_a_worker() {
+        serve_wrong_dimension(2);
     }
 
     #[test]

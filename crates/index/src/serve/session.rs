@@ -2,8 +2,8 @@
 //!
 //! [`serve_session`] reads protocol lines ([`super::protocol`]) from any
 //! `BufRead`, groups them into batches, and serves each batch through
-//! the resilient work-stealing engine ([`super::steal`]), writing one
-//! reply line per event.  The loop is built not to die:
+//! the resilient engine ([`super::steal`]), writing one reply line per
+//! event.  The loop is built not to die:
 //!
 //! - a **reader thread** parses input and never blocks on a full queue —
 //!   **admission control** is a bounded batch queue, and a batch that
@@ -60,8 +60,6 @@ pub struct SessionConfig {
     /// Scan fraction served after the deadline expires (overridable per
     /// batch via `frac=` on `begin`).
     pub degrade_frac: f64,
-    /// Work-stealing chunk size (see [`BatchOptions::steal_chunk`]).
-    pub steal_chunk: usize,
 }
 
 impl Default for SessionConfig {
@@ -72,7 +70,6 @@ impl Default for SessionConfig {
             max_batch: 4096,
             soft_deadline: None,
             degrade_frac: 0.25,
-            steal_chunk: 1,
         }
     }
 }
@@ -376,15 +373,10 @@ where
     )?;
     out.flush()?;
 
-    crossbeam::thread::scope(|scope| {
-        scope.spawn(|_| read_input(input, &parser, config, &admission));
+    std::thread::scope(|scope| {
+        scope.spawn(|| read_input(input, &parser, config, &admission));
         serve_events(index, out, config, faults, &admission)
     })
-    // dplint: allow(panic-boundary, reason = "scope Err means the reader thread
-    // itself panicked; it runs only the total parser and lock-free pushes, and
-    // with the reader gone no reply stream can be produced — nothing to serve
-    // around")
-    .expect("serve session scope failed")
 }
 
 /// The single-writer serving loop: pops events, serves batches, writes
@@ -427,7 +419,6 @@ where
                         .map(Duration::from_millis)
                         .or(config.soft_deadline),
                     degrade_frac: batch.frac.unwrap_or(config.degrade_frac),
-                    steal_chunk: config.steal_chunk,
                 };
                 let report =
                     serve_resilient(index, &batch.points, |i| batch.requests[i], &options, faults);

@@ -1,15 +1,14 @@
-//! The resilient work-stealing batch engine.
+//! The resilient batch engine.
 //!
-//! [`serve_resilient`] is the serving loop's workhorse: it dispatches a
-//! batch of (possibly heterogeneous) queries to warm per-worker
-//! [`crate::Searcher`] sessions via an **atomic-cursor** work queue
-//! instead of the contiguous splits of
-//! [`crate::serve::query_batch_parallel`].  Workers claim the next
-//! `steal_chunk` query indices with one `fetch_add` and go back for
-//! more, so a skewed batch — budgeted queries whose per-query cost
-//! varies wildly (see "Cardinality of Balls in Permutation Spaces",
-//! Dinu & Zara, on why candidate-set sizes spread so far) — cannot
-//! strand a worker idle behind a statically assigned heavy chunk.
+//! [`serve_resilient`] is the serving loop's workhorse.  It runs a batch
+//! of (possibly heterogeneous) queries through the serving dispatcher
+//! shared with [`crate::serve::query_batch_parallel`]: warm per-worker
+//! [`crate::Searcher`] sessions claim query indices one at a time from
+//! an atomic cursor, so a skewed batch — budgeted queries whose
+//! per-query cost varies wildly (see "Cardinality of Balls in
+//! Permutation Spaces", Dinu & Zara, on why candidate-set sizes spread
+//! so far) — cannot strand a worker idle behind a fixed share of heavy
+//! queries.
 //!
 //! Robustness layers applied per query, in order:
 //!
@@ -20,16 +19,14 @@
 //!    [`Outcome::Failed`] and the worker's searcher is rebuilt;
 //! 3. **determinism**: outcomes land in query order regardless of which
 //!    worker served them, so the zero-fault, no-deadline path returns
-//!    responses bit-identical to [`crate::serve::query_batch_parallel`]
-//!    at any thread count and any chunk size.
+//!    responses bit-identical to one searcher serving the batch in
+//!    order, at any thread count.
 
 use crate::api::{ApproxSearcher, ProximityIndex};
 use crate::serve::deadline::{BatchReport, Deadline, Outcome, ServeRequest};
 use crate::serve::isolate::{run_guarded, FaultPlan, QueryError};
-use crate::serve::{run_one, run_one_approx, Request, Response};
+use crate::serve::{dispatch, run_one, run_one_approx};
 use std::borrow::Borrow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Tuning and policy knobs for one resiliently served batch.
@@ -42,16 +39,11 @@ pub struct BatchOptions {
     pub soft_deadline: Option<Duration>,
     /// Scan fraction served once the deadline has expired.
     pub degrade_frac: f64,
-    /// Query indices claimed per cursor bump.  1 (the default) gives
-    /// the best balance; larger values trade balance for fewer atomic
-    /// operations.  `queries.div_ceil(threads)` reproduces contiguous
-    /// chunking.
-    pub steal_chunk: usize,
 }
 
 impl Default for BatchOptions {
     fn default() -> Self {
-        Self { threads: 1, soft_deadline: None, degrade_frac: 0.25, steal_chunk: 1 }
+        Self { threads: 1, soft_deadline: None, degrade_frac: 0.25 }
     }
 }
 
@@ -77,12 +69,6 @@ impl BatchOptions {
         // from query traffic, which min-clamps frac in the protocol layer")
         assert!((0.0..=1.0).contains(&frac), "degrade frac must be in [0,1], got {frac}");
         self.degrade_frac = frac;
-        self
-    }
-
-    /// Sets the steal-chunk size (0 is treated as 1).
-    pub fn chunk(mut self, steal_chunk: usize) -> Self {
-        self.steal_chunk = steal_chunk;
         self
     }
 }
@@ -136,17 +122,14 @@ where
     }
 }
 
-/// Serves a batch through work-stealing workers with panic isolation
-/// and deadline-aware degradation; `request_of(i)` names each query's
-/// request, so heterogeneous batches (mixed k-NN/range/budgets) are
-/// first-class.
+/// Serves a batch with panic isolation and deadline-aware degradation;
+/// `request_of(i)` names each query's request, so heterogeneous batches
+/// (mixed k-NN/range/budgets) are first-class.
 ///
 /// Outcomes are returned in query order.  With an empty [`FaultPlan`]
 /// and no soft deadline every outcome is [`Outcome::Ok`] and the
-/// responses are **bit-identical** to
-/// [`crate::serve::query_batch_parallel`] /
-/// [`crate::serve::query_batch_parallel_approx`] over the same
-/// requests, at any thread count and chunk size — enforced by the
+/// responses are **bit-identical** to one searcher serving the same
+/// requests in order, at any thread count — enforced by the
 /// release-mode robustness suite.
 pub fn serve_resilient<'i, P, Q, I, RF>(
     index: &'i I,
@@ -162,125 +145,25 @@ where
     I::Searcher<'i>: ApproxSearcher<P>,
     RF: Fn(usize) -> ServeRequest<I::Dist> + Sync,
 {
-    let n = queries.len();
     let start = Instant::now();
     let ctx = BatchContext {
         deadline: Deadline::after(options.soft_deadline),
         degrade_frac: options.degrade_frac,
         faults,
     };
-    let workers = options.threads.clamp(1, n.max(1));
-    let chunk = options.steal_chunk.max(1);
-    let cursor = AtomicUsize::new(0);
-
-    let work = |out: &mut Vec<(usize, Outcome<I::Dist>)>| {
-        let mut searcher = index.searcher();
-        loop {
-            // ordering: Relaxed suffices — the cursor only partitions indices
-            // into disjoint claims (fetch_add is atomic at every ordering);
-            // no other memory is published through it.  Results flow through
-            // the collector mutex and the scope join below, which provide
-            // all the happens-before edges the merge needs.
-            let lo = cursor.fetch_add(chunk, Ordering::Relaxed);
-            if lo >= n {
-                break;
-            }
-            let hi = n.min(lo + chunk);
-            for (i, query) in (lo..hi).zip(&queries[lo..hi]) {
-                let outcome =
-                    run_resilient_one(&ctx, index, &mut searcher, i, query.borrow(), request_of(i));
-                out.push((i, outcome));
-            }
-        }
-    };
-
-    let mut tagged: Vec<(usize, Outcome<I::Dist>)> = Vec::with_capacity(n);
-    if workers <= 1 {
-        work(&mut tagged);
-    } else {
-        let collected = Mutex::new(&mut tagged);
-        crossbeam::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|_| {
-                        let mut local = Vec::new();
-                        work(&mut local);
-                        // dplint: allow(panic-boundary, reason = "poison here means a
-                        // sibling worker died outside query isolation, which the join
-                        // below already escalates; recovering would merge a batch with
-                        // silently missing outcomes instead")
-                        collected.lock().expect("collector lock").extend(local);
-                    })
-                })
-                .collect();
-            for h in handles {
-                // Query panics are caught inside the worker; a join
-                // failure means the *index* could not produce a session,
-                // which nothing downstream could serve around.
-                // dplint: allow(panic-boundary, reason = "join Err means
-                // index.searcher() itself panicked — no session can exist, so
-                // per-query isolation has nothing left to contain")
-                h.join().expect("serving worker died outside query isolation");
-            }
-        })
-        // dplint: allow(panic-boundary, reason = "scope Err repeats the join
-        // escalation above: a worker died before reaching query isolation")
-        .expect("serving scope failed");
-    }
-
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    debug_assert!(tagged.iter().enumerate().all(|(pos, &(i, _))| pos == i));
-    // dplint: allow(panic-boundary, reason = "totality guard: the engine's own
-    // contract is one outcome per query — a miscount is a bug in this function,
-    // not servable input, and must not reach clients as a silent short batch")
-    assert_eq!(tagged.len(), n, "every query must produce exactly one outcome");
-    let outcomes = tagged.into_iter().map(|(_, o)| o).collect();
+    let outcomes = dispatch(index, queries, options.threads, |searcher, i, query| {
+        run_resilient_one(&ctx, index, searcher, i, query, request_of(i))
+    });
     BatchReport { outcomes, elapsed: start.elapsed() }
-}
-
-/// [`crate::serve::query_batch_parallel`] with work-stealing instead of
-/// contiguous chunks: bit-identical responses, better balance on skewed
-/// batches.  Requires the index's budgeted surface because it shares
-/// the resilient engine (panics propagate — use [`serve_resilient`] for
-/// isolation).
-pub fn query_batch_stealing<'i, P, Q, I>(
-    index: &'i I,
-    queries: &[Q],
-    request: Request<I::Dist>,
-    threads: usize,
-) -> Vec<Response<I::Dist>>
-where
-    P: ?Sized,
-    Q: Borrow<P> + Sync,
-    I: ProximityIndex<P>,
-    I::Searcher<'i>: ApproxSearcher<P>,
-{
-    let report = serve_resilient(
-        index,
-        queries,
-        |_| ServeRequest::Exact(request),
-        &BatchOptions::with_threads(threads),
-        &FaultPlan::none(),
-    );
-    match report.ok_responses() {
-        Some(responses) => responses,
-        None => {
-            // dplint: allow(panic-boundary, reason = "query_batch_stealing is the
-            // documented non-isolated wrapper: its contract is to re-raise the
-            // first query panic, exactly like query_batch_parallel")
-            let first = report.outcomes.iter().find_map(Outcome::error).expect("a failed query");
-            // dplint: allow(panic-boundary, reason = "same contract: re-raise the
-            // first query panic for the non-isolated wrapper")
-            panic!("{first}")
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{ApproxIndex, Searcher};
     use crate::laesa::PivotSelection;
-    use crate::serve::{query_batch_parallel, query_batch_parallel_approx, ApproxRequest};
+    use crate::serve::tests::sequential;
+    use crate::serve::{ApproxRequest, Request};
     use crate::DistPermIndex;
     use dp_metric::L2;
     use rand::rngs::StdRng;
@@ -292,28 +175,21 @@ mod tests {
     }
 
     #[test]
-    fn stealing_matches_contiguous_bit_for_bit() {
+    fn clean_batch_matches_one_searcher_bit_for_bit() {
         let pts = random_points(300, 3, 1);
         let idx = DistPermIndex::build(L2, pts, 8, PivotSelection::MaxMin);
         let queries = random_points(29, 3, 2);
         let request = Request::Knn { k: 4 };
-        let baseline = query_batch_parallel(&idx, &queries, request, 2);
-        for threads in [1usize, 2, 5, 64] {
-            for chunk in [1usize, 3, 29, 1000] {
-                let report = serve_resilient(
-                    &idx,
-                    &queries,
-                    |_| ServeRequest::Exact(request),
-                    &BatchOptions::with_threads(threads).chunk(chunk),
-                    &FaultPlan::none(),
-                );
-                assert_eq!(
-                    report.ok_responses().expect("clean batch"),
-                    baseline,
-                    "threads={threads} chunk={chunk}"
-                );
-            }
-            assert_eq!(query_batch_stealing(&idx, &queries, request, threads), baseline);
+        let baseline = sequential(&idx, &queries, |s, q| s.knn(q, 4));
+        for threads in [0usize, 1, 2, 5, 29, 30, 64] {
+            let report = serve_resilient(
+                &idx,
+                &queries,
+                |_| ServeRequest::Exact(request),
+                &BatchOptions::with_threads(threads),
+                &FaultPlan::none(),
+            );
+            assert_eq!(report.ok_responses().expect("clean batch"), baseline, "threads={threads}");
         }
     }
 
@@ -323,7 +199,7 @@ mod tests {
         let idx = DistPermIndex::build(L2, pts, 6, PivotSelection::MaxMin);
         let queries = random_points(17, 2, 4);
         let request = Request::Knn { k: 2 };
-        let baseline = query_batch_parallel(&idx, &queries, request, 1);
+        let baseline = sequential(&idx, &queries, |s, q| s.knn(q, 2));
         let faults = FaultPlan::none().panic_on_all([0, 7, 16]);
         for threads in [1usize, 3] {
             let report = serve_resilient(
@@ -363,8 +239,7 @@ mod tests {
             &FaultPlan::none(),
         );
         assert_eq!(report.degraded(), queries.len());
-        let expected =
-            query_batch_parallel_approx(&idx, &queries, ApproxRequest::Knn { k: 3, frac: 0.2 }, 1);
+        let expected = sequential(&idx, &queries, |s, q| s.knn_approx(q, 3, 0.2));
         for (i, outcome) in report.outcomes.iter().enumerate() {
             match outcome {
                 Outcome::Degraded { response, frac } => {
@@ -418,36 +293,12 @@ mod tests {
             let (expected, expected_stats) = match requests[i] {
                 ServeRequest::Exact(Request::Knn { k }) => idx.query_knn(&queries[i], k),
                 ServeRequest::Approx(ApproxRequest::Knn { k, frac }) => {
-                    use crate::api::ApproxIndex;
                     idx.query_knn_approx(&queries[i], k, frac)
                 }
                 _ => unreachable!(),
             };
             assert_eq!(neighbors, &expected, "query {i}");
             assert_eq!(stats, &expected_stats, "query {i}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "injected fault")]
-    fn strict_stealing_wrapper_propagates_failures() {
-        // query_batch_stealing has no isolation surface: a failure in
-        // the underlying engine must surface as a panic, not silently
-        // drop a query.
-        let pts = random_points(40, 2, 10);
-        let idx = DistPermIndex::build(L2, pts, 4, PivotSelection::MaxMin);
-        let queries = random_points(3, 2, 11);
-        let report = serve_resilient(
-            &idx,
-            &queries,
-            |_| ServeRequest::Exact(Request::Knn { k: 1 }),
-            &BatchOptions::default(),
-            &FaultPlan::none().panic_on(1),
-        );
-        // Simulate the wrapper's unwrap on a faulted report.
-        if report.ok_responses().is_none() {
-            let first = report.outcomes.iter().find_map(Outcome::error).expect("failed");
-            panic!("{first}");
         }
     }
 }

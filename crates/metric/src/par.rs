@@ -1,10 +1,14 @@
-//! Contiguous-chunk fork-join, the one scoped-thread pattern behind the
-//! workspace's data-parallel scans.
+//! Scoped-thread fork-join, the one thread pattern behind the
+//! workspace's data-parallel scans and its query-serving workers.
 //!
-//! Every such scan splits its input into at most `threads` contiguous
-//! chunks of near-equal size ([`chunk_len`]), runs one scoped worker per
-//! chunk ([`fork_join`]) and combines the per-chunk results in chunk
-//! order, so the combined result never depends on the thread count.
+//! [`fork_join`] runs one scoped worker per item and returns the results
+//! in item order.  A data-parallel scan splits its input into at most
+//! `threads` contiguous chunks of near-equal size ([`chunk_len`]) and
+//! combines the per-chunk results in chunk order, so the combined result
+//! never depends on the thread count.  Batch query serving
+//! (`dp_index::serve`) starts its workers through [`fork_join`] too;
+//! there each worker claims queries from a shared cursor instead of
+//! owning a fixed chunk.
 
 /// Length of each contiguous chunk when `n` items split across at most
 /// `threads` workers; 0 for an empty input.
@@ -32,15 +36,14 @@ where
         return items.into_iter().map(work).collect();
     }
     let work = &work;
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> =
-            items.into_iter().map(|item| scope.spawn(move |_| work(item))).collect();
+            items.into_iter().map(|item| scope.spawn(move || work(item))).collect();
         handles
             .into_iter()
             .map(|h| h.join().unwrap_or_else(|payload| std::panic::resume_unwind(payload)))
             .collect()
     })
-    .unwrap_or_else(|payload| std::panic::resume_unwind(payload))
 }
 
 #[cfg(test)]

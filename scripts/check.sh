@@ -75,14 +75,22 @@ echo "== cargo test --release --test radix_properties (release-mode property run
 cargo test -p dp-permutation --release -q --test radix_properties
 
 # The serving robustness suites pin panic isolation and bit-identity of
-# the work-stealing engine against the strict batch path; catch_unwind
-# and the degraded-path float behaviour must hold under optimized
-# codegen, so both suites also run under release.
+# the resilient engine against a one-searcher sequential loop written in
+# the suite itself; catch_unwind and the degraded-path float behaviour
+# must hold under optimized codegen, so both suites also run under
+# release.
 echo "== cargo test --release --test serve_robustness (release-mode fault-injection run)"
 cargo test -p distance-permutations --release -q --test serve_robustness
 
 echo "== cargo test --release --test protocol_robustness (release-mode adversarial-input run)"
 cargo test -p dp-index --release -q --test protocol_robustness
+
+# index_consistency pins that query_batch_parallel answers identically
+# at every thread count for every index type; the serving dispatcher
+# hands queries to workers through an atomic cursor, so its ordering
+# must also hold under optimized codegen.
+echo "== cargo test --release --test index_consistency (release-mode serving-invariance run)"
+cargo test -p distance-permutations --release -q --test index_consistency
 
 # The store reader's totality promise (typed errors on truncation at
 # every prefix and corruption at every offset, bit-identical reload)

@@ -4,17 +4,22 @@
 //! The contract under test: with `k` injected panics in an `n`-query
 //! batch, [`serve_resilient`] returns **exactly `k`** failed outcomes at
 //! the injected indices and the other `n - k` answers **bit-identical**
-//! to the strict [`query_batch_parallel`] path — at any thread count
-//! and steal-chunk size.  With zero faults and no deadline the whole
-//! batch is bit-identical; with an expired deadline every query
-//! degrades to exactly the budgeted path.  The serving loop never dies:
-//! a session fed all-panicking batches still answers and says `bye`.
+//! to one searcher serving the batch in order — at any thread count.
+//! With zero faults and no deadline the whole batch is bit-identical;
+//! with an expired deadline every query degrades to exactly the budgeted
+//! path.  The serving loop never dies: a session fed all-panicking
+//! batches still answers and says `bye`.
+//!
+//! The expected answers come from a plain loop in this file, not from
+//! the library's strict batch path, which shares the engine's dispatcher.
 
 use distance_permutations::index::serve::{
-    query_batch_parallel, query_batch_parallel_approx, serve_resilient, ApproxRequest,
-    BatchOptions, FaultPlan, Outcome, Request, ServeRequest,
+    serve_resilient, ApproxRequest, BatchOptions, FaultPlan, Outcome, Request, Response,
+    ServeRequest,
 };
-use distance_permutations::index::{DistPermIndex, PivotSelection};
+use distance_permutations::index::{
+    DistPermIndex, DistPermSearcher, PivotSelection, ProximityIndex, Searcher,
+};
 use distance_permutations::metric::{F64Dist, L2};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -31,14 +36,21 @@ fn dist_perm_index() -> DistPermIndex<Vec<f64>, L2> {
     DistPermIndex::build(L2, random_points(120, 3, 7), 6, PivotSelection::MaxMin)
 }
 
+/// The oracle: one searcher serving the batch in query order.
+fn sequential(
+    index: &DistPermIndex<Vec<f64>, L2>,
+    queries: &[Vec<f64>],
+    serve_one: impl Fn(&mut DistPermSearcher<'_, Vec<f64>, L2>, &Vec<f64>) -> Response<F64Dist>,
+) -> Vec<Response<F64Dist>> {
+    let mut searcher = index.searcher();
+    queries.iter().map(|q| serve_one(&mut searcher, q)).collect()
+}
+
 /// Asserts the fault-isolation contract on one engine run: failed slots
 /// exactly at `panics`, everything else bit-identical to `baseline`.
 fn assert_isolated(
     outcomes: &[Outcome<F64Dist>],
-    baseline: &[(
-        Vec<distance_permutations::index::Neighbor<F64Dist>>,
-        distance_permutations::index::QueryStats,
-    )],
+    baseline: &[Response<F64Dist>],
     panics: &BTreeSet<usize>,
 ) {
     assert_eq!(outcomes.len(), baseline.len());
@@ -74,17 +86,15 @@ proptest! {
         seed in 0u64..1000,
         panics in proptest::collection::btree_set(0usize..24, 0..6),
         threads in 1usize..5,
-        chunk in 1usize..8,
     ) {
         let index = dist_perm_index();
         let queries = random_points(24, 3, seed ^ 0xbeef);
-        let baseline = query_batch_parallel(&index, &queries, Request::Knn { k: 4 }, threads);
-        let options = BatchOptions::with_threads(threads).chunk(chunk);
+        let baseline = sequential(&index, &queries, |s, q| s.knn(q, 4));
         let report = serve_resilient(
             &index,
             &queries,
             |_| ServeRequest::Exact(Request::Knn { k: 4 }),
-            &options,
+            &BatchOptions::with_threads(threads),
             &FaultPlan::none().panic_on_all(panics.iter().copied()),
         );
         prop_assert_eq!(report.failed(), panics.len());
@@ -101,7 +111,7 @@ proptest! {
         let index = dist_perm_index();
         let queries = random_points(20, 3, seed ^ 0xfeed);
         let request = ApproxRequest::Knn { k: 3, frac: 0.4 };
-        let baseline = query_batch_parallel_approx(&index, &queries, request, threads);
+        let baseline = sequential(&index, &queries, |s, q| s.knn_approx(q, 3, 0.4));
         let report = serve_resilient(
             &index,
             &queries,
@@ -114,8 +124,8 @@ proptest! {
     }
 
     // An already-expired deadline degrades every query to exactly the
-    // budgeted path at the configured fraction — bit-identical to
-    // `query_batch_parallel_approx`.
+    // budgeted path at the configured fraction — bit-identical to one
+    // searcher serving the budgeted requests.
     #[test]
     fn expired_deadline_is_bit_identical_to_budgeted_serving(
         seed in 0u64..1000,
@@ -124,12 +134,7 @@ proptest! {
     ) {
         let index = dist_perm_index();
         let queries = random_points(16, 3, seed ^ 0xdead);
-        let baseline = query_batch_parallel_approx(
-            &index,
-            &queries,
-            ApproxRequest::Knn { k: 3, frac },
-            threads,
-        );
+        let baseline = sequential(&index, &queries, |s, q| s.knn_approx(q, 3, frac));
         let options =
             BatchOptions::with_threads(threads).deadline(Duration::ZERO).degrade(frac);
         let report = serve_resilient(
@@ -147,42 +152,6 @@ proptest! {
                     prop_assert_eq!(response, &baseline[i]);
                 }
                 other => panic!("query {i} should be degraded, got {other:?}"),
-            }
-        }
-    }
-
-    // Steal-chunk size is a pure performance knob: every chunk size
-    // yields the same outcomes, faults included.
-    #[test]
-    fn steal_chunk_size_never_changes_outcomes(
-        seed in 0u64..1000,
-        panics in proptest::collection::btree_set(0usize..18, 0..4),
-        threads in 2usize..5,
-    ) {
-        let index = DistPermIndex::build(L2, random_points(90, 3, 11), 4, PivotSelection::MaxMin);
-        let queries = random_points(18, 3, seed ^ 0xabcd);
-        let faults = FaultPlan::none().panic_on_all(panics.iter().copied());
-        let run = |chunk: usize| {
-            serve_resilient(
-                &index,
-                &queries,
-                |_| ServeRequest::Exact(Request::Knn { k: 2 }),
-                &BatchOptions::with_threads(threads).chunk(chunk),
-                &faults,
-            )
-        };
-        let reference = run(1);
-        for chunk in [2, 5, 1000] {
-            let report = run(chunk);
-            prop_assert_eq!(report.outcomes.len(), reference.outcomes.len());
-            for (a, b) in report.outcomes.iter().zip(&reference.outcomes) {
-                match (a, b) {
-                    (Outcome::Ok(x), Outcome::Ok(y)) => prop_assert_eq!(x, y),
-                    (Outcome::Failed(x), Outcome::Failed(y)) => {
-                        prop_assert_eq!(x.index, y.index);
-                    }
-                    other => panic!("chunk {chunk} changed an outcome: {other:?}"),
-                }
             }
         }
     }
