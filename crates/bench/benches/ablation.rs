@@ -1,7 +1,7 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * **counting strategy** — FxHash set vs std SipHash set vs the k!-rank
-//!   bitmap (distinct counting is the inner loop of Tables 2 and 3);
+//! * **counting strategy** — FxHash set vs std SipHash set (distinct
+//!   counting is the inner loop of Tables 2 and 3);
 //! * **scratch reuse** — `DistPermComputer` vs a fresh allocation per
 //!   point (the perf-book "reusing collections" guidance);
 //! * **metric monotone-equivalence** — L2 vs L2Squared for permutation
@@ -11,7 +11,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use dp_datasets::uniform_unit_cube;
 use dp_metric::{L2Squared, Metric, L2};
 use dp_permutation::compute::{database_permutations, distance_permutation, DistPermComputer};
-use dp_permutation::counter::RankBitmap;
 use dp_permutation::fxhash::FxHashSet;
 use dp_permutation::Permutation;
 use std::collections::HashSet;
@@ -40,15 +39,6 @@ fn bench_counting_strategies(c: &mut Criterion) {
                 set.insert(p);
             }
             black_box(set.len())
-        });
-    });
-    group.bench_function("rank_bitmap", |b| {
-        b.iter(|| {
-            let mut bm = RankBitmap::new(8);
-            for p in &perms {
-                bm.insert(p);
-            }
-            black_box(bm.distinct())
         });
     });
     group.finish();

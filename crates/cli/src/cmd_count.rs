@@ -42,8 +42,9 @@ where
     CountOutcome { report, site_ids, prefix_distinct }
 }
 
-/// Vector databases run through the flat batched engine (streaming
-/// sharded when `shard_rows > 0` — identical report, bounded memory);
+/// Vector databases run through the flat batched engine (keys streamed
+/// through `shard_rows`-key shards, 0 meaning the default 131,072 —
+/// identical report at any size, bounded memory);
 /// the optional prefix count reuses the generic per-point path over row
 /// views.
 fn measure_flat<M>(

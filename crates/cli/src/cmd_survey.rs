@@ -80,9 +80,9 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
         Database::Vectors { data, metric, .. } => {
             // Vector databases are already stored flat, so the survey
             // runs straight through the batched engine — same report,
-            // bit for bit, as the generic per-point path, whether the
-            // per-k counting buffers in memory (--shard-rows 0) or
-            // streams bounded shards (--shard-rows > 0).
+            // bit for bit, as the generic per-point path, at every
+            // --shard-rows (the per-k counting buffers at most that many
+            // keys per worker; 0 means the default 131,072).
             match metric {
                 VectorMetricSpec::L1 => {
                     survey_database_flat_sharded(&L1, data, &cfg, threads, shard_rows)

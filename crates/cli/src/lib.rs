@@ -105,13 +105,14 @@ COMMANDS:
             --vectors <file>|--strings <file> --k <sites>
             [--metric l2|l1|linf|lp:<p>|levenshtein|hamming|prefix]
             [--seed <s>] [--sites 0,5,9] [--threads <t>] [--prefix-len <l>]
-            [--shard-rows <n>  (vectors only: stream n-key shards instead
-            of buffering every key; 0 = in-memory, identical output)]
+            [--shard-rows <n>  (vectors only: keys each counting worker
+            buffers before sorting them into a run; default and 0 =
+            131072, identical output at any size)]
   survey    full report: rho, counts, storage costs, dimension estimates
             (vector databases run through the flat batched engine)
             --vectors <file>|--strings <file> [--metric …] [--ks 4,8,12]
             [--seed <s>] [--rho-pairs 20000] [--threads 1  (vectors only)]
-            [--shard-rows <n>  (vectors only; 0 = in-memory)]
+            [--shard-rows <n>  (vectors only; default and 0 = 131072)]
   build     build a flatperm index once and persist it as a store file
             --vectors <db> --out <store> (--k <sites> | --sites 0,5,9)
             [--metric l2|l1|linf|lp:<p>] [--threads 4]

@@ -416,9 +416,9 @@ fn figures_command_writes_files() {
 #[test]
 fn sharded_survey_output_is_byte_identical_to_in_memory() {
     // --shard-rows only changes the counting working set, never the
-    // report: the streamed survey must render byte-for-byte the same
-    // text as the buffer-everything engine, including a shard smaller
-    // than the database and the explicit in-memory spelling (0).
+    // report: every shard size must render byte-for-byte the same text
+    // as the default, including a shard smaller than the database and
+    // the explicit default spelling (0).
     let dir = temp_dir("shard_golden");
     let file = dir.join("s.vec");
     let f = file.to_str().unwrap();

@@ -9,12 +9,13 @@
 //!   storage, with **one entry point**,
 //!   [`count_permutations_flat_sharded`]`(metric, sites, database,
 //!   threads, shard_rows)`: site-transposed, 4-wide strip-mined distance
-//!   kernels feeding the width-generic packed sorted-run counter (LSD
-//!   radix sort over the `5k` significant key bits, run-length scan).
-//!   `threads = 1` runs inline; more threads radix-sort per-chunk key
-//!   buffers in the workers and merge the sorted runs.  `shard_rows = 0`
-//!   buffers every key in memory; a positive value streams them through
-//!   bounded shards.  Identical results, several times the throughput.
+//!   kernels feeding the width-generic packed sorted-run counter (keys
+//!   streamed through bounded shards, each LSD radix-sorted over the
+//!   `5k` significant key bits and run-length scanned, the runs merged
+//!   on a tiered stack).  `threads = 1` runs inline; more threads give
+//!   each worker its own counter and merge their runs.  `shard_rows`
+//!   caps the keys a worker buffers (0 means the default 131,072).
+//!   Identical results, several times the throughput.
 //!   This is the engine behind the Table 3 protocol in
 //!   [`crate::experiments`].
 //!
@@ -27,8 +28,7 @@ use dp_datasets::VectorSet;
 use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 use dp_permutation::compute::{
-    collect_counter_flat_parallel, collect_packed_flat_parallel, collect_sharded_flat_parallel,
-    PACKED_MAX_K, WIDE_MAX_K,
+    collect_counter_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
 };
 use dp_permutation::counter::collect_counter;
 use dp_permutation::{PackedCountSummary, PackedKey, PermutationCounter};
@@ -138,12 +138,11 @@ where
 /// split across `threads` scoped workers (1 runs inline); the report is
 /// independent of the split.
 ///
-/// `shard_rows = 0` counts in memory: every packed key is buffered and
-/// sorted.  Any other value streams the keys through a
-/// [`dp_permutation::ShardedCounter`] per worker, each holding at most
-/// `shard_rows` keys plus the distinct-run frontier.  The report is
-/// bit-identical either way — sharding changes the working set, never
-/// the counts.
+/// Each worker streams its packed keys through a
+/// [`dp_permutation::PackedPermutationCounter`] holding at most
+/// `shard_rows` keys (0 means [`dp_permutation::DEFAULT_SHARD_ROWS`])
+/// plus its sorted counted runs.  The report is bit-identical at every
+/// shard size — it changes the working set, never the counts.
 ///
 /// Beyond [`WIDE_MAX_K`] there is no packed key to shard on, so the
 /// hash engine runs regardless of `shard_rows` (its working set is
@@ -164,11 +163,10 @@ pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     let flat = database.as_flat();
     dp_permutation::for_packed_k!(
         sites.len(),
-        K => CountReport::from(&if shard_rows == 0 {
-            collect_packed_flat_parallel::<K, _>(metric, &sites_t, flat, threads).finalize()
-        } else {
-            collect_sharded_flat_parallel::<K, _>(metric, &sites_t, flat, threads, shard_rows)
-        }),
+        K => CountReport::from(
+            &collect_sharded_flat_parallel::<K, _>(metric, &sites_t, flat, threads, shard_rows)
+                .finalize()
+        ),
         _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
     )
 }

@@ -8,57 +8,43 @@
 //! identical pair stream, and every per-k counting pass runs through the
 //! site-transposed, 4-wide strip-mined [`BatchDistance`] kernels with
 //! the branchless k²/2 ranking — width-generic packed sort+scan
-//! counting (`u64` keys for k ≤ [`PACKED_MAX_K`], `u128` keys for
-//! k ≤ [`WIDE_MAX_K`]), the hash counter beyond.  Distances, counts,
-//! frequency tables and therefore **every field of the returned
-//! [`DatabaseSurvey`] are bit-for-bit identical** to the generic
-//! per-point path; the workspace property suite
-//! (`tests/survey_equivalence.rs`) enforces that, and the
-//! `survey` bench records the speedup (`BENCH_survey.json`).
+//! counting (`u64` keys for k ≤ 12, `u128` keys for k ≤ 25), the hash
+//! counter beyond.  Distances, counts, frequency tables and therefore
+//! **every field of the returned [`DatabaseSurvey`] are bit-for-bit
+//! identical** to the generic per-point path; the workspace property
+//! suite (`tests/survey_equivalence.rs`) enforces that, and the `survey`
+//! bench records the speedup (`BENCH_survey.json`).
 //!
 //! `threads` splits each counting scan across scoped workers (1 runs
 //! inline); merged counts are independent of the split, so the report
-//! is identical at any thread count.  `shard_rows = 0` counts in memory
-//! and a positive value streams through bounded shards, again with an
-//! identical report.
+//! is identical at any thread count.  `shard_rows` caps the keys each
+//! worker buffers (0 means the default 131,072), again with an identical
+//! report.
 
 use crate::count::CountReport;
 use crate::survey::{
     build_ksurvey, counter_freqs, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig,
 };
 use dp_datasets::VectorSet;
-use dp_metric::{BatchDistance, TransposedSites};
-use dp_permutation::compute::{
-    collect_counter_flat_parallel, collect_packed_flat_parallel, collect_sharded_flat_parallel,
-    PACKED_MAX_K, WIDE_MAX_K,
-};
-use dp_permutation::{PackedKey, RadixSorter};
+use dp_metric::BatchDistance;
+use dp_permutation::compute::{collect_counter_flat_parallel, collect_sharded_flat_parallel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Radix scratch buffers at both key widths.  One pair serves every
-/// per-k finalize and codebook-order sort in a survey, so a k sweep
-/// crossing the u64/u128 seam reallocates nothing per k.
-#[derive(Debug, Default)]
-struct FlatSurveySorters {
-    narrow: RadixSorter<u64>,
-    wide: RadixSorter<u128>,
-}
 
 /// [`crate::survey::survey_database`] over flat vector storage: ρ plus
 /// per-k permutation counts and storage costs through the batched
 /// engine.  Bit-identical to the generic path on equal coordinates.
 ///
 /// Each per-k counting scan is split across `threads` scoped workers;
-/// the survey is independent of the thread count.  For
-/// `shard_rows > 0`, every packed per-k scan streams through
-/// [`dp_permutation::ShardedCounter`]s holding at most `shard_rows`
-/// keys each plus the distinct-run frontier, instead of buffering all
-/// n keys per k.  `shard_rows = 0` is the in-memory engine.  The survey
-/// is **bit-identical** either way — counts, codebook sizes and the
-/// floating-point Huffman/entropy sums all derive from the same
-/// distinct-key/occupancy table, which sharding reproduces exactly
-/// (`tests/sharded_equivalence.rs` pins every field).
+/// the survey is independent of the thread count.  Every packed per-k
+/// scan streams through [`dp_permutation::PackedPermutationCounter`]s
+/// holding at most `shard_rows` keys each (0 means
+/// [`dp_permutation::DEFAULT_SHARD_ROWS`]) plus their sorted counted
+/// runs, never all n keys.  The survey is **bit-identical** at every
+/// shard size — counts, codebook sizes and the floating-point
+/// Huffman/entropy sums all derive from the same distinct-key/occupancy
+/// table (`tests/sharded_equivalence.rs` pins every field against the
+/// generic path).
 ///
 /// # Panics
 /// Panics if the database has fewer than two points or any `k` exceeds
@@ -78,21 +64,11 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
         config.seed ^ 0x9E37_79B9,
     );
     let mut per_k = Vec::with_capacity(config.ks.len());
-    let mut sorters = FlatSurveySorters::default();
     for (i, &k) in config.ks.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
         let site_ids = dp_datasets::vectors::choose_distinct_indices(database.len(), k, &mut rng);
         let sites = database.gather(&site_ids);
-        per_k.push(survey_one_k(
-            metric,
-            database,
-            &sites,
-            k,
-            site_ids,
-            threads,
-            shard_rows,
-            &mut sorters,
-        ));
+        per_k.push(survey_one_k(metric, database, &sites, site_ids, threads, shard_rows));
     }
     let dimension_estimate = dimension_estimate(&per_k, config);
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
@@ -103,73 +79,34 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
 /// radix-sorted-run counter and the frequency table comes from
 /// [`dp_permutation::PackedCountSummary::lexicographic_counts`], which
 /// matches the generic path's codebook order exactly without decoding a
-/// single permutation; beyond [`WIDE_MAX_K`] the hash counter feeds the
-/// same sorted-count frequency table the generic path uses.
-#[allow(clippy::too_many_arguments)]
+/// single permutation; beyond [`dp_permutation::WIDE_MAX_K`] the hash
+/// counter feeds the same sorted-count frequency table the generic path
+/// uses.  The packed arm is monomorphized per key width so the per-row
+/// loops carry no width branch.
 fn survey_one_k<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
     sites: &VectorSet,
-    k: usize,
     site_ids: Vec<usize>,
     threads: usize,
     shard_rows: usize,
-    sorters: &mut FlatSurveySorters,
 ) -> KSurvey {
     crate::count::check_flat_dims(sites, database);
     let sites_t = crate::count::transpose_sites(sites, database);
-    if k <= PACKED_MAX_K {
-        survey_one_k_packed::<u64, M>(
-            metric,
-            database,
-            &sites_t,
-            k,
-            site_ids,
-            threads,
-            shard_rows,
-            &mut sorters.narrow,
-        )
-    } else if k <= WIDE_MAX_K {
-        survey_one_k_packed::<u128, M>(
-            metric,
-            database,
-            &sites_t,
-            k,
-            site_ids,
-            threads,
-            shard_rows,
-            &mut sorters.wide,
-        )
-    } else {
-        let counter = collect_counter_flat_parallel(metric, &sites_t, database.as_flat(), threads);
-        let report = CountReport::from(&counter);
-        build_ksurvey(k, site_ids, report, &counter_freqs(&counter))
-    }
-}
-
-/// The packed arm of [`survey_one_k`], monomorphized per key width so
-/// the per-row loops carry no width branch.  `shard_rows > 0` selects
-/// the streaming sharded collector (which owns its bounded scratch);
-/// 0 the buffering collector finalized through the shared sorter.
-#[allow(clippy::too_many_arguments)]
-fn survey_one_k_packed<K: PackedKey, M: BatchDistance + Sync>(
-    metric: &M,
-    database: &VectorSet,
-    sites_t: &TransposedSites,
-    k: usize,
-    site_ids: Vec<usize>,
-    threads: usize,
-    shard_rows: usize,
-    sorter: &mut RadixSorter<K>,
-) -> KSurvey {
-    let flat = database.as_flat();
-    let summary = if shard_rows > 0 {
-        collect_sharded_flat_parallel::<K, M>(metric, sites_t, flat, threads, shard_rows)
-    } else {
-        collect_packed_flat_parallel::<K, M>(metric, sites_t, flat, threads).finalize_with(sorter)
-    };
-    let report = CountReport::from(&summary);
-    build_ksurvey(k, site_ids, report, &summary.lexicographic_counts())
+    let (k, flat) = (sites.len(), database.as_flat());
+    dp_permutation::for_packed_k!(
+        k,
+        K => {
+            let summary =
+                collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows)
+                    .finalize();
+            build_ksurvey(k, site_ids, CountReport::from(&summary), &summary.lexicographic_counts())
+        },
+        _ => {
+            let counter = collect_counter_flat_parallel(metric, &sites_t, flat, threads);
+            build_ksurvey(k, site_ids, CountReport::from(&counter), &counter_freqs(&counter))
+        },
+    )
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! pair `(distance, index)` realises exactly that rule, and because
 //! [`dp_metric::Distance`] is totally ordered the result is deterministic.
 
-use crate::counter::{PackedCountSummary, PackedPermutationCounter, PermutationCounter};
+use crate::counter::PermutationCounter;
 use crate::key::PackedKey;
 use crate::perm::{Permutation, MAX_K};
-use crate::shard::{merge_counted_run_sets, ShardedCounter};
+use crate::shard::PackedPermutationCounter;
 use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 
@@ -601,9 +601,9 @@ fn flat_scan<M: BatchDistance>(
 /// Computes the packed permutation key of every row — the
 /// distance + ranking phases of the counting pipeline with no sort and
 /// no counter, in database order, at either key width.  The one-thread
-/// [`collect_packed_flat_parallel`] is exactly this buffer wrapped in a
-/// [`PackedPermutationCounter`]; the `counting_phases` bench measures
-/// the phases separately through it.
+/// [`collect_sharded_flat_parallel`] feeds exactly this key stream into
+/// its [`PackedPermutationCounter`]; the `counting_phases` bench and the
+/// equivalence suites use it to time and check the phases separately.
 ///
 /// # Panics
 /// Panics if `sites.k() > K::MAX_K`.
@@ -636,17 +636,7 @@ pub fn rank_distance_rows_packed<K: PackedKey>(row_dists: &[f64], k: usize) -> V
     keys
 }
 
-/// Counts permutation occurrences over a flat database into a
-/// [`PackedPermutationCounter`] — the in-memory packed counting path: no
-/// permutation value is materialised, keys are single machine words.
-///
-/// At one thread (or below 1024 rows) the counter holds the keys in
-/// database order.  Otherwise the rows split across `threads` scoped
-/// workers, each radix-sorts its chunk's key buffer, and the **sorted**
-/// runs merge — so the returned counter's later `finalize` hits the
-/// sorted fast path instead of re-sorting from scratch.  Deterministic:
-/// the finalized summary is independent of the split (a merge of sorted
-/// chunk multisets is the sorted multiset of the concatenation).
+/// [`collect_sharded_flat_parallel`] at the default shard size.
 ///
 /// # Panics
 /// Panics if `sites.k() > K::MAX_K`.
@@ -656,93 +646,46 @@ pub fn collect_packed_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     db_rows: &[f64],
     threads: usize,
 ) -> PackedPermutationCounter<K> {
-    assert!(
-        sites.k() <= K::MAX_K,
-        "k = {} exceeds MAX_K = {} for {}-bit packed keys",
-        sites.k(),
-        K::MAX_K,
-        K::BITS
-    );
-    let parts = worker_rows(sites, db_rows, threads);
-    if parts.len() == 1 {
-        return PackedPermutationCounter::from_keys(
-            sites.k(),
-            packed_keys_flat(metric, sites, db_rows),
-        );
-    }
-    let runs = fork_join(parts, |rows| {
-        let mut counter = PackedPermutationCounter::<K>::from_keys(
-            sites.k(),
-            packed_keys_flat(metric, sites, rows),
-        );
-        counter.sort_keys(&mut crate::radix::RadixSorter::new());
-        counter.into_keys()
-    });
-    PackedPermutationCounter::from_keys(sites.k(), merge_sorted_runs(runs))
+    collect_sharded_flat_parallel(metric, sites, db_rows, threads, 0)
 }
 
-/// Streaming sharded counting over a flat database: the summary is
-/// identical to [`collect_packed_flat_parallel`] + finalize, but the
-/// working set never holds all n keys — each of `threads` scoped
-/// workers streams its row range through its own [`ShardedCounter`]
-/// (at most `shard_rows` buffered keys plus equal sort scratch, and one
-/// `(key, count)` frontier entry per distinct permutation).  The block
-/// scan feeds fused rank+pack tiles straight into the counter, so the
-/// distance and ranking phases are untouched.  The per-worker frontiers
-/// — already sorted `(key, count)` runs — merge pairwise with counts
-/// summed; the merged run set is the run-length scan of the full
-/// multiset regardless of the split.
+/// Counts permutation occurrences over a flat database into one
+/// unfinalized [`PackedPermutationCounter`] — the packed counting path:
+/// no permutation value is materialised, keys are single machine words.
+///
+/// Each of `threads` scoped workers (1 scans inline) streams its row
+/// range through its own counter flushing every `shard_rows` keys
+/// (0 means [`crate::shard::DEFAULT_SHARD_ROWS`]).  The block scan feeds
+/// fused rank+pack tiles straight into the counter, so the distance and
+/// ranking phases are untouched.  Workers sort their tail shards, and
+/// their runs land in one counter; its `finalize` merges them.  The
+/// finalized summary is independent of the split and the shard size (a
+/// merge of sorted counted multisets is the run-length scan of the
+/// whole).
 ///
 /// # Panics
-/// Panics if `sites.k() > K::MAX_K` or `shard_rows` is 0 (callers treat
-/// 0 as "in-memory" and must dispatch before reaching this).
+/// Panics if `sites.k() > K::MAX_K`.
 pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
     threads: usize,
     shard_rows: usize,
-) -> PackedCountSummary<K> {
-    let runs = fork_join(worker_rows(sites, db_rows, threads), |rows| {
-        let mut counter = ShardedCounter::<K>::new(sites.k(), shard_rows);
+) -> PackedPermutationCounter<K> {
+    let new_counter = || PackedPermutationCounter::<K>::with_shard_rows(sites.k(), shard_rows);
+    let counters = fork_join(worker_rows(sites, db_rows, threads), |rows| {
+        let mut counter = new_counter();
         flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
-        counter.into_runs()
+        counter.flush();
+        counter
     });
-    PackedCountSummary::from_counted_runs(sites.k(), merge_counted_run_sets(runs))
-}
-
-/// Merges sorted runs pairwise until one remains — `O(n log t)` for `t`
-/// runs, each round a cache-friendly linear two-way merge.
-fn merge_sorted_runs<K: PackedKey>(mut runs: Vec<Vec<K>>) -> Vec<K> {
-    while runs.len() > 1 {
-        let mut next = Vec::with_capacity(runs.len().div_ceil(2));
-        let mut it = runs.into_iter();
-        while let Some(a) = it.next() {
-            match it.next() {
-                Some(b) => next.push(merge_two(&a, &b)),
-                None => next.push(a),
-            }
-        }
-        runs = next;
-    }
-    runs.pop().unwrap_or_default()
-}
-
-fn merge_two<K: PackedKey>(a: &[K], b: &[K]) -> Vec<K> {
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
+    counters
+        .into_iter()
+        .reduce(|mut all, counter| {
+            all.absorb(counter);
+            all
+        })
+        .unwrap_or_else(new_counter)
 }
 
 #[cfg(test)]
@@ -958,32 +901,6 @@ mod tests {
                 let mut unfused: Vec<u128> = Vec::new();
                 rank_rows(&row_dists, k, |ranks| unfused.push(packed_key_from_ranks(ranks, k)));
                 assert_eq!(fused, unfused, "n = {n}, k = {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_collectors_match_in_memory_collectors() {
-        use dp_metric::L2Squared;
-        let (n, k, dim) = (4099, 9, 3); // n mod RANK_LANES = 3
-        let db = weyl_rows(n, dim, 51);
-        let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 52), dim);
-        let expected =
-            collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1).finalize();
-        for shard_rows in [1usize, 1000, n, n + 1] {
-            let sharded =
-                collect_sharded_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1, shard_rows);
-            assert_eq!(sharded.distinct(), expected.distinct(), "shard_rows = {shard_rows}");
-            assert_eq!(sharded.total(), expected.total());
-            assert_eq!(sharded.lexicographic_counts(), expected.lexicographic_counts());
-            assert_eq!(sharded.permutations(), expected.permutations());
-            for threads in [2, 4] {
-                let par = collect_sharded_flat_parallel::<u64, _>(
-                    &L2Squared, &sites_t, &db, threads, shard_rows,
-                );
-                assert_eq!(par.distinct(), expected.distinct(), "threads = {threads}");
-                assert_eq!(par.lexicographic_counts(), expected.lexicographic_counts());
-                assert_eq!(par.permutations(), expected.permutations());
             }
         }
     }

@@ -9,19 +9,16 @@
 //!   point streams; also tracks occupancy (how many elements map to each
 //!   permutation), which Table 2's analysis uses ("about 10 database
 //!   points per permutation").
-//! * [`PackedPermutationCounter`] — the sorted-run pipeline behind the
-//!   flat engine: inserts append a packed key (a [`PackedKey`] word —
-//!   `u64` for k ≤ 12, `u128` for k ≤ 25), [`finalize`] (radix-)sorts
-//!   the buffer once and [`count_sorted_runs`] turns the sorted runs
-//!   into occupancies.  No hashing anywhere on the hot path.
+//! * [`crate::shard::PackedPermutationCounter`] — the sorted-run engine
+//!   behind the flat pipeline: packed keys (a [`PackedKey`] word — `u64`
+//!   for k ≤ 12, `u128` for k ≤ 25) stream through bounded shards that
+//!   are radix-sorted, collapsed by [`count_sorted_runs`] and merged as
+//!   sorted counted runs.  No hashing anywhere on the hot path.
 //!
-//! Either way the result is a [`PackedCountSummary`], which keeps one
+//! The packed engine ends in a [`PackedCountSummary`], which keeps one
 //! `(key, occupancy)` pair per **distinct** permutation — O(distinct)
 //! memory, so downstream consumers (codebooks, Huffman, the survey)
-//! never pay for n again.  [`crate::shard::ShardedCounter`] produces
-//! the same summary without ever buffering all n keys.
-//!
-//! [`finalize`]: PackedPermutationCounter::finalize
+//! never pay for n again.
 
 use crate::compute::DistPermComputer;
 use crate::fxhash::FxHashMap;
@@ -34,7 +31,7 @@ use dp_metric::Metric;
 /// run-grouped) slice: `[3, 3, 3, 7, 9, 9]` → `[3, 1, 2]`.
 ///
 /// The shared scan under every sort-then-dedup consumer in this crate —
-/// [`PackedPermutationCounter::finalize`] derives occupancies from it,
+/// the packed counter run-length encodes each sorted shard with it,
 /// [`PermutationCounter::sorted_counts`] collapses its sorted key stream
 /// with it, and the flat codebooks in [`crate::encoding`] locate run
 /// starts through it.
@@ -168,129 +165,12 @@ impl PermutationCounter {
     }
 }
 
-/// Occurrence counter keyed on packed permutation codes (5 bits per
-/// element in a [`PackedKey`] word — `u64` for k ≤ 12, `u128` for
-/// k ≤ 25).
-///
-/// The fast engine behind flat counting.  Inserts only append to a key
-/// buffer (no hashing, no per-insert cache miss — crucial when most
-/// permutations are distinct and a hash table would take a DRAM miss per
-/// probe); distinct-counting happens once, in [`Self::finalize`], as a
-/// cache-friendly sort + run scan.  Packing is injective, so the distinct
-/// count equals the distinct count of the underlying permutations
-/// exactly.
-#[derive(Debug, Clone)]
-pub struct PackedPermutationCounter<K: PackedKey = u64> {
-    k: usize,
-    keys: Vec<K>,
-}
-
-impl<K: PackedKey> PackedPermutationCounter<K> {
-    /// An empty counter for permutations of length `k`.
-    ///
-    /// # Panics
-    /// Panics if `k` exceeds the key width's capacity (`K::MAX_K`).
-    pub fn new(k: usize) -> Self {
-        assert!(
-            k <= K::MAX_K,
-            "k = {k} exceeds MAX_K = {} for {}-bit packed keys",
-            K::MAX_K,
-            K::BITS
-        );
-        Self { k, keys: Vec::new() }
-    }
-
-    /// Permutation length k.
-    pub fn k(&self) -> usize {
-        self.k
-    }
-
-    /// Records one occurrence of a packed key (the [`pack_perm`]
-    /// lexicographic layout: position `p` in group `k-1-p`).
-    #[inline]
-    pub fn insert_key(&mut self, key: K) {
-        self.keys.push(key);
-    }
-
-    /// Records one occurrence of a permutation value.
-    ///
-    /// # Panics
-    /// Panics if `p.len() != k`.
-    pub fn insert(&mut self, p: &Permutation) {
-        assert_eq!(p.len(), self.k, "permutation length mismatch");
-        self.insert_key(pack_perm(p));
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.keys.len() as u64
-    }
-
-    /// Sorts the key buffer (LSD radix over the `5·k` significant bits)
-    /// and produces the summary statistics.
-    ///
-    /// Allocates one scratch buffer; loops that finalize repeatedly
-    /// should reuse a sorter through [`Self::finalize_with`].
-    pub fn finalize(self) -> PackedCountSummary<K> {
-        self.finalize_with(&mut RadixSorter::new())
-    }
-
-    /// [`Self::finalize`] through a caller-owned [`RadixSorter`], so
-    /// repeated finalizes (the per-k survey loop) share one scratch
-    /// buffer instead of reallocating.
-    pub fn finalize_with(mut self, sorter: &mut RadixSorter<K>) -> PackedCountSummary<K> {
-        sorter.sort_keys(&mut self.keys, K::key_bits(self.k));
-        let total = self.keys.len() as u64;
-        let occupancies = count_sorted_runs(&self.keys);
-        // Compact the sorted buffer to its run starts in place: the
-        // summary keeps one key per *distinct* permutation, never the
-        // n-key observation buffer (the streaming sharded path builds
-        // the same representation without ever materialising n keys).
-        let mut pos = 0usize;
-        for (i, &occ) in occupancies.iter().enumerate() {
-            self.keys[i] = self.keys[pos];
-            pos += occ as usize;
-        }
-        self.keys.truncate(occupancies.len());
-        self.keys.shrink_to_fit();
-        PackedCountSummary { k: self.k, keys: self.keys, occupancies, total }
-    }
-
-    /// Wraps an already-collected key buffer (the batched scans build the
-    /// buffer directly and only then enter counter land).
-    ///
-    /// # Panics
-    /// Panics if `k` exceeds the key width's capacity.
-    pub(crate) fn from_keys(k: usize, keys: Vec<K>) -> Self {
-        let mut c = Self::new(k);
-        c.keys = keys;
-        c
-    }
-
-    /// The raw key buffer, consumed (sorted only if the collector sorted
-    /// it — [`Self::finalize`] handles either state).
-    pub(crate) fn into_keys(self) -> Vec<K> {
-        self.keys
-    }
-
-    /// Radix-sorts the key buffer in place now, so a later
-    /// [`Self::finalize`] hits the sorted fast path — the parallel
-    /// collectors sort per-chunk buffers inside their workers and merge
-    /// the sorted runs.
-    pub(crate) fn sort_keys(&mut self, sorter: &mut RadixSorter<K>) {
-        sorter.sort_keys(&mut self.keys, K::key_bits(self.k));
-    }
-}
-
-/// Finalized statistics of a [`PackedPermutationCounter`].
+/// Finalized statistics of a [`crate::shard::PackedPermutationCounter`].
 ///
 /// Holds one key per **distinct** permutation (ascending key order, which
 /// the [`pack_perm`] layout makes lexicographic order) plus its occupancy
 /// count and the observation total — `O(distinct)` memory, independent of
-/// the database size.  Both counting engines end here: the in-memory
-/// sort + run-scan ([`PackedPermutationCounter::finalize`]) and the
-/// bounded-memory streaming merge ([`crate::shard::ShardedCounter`])
-/// produce identical summaries by construction.
+/// the database size.
 #[derive(Debug, Clone)]
 pub struct PackedCountSummary<K: PackedKey = u64> {
     k: usize,
@@ -300,13 +180,11 @@ pub struct PackedCountSummary<K: PackedKey = u64> {
 }
 
 impl<K: PackedKey> PackedCountSummary<K> {
-    /// Builds a summary directly from ascending `(key, count)` runs —
-    /// the streaming sharded counter's hand-off; no n-key buffer ever
-    /// exists on that path.
-    pub(crate) fn from_counted_runs(k: usize, runs: Vec<(K, u64)>) -> Self {
-        debug_assert!(runs.windows(2).all(|w| w[0].0 < w[1].0), "runs must be strictly ascending");
-        let total = runs.iter().map(|&(_, c)| c).sum();
-        let (keys, occupancies) = runs.into_iter().unzip();
+    /// Wraps strictly ascending distinct keys and their counts — the
+    /// packed counter's merged runs.
+    pub(crate) fn from_sorted_counts(k: usize, keys: Vec<K>, occupancies: Vec<u64>) -> Self {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys must be strictly ascending");
+        let total = occupancies.iter().sum::<u64>();
         Self { k, keys, occupancies, total }
     }
 
@@ -393,8 +271,8 @@ impl<K: PackedKey> PackedCountSummary<K> {
 /// key — position `p` lives in group `k-1-p`, so position 0 occupies
 /// the most significant occupied group and ascending integer order on
 /// keys of a fixed length coincides with [`Permutation`]'s
-/// lexicographic order.  The [`PackedPermutationCounter`] key layout,
-/// at either [`PackedKey`] width.
+/// lexicographic order.  The packed counter's key layout, at either
+/// [`PackedKey`] width.
 ///
 /// Public so key-caching consumers (the flat index searcher) can derive
 /// keys from stored permutations; panics are impossible for any valid
@@ -418,58 +296,6 @@ pub(crate) fn decode_packed<K: PackedKey>(key: K, k: usize) -> Permutation {
         *slot = key.field(k - 1 - pos);
     }
     Permutation::from_slice(&items[..k]).expect("packed key decodes to a permutation")
-}
-
-/// A fixed-universe distinct counter over permutation *ranks*: a bitmap of
-/// k! bits.
-///
-/// For small k (k ≤ 10, so k! ≤ 3,628,800 bits ≈ 450 KB) this is an exact
-/// alternative to the hash-set counter with zero per-insert allocation and
-/// perfect cache behaviour on dense universes — the ablation benchmark
-/// `counting_strategies` compares the two.
-#[derive(Debug, Clone)]
-pub struct RankBitmap {
-    k: usize,
-    words: Vec<u64>,
-    distinct: usize,
-    total: u64,
-}
-
-impl RankBitmap {
-    /// Creates a bitmap counter for permutations of length `k`.
-    ///
-    /// # Panics
-    /// Panics if `k > 12` (12! bits = 57 MB is the sensible ceiling).
-    pub fn new(k: usize) -> Self {
-        assert!(k <= 12, "k = {k}: k! bitmap would exceed memory budget");
-        let universe = crate::lehmer::factorial(k) as usize;
-        Self { k, words: vec![0u64; universe.div_ceil(64)], distinct: 0, total: 0 }
-    }
-
-    /// Records one occurrence of `p`.
-    ///
-    /// # Panics
-    /// Panics if `p.len() != k`.
-    pub fn insert(&mut self, p: &Permutation) {
-        assert_eq!(p.len(), self.k, "permutation length mismatch");
-        let r = crate::lehmer::rank(p) as usize;
-        let (word, bit) = (r / 64, r % 64);
-        if self.words[word] & (1 << bit) == 0 {
-            self.words[word] |= 1 << bit;
-            self.distinct += 1;
-        }
-        self.total += 1;
-    }
-
-    /// Number of distinct permutations seen.
-    pub fn distinct(&self) -> usize {
-        self.distinct
-    }
-
-    /// Total insertions.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
 }
 
 /// Counts the distinct distance permutations of `database` w.r.t. `sites`.
@@ -496,6 +322,7 @@ pub fn collect_counter<P, M: Metric<P>>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shard::PackedPermutationCounter;
     use dp_metric::L2;
 
     #[test]
@@ -571,37 +398,6 @@ mod tests {
         let empty = PermutationCounter::new();
         assert!(empty.occupancy_histogram().is_empty());
         assert_eq!(empty.mode(), None);
-    }
-
-    #[test]
-    fn rank_bitmap_matches_hash_counter() {
-        let sites = vec![vec![0.0, 0.3], vec![0.9, 0.1], vec![0.5, 0.8], vec![0.2, 0.9]];
-        let db: Vec<Vec<f64>> =
-            (0..800).map(|i| vec![(i % 40) as f64 / 40.0, (i / 40) as f64 / 20.0]).collect();
-        let counter = collect_counter(&L2, &sites, &db);
-        let mut bitmap = RankBitmap::new(4);
-        let mut computer = crate::compute::DistPermComputer::new(4);
-        for y in &db {
-            bitmap.insert(&computer.compute(&L2, &sites, y));
-        }
-        assert_eq!(bitmap.distinct(), counter.distinct());
-        assert_eq!(bitmap.total(), counter.total());
-    }
-
-    #[test]
-    fn rank_bitmap_counts_duplicates_once() {
-        let mut bm = RankBitmap::new(3);
-        let p = Permutation::identity(3);
-        bm.insert(&p);
-        bm.insert(&p);
-        assert_eq!(bm.distinct(), 1);
-        assert_eq!(bm.total(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "memory budget")]
-    fn rank_bitmap_rejects_large_k() {
-        let _ = RankBitmap::new(13);
     }
 
     #[test]

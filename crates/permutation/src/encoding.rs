@@ -475,7 +475,7 @@ mod tests {
 
     #[test]
     fn packed_codebook_assigns_flat_codebook_ids() {
-        use crate::counter::PackedPermutationCounter;
+        use crate::shard::PackedPermutationCounter;
         let perms = sample_perms();
         let mut counter = PackedPermutationCounter::<u64>::new(4);
         for p in &perms {
@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn wide_packed_codebook_assigns_flat_codebook_ids() {
-        use crate::counter::PackedPermutationCounter;
+        use crate::shard::PackedPermutationCounter;
         // k = 15 permutations only fit the u128 key width.
         let k = 15usize;
         let mut base: Vec<u8> = (0..k as u8).collect();

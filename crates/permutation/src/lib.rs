@@ -22,39 +22,37 @@
 //!    accumulator tile is register-resident, folds each site's rank
 //!    straight into the key lanes with no rank-array round-trip; tails
 //!    of `n mod 4` rows run the same path on a padded tile);
-//! 2. [`radix`] sorts the key buffer in at most `⌈5k/12⌉` LSD
+//! 2. [`shard::PackedPermutationCounter`] buffers at most `shard_rows`
+//!    keys ([`shard::DEFAULT_SHARD_ROWS`] = 131,072 by default) — never
+//!    all n;
+//! 3. [`radix`] sorts each full shard in at most `⌈5k/12⌉` LSD
 //!    12-bit-digit passes (5 for `u64` at k = 12, 11 for `u128` at
 //!    k = 25), with a per-word constant-digit skip so the high word of a
 //!    barely-wide workload costs nothing;
-//! 3. [`counter::count_sorted_runs`] collapses the sorted runs into
-//!    occupancies ([`counter::PackedPermutationCounter`] /
-//!    [`counter::PackedCountSummary`] — the summary stores one
-//!    `(key, count)` pair per *distinct* permutation, never all n keys);
-//! 4. [`encoding::PackedCodebook`] / [`encoding::FlatCodebook`] assign
+//! 4. [`counter::count_sorted_runs`] collapses the sorted shard into a
+//!    run of `(key, count)` entries, and the runs merge on a tiered
+//!    stack (a run merges into the one below it while that one is at
+//!    most twice its size) into a [`counter::PackedCountSummary`] — one
+//!    `(key, count)` pair per *distinct* permutation;
+//! 5. [`encoding::PackedCodebook`] / [`encoding::FlatCodebook`] assign
 //!    lexicographic codebook ids straight off the sorted distinct keys —
 //!    no hash table anywhere.
 //!
-//! When the whole key buffer should not be held at once, [`shard`]
-//! streams the same pipeline through bounded shards:
-//! [`ShardedCounter`] buffers at most `shard_rows` keys, radix-sorts
-//! each full shard with reused scratch, and merges it as sorted
-//! run-lengths into a frontier holding one `(key, count)` entry per
-//! distinct permutation seen so far.  Because merging sorted multiset
-//! runs is associative, the finalized summary — and everything
-//! downstream of it, including the float Huffman/entropy sums — is
-//! bit-identical to the buffer-everything engine
-//! ([`compute::collect_sharded_flat_parallel`]; `distperm count/survey
-//! --shard-rows` on the command line).
+//! The shard size bounds the working set, never the answer: merging
+//! sorted multiset runs is associative, so the finalized summary — and
+//! everything downstream of it, including the float Huffman/entropy
+//! sums — is the same at every shard size and thread count
+//! (`distperm count/survey --shard-rows` caps it on the command line).
 //!
 //! Each flat computation has **one entry point**, taking a `threads`
 //! count (1 scans inline on the calling thread):
 //! [`compute::database_permutations_flat_parallel`] (one permutation per
-//! row), [`compute::collect_packed_flat_parallel`] (in-memory packed
-//! counting), [`compute::collect_sharded_flat_parallel`] (streaming
-//! packed counting, plus `shard_rows`) and
-//! [`compute::collect_counter_flat_parallel`] (hash counting, any k).
-//! All four split the rows into contiguous chunks on
-//! [`dp_metric::par::fork_join`], so results never depend on `threads`.
+//! row), [`compute::collect_sharded_flat_parallel`] (packed counting,
+//! plus `shard_rows`) and [`compute::collect_counter_flat_parallel`]
+//! (hash counting, any k).  All three split the rows into contiguous
+//! chunks on [`dp_metric::par::fork_join`], so results never depend on
+//! `threads`.  [`compute::collect_packed_flat_parallel`] is the packed
+//! collector at the default shard size.
 //!
 //! The hash path ([`counter::PermutationCounter`]) survives as the
 //! reference oracle for arbitrary k and as the fallback for k > 25; the
@@ -109,14 +107,12 @@ pub use compute::{
     database_permutations_flat_parallel, distance_permutation, packed_keys_flat, DistPermComputer,
     PACKED_MAX_K, WIDE_MAX_K,
 };
-pub use counter::{
-    count_sorted_runs, pack_perm, PackedCountSummary, PackedPermutationCounter, PermutationCounter,
-};
+pub use counter::{count_sorted_runs, pack_perm, PackedCountSummary, PermutationCounter};
 pub use encoding::{FlatCodebook, PackedCodebook};
 pub use huffman::{HuffmanCode, HuffmanPermStore};
 pub use key::PackedKey;
 pub use perm::{Permutation, PermutationError, MAX_K};
 pub use prefix::{prefix_footrule, PrefixPermutation};
 pub use radix::RadixSorter;
-pub use shard::ShardedCounter;
+pub use shard::{PackedPermutationCounter, DEFAULT_SHARD_ROWS};
 pub use store::{PackedPermStore, RawPermStore};

@@ -1,7 +1,7 @@
 //! LSD radix sort specialized for packed permutation keys.
 //!
-//! The packed counting pipeline ([`crate::counter::PackedPermutationCounter`])
-//! reduces "count distinct distance permutations" to "sort a key buffer
+//! The packed counting pipeline ([`crate::shard::PackedPermutationCounter`])
+//! reduces "count distinct distance permutations" to "sort key shards
 //! and scan runs".  After the strip-mined distance kernels and the tiled
 //! ranking, that sort is a large slice of the 100k-point count — and the
 //! keys are far from arbitrary machine words: a permutation of `k` sites
@@ -35,13 +35,14 @@
 //!   nothing.  The `significant_bits` bound skips the constant high
 //!   digits without even histogramming them.
 //! * **Sorted-input fast path** — an `O(n)` check returns immediately on
-//!   already-sorted input, which is how the parallel collectors hand over
-//!   pre-merged sorted runs for free.
+//!   already-sorted input: a database stored in key order, a shard of one
+//!   repeated permutation, or a caller re-sorting keys it already sorted
+//!   cost one scan instead of the digit passes.
 //! * **Reusable scratch** — the sorter owns its scratch and histogram
-//!   buffers, so repeated finalizes (the per-k survey loop) never
-//!   reallocate.  [`crate::shard::ShardedCounter`] leans on the same
-//!   property: one sorter sorts every shard of a streaming count, so
-//!   the scratch allocation is paid once per counter, not per shard.
+//!   buffers, so repeated sorts never reallocate.
+//!   [`crate::shard::PackedPermutationCounter`] sorts every shard of a
+//!   count through one sorter, so the scratch allocation is paid once
+//!   per counter, not per shard.
 //!
 //! The property suite (`tests/radix_properties.rs`) pins
 //! `radix == sort_unstable` over adversarial distributions at both

@@ -1,64 +1,66 @@
-//! Streaming survey in bounded memory — the same report, a fraction of
-//! the working set.
+//! Survey in bounded memory — the same report at every shard size.
 //!
-//! The flat survey normally buffers one packed key per database row
-//! before sorting.  `survey_database_flat_sharded` streams the keys
-//! through fixed-size shards instead: at most `shard_rows` keys are
-//! buffered at once, each full shard is radix-sorted and merged into a
-//! frontier holding one `(key, count)` run per *distinct* permutation.
-//! Because merging sorted multiset runs is associative, the report —
-//! floats included — is bit-identical to the buffer-everything engine;
-//! only the working set changes.  This example runs both engines on the
-//! same database, checks the reports render identically, and then
-//! drives a [`ShardedCounter`] directly to show the measured high-water
-//! working set next to the buffer-everything footprint.
+//! The flat survey streams each row's packed key through a counter that
+//! buffers at most `shard_rows` keys: each full shard is radix-sorted
+//! into a run of `(key, count)` entries, and the runs merge on a tiered
+//! stack.  Because merging sorted multiset runs is associative, the
+//! report — floats included — is bit-identical to the generic per-point
+//! survey at every shard size; only the working set changes.  This
+//! example runs the generic survey and the flat survey at several shard
+//! sizes on the same database, checks the reports render identically,
+//! and then drives a [`PackedPermutationCounter`] directly to show the
+//! measured high-water working set next to the n-key footprint.
 //!
 //! Run with: `cargo run --release --example sharded_survey`
 
 use distance_permutations::core::survey_flat::survey_database_flat_sharded;
-use distance_permutations::core::SurveyConfig;
+use distance_permutations::core::{survey_database, SurveyConfig};
 use distance_permutations::datasets::vectors::uniform_unit_cube_flat;
 use distance_permutations::metric::{TransposedSites, L2};
 use distance_permutations::permutation::compute::packed_keys_flat;
-use distance_permutations::permutation::ShardedCounter;
+use distance_permutations::permutation::PackedPermutationCounter;
 
 fn main() {
     let n = 200_000;
     let dim = 2;
     let k = 16;
-    let shard_rows = 65_536;
     let db = uniform_unit_cube_flat(n, dim, 1);
     let config = SurveyConfig { ks: vec![k], seed: 7, rho_pairs: 10_000, reference: None };
 
-    // shard_rows = 0 is the buffer-everything engine; any other value
-    // bounds the buffered keys without changing a single output bit.
-    let inmem = survey_database_flat_sharded(&L2, &db, &config, 1, 0);
-    let sharded = survey_database_flat_sharded(&L2, &db, &config, 1, shard_rows);
-    let (inmem_text, sharded_text) = (format!("{inmem}"), format!("{sharded}"));
-    assert_eq!(inmem_text, sharded_text, "sharded survey must be bit-identical");
-    println!("=== k = {k} survey of {n} uniform {dim}-D points (both engines agree) ===");
-    println!("{inmem_text}");
+    // The generic per-point survey is the reference; the shard size
+    // bounds the buffered keys without changing a single output bit
+    // (0 is the default of 131,072).
+    let rows: Vec<Vec<f64>> = db.rows().map(<[f64]>::to_vec).collect();
+    let reference = format!("{}", survey_database(&L2, &rows, &config));
+    for shard_rows in [0, 4_096, 65_536, n] {
+        let flat = format!("{}", survey_database_flat_sharded(&L2, &db, &config, 1, shard_rows));
+        assert_eq!(reference, flat, "shard_rows = {shard_rows}: survey must be bit-identical");
+    }
+    println!("=== k = {k} survey of {n} uniform {dim}-D points (every shard size agrees) ===");
+    println!("{reference}");
 
-    // The memory story, measured rather than asserted: drive the
-    // streaming counter over the same keys and read its high-water mark.
+    // The memory story, measured rather than asserted: drive the counter
+    // over the same keys and read its high-water marks.
     let sites = uniform_unit_cube_flat(k, dim, 2);
     let sites_t = TransposedSites::from_rows(sites.as_flat(), dim);
     let keys: Vec<u128> = packed_keys_flat(&L2, &sites_t, db.as_flat());
-    let mut counter = ShardedCounter::<u128>::new(k, shard_rows);
-    for &key in &keys {
-        counter.insert_key(key);
-    }
-    counter.flush();
     let key_bytes = std::mem::size_of::<u128>();
-    let run_bytes = std::mem::size_of::<(u128, u64)>();
-    let buffered = shard_rows.min(keys.len()) * key_bytes;
-    let frontier = counter.peak_frontier_entries() * run_bytes;
-    let summary = counter.finalize();
-    println!("=== streaming counter working set (shard_rows = {shard_rows}) ===");
-    println!("buffer-everything: {:>8} KiB ({n} keys)", keys.len() * key_bytes / 1024);
-    println!(
-        "sharded peak:      {:>8} KiB (one shard + {} distinct runs)",
-        (buffered + frontier) / 1024,
-        summary.distinct()
-    );
+    let entry_bytes = key_bytes + std::mem::size_of::<u64>();
+    println!("=== counter working set ===");
+    println!("all n keys:            {:>8} KiB ({n} keys)", n * key_bytes / 1024);
+    for shard_rows in [4_096, 131_072] {
+        let mut counter = PackedPermutationCounter::<u128>::with_shard_rows(k, shard_rows);
+        for &key in &keys {
+            counter.insert_key(key);
+        }
+        counter.flush();
+        let peak = counter.peak_run_entries();
+        let buffered = shard_rows.min(n) * key_bytes;
+        let distinct = counter.finalize().distinct();
+        println!(
+            "shard_rows = {shard_rows:>6}:  {:>8} KiB (one shard + {peak} run entries at peak, \
+             {distinct} distinct)",
+            (buffered + peak * entry_bytes) / 1024,
+        );
+    }
 }

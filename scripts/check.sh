@@ -21,8 +21,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # The benchmark's own packages build against the library crates' public
 # API: perfbench/trace imports count_permutations_flat_sharded,
 # survey_database_flat_sharded, collect_packed_flat_parallel and
-# packed_keys_flat by name.  Checking both here makes a rename they
-# depend on fail this gate before it fails a benchmark run.  Cargo
+# packed_keys_flat by name.  collect_packed_flat_parallel is now only
+# the packed collector at the default shard size, kept for the trace.
+# Checking both here makes a rename they depend on fail this gate
+# before it fails a benchmark run.  Cargo
 # rewrites a package's Cargo.lock when a path crate's dependency list
 # moves; those lock files belong to the benchmark, so each is put back
 # as it was after its check.
@@ -59,11 +61,11 @@ cargo test -p distance-permutations --release -q --test survey_equivalence
 echo "== cargo test --release --test kernel_equivalence (release-mode property run)"
 cargo test -p distance-permutations --release -q --test kernel_equivalence
 
-# The fused rank+pack tile and the sharded streaming counter are pure
+# The fused rank+pack tile and the sharded packed counter are pure
 # optimizations whose contract is bit-identity with the phase-separated
-# and buffer-everything engines; the fused tile only vectorizes under
-# optimized codegen and the suite's million-point memory-bound run is
-# only tractable there, so it runs under release.
+# key stream and the generic hash-counting path; the fused tile only
+# vectorizes under optimized codegen and the suite's million-point
+# memory-bound run is only tractable there, so it runs under release.
 echo "== cargo test --release --test sharded_equivalence (release-mode property run)"
 cargo test -p distance-permutations --release -q --test sharded_equivalence
 

@@ -77,9 +77,10 @@ fn nan_distance_is_rejected() {
 }
 
 /// Counts a 4096 × 2 grid database whose row 3000 is NaN through the
-/// flat counting entry point.  Every `(threads, shard_rows)` must reject
-/// it with the kernel's own message, whether the NaN row lands on the
-/// calling thread or on a worker.
+/// flat counting entry point.  Every `(threads, shard_rows)` — 0 being
+/// the default shard size — must reject it with the kernel's own
+/// message, whether the NaN row lands on the calling thread or on a
+/// worker.
 fn count_with_nan_row(threads: usize, shard_rows: usize) {
     let db = VectorSet::generate(4096, 2, |i, row| {
         row[0] = (i % 64) as f64 / 64.0;

@@ -1,5 +1,5 @@
 //! Streaming/fused-engine equivalence: the fused rank+pack tile and the
-//! sharded streaming counter are *optimisations*, not approximations.
+//! sharded packed counter are *optimisations*, not approximations.
 //!
 //! Two contracts are pinned here, both bit-for-bit:
 //!
@@ -8,24 +8,29 @@
 //!   exactly the keys obtained by computing every permutation first and
 //!   packing it afterwards, for every `n mod 4` tail shape and on both
 //!   sides of both key-width cutovers;
-//! * **sharded == in-memory** — counting through bounded shards merged
-//!   as sorted runs must reproduce the buffer-everything engine in every
-//!   survey field, including the floating-point Huffman and entropy
-//!   sums, for degenerate shard sizes (1, n-1, n, n+1) and any thread
-//!   count.
+//! * **sharded == generic** — counting through bounded shards merged as
+//!   sorted runs must reproduce the generic per-point hash-counting path
+//!   in every survey field, including the floating-point Huffman and
+//!   entropy sums, for the default shard size (0), degenerate shard
+//!   sizes (1, n-1, n, n+1) and any thread count.
 //!
-//! The sharded path is what `distperm count/survey --shard-rows` runs,
-//! so any divergence here is a user-visible wrong answer.
+//! The sharded path is what `distperm count/survey` runs at every
+//! `--shard-rows`, so any divergence here is a user-visible wrong answer.
 
 use distance_permutations::core::survey_flat::survey_database_flat_sharded;
-use distance_permutations::core::{count_permutations_flat_sharded, DatabaseSurvey, SurveyConfig};
+use distance_permutations::core::{
+    count_permutations, count_permutations_flat_sharded, survey_database, DatabaseSurvey,
+    SurveyConfig,
+};
 use distance_permutations::datasets::vectors::uniform_unit_cube_flat;
+use distance_permutations::datasets::VectorSet;
 use distance_permutations::metric::{TransposedSites, L2};
 use distance_permutations::permutation::compute::{
     database_permutations_flat_parallel, packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K,
 };
-use distance_permutations::permutation::{pack_perm, ShardedCounter};
+use distance_permutations::permutation::{pack_perm, PackedPermutationCounter};
 use proptest::prelude::*;
+use std::collections::HashSet;
 
 /// Asserts every field of the two reports equal, f64s compared by bits.
 fn assert_bit_identical(reference: &DatabaseSurvey, streamed: &DatabaseSurvey, tag: &str) {
@@ -55,6 +60,11 @@ fn assert_bit_identical(reference: &DatabaseSurvey, streamed: &DatabaseSurvey, t
         assert_eq!(g.entropy_bits.to_bits(), f.entropy_bits.to_bits(), "{tag}: entropy bits");
         assert_eq!(g.min_euclidean_dim, f.min_euclidean_dim, "{tag}: min Euclidean dim");
     }
+}
+
+/// The rows of a flat set as owned points, for the generic path.
+fn nested(set: &VectorSet) -> Vec<Vec<f64>> {
+    set.rows().map(<[f64]>::to_vec).collect()
 }
 
 /// Fused rank+pack against the phase-separated reference at one (n, k):
@@ -97,8 +107,8 @@ proptest! {
         }
     }
 
-    // Streaming sharded counting reproduces the in-memory count report
-    // for degenerate shard sizes and any thread count.
+    // Sharded counting reproduces the generic count report for the
+    // default and degenerate shard sizes and any thread count.
     #[test]
     fn sharded_count_matches_in_memory(
         n in 200usize..600,
@@ -108,8 +118,8 @@ proptest! {
     ) {
         let db = uniform_unit_cube_flat(n, d, seed);
         let sites = uniform_unit_cube_flat(k, d, seed ^ 0x5A5A);
-        let reference = count_permutations_flat_sharded(&L2, &sites, &db, 1, 0);
-        for shard_rows in [1usize, n - 1, n, n + 1] {
+        let reference = count_permutations(&L2, &nested(&sites), &nested(&db));
+        for shard_rows in [0usize, 1, n - 1, n, n + 1] {
             for threads in [1usize, 2, 4] {
                 let sharded =
                     count_permutations_flat_sharded(&L2, &sites, &db, threads, shard_rows);
@@ -127,13 +137,13 @@ proptest! {
 }
 
 /// One survey comparison across a counting cutover k: the sharded
-/// survey must be bit-identical to the in-memory survey — frequency
+/// survey must be bit-identical to the generic survey — frequency
 /// tables, storage columns and the float Huffman/entropy sums included.
 fn check_sharded_survey_k(k: usize, n: usize, d: usize) {
     let flat = uniform_unit_cube_flat(n, d, 131);
     let cfg = SurveyConfig { ks: vec![k], rho_pairs: 300, ..Default::default() };
-    let reference = survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0);
-    for shard_rows in [1usize, n - 1, n, n + 1] {
+    let reference = survey_database(&L2, &nested(&flat), &cfg);
+    for shard_rows in [0usize, 1, n - 1, n, n + 1] {
         for threads in [1usize, 2, 4] {
             let sharded = survey_database_flat_sharded(&L2, &flat, &cfg, threads, shard_rows);
             assert_bit_identical(
@@ -157,7 +167,7 @@ fn sharded_survey_bit_identical_across_u64_u128_cutover() {
 }
 
 /// Sharded surveys across the u128 → hash seam.  k = 26 has no packed
-/// key to shard on and must fall back to the in-memory hash engine with
+/// key to shard on and must fall back to the flat hash engine with
 /// identical output.
 #[test]
 fn sharded_survey_bit_identical_across_u128_hash_cutover() {
@@ -168,9 +178,9 @@ fn sharded_survey_bit_identical_across_u128_hash_cutover() {
 }
 
 /// The headline streaming claim at scale: a million-point k = 16 count
-/// through 65536-row shards is bit-identical to the in-memory engine
-/// while the counter never holds more than one shard of keys plus the
-/// distinct-run frontier.
+/// through 65536-row shards matches a sort-and-scan of all the keys
+/// while the counter never holds more than one shard of keys, one run of
+/// the distinct keys seen so far, and the run being merged into it.
 #[test]
 fn million_point_sharded_count_is_bounded_and_identical() {
     const N: usize = 1_000_000;
@@ -180,29 +190,44 @@ fn million_point_sharded_count_is_bounded_and_identical() {
     let sites = uniform_unit_cube_flat(K, 2, 78);
     let sites_t = TransposedSites::from_rows(sites.as_flat(), 2);
 
-    // Drive the counter directly so the memory contract is observable:
-    // the frontier high-water mark must stay at the distinct-key count,
-    // not the database size.
+    // The oracle: every key sorted at once, distinct runs counted.
     let keys: Vec<u128> = packed_keys_flat(&L2, &sites_t, db.as_flat());
-    let mut counter = ShardedCounter::<u128>::new(K, SHARD_ROWS);
-    for &key in &keys {
-        counter.insert_key(key);
-    }
-    let peak = counter.peak_frontier_entries();
-    let summary = counter.finalize();
-    assert_eq!(summary.total(), N as u64);
-    let distinct = summary.distinct();
-    // The frontier holds one run per distinct key seen so far, so its
-    // high-water mark is bounded by the final distinct count — that (plus
-    // one shard_rows buffer) is the whole memory story.
-    assert!(peak <= distinct, "frontier peak {peak} exceeds distinct count {distinct}");
+    let mut sorted = keys.clone();
+    sorted.sort_unstable();
+    let distinct = 1 + sorted.windows(2).filter(|w| w[0] != w[1]).count();
     assert!(distinct < N / 10, "duplication expected at d = 2: {distinct}");
 
-    // And the end-to-end report agrees with the in-memory engine.
-    let reference = count_permutations_flat_sharded(&L2, &sites, &db, 1, 0);
-    let sharded = count_permutations_flat_sharded(&L2, &sites, &db, 1, SHARD_ROWS);
-    assert_eq!(reference.distinct, sharded.distinct);
-    assert_eq!(reference.total, sharded.total);
-    assert_eq!(reference.mean_occupancy.to_bits(), sharded.mean_occupancy.to_bits());
-    assert_eq!(sharded.distinct, distinct);
+    // Drive the counter directly so the memory contract is observable
+    // after every flush.  In this regime each shard's run holds at least
+    // half the distinct keys seen before it, so it merges straight into
+    // the bottom run: between flushes the stack is one run holding
+    // exactly the distinct keys seen so far, and the high-water mark,
+    // taken after a push and before its merges, is that run plus the
+    // fresh one.
+    let mut counter = PackedPermutationCounter::<u128>::with_shard_rows(K, SHARD_ROWS);
+    let mut seen = HashSet::new();
+    let mut expected_peak = 0usize;
+    for shard in keys.chunks(SHARD_ROWS) {
+        let fresh = shard.iter().collect::<HashSet<_>>().len();
+        assert!(2 * fresh >= seen.len(), "run of {fresh} would not merge into {}", seen.len());
+        expected_peak = expected_peak.max(seen.len() + fresh);
+        for &key in shard {
+            counter.insert_key(key);
+            seen.insert(key);
+        }
+        counter.flush();
+        assert_eq!(counter.peak_run_entries(), expected_peak, "{} seen", seen.len());
+    }
+    let summary = counter.finalize();
+    assert_eq!(summary.total(), N as u64);
+    assert_eq!(summary.distinct(), distinct);
+
+    // And the end-to-end report agrees at the default and explicit
+    // shard sizes.
+    for shard_rows in [0, SHARD_ROWS] {
+        let report = count_permutations_flat_sharded(&L2, &sites, &db, 1, shard_rows);
+        assert_eq!(report.distinct, distinct, "shard_rows = {shard_rows}");
+        assert_eq!(report.total, N as u64);
+        assert_eq!(report.mean_occupancy.to_bits(), (N as f64 / distinct as f64).to_bits());
+    }
 }
