@@ -528,6 +528,59 @@ fn data_errors_exit_1() {
 }
 
 #[test]
+fn hostile_headers_are_one_line_data_errors() {
+    // Regression: a header declaring more coordinates than memory holds
+    // aborted the process on the up-front allocation, and one whose
+    // dim × n wraps usize was read as an empty database.
+    let dir = temp_dir("hostile_header");
+    let cases = [
+        ("huge.vec", "2 999999999999999\n0.5 0.5\n", "declared 999999999999999 rows, found 1"),
+        ("wraps.vec", "4611686018427387904 4\n", "line 1: dim × n overflows"),
+    ];
+    for (name, text, message) in cases {
+        let file = dir.join(name);
+        std::fs::write(&file, text).expect("write");
+        let o = distperm(&["count", "--vectors", file.to_str().unwrap(), "--k", "4"]);
+        assert_eq!(o.status.code(), Some(1), "{name}");
+        let err = String::from_utf8_lossy(&o.stderr);
+        assert!(err.starts_with("distperm: data error:"), "{name}: {err}");
+        assert!(err.contains(message), "{name}: {err}");
+        assert_eq!(err.trim_end().lines().count(), 1, "{name} must be one line: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn crlf_blank_lines_and_missing_final_newline_do_not_change_output() {
+    // The same rows with CRLF endings, interior blank lines and no final
+    // newline (the reader's end-of-input path) must report byte for byte
+    // what the plain LF file does.
+    let dir = temp_dir("crlf");
+    let plain = dir.join("plain.vec");
+    let p = plain.to_str().unwrap();
+    stdout(&distperm(&[
+        "generate", "--kind", "uniform", "--n", "3000", "--dim", "3", "--seed", "17", "--out", p,
+    ]));
+    let text = std::fs::read_to_string(&plain).expect("read");
+    let messy = dir.join("messy.vec");
+    let m = messy.to_str().unwrap();
+    let crlf = text.trim_end().replace('\n', "\r\n").replacen("\r\n", "\r\n\r\n \t\r\n", 40);
+    std::fs::write(&messy, crlf).expect("write");
+    for args in [
+        vec!["count", "--k", "6", "--seed", "3", "--threads", "2"],
+        vec!["survey", "--ks", "4,7", "--rho-pairs", "3000", "--seed", "77"],
+    ] {
+        let run = |file: &str| {
+            let mut full = args.clone();
+            full.extend_from_slice(&["--vectors", file]);
+            stdout(&distperm(&full))
+        };
+        assert_eq!(run(m), run(p), "{} output changed", args[0]);
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_file_is_a_one_line_diagnostic_in_every_command() {
     // Regression: a missing database file must exit 1 with a single
     // diagnostic line naming the path — no panic, no backtrace.

@@ -76,6 +76,13 @@ cargo test -p distance-permutations --release -q --test sharded_equivalence
 echo "== cargo test --release --test radix_properties (release-mode property run)"
 cargo test -p dp-permutation --release -q --test radix_properties
 
+# The SISAP block reader must accept and reject exactly what the line
+# reader it replaced did (its test module keeps that reader as the
+# oracle); its byte loop and UTF-8 checks are what optimized codegen
+# transforms, so the differential suite also runs under release.
+echo "== cargo test --release -p dp-datasets sisap_io (release-mode differential run)"
+cargo test -p dp-datasets --release -q --lib sisap_io
+
 # The serving robustness suites pin panic isolation and bit-identity of
 # the resilient engine against a one-searcher sequential loop written in
 # the suite itself; catch_unwind and the degraded-path float behaviour
