@@ -1,14 +1,19 @@
 //! Parallel batch-serving throughput over the flat distperm engine.
 //!
 //! Measures `serve::query_batch_parallel` (the path behind `distperm
-//! search`) on a [`FlatDistPermIndex`] at 1, 2, 4 and 8 worker threads.
+//! search`) on a [`FlatDistPermIndex`] at 1, 2, 4 and 8 worker threads,
+//! once for exact `knn 3` (a storage-order scan of every row) and once
+//! for budgeted `knn 3` at `frac = 0.05` (footrule ordering, then 5% of
+//! the rows measured) — the two halves of the `serve_50k_mixed` batch.
 //! One searcher session per worker; workers claim queries one at a time
 //! from a shared cursor and results come back in query order.  The
 //! property suites guarantee every thread count returns bit-identical
 //! answers, so this bench is purely about wall-clock.
 //!
 //! Record the baseline with:
-//! `CRITERION_JSON=BENCH_serving.json cargo bench -p dp-bench --bench serving`
+//! `CRITERION_JSON=$PWD/BENCH_serving.json cargo bench -p dp-bench --bench serving`
+//! (from the repository root; the bench runs in `crates/bench`, so a
+//! relative path would land there)
 //!
 //! Note: the speedup at N threads is bounded by the cores the machine
 //! actually grants (`nproc`); rows with more threads than cores are
@@ -17,7 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_datasets::uniform_unit_cube_flat;
 use dp_index::laesa::PivotSelection;
-use dp_index::serve::{query_batch_parallel, Request};
+use dp_index::serve::{query_batch_parallel, query_batch_parallel_approx, ApproxRequest, Request};
 use dp_index::FlatDistPermIndex;
 use dp_metric::L2;
 use std::hint::black_box;
@@ -42,6 +47,22 @@ fn bench_serving(c: &mut Criterion) {
                     &index,
                     &rows,
                     Request::Knn { k: 3 },
+                    threads,
+                ))
+            });
+        });
+    }
+    group.finish();
+
+    let mut group = c.benchmark_group(format!("serve_knn3_frac0.05_n{N}_batch{BATCH}"));
+    group.sample_size(10);
+    for threads in [1usize, 2, 4, 8] {
+        group.bench_function(format!("threads_{threads}"), |b| {
+            b.iter(|| {
+                black_box(query_batch_parallel_approx::<[f64], _, _>(
+                    &index,
+                    &rows,
+                    ApproxRequest::Knn { k: 3, frac: 0.05 },
                     threads,
                 ))
             });

@@ -17,7 +17,10 @@
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::laesa::{choose_pivots, PivotSelection};
-use crate::query::{budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor, QueryStats};
+use crate::query::{
+    assert_order_ids_fit, budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor,
+    QueryStats,
+};
 use dp_metric::Metric;
 use dp_permutation::encoding::FlatCodebook;
 use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
@@ -100,6 +103,7 @@ impl<P: Clone, M: Metric<P>> DistPermIndex<P, M> {
     /// random distinct database elements as sites).
     pub fn build_with_sites(metric: M, points: Vec<P>, site_ids: Vec<usize>) -> Self {
         assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
+        assert_order_ids_fit(points.len());
         let sites: Vec<P> = site_ids.iter().map(|&i| points[i].clone()).collect();
         let mut computer = DistPermComputer::new(site_ids.len());
         let perms = points.iter().map(|p| computer.compute(&metric, &sites, p)).collect();
@@ -259,7 +263,7 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
 pub struct DistPermSearcher<'a, P, M: Metric<P>> {
     index: &'a DistPermIndex<P, M>,
     computer: DistPermComputer<M::Dist>,
-    order: Vec<(u64, usize)>,
+    order: Vec<u64>,
 }
 
 impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
@@ -334,18 +338,18 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
     }
 }
 
-/// Fills `order` so that its first `budget` entries are the budget
-/// permutation-nearest database ids in full-sort order — the shared
-/// budget fast path of [`DistPermSearcher`] and
-/// [`crate::flatperm::FlatDistPermSearcher`]; see
-/// [`crate::query`]'s `budgeted_order` for the select-then-sort-prefix
-/// argument.
+/// Fills `order` with the `budget` permutation-nearest database ids in
+/// full-sort order, packed one word each — the shared budget fast path
+/// of [`DistPermSearcher`] and
+/// [`crate::flatperm::FlatDistPermSearcher`]; see [`crate::query`]'s
+/// `budgeted_order` for the select-then-sort-prefix argument and the
+/// full budget, which orders nothing.
 pub(crate) fn order_candidates(
     perms: &[Permutation],
     qperm: &Permutation,
     ordering: OrderingKind,
     budget: usize,
-    order: &mut Vec<(u64, usize)>,
+    order: &mut Vec<u64>,
 ) {
     budgeted_order(perms.iter().map(|p| ordering.distance(qperm, p)), budget, order);
 }
@@ -369,12 +373,16 @@ impl<P: Sync, M: Metric<P> + Sync> ProximityIndex<P> for DistPermIndex<P, M> {
 impl<P: Sync, M: Metric<P> + Sync> Searcher<P> for DistPermSearcher<'_, P, M> {
     type Dist = M::Dist;
 
-    /// Exact k-NN as the full-budget scan (k + n evaluations).
+    /// Exact k-NN as the full-budget scan: the k site evaluations of
+    /// the query permutation, then every element measured in storage
+    /// order with no candidate ordering (k + n evaluations).
     fn knn(&mut self, query: &P, k: usize) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
         self.knn_approx(query, k, 1.0)
     }
 
-    /// Exact range query as the full-budget scan (k + n evaluations).
+    /// Exact range query as the full-budget scan: k site evaluations,
+    /// then every element measured in storage order (k + n
+    /// evaluations).
     fn range(&mut self, query: &P, radius: M::Dist) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
         DistPermSearcher::range_approx(self, query, radius, 1.0)
     }

@@ -9,6 +9,13 @@
 //! are **identical** to the generic index on the same data — only the
 //! storage layout and throughput differ.
 //!
+//! An exact query (full budget, `frac = 1.0`) orders nothing: after the
+//! k site evaluations it streams the rows in storage order, contiguous
+//! block by block, through the batched kernel — k + n evaluations, the
+//! same answer as any candidate order would give.  A budgeted query
+//! orders candidates by footrule as one packed word each, then gathers
+//! and measures the first `budget` of them.
+//!
 //! The generic `DistPermIndex` remains the path for strings, trees and
 //! any non-`f64` point type.  Through the trait family this index is a
 //! `ProximityIndex<[f64]>`: queries are plain `&[f64]` rows, which is
@@ -19,17 +26,18 @@ use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::distperm::OrderingKind;
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
-    assert_frac, budgeted_order, knn_budget, range_budget, KnnHeap, Neighbor, QueryStats,
+    assert_frac, assert_order_ids_fit, budgeted_order, knn_budget, order_id, range_budget, KnnHeap,
+    Neighbor, QueryStats,
 };
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP_POINTS};
 use dp_permutation::compute::{database_permutations_flat_parallel, PACKED_MAX_K, WIDE_MAX_K};
 use dp_permutation::{pack_perm, PackedKey, Permutation, PermutationCounter, MAX_K};
 
-/// Candidate rows gathered per batched distance call in the budgeted
-/// scans: a multiple of [`STRIP_POINTS`] so full blocks stay on the
-/// strip-mined kernel path, small enough that the gather buffer and its
-/// distances stay in L1.
+/// Candidate rows per batched distance call, streamed at full budget
+/// and gathered below it: a multiple of [`STRIP_POINTS`] so full blocks
+/// stay on the strip-mined kernel path, small enough that the gather
+/// buffer and its distances stay in L1.
 const CANDIDATE_BLOCK_ROWS: usize = 16 * STRIP_POINTS;
 
 /// Cached inverse-position keys for the footrule candidate ordering,
@@ -66,9 +74,15 @@ impl OrderingKeys {
 /// a position, so the rank displacement of site `e` is the field-wise
 /// `abs_diff`.  Equal to `spearman_footrule` on the unpacked
 /// permutations, bit for bit.
-fn footrule_keys<K: PackedKey>(a: K, b: K, k: usize) -> u64 {
+///
+/// The loop runs over every field of the key width, not just the k in
+/// use: fields past k are zero in both keys and add nothing, and a
+/// fixed trip count lets the compiler unroll the loop, which a loop
+/// bounded by the runtime k does not get.
+#[inline]
+fn footrule_keys<K: PackedKey>(a: K, b: K) -> u64 {
     let mut sum = 0u64;
-    for pos in 0..k {
+    for pos in 0..K::MAX_K {
         sum += u64::from(a.field(pos).abs_diff(b.field(pos)));
     }
     sum
@@ -115,6 +129,7 @@ impl<M: BatchDistance + Sync> FlatDistPermIndex<M> {
     ) -> Self {
         assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
         assert!(site_ids.len() <= MAX_K, "k = {} exceeds MAX_K = {MAX_K}", site_ids.len());
+        assert_order_ids_fit(points.len());
         let sites = points.gather(&site_ids);
         let sites_t = TransposedSites::from_rows(sites.as_flat(), sites.dim());
         let perms =
@@ -151,6 +166,7 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
     ) -> Self {
         assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
         assert!(site_ids.len() <= MAX_K, "k = {} exceeds MAX_K = {MAX_K}", site_ids.len());
+        assert_order_ids_fit(points.len());
         assert_eq!(sites_t.k(), site_ids.len(), "transposed sites disagree with site count");
         let sites = points.gather(&site_ids);
         assert_eq!(sites_t.dim(), sites.dim(), "transposed sites disagree with point dimension");
@@ -245,8 +261,8 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
     }
 
     /// A reusable query cursor (scratch allocated once): site-distance
-    /// buffer, candidate order, and the gather/distance blocks of the
-    /// batched candidate measurement — sized in whole
+    /// buffer, packed candidate order, and the gather/distance blocks of
+    /// the batched candidate measurement — sized in whole
     /// [`STRIP_POINTS`]-strips so serving never re-allocates.
     pub fn session(&self) -> FlatDistPermSearcher<'_, M> {
         FlatDistPermSearcher {
@@ -293,7 +309,7 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
 pub struct FlatDistPermSearcher<'a, M: BatchDistance> {
     index: &'a FlatDistPermIndex<M>,
     dists: Vec<f64>,
-    order: Vec<(u64, usize)>,
+    order: Vec<u64>,
     query_site: TransposedSites,
     gather: Vec<f64>,
     cand_dists: Vec<f64>,
@@ -323,8 +339,9 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
     /// [`Self::knn_approx`] with an explicit ordering measure.
     ///
     /// Candidate measurement runs through the strip-mined batched kernel
-    /// (the query acts as a 1-site transposed set, candidates are
-    /// gathered in 64-row blocks), which for every
+    /// (the query acts as a 1-site transposed set; candidates are
+    /// gathered in 64-row blocks, or at full budget read in place as
+    /// contiguous 64-row blocks of storage), which for every
     /// supported metric produces the same bits as the per-point
     /// `metric.distance(query, row)` — `|x − s|`, `(x − s)²` and
     /// `|x − s|^p` are all exactly symmetric — so answers are identical
@@ -348,7 +365,7 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         let mut heap = KnnHeap::new(k.min(n));
         measure_candidates(
             index,
-            &self.order[..budget],
+            (budget < n).then_some(&self.order[..]),
             query,
             &mut self.query_site,
             &mut self.gather,
@@ -379,7 +396,7 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         let mut out: Vec<Neighbor<F64Dist>> = Vec::new();
         measure_candidates(
             index,
-            &self.order[..budget],
+            (budget < n).then_some(&self.order[..]),
             query,
             &mut self.query_site,
             &mut self.gather,
@@ -399,26 +416,25 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
 /// the index's cached packed inverse-position keys when k fits a key
 /// width (same `(distance, id)` pairs as the permutation walk, so the
 /// budgeted prefix is identical to the bit); every other case falls
-/// back to [`crate::distperm::order_candidates`].
+/// back to [`crate::distperm::order_candidates`].  At full budget both
+/// leave `order` empty without computing a distance.
 fn order_candidates_cached<M: BatchDistance>(
     index: &FlatDistPermIndex<M>,
     qperm: &Permutation,
     ordering: OrderingKind,
     budget: usize,
-    order: &mut Vec<(u64, usize)>,
+    order: &mut Vec<u64>,
 ) {
     if ordering == OrderingKind::Footrule {
         match &index.order_keys {
             OrderingKeys::Narrow(keys) => {
                 let q = pack_perm::<u64>(&qperm.inverse());
-                let k = index.k();
-                budgeted_order(keys.iter().map(|&p| footrule_keys(q, p, k)), budget, order);
+                budgeted_order(keys.iter().map(|&p| footrule_keys(q, p)), budget, order);
                 return;
             }
             OrderingKeys::Wide(keys) => {
                 let q = pack_perm::<u128>(&qperm.inverse());
-                let k = index.k();
-                budgeted_order(keys.iter().map(|&p| footrule_keys(q, p, k)), budget, order);
+                budgeted_order(keys.iter().map(|&p| footrule_keys(q, p)), budget, order);
                 return;
             }
             OrderingKeys::Uncached => {}
@@ -427,14 +443,16 @@ fn order_candidates_cached<M: BatchDistance>(
     crate::distperm::order_candidates(&index.perms, qperm, ordering, budget, order);
 }
 
-/// Measures the ordered candidates against `query` through the batched
-/// kernel: gathers [`CANDIDATE_BLOCK_ROWS`] candidate rows at a time and
-/// treats the query as a single transposed site, feeding each `(id,
-/// distance)` pair to `sink` in candidate order.  NaN distances panic
-/// (at `F64Dist::new`) exactly like the scalar path.
+/// Measures candidates against `query` through the batched kernel,
+/// treating the query as a single transposed site and feeding each
+/// `(id, distance)` pair to `sink`.  With no `candidates` (full budget)
+/// every row streams from storage in contiguous [`CANDIDATE_BLOCK_ROWS`]
+/// blocks, in id order; otherwise the packed candidate words are
+/// gathered block by block, in their order.  NaN distances panic (at
+/// `F64Dist::new`) exactly like the scalar path.
 fn measure_candidates<M: BatchDistance>(
     index: &FlatDistPermIndex<M>,
-    candidates: &[(u64, usize)],
+    candidates: Option<&[u64]>,
     query: &[f64],
     query_site: &mut TransposedSites,
     gather: &mut Vec<f64>,
@@ -449,15 +467,27 @@ fn measure_candidates<M: BatchDistance>(
         query.len()
     );
     query_site.assign_rows(query, dim);
+    let Some(candidates) = candidates else {
+        // Callers measure only non-empty indexes, and flat storage holds
+        // no width-0 rows, so dim > 0 here.
+        for (b, rows) in index.points.as_flat().chunks(CANDIDATE_BLOCK_ROWS * dim).enumerate() {
+            let out = &mut cand_dists[..rows.len() / dim];
+            index.metric.batch_distances(rows, query_site, out);
+            for (j, &d) in out.iter().enumerate() {
+                sink(b * CANDIDATE_BLOCK_ROWS + j, F64Dist::new(d));
+            }
+        }
+        return;
+    };
     for block in candidates.chunks(CANDIDATE_BLOCK_ROWS) {
         gather.clear();
-        for &(_, i) in block {
-            gather.extend_from_slice(index.points.row(i));
+        for &word in block {
+            gather.extend_from_slice(index.points.row(order_id(word)));
         }
         let out = &mut cand_dists[..block.len()];
         index.metric.batch_distances(gather, query_site, out);
-        for (&(_, i), &d) in block.iter().zip(out.iter()) {
-            sink(i, F64Dist::new(d));
+        for (&word, &d) in block.iter().zip(out.iter()) {
+            sink(order_id(word), F64Dist::new(d));
         }
     }
 }
@@ -502,12 +532,16 @@ impl<M: BatchDistance + Sync> ProximityIndex<[f64]> for FlatDistPermIndex<M> {
 impl<M: BatchDistance + Sync> Searcher<[f64]> for FlatDistPermSearcher<'_, M> {
     type Dist = F64Dist;
 
-    /// Exact k-NN as the full-budget scan (k + n evaluations).
+    /// Exact k-NN as the full-budget scan: the k site evaluations of
+    /// the query permutation, then every row measured in storage order,
+    /// streamed in contiguous blocks with no candidate ordering
+    /// (k + n evaluations).
     fn knn(&mut self, query: &[f64], k: usize) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         self.knn_approx(query, k, 1.0)
     }
 
-    /// Exact range query as the full-budget scan (k + n evaluations).
+    /// Exact range query as the full-budget scan: k site evaluations,
+    /// then every row streamed in storage order (k + n evaluations).
     fn range(&mut self, query: &[f64], radius: F64Dist) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         FlatDistPermSearcher::range_approx(self, query, radius, 1.0)
     }
@@ -539,7 +573,8 @@ impl<M: BatchDistance + Sync> ApproxIndex<[f64]> for FlatDistPermIndex<M> {}
 mod tests {
     use super::*;
     use crate::distperm::DistPermIndex;
-    use dp_metric::{L2Squared, L2};
+    use dp_metric::{L2Squared, Metric, L2};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -571,31 +606,33 @@ mod tests {
 
     #[test]
     fn footrule_over_keys_matches_the_permutation_walk() {
+        // Every k from 1 to a full key (12 fields of a u64, 25 of a
+        // u128): the unused fields must add nothing and the used ones,
+        // the top field included, everything.
         use dp_permutation::permdist::spearman_footrule;
-        let perms: Vec<Permutation> = (0..200u64)
-            .map(|s| {
-                let mut items: Vec<u8> = (0..20u8).collect();
-                let mut seed = s;
-                for i in (1..items.len()).rev() {
-                    seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                    let j = (seed >> 33) as usize % (i + 1);
-                    items.swap(i, j);
+        let shuffled = |k: usize, s: u64| {
+            let mut items: Vec<u8> = (0..k as u8).collect();
+            let mut seed = s;
+            for i in (1..items.len()).rev() {
+                seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+                let j = (seed >> 33) as usize % (i + 1);
+                items.swap(i, j);
+            }
+            Permutation::from_slice(&items).unwrap()
+        };
+        for k in 1..=WIDE_MAX_K {
+            for s in 0..40u64 {
+                let (a, b) = (shuffled(k, 2 * s), shuffled(k, 2 * s + 1));
+                let expected = spearman_footrule(&a, &b);
+                let (ia, ib) = (a.inverse(), b.inverse());
+                if k <= PACKED_MAX_K {
+                    let got = footrule_keys(pack_perm::<u64>(&ia), pack_perm::<u64>(&ib));
+                    assert_eq!(got, expected, "u64, k = {k}");
                 }
-                Permutation::from_slice(&items).unwrap()
-            })
-            .collect();
-        for pair in perms.chunks(2) {
-            let (a, b) = (&pair[0], &pair[1]);
-            let ka = pack_perm::<u128>(&a.inverse());
-            let kb = pack_perm::<u128>(&b.inverse());
-            assert_eq!(footrule_keys(ka, kb, 20), spearman_footrule(a, b));
+                let got = footrule_keys(pack_perm::<u128>(&ia), pack_perm::<u128>(&ib));
+                assert_eq!(got, expected, "u128, k = {k}");
+            }
         }
-        // And at the narrow width.
-        let a = Permutation::from_slice(&[2, 0, 3, 1]).unwrap();
-        let b = Permutation::from_slice(&[3, 1, 0, 2]).unwrap();
-        let ka = pack_perm::<u64>(&a.inverse());
-        let kb = pack_perm::<u64>(&b.inverse());
-        assert_eq!(footrule_keys(ka, kb, 4), spearman_footrule(&a, &b));
     }
 
     #[test]
@@ -687,6 +724,93 @@ mod tests {
         assert_eq!(stats, QueryStats::new(10 + 200));
         let (_, stats) = idx.session().knn_approx(&q, 3, 0.25);
         assert_eq!(stats, QueryStats::new(10 + 50));
+    }
+
+    /// The candidate path the packed order and the storage-order scan
+    /// replaced: every `(ordering distance, id)` pair fully sorted, the
+    /// first `budget` measured one at a time with the scalar metric.
+    fn oracle_candidates(
+        idx: &FlatDistPermIndex<L2>,
+        q: &[f64],
+        ordering: OrderingKind,
+        budget: usize,
+    ) -> Vec<Neighbor<F64Dist>> {
+        let qperm = idx.query_permutation(q);
+        let mut pairs: Vec<(u64, usize)> = idx
+            .permutations()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| (ordering.distance(&qperm, p), i))
+            .collect();
+        pairs.sort_unstable();
+        pairs[..budget]
+            .iter()
+            .map(|&(_, id)| Neighbor { id, dist: L2.distance(q, idx.points().row(id)) })
+            .collect()
+    }
+
+    /// A scan fraction whose budget is exactly `budget` of `n`.
+    fn frac_for(budget: usize, n: usize) -> f64 {
+        if budget == n {
+            1.0
+        } else {
+            (budget as f64 - 0.5) / n as f64
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        // Every budget from 1 to n, at each key width (k = 8 packed u64,
+        // 16 packed u128, 26 uncached), answers and counts exactly as
+        // the fully sorted `(key, id)` order.  Grid-snapped rows make
+        // distance and ordering ties common, so the id tie-break
+        // decides many answers.
+        #[test]
+        fn every_budget_matches_the_fully_sorted_order(
+            n in 40usize..240,
+            dim in 1usize..4,
+            k_pick in 0usize..3,
+            ordering_pick in 0usize..4,
+            grid in any::<bool>(),
+            nn in 1usize..5,
+            seed in any::<u64>(),
+        ) {
+            let k = [8usize, 16, 26][k_pick];
+            let ordering = OrderingKind::ALL[ordering_pick];
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut coord = || {
+                let x = rng.random::<f64>();
+                if grid { (x * 4.0).floor() / 4.0 } else { x }
+            };
+            let rows: Vec<f64> = (0..n * dim).map(|_| coord()).collect();
+            let queries: Vec<f64> = (0..3 * dim).map(|_| coord()).collect();
+            let site_ids: Vec<usize> = (0..k).map(|i| (i * 7 + 3) % n).collect();
+            let idx = FlatDistPermIndex::build_with_sites(L2, VectorSet::from_raw(dim, rows), site_ids, 2);
+            let mut searcher = idx.session();
+            let radius = F64Dist::new(0.3);
+            for q in queries.chunks_exact(dim).chain([idx.points().row(n / 2)]) {
+                for budget in [1, n / 20, n - 1, n] {
+                    let frac = frac_for(budget, n);
+                    let knn_budget = budget.max(nn);
+                    let mut expected = oracle_candidates(&idx, q, ordering, knn_budget);
+                    expected.sort_unstable();
+                    expected.truncate(nn);
+                    let (got, stats) = searcher.knn_approx_ordered(q, nn, frac, ordering);
+                    prop_assert_eq!(&got, &expected, "knn budget {}", budget);
+                    prop_assert_eq!(stats, QueryStats::new((k + knn_budget) as u64));
+
+                    let mut expected: Vec<_> = oracle_candidates(&idx, q, OrderingKind::Footrule, budget)
+                        .into_iter()
+                        .filter(|nb| nb.dist <= radius)
+                        .collect();
+                    expected.sort_unstable();
+                    let (got, stats) = searcher.range_approx(q, radius, frac);
+                    prop_assert_eq!(&got, &expected, "range budget {}", budget);
+                    prop_assert_eq!(stats, QueryStats::new((k + budget) as u64));
+                }
+            }
+        }
     }
 
     #[test]

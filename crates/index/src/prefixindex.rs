@@ -11,7 +11,10 @@
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::laesa::{choose_pivots, PivotSelection};
-use crate::query::{budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor, QueryStats};
+use crate::query::{
+    assert_order_ids_fit, budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor,
+    QueryStats,
+};
 use dp_metric::Metric;
 use dp_permutation::encoding::element_bits;
 use dp_permutation::fxhash::FxHashSet;
@@ -63,6 +66,7 @@ impl<P: Clone, M: Metric<P>> PrefixPermIndex<P, M> {
     }
 
     fn finish(metric: M, points: Vec<P>, site_ids: Vec<usize>, prefix_len: usize) -> Self {
+        assert_order_ids_fit(points.len());
         let sites: Vec<P> = site_ids.iter().map(|&i| points[i].clone()).collect();
         let mut computer = DistPermComputer::new(site_ids.len());
         let prefixes = points
@@ -172,7 +176,7 @@ impl<P, M: Metric<P>> PrefixPermIndex<P, M> {
 pub struct PrefixPermSearcher<'a, P, M: Metric<P>> {
     index: &'a PrefixPermIndex<P, M>,
     computer: DistPermComputer<M::Dist>,
-    order: Vec<(u64, usize)>,
+    order: Vec<u64>,
 }
 
 impl<P, M: Metric<P>> PrefixPermSearcher<'_, P, M> {
@@ -192,7 +196,8 @@ impl<P, M: Metric<P>> PrefixPermSearcher<'_, P, M> {
     /// Candidate ordering is by induced prefix footrule, through the
     /// same select-then-sort-prefix fast path as the full-permutation
     /// searchers (keys `(footrule, id)` are distinct, so the prefix
-    /// equals the full sort's).
+    /// equals the full sort's).  At `frac = 1.0` nothing is ordered:
+    /// every element is measured in storage order.
     pub fn knn_approx(
         &mut self,
         query: &P,
@@ -278,12 +283,16 @@ impl<P: Sync, M: Metric<P> + Sync> ProximityIndex<P> for PrefixPermIndex<P, M> {
 impl<P: Sync, M: Metric<P> + Sync> Searcher<P> for PrefixPermSearcher<'_, P, M> {
     type Dist = M::Dist;
 
-    /// Exact k-NN as the full-budget scan (k + n evaluations).
+    /// Exact k-NN as the full-budget scan: the k site evaluations of
+    /// the query prefix, then every element measured in storage order
+    /// with no candidate ordering (k + n evaluations).
     fn knn(&mut self, query: &P, k: usize) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
         self.knn_approx(query, k, 1.0)
     }
 
-    /// Exact range query as the full-budget scan (k + n evaluations).
+    /// Exact range query as the full-budget scan: k site evaluations,
+    /// then every element measured in storage order (k + n
+    /// evaluations).
     fn range(&mut self, query: &P, radius: M::Dist) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
         PrefixPermSearcher::range_approx(self, query, radius, 1.0)
     }

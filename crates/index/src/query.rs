@@ -1,6 +1,7 @@
 //! Query result types, per-query statistics and shared k-NN bookkeeping.
 
 use dp_metric::Distance;
+use dp_permutation::MAX_K;
 use std::collections::BinaryHeap;
 
 /// One answer to a proximity query: a database id and its distance.
@@ -85,10 +86,19 @@ impl<D: Distance> KnnHeap<D> {
     }
 
     /// Offers a candidate.
+    ///
+    /// A full heap keeps the candidate only if it sorts below the
+    /// current worst by `(distance, id)`; it then replaces that worst in
+    /// place.  Anything else leaves the heap untouched, which is what a
+    /// push followed by popping the maximum would leave.
     pub fn push(&mut self, id: usize, dist: D) {
-        self.heap.push(Neighbor { id, dist });
-        if self.heap.len() > self.k {
-            self.heap.pop();
+        let candidate = Neighbor { id, dist };
+        if self.heap.len() < self.k {
+            self.heap.push(candidate);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if candidate < *worst {
+                *worst = candidate;
+            }
         }
     }
 
@@ -104,7 +114,7 @@ impl<D: Distance> KnnHeap<D> {
     /// orders candidates by `(distance, id)`, so when the heap is full a
     /// candidate at exactly the bound distance displaces the incumbent
     /// only if its id is smaller; with a larger id, [`Self::push`]
-    /// immediately pops it back out and [`Self::into_sorted`] never sees
+    /// leaves the heap as it was and [`Self::into_sorted`] never sees
     /// it.  `admits` cannot know the candidate's id, so it must say *yes*
     /// to every distance tie:
     ///
@@ -129,36 +139,79 @@ impl<D: Distance> KnnHeap<D> {
     }
 }
 
-/// Fills `order` with `(key, id)` pairs from `keys` so that the first
-/// `budget` entries equal the first `budget` entries of a full sort —
-/// the budgeted candidate-ordering fast path shared by the
-/// permutation-family searchers.
+/// Bits of a packed candidate-order word that hold the database id;
+/// the ordering distance sits in the bits above them.
+const ORDER_ID_BITS: u32 = 48;
+
+/// Largest ordering distance between two permutations of at most
+/// [`MAX_K`] sites: Spearman rho's (k³ − k)/3, which is 10,912 at
+/// k = 32.  Footrule (⌊k²/2⌋), Kendall tau (k(k − 1)/2), Cayley (k − 1)
+/// and the prefix footrule (at most k·ℓ ≤ k²) are all smaller.
+const MAX_ORDERING_DISTANCE: u64 = ((MAX_K * MAX_K * MAX_K - MAX_K) / 3) as u64;
+
+const _: () = assert!(MAX_ORDERING_DISTANCE < 1 << (u64::BITS - ORDER_ID_BITS));
+
+/// Asserts that every id of an `n`-row database fits the id field of a
+/// packed candidate-order word; the permutation-family indexes call it
+/// once when they are built or loaded.
+pub(crate) fn assert_order_ids_fit(n: usize) {
+    assert!(
+        (n as u64) < 1 << ORDER_ID_BITS,
+        "{n} rows exceed the 2^{ORDER_ID_BITS} ids a candidate order can hold"
+    );
+}
+
+/// The database id held in a packed candidate-order word.
+#[inline]
+pub(crate) fn order_id(word: u64) -> usize {
+    (word & ((1 << ORDER_ID_BITS) - 1)) as usize
+}
+
+/// Fills `order` with the `budget` candidates nearest by `keys` (one
+/// ordering distance per database id), in `(key, id)` order — the
+/// budgeted candidate ordering shared by the permutation-family
+/// searchers.
 ///
-/// Keys are `(key, id)`, which are distinct, so partitioning with
-/// `select_nth_unstable` and sorting only the prefix yields **exactly**
-/// the same prefix as sorting all n — O(n + budget·log budget) instead
-/// of O(n·log n) when the scan budget is below n.
+/// Each entry is one word, `key << 48 | id`.  Keys never exceed
+/// [`MAX_ORDERING_DISTANCE`] and ids stay below 2⁴⁸
+/// ([`assert_order_ids_fit`]), so comparing words compares `(key, id)`
+/// pairs, and the words are distinct.  Partitioning with
+/// `select_nth_unstable` and sorting only the prefix therefore yields
+/// **exactly** the prefix a full sort would — O(n + budget·log budget)
+/// instead of O(n·log n).
+///
+/// **Full budget builds no order.**  When `budget` reaches the
+/// candidate count, `order` is left empty and `keys` is never
+/// evaluated: every candidate gets measured, and neither the k-NN heap
+/// (the k smallest by `(distance, id)`) nor the sorted range output
+/// depends on the order candidates arrive in, so the scans walk ids in
+/// storage order instead.  A zero budget also leaves `order` empty.
 pub(crate) fn budgeted_order(
-    keys: impl Iterator<Item = u64>,
+    keys: impl ExactSizeIterator<Item = u64>,
     budget: usize,
-    order: &mut Vec<(u64, usize)>,
+    order: &mut Vec<u64>,
 ) {
     order.clear();
-    order.extend(keys.enumerate().map(|(i, key)| (key, i)));
-    // Defensive clamp, pinning the contract the branches below already
-    // satisfy: a budget at or above the candidate count (including
-    // budget > 0 over an empty candidate list) degrades to a plain full
-    // sort.  The select_nth_unstable pivot below must stay in range even
-    // if the branch conditions are ever reshuffled.
-    let budget = budget.min(order.len());
-    if budget == 0 {
+    if budget == 0 || budget >= keys.len() {
         return;
     }
-    if budget < order.len() {
-        order.select_nth_unstable(budget - 1);
-        order[..budget].sort_unstable();
+    order.extend(keys.enumerate().map(|(id, key)| {
+        debug_assert!(key <= MAX_ORDERING_DISTANCE, "ordering distance {key} out of range");
+        (key << ORDER_ID_BITS) | id as u64
+    }));
+    order.select_nth_unstable(budget - 1);
+    order.truncate(budget);
+    order.sort_unstable();
+}
+
+/// Visits the ids a budgeted scan measures: every id in storage order
+/// at full budget (`budget == n`), else the order [`budgeted_order`]
+/// built.
+fn for_each_candidate(order: &[u64], budget: usize, n: usize, mut visit: impl FnMut(usize)) {
+    if budget == n {
+        (0..n).for_each(visit);
     } else {
-        order.sort_unstable();
+        order.iter().for_each(|&word| visit(order_id(word)));
     }
 }
 
@@ -181,11 +234,12 @@ pub(crate) fn range_budget(n: usize, frac: f64) -> usize {
     ((frac * n as f64).ceil() as usize).min(n)
 }
 
-/// The shared budgeted k-NN scan of the permutation-family searchers
-/// ([`crate::DistPermSearcher`], [`crate::FlatDistPermSearcher`],
-/// [`crate::PrefixPermSearcher`]): validate `frac`, clamp the budget to
-/// `[min(k, n), n]`, fill the candidate order via `order_with(budget,
-/// order)`, measure the first `budget` candidates with `dist`, and
+/// The shared budgeted k-NN scan of the generic permutation-family
+/// searchers ([`crate::DistPermSearcher`], [`crate::PrefixPermSearcher`]):
+/// validate `frac`, clamp the budget to `[min(k, n), n]`, run
+/// `order_with(budget, order)` (which computes the query's k site
+/// distances and calls [`budgeted_order`]), measure the budgeted
+/// candidates with `dist` — all n in storage order at full budget — and
 /// account `sites_k + budget` metric evaluations.
 ///
 /// `n == 0` and `k == 0` short-circuit to an empty answer with zero
@@ -195,8 +249,8 @@ pub(crate) fn budgeted_knn_scan<D: Distance>(
     k: usize,
     frac: f64,
     sites_k: usize,
-    order: &mut Vec<(u64, usize)>,
-    order_with: impl FnOnce(usize, &mut Vec<(u64, usize)>),
+    order: &mut Vec<u64>,
+    order_with: impl FnOnce(usize, &mut Vec<u64>),
     mut dist: impl FnMut(usize) -> D,
 ) -> (Vec<Neighbor<D>>, QueryStats) {
     assert_frac(frac);
@@ -206,9 +260,7 @@ pub(crate) fn budgeted_knn_scan<D: Distance>(
     let budget = knn_budget(n, k, frac);
     order_with(budget, order);
     let mut heap = KnnHeap::new(k.min(n));
-    for &(_, i) in order.iter().take(budget) {
-        heap.push(i, dist(i));
-    }
+    for_each_candidate(order, budget, n, |i| heap.push(i, dist(i)));
     (heap.into_sorted(), QueryStats::new((sites_k + budget) as u64))
 }
 
@@ -220,8 +272,8 @@ pub(crate) fn budgeted_range_scan<D: Distance>(
     frac: f64,
     sites_k: usize,
     radius: D,
-    order: &mut Vec<(u64, usize)>,
-    order_with: impl FnOnce(usize, &mut Vec<(u64, usize)>),
+    order: &mut Vec<u64>,
+    order_with: impl FnOnce(usize, &mut Vec<u64>),
     mut dist: impl FnMut(usize) -> D,
 ) -> (Vec<Neighbor<D>>, QueryStats) {
     assert_frac(frac);
@@ -230,14 +282,13 @@ pub(crate) fn budgeted_range_scan<D: Distance>(
     }
     let budget = range_budget(n, frac);
     order_with(budget, order);
-    let mut out: Vec<Neighbor<D>> = order
-        .iter()
-        .take(budget)
-        .filter_map(|&(_, i)| {
-            let d = dist(i);
-            (d <= radius).then_some(Neighbor { id: i, dist: d })
-        })
-        .collect();
+    let mut out: Vec<Neighbor<D>> = Vec::new();
+    for_each_candidate(order, budget, n, |i| {
+        let d = dist(i);
+        if d <= radius {
+            out.push(Neighbor { id: i, dist: d });
+        }
+    });
     out.sort_unstable();
     (out, QueryStats::new((sites_k + budget) as u64))
 }
@@ -331,27 +382,104 @@ mod tests {
         assert_eq!(s + QueryStats::new(10), QueryStats::new(13));
     }
 
+    /// `budgeted_order`'s output unpacked to `(key, id)` pairs, checking
+    /// that each word carries its id's key in the high bits.
+    fn unpacked(order: &[u64], keys: &[u64]) -> Vec<(u64, usize)> {
+        order
+            .iter()
+            .map(|&word| {
+                let id = order_id(word);
+                assert_eq!(word >> ORDER_ID_BITS, keys[id], "key bits of id {id}");
+                (keys[id], id)
+            })
+            .collect()
+    }
+
+    /// The ordering `budgeted_order` replaced: every `(key, id)` pair,
+    /// fully sorted.
+    fn full_sort(keys: &[u64]) -> Vec<(u64, usize)> {
+        let mut pairs: Vec<(u64, usize)> = keys.iter().copied().zip(0..).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
     #[test]
-    fn budgeted_order_clamps_budget_to_candidate_count() {
-        // Regression suite for the select_nth_unstable pivot: budgets at
-        // n − 1, n, and n + 1 must all produce the full-sort prefix, and
-        // an empty candidate list must accept any budget.
+    fn budgeted_order_builds_nothing_at_full_budget() {
+        // Below n (down to n − 1) the order is the full sort's prefix; at
+        // n and beyond it stays empty and no key is evaluated, because
+        // the scans then walk every id in storage order.  An empty
+        // candidate list accepts any budget.
         let keys: Vec<u64> = (0..10).map(|i| (i * 37) % 11).collect();
         let n = keys.len();
-        let mut full = Vec::new();
-        budgeted_order(keys.iter().copied(), n, &mut full);
-        full.sort_unstable();
-        for budget in [n - 1, n, n + 1, n + 100] {
-            let mut got = Vec::new();
-            budgeted_order(keys.iter().copied(), budget, &mut got);
-            let shown = budget.min(n);
-            assert_eq!(&got[..shown], &full[..shown], "budget {budget}");
+        let full = full_sort(&keys);
+        let mut got = Vec::new();
+        budgeted_order(keys.iter().copied(), n - 1, &mut got);
+        assert_eq!(unpacked(&got, &keys), &full[..n - 1]);
+        for budget in [n, n + 1, n + 100] {
+            let mut got = vec![7u64];
+            let evaluated = std::cell::Cell::new(0usize);
+            let counted = keys.iter().map(|&key| {
+                evaluated.set(evaluated.get() + 1);
+                key
+            });
+            budgeted_order(counted, budget, &mut got);
+            assert!(got.is_empty(), "budget {budget}");
+            assert_eq!(evaluated.get(), 0, "budget {budget} evaluated keys");
         }
-        // n = 0: every budget is fine and yields an empty order.
         for budget in [0usize, 1, 5] {
-            let mut got = vec![(0u64, 0usize)];
+            let mut got = vec![0u64];
             budgeted_order(std::iter::empty(), budget, &mut got);
             assert!(got.is_empty(), "budget {budget} over empty candidates");
+        }
+    }
+
+    #[test]
+    fn budgeted_order_matches_full_sort_prefix() {
+        // Heavy key ties (1000 values over 97 ids, plus the extremes of
+        // the key range) so the id bits decide many places.
+        let mut keys: Vec<u64> = (0..97).map(|i| (i * 7919) % 1000).collect();
+        keys[5] = MAX_ORDERING_DISTANCE;
+        keys[6] = 0;
+        let full = full_sort(&keys);
+        for budget in [0usize, 1, 13, 95, 96] {
+            let mut got = Vec::new();
+            budgeted_order(keys.iter().copied(), budget, &mut got);
+            assert_eq!(unpacked(&got, &keys), &full[..budget], "budget {budget}");
+        }
+    }
+
+    #[test]
+    fn full_heap_push_matches_push_then_pop() {
+        // The old push: insert, then pop the maximum once over k.  Random
+        // streams with only four distinct distances, so most decisions
+        // fall to the id tie-break.
+        use rand::rngs::StdRng;
+        use rand::{RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(19);
+        for round in 0..300 {
+            let k = 1 + round % 6;
+            let len = rng.random_range(0..40usize);
+            let mut ids: Vec<usize> = (0..len).collect();
+            for i in (1..len).rev() {
+                ids.swap(i, rng.random_range(0..=i));
+            }
+            let mut heap = KnnHeap::new(k);
+            let mut reference = BinaryHeap::new();
+            for id in ids {
+                let dist = rng.random_range(0..4u64);
+                heap.push(id, dist);
+                reference.push(Neighbor { id, dist });
+                if reference.len() > k {
+                    reference.pop();
+                }
+                assert_eq!(
+                    heap.bound(),
+                    (reference.len() == k).then(|| reference.peek().unwrap().dist)
+                );
+            }
+            let mut expected = reference.into_vec();
+            expected.sort_unstable();
+            assert_eq!(heap.into_sorted(), expected, "round {round}");
         }
     }
 
@@ -364,17 +492,5 @@ mod tests {
         assert_eq!(range_budget(10, 1.0), 10);
         assert_eq!(range_budget(10, 0.0), 0);
         assert_eq!(range_budget(3, 0.5), 2);
-    }
-
-    #[test]
-    fn budgeted_order_matches_full_sort_prefix() {
-        let keys: Vec<u64> = (0..97).map(|i| (i * 7919) % 1000).collect();
-        let mut full = Vec::new();
-        budgeted_order(keys.iter().copied(), keys.len(), &mut full);
-        for budget in [0usize, 1, 13, 96, 97] {
-            let mut got = Vec::new();
-            budgeted_order(keys.iter().copied(), budget, &mut got);
-            assert_eq!(&got[..budget], &full[..budget], "budget {budget}");
-        }
     }
 }

@@ -134,6 +134,30 @@ echo "$SERVE_OUT" | grep -q '^bye batches=1 queries=2 shed=0 errors=0' || {
     exit 1
 }
 
+# The path the benchmark serves: `distperm build` persists a flatperm
+# index (--k 8, i.e. flatperm:8) and `serve --load` answers from it.
+# Its exact k-NN replies are full-budget scans, so ids and distances
+# must match `serve --index linear` on the same file byte for byte, and
+# each must account k + n = 8 + 200 metric evaluations.
+echo "== distperm build + serve --load smoke (exact knn equals the linear scan)"
+./target/release/distperm build --vectors "$SERVE_TMP/db.vec" --k 8 --out "$SERVE_TMP/db.dps" \
+    > /dev/null
+KNN_BATCH=$'begin exact\nknn 3 0.5 0.5 0.5 0.5\nknn 5 0.1 0.9 0.2 0.8\nknn 1 0.0 0.0 0.0 0.0\nend'
+LOADED_OUT=$(echo "$KNN_BATCH" | ./target/release/distperm serve --load "$SERVE_TMP/db.dps" \
+    --threads 2)
+LINEAR_OUT=$(echo "$KNN_BATCH" | ./target/release/distperm serve --vectors "$SERVE_TMP/db.vec" \
+    --index linear --threads 2)
+replies() { sed -n 's/^ok \([0-9]*\) evals=[0-9]* /\1 /p'; }
+LOADED_REPLIES=$(echo "$LOADED_OUT" | replies)
+LINEAR_REPLIES=$(echo "$LINEAR_OUT" | replies)
+if [ -z "$LOADED_REPLIES" ] || [ "$LOADED_REPLIES" != "$LINEAR_REPLIES" ] \
+    || [ "$(echo "$LOADED_OUT" | grep -c '^ok [0-9]* evals=208 ')" -ne 3 ]; then
+    echo "serve --load smoke: exact knn replies differ from the linear scan" >&2
+    echo "$LOADED_OUT" >&2
+    echo "$LINEAR_OUT" >&2
+    exit 1
+fi
+
 # ROADMAP bench-baseline validation (formerly a bash/jq loop here) now
 # lives in dplint's bench-citations pass, which runs above with real
 # file:line:col diagnostics and no jq dependency.

@@ -14,7 +14,7 @@ use distance_permutations::index::serve::{
 };
 use distance_permutations::index::{
     Aesa, AnyIndex, BkTree, DistPermIndex, FlatDistPermIndex, GhTree, IAesa, IndexSpec, Laesa,
-    LinearScan, PrefixPermIndex, ProximityIndex, Searcher, VpTree,
+    LinearScan, PrefixPermIndex, ProximityIndex, QueryStats, Searcher, VpTree,
 };
 use distance_permutations::metric::{CosineDistance, F64Dist, Levenshtein, L1, L2};
 use distance_permutations::permutation::counter::count_distinct;
@@ -30,7 +30,10 @@ fn all_exact_indexes_agree_on_vectors() {
     let iaesa = IAesa::build(L2, pts.clone(), 8, PivotSelection::MaxMin);
     let vp = VpTree::build(L2, pts.clone());
     let gh = GhTree::build(L2, pts.clone());
-    let dp = DistPermIndex::build(L2, pts, 8, PivotSelection::MaxMin);
+    let dp = DistPermIndex::build(L2, pts.clone(), 8, PivotSelection::MaxMin);
+    let pre = PrefixPermIndex::build(L2, pts.clone(), 8, 3, PivotSelection::MaxMin);
+    let flat =
+        FlatDistPermIndex::build(L2, VectorSet::from_nested(&pts), 8, PivotSelection::MaxMin, 2);
     for q in &queries {
         let truth = scan.knn(q, 4);
         assert_eq!(aesa.query_knn(q, 4).0, truth, "AESA");
@@ -38,7 +41,12 @@ fn all_exact_indexes_agree_on_vectors() {
         assert_eq!(iaesa.query_knn(q, 4).0, truth, "iAESA");
         assert_eq!(vp.query_knn(q, 4).0, truth, "VP-tree");
         assert_eq!(gh.query_knn(q, 4).0, truth, "GH-tree");
-        assert_eq!(dp.query_knn(q, 4).0, truth, "distperm full budget");
+        // The permutation family at full budget: k site evaluations plus
+        // every point, in storage order.
+        let full_scan = QueryStats::new(8 + 300);
+        assert_eq!(dp.query_knn(q, 4), (truth.clone(), full_scan), "distperm full budget");
+        assert_eq!(pre.query_knn(q, 4), (truth.clone(), full_scan), "prefixperm full budget");
+        assert_eq!(flat.query_knn(&q[..], 4), (truth, full_scan), "flatperm full budget");
     }
 }
 
@@ -50,7 +58,10 @@ fn all_exact_indexes_agree_on_range_queries_l1() {
     let aesa = Aesa::build(L1, pts.clone());
     let laesa = Laesa::build(L1, pts.clone(), 6, PivotSelection::MaxMin);
     let vp = VpTree::build(L1, pts.clone());
-    let gh = GhTree::build(L1, pts);
+    let gh = GhTree::build(L1, pts.clone());
+    let pre = PrefixPermIndex::build(L1, pts.clone(), 6, 2, PivotSelection::MaxMin);
+    let flat =
+        FlatDistPermIndex::build(L1, VectorSet::from_nested(&pts), 6, PivotSelection::MaxMin, 2);
     for q in &queries {
         for r in [0.1, 0.3, 0.8] {
             let radius = F64Dist::new(r);
@@ -59,8 +70,51 @@ fn all_exact_indexes_agree_on_range_queries_l1() {
             assert_eq!(laesa.query_range(q, radius).0, truth, "LAESA r={r}");
             assert_eq!(vp.query_range(q, radius).0, truth, "VP r={r}");
             assert_eq!(gh.query_range(q, radius).0, truth, "GH r={r}");
+            let full_scan = QueryStats::new(6 + 250);
+            assert_eq!(pre.query_range(q, radius), (truth.clone(), full_scan), "prefix r={r}");
+            assert_eq!(flat.query_range(&q[..], radius), (truth, full_scan), "flatperm r={r}");
         }
     }
+}
+
+/// Integer-grid points where every row appears three times: most
+/// distances tie, so the `(distance, id)` tie-break alone decides which
+/// copies enter an answer.  Every exact permutation index must still
+/// agree with the linear scan, at full budget, for k-NN and range
+/// queries alike.
+#[test]
+fn exact_permutation_indexes_break_distance_ties_by_id() {
+    let grid: Vec<Vec<f64>> =
+        (0..27).map(|c| vec![f64::from(c % 3), f64::from(c / 3 % 3), f64::from(c / 9)]).collect();
+    // Copies interleave at distance 27 (ids c, c + 27, c + 54).
+    let pts: Vec<Vec<f64>> = grid.iter().chain(&grid).chain(&grid).cloned().collect();
+    let queries = vec![vec![1.0, 1.0, 1.0], vec![0.0, 0.0, 0.0], vec![0.5, 1.0, 2.0]];
+    let scan = LinearScan::new(L2, pts.clone());
+    let dp = DistPermIndex::build(L2, pts.clone(), 6, PivotSelection::MaxMin);
+    let pre = PrefixPermIndex::build(L2, pts.clone(), 6, 2, PivotSelection::MaxMin);
+    let flat =
+        FlatDistPermIndex::build(L2, VectorSet::from_nested(&pts), 6, PivotSelection::MaxMin, 1);
+    let mut tied_cutoffs = 0;
+    for q in &queries {
+        for k in [1usize, 2, 4, 7, 10] {
+            let truth = scan.knn(q, k);
+            let all = scan.knn(q, pts.len());
+            // Count answers whose k-th distance also appears past the
+            // cut, i.e. where ids alone picked the members.
+            tied_cutoffs += usize::from(all[k].dist == truth[k - 1].dist);
+            assert_eq!(dp.query_knn(q, k).0, truth, "distperm k={k}");
+            assert_eq!(pre.query_knn(q, k).0, truth, "prefixperm k={k}");
+            assert_eq!(flat.query_knn(&q[..], k).0, truth, "flatperm k={k}");
+        }
+        for r in [0.0, 1.0, 1.5] {
+            let radius = F64Dist::new(r);
+            let truth = scan.range(q, radius);
+            assert_eq!(dp.query_range(q, radius).0, truth, "distperm r={r}");
+            assert_eq!(pre.query_range(q, radius).0, truth, "prefixperm r={r}");
+            assert_eq!(flat.query_range(&q[..], radius).0, truth, "flatperm r={r}");
+        }
+    }
+    assert!(tied_cutoffs >= 10, "only {tied_cutoffs} answers cut inside a distance tie");
 }
 
 #[test]
