@@ -5,10 +5,16 @@
 //! once for exact `knn 3` (a storage-order scan of every row) and once
 //! for budgeted `knn 3` at `frac = 0.05` (footrule ordering, then 5% of
 //! the rows measured) — the two halves of the `serve_50k_mixed` batch.
-//! One searcher session per worker; workers claim queries one at a time
-//! from a shared cursor and results come back in query order.  The
-//! property suites guarantee every thread count returns bit-identical
-//! answers, so this bench is purely about wall-clock.
+//! A third group serves the mixed batch itself through
+//! `serve::serve_resilient` (the path behind `distperm serve`): exact
+//! and `frac = 0.05` queries alternate, as in that workload.
+//!
+//! One searcher session per worker.  Workers claim runs of up to eight
+//! consecutive queries from a shared cursor, and answer the exact k-NN
+//! queries of a run with one pass over the rows; results come back in
+//! query order.  The property suites guarantee every thread count
+//! returns bit-identical answers, so this bench is purely about
+//! wall-clock.
 //!
 //! Record the baseline with:
 //! `CRITERION_JSON=$PWD/BENCH_serving.json cargo bench -p dp-bench --bench serving`
@@ -22,7 +28,10 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_datasets::uniform_unit_cube_flat;
 use dp_index::laesa::PivotSelection;
-use dp_index::serve::{query_batch_parallel, query_batch_parallel_approx, ApproxRequest, Request};
+use dp_index::serve::{
+    query_batch_parallel, query_batch_parallel_approx, serve_resilient, ApproxRequest,
+    BatchOptions, FaultPlan, Request, ServeRequest,
+};
 use dp_index::FlatDistPermIndex;
 use dp_metric::L2;
 use std::hint::black_box;
@@ -64,6 +73,31 @@ fn bench_serving(c: &mut Criterion) {
                     &rows,
                     ApproxRequest::Knn { k: 3, frac: 0.05 },
                     threads,
+                ))
+            });
+        });
+    }
+    group.finish();
+
+    let mixed = |i: usize| {
+        if i.is_multiple_of(2) {
+            ServeRequest::Exact(Request::Knn { k: 3 })
+        } else {
+            ServeRequest::Approx(ApproxRequest::Knn { k: 3, frac: 0.05 })
+        }
+    };
+    let mut group = c.benchmark_group(format!("serve_mixed_knn3_n{N}_batch{BATCH}"));
+    group.sample_size(10);
+    for threads in [1usize, 2, 4, 8] {
+        let options = BatchOptions::with_threads(threads);
+        group.bench_function(format!("threads_{threads}"), |b| {
+            b.iter(|| {
+                black_box(serve_resilient::<[f64], _, _, _>(
+                    &index,
+                    &rows,
+                    mixed,
+                    &options,
+                    &FaultPlan::none(),
                 ))
             });
         });

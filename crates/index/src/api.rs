@@ -12,7 +12,8 @@
 //!   stream of queries through one searcher performs no per-query
 //!   allocation beyond the result vector, and a searcher is `Send` — one
 //!   per worker thread is exactly the shape of
-//!   [`crate::serve::query_batch_parallel`].
+//!   [`crate::serve::query_batch_parallel`].  [`Searcher::knn_batch`]
+//!   lets a session answer several exact k-NN queries in one pass.
 //!
 //! Every query returns `(Vec<Neighbor>, QueryStats)`: the field's cost
 //! model (metric evaluations per query) is counted natively by the
@@ -81,6 +82,24 @@ pub trait Searcher<P: ?Sized> {
     /// `k = 0` returns an empty result with zero evaluations; this holds
     /// uniformly across implementations.
     fn knn(&mut self, query: &P, k: usize) -> (Vec<Neighbor<Self::Dist>>, QueryStats);
+
+    /// Exact k-NN for several queries at once: one response per query,
+    /// in order, each identical — neighbours and stats — to
+    /// [`Self::knn`] on that query alone.
+    ///
+    /// The serving dispatcher hands a worker's exact k-NN queries of
+    /// equal k here together.  The default loops over [`Self::knn`];
+    /// an index that can answer several queries in one pass over its
+    /// data overrides it ([`crate::FlatDistPermSearcher`] streams its
+    /// rows once for all of them).  A panic on any query may abort the
+    /// whole call.
+    fn knn_batch(
+        &mut self,
+        queries: &[&P],
+        k: usize,
+    ) -> Vec<(Vec<Neighbor<Self::Dist>>, QueryStats)> {
+        queries.iter().map(|query| self.knn(query, k)).collect()
+    }
 
     /// All elements within `radius` of `query` (inclusive), sorted by
     /// `(distance, id)` — identical to a linear scan's answer.

@@ -9,12 +9,28 @@
 //! are **identical** to the generic index on the same data — only the
 //! storage layout and throughput differ.
 //!
-//! An exact query (full budget, `frac = 1.0`) orders nothing: after the
-//! k site evaluations it streams the rows in storage order, contiguous
-//! block by block, through the batched kernel — k + n evaluations, the
-//! same answer as any candidate order would give.  A budgeted query
-//! orders candidates by footrule as one packed word each, then gathers
-//! and measures the first `budget` of them.
+//! An exact k-NN query (full budget, `frac = 1.0`) orders nothing:
+//! after the k site evaluations it streams the rows in storage order,
+//! contiguous block by block, through the batched kernel — k + n
+//! evaluations, the same answer as any candidate order would give.
+//! Several exact k-NN queries answered together
+//! ([`Searcher::knn_batch`], which the serving dispatcher uses) share
+//! that one pass: the queries are transposed into one site set, so each
+//! row block goes through the kernel's 4 × 4 register tile once for all
+//! of them, and each query's column feeds its own k-NN heap.  A row
+//! whose distance exceeds a full heap's k-th best is dropped before it
+//! is wrapped or pushed.  Every answer is bit-identical to the query
+//! served alone: the kernel folds each (row, query) pair's coordinates
+//! in the same order whatever the tile, and a heap's result does not
+//! depend on arrival order.
+//!
+//! A budgeted query orders candidates by footrule as one packed word
+//! each — the footrule itself is SWAR arithmetic over the packed
+//! inverse-position keys — then gathers and measures the first
+//! `budget` of them.
+//!
+//! Every query's length is checked against the index dimension first,
+//! and a mismatch panics with the vector metrics' own message.
 //!
 //! The generic `DistPermIndex` remains the path for strings, trees and
 //! any non-`f64` point type.  Through the trait family this index is a
@@ -32,7 +48,7 @@ use crate::query::{
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP_POINTS};
 use dp_permutation::compute::{database_permutations_flat_parallel, PACKED_MAX_K, WIDE_MAX_K};
-use dp_permutation::{pack_perm, PackedKey, Permutation, PermutationCounter, MAX_K};
+use dp_permutation::{pack_perm, Permutation, PermutationCounter, MAX_K};
 
 /// Candidate rows per batched distance call, streamed at full budget
 /// and gathered below it: a multiple of [`STRIP_POINTS`] so full blocks
@@ -70,22 +86,56 @@ impl OrderingKeys {
     }
 }
 
-/// Spearman footrule over packed inverse-position keys: field `e` holds
-/// a position, so the rank displacement of site `e` is the field-wise
-/// `abs_diff`.  Equal to `spearman_footrule` on the unpacked
-/// permutations, bit for bit.
+/// One in the low bit of each of the six 10-bit lanes of a `u64`.
+const LANE_ONES: u64 = 1 | 1 << 10 | 1 << 20 | 1 << 30 | 1 << 40 | 1 << 50;
+
+/// The low five bits of every lane: where key fields 0, 2, …, 10 sit
+/// as they are, and fields 1, 3, …, 11 after a shift right by five.
+const LANE_FIELDS: u64 = 0x1F * LANE_ONES;
+
+/// Bit 5 of every lane, the borrow guard of [`lane_abs_diff`].
+const LANE_GUARDS: u64 = LANE_ONES << 5;
+
+/// The lane-wise `|a − b|` of two words whose six 10-bit lanes each
+/// hold a value below 32 (and nothing else).
 ///
-/// The loop runs over every field of the key width, not just the k in
-/// use: fields past k are zero in both keys and add nothing, and a
-/// fixed trip count lets the compiler unroll the loop, which a loop
-/// bounded by the runtime k does not get.
+/// Setting every lane's guard bit before subtracting keeps a borrow
+/// inside its lane, and the guard survives exactly where the minuend's
+/// value was not the smaller.  Both differences are taken, and each
+/// lane keeps the one whose guard survived.
 #[inline]
-fn footrule_keys<K: PackedKey>(a: K, b: K) -> u64 {
-    let mut sum = 0u64;
-    for pos in 0..K::MAX_K {
-        sum += u64::from(a.field(pos).abs_diff(b.field(pos)));
-    }
-    sum
+fn lane_abs_diff(a: u64, b: u64) -> u64 {
+    let ab = (a | LANE_GUARDS) - b;
+    let ba = (b | LANE_GUARDS) - a;
+    let keep_ab = ((ab & LANE_GUARDS) >> 5) * 0x1F;
+    (ab & keep_ab) | (ba & !keep_ab & LANE_FIELDS)
+}
+
+/// Spearman footrule over two packed `u64` inverse-position keys: the
+/// sum of the field-wise `abs_diff` over all twelve 5-bit fields, equal
+/// to `spearman_footrule` on the unpacked permutations, bit for bit.
+/// Fields past k are zero in both keys and add nothing.
+///
+/// SWAR: the even and the odd fields are each spread one to a 10-bit
+/// lane, their lane-wise differences added, and the six lane sums (each
+/// at most 62, together at most 372 < 2¹⁰) gathered into the top lane
+/// by one multiply with [`LANE_ONES`].
+#[inline]
+fn footrule_u64(a: u64, b: u64) -> u64 {
+    let even = lane_abs_diff(a & LANE_FIELDS, b & LANE_FIELDS);
+    let odd = lane_abs_diff((a >> 5) & LANE_FIELDS, (b >> 5) & LANE_FIELDS);
+    ((even + odd).wrapping_mul(LANE_ONES) >> 50) & 0x3FF
+}
+
+/// [`footrule_u64`] over packed `u128` keys: fields 0–11 (bits 0–59),
+/// fields 12–23 (bits 60–119) and field 24 (bits 120–124) each go
+/// through the `u64` footrule.
+#[inline]
+fn footrule_u128(a: u128, b: u128) -> u64 {
+    const LOW_60: u128 = (1 << 60) - 1;
+    let part =
+        |shift: u32| footrule_u64(((a >> shift) & LOW_60) as u64, ((b >> shift) & LOW_60) as u64);
+    part(0) + part(60) + part(120)
 }
 
 /// Distance-permutation index over flat vector storage.
@@ -263,15 +313,16 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
     /// A reusable query cursor (scratch allocated once): site-distance
     /// buffer, packed candidate order, and the gather/distance blocks of
     /// the batched candidate measurement — sized in whole
-    /// [`STRIP_POINTS`]-strips so serving never re-allocates.
+    /// [`STRIP_POINTS`]-strips, and grown once to the largest set of
+    /// queries swept together, so serving does not re-allocate.
     pub fn session(&self) -> FlatDistPermSearcher<'_, M> {
         FlatDistPermSearcher {
             index: self,
             dists: vec![0.0; self.k()],
             order: Vec::new(),
-            query_site: TransposedSites::from_rows(&[], 0),
+            query_sites: TransposedSites::from_rows(&[], 0),
             gather: Vec::with_capacity(CANDIDATE_BLOCK_ROWS * self.points.dim()),
-            cand_dists: vec![0.0; CANDIDATE_BLOCK_ROWS],
+            block_dists: vec![0.0; CANDIDATE_BLOCK_ROWS],
         }
     }
 
@@ -310,9 +361,9 @@ pub struct FlatDistPermSearcher<'a, M: BatchDistance> {
     index: &'a FlatDistPermIndex<M>,
     dists: Vec<f64>,
     order: Vec<u64>,
-    query_site: TransposedSites,
+    query_sites: TransposedSites,
     gather: Vec<f64>,
-    cand_dists: Vec<f64>,
+    block_dists: Vec<f64>,
 }
 
 impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
@@ -323,6 +374,7 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
 
     /// The query's distance permutation (k batched metric evaluations).
     pub fn query_permutation(&mut self, query: &[f64]) -> Permutation {
+        check_dimension(self.index, query);
         query_permutation_into(self.index, &mut self.dists, query)
     }
 
@@ -340,12 +392,13 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
     ///
     /// Candidate measurement runs through the strip-mined batched kernel
     /// (the query acts as a 1-site transposed set; candidates are
-    /// gathered in 64-row blocks, or at full budget read in place as
-    /// contiguous 64-row blocks of storage), which for every
-    /// supported metric produces the same bits as the per-point
-    /// `metric.distance(query, row)` — `|x − s|`, `(x − s)²` and
-    /// `|x − s|^p` are all exactly symmetric — so answers are identical
-    /// to the generic [`crate::DistPermIndex`] on the same data.
+    /// gathered in 64-row blocks), which for every supported metric
+    /// produces the same bits as the per-point `metric.distance(query,
+    /// row)` — `|x − s|`, `(x − s)²` and `|x − s|^p` are all exactly
+    /// symmetric — so answers are identical to the generic
+    /// [`crate::DistPermIndex`] on the same data.  At full budget the
+    /// query is the exact scan of [`Searcher::knn_batch`], and the
+    /// ordering measure plays no part.
     pub fn knn_approx_ordered(
         &mut self,
         query: &[f64],
@@ -354,30 +407,36 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         ordering: OrderingKind,
     ) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         let index = self.index;
+        check_dimension(index, query);
         assert_frac(frac);
         let n = index.len();
         if n == 0 || k == 0 {
             return (Vec::new(), QueryStats::default());
         }
         let budget = knn_budget(n, k, frac);
+        if budget == n {
+            let mut answers = self.exact_knn(&[query], k);
+            return answers.pop().expect("one answer per swept query");
+        }
         let qperm = query_permutation_into(index, &mut self.dists, query);
         order_candidates_cached(index, &qperm, ordering, budget, &mut self.order);
         let mut heap = KnnHeap::new(k.min(n));
+        self.query_sites.assign_rows(query, index.points.dim());
         measure_candidates(
             index,
-            (budget < n).then_some(&self.order[..]),
-            query,
-            &mut self.query_site,
+            &self.order,
+            &self.query_sites,
             &mut self.gather,
-            &mut self.cand_dists,
+            &mut self.block_dists,
             |i, d| heap.push(i, d),
         );
         (heap.into_sorted(), QueryStats::new((index.k() + budget) as u64))
     }
 
     /// Budgeted range query; a subset of the true answer, exact at
-    /// `frac = 1.0`.  Candidates are measured through the batched kernel
-    /// exactly as in [`Self::knn_approx_ordered`].
+    /// `frac = 1.0`.  Below full budget, candidates are measured through
+    /// the batched kernel exactly as in [`Self::knn_approx_ordered`]; at
+    /// full budget every row is streamed in storage order.
     pub fn range_approx(
         &mut self,
         query: &[f64],
@@ -385,6 +444,7 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         frac: f64,
     ) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         let index = self.index;
+        check_dimension(index, query);
         assert_frac(frac);
         let n = index.len();
         if n == 0 {
@@ -394,22 +454,81 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         let qperm = query_permutation_into(index, &mut self.dists, query);
         order_candidates_cached(index, &qperm, OrderingKind::Footrule, budget, &mut self.order);
         let mut out: Vec<Neighbor<F64Dist>> = Vec::new();
-        measure_candidates(
-            index,
-            (budget < n).then_some(&self.order[..]),
-            query,
-            &mut self.query_site,
-            &mut self.gather,
-            &mut self.cand_dists,
-            |i, d| {
-                if d <= radius {
-                    out.push(Neighbor { id: i, dist: d });
-                }
-            },
-        );
+        let mut sink = |i, d| {
+            if d <= radius {
+                out.push(Neighbor { id: i, dist: d });
+            }
+        };
+        self.query_sites.assign_rows(query, index.points.dim());
+        if budget == n {
+            sweep_rows(index, &self.query_sites, &mut self.block_dists, |i, d| {
+                sink(i, F64Dist::new(d[0]));
+            });
+        } else {
+            let (order, gather, block_dists) =
+                (&self.order, &mut self.gather, &mut self.block_dists);
+            measure_candidates(index, order, &self.query_sites, gather, block_dists, sink);
+        }
         out.sort_unstable();
         (out, QueryStats::new((index.k() + budget) as u64))
     }
+
+    /// The exact k-NN scan of every query in `queries` (each of the
+    /// index's dimension, the index non-empty, `k > 0`), sharing one
+    /// pass over the rows.
+    ///
+    /// The queries' k site evaluations run first, in one kernel call,
+    /// so each answer's [`QueryStats`] counts the evaluations a
+    /// permutation-index query makes, k + n; an exact scan has no use
+    /// for their order.  The queries are then transposed into one site
+    /// set and every row block is measured against all of them at once.
+    /// Each query keeps its own heap and its own bound: a distance
+    /// strictly above a full heap's k-th best cannot enter it whatever
+    /// its id, so only `d <= bound` (and NaN, which `F64Dist::new`
+    /// rejects with its usual panic) reaches the heap.
+    fn exact_knn(
+        &mut self,
+        queries: &[&[f64]],
+        k: usize,
+    ) -> Vec<(Vec<Neighbor<F64Dist>>, QueryStats)> {
+        let index = self.index;
+        let n = index.len();
+        self.gather.clear();
+        for query in queries {
+            self.gather.extend_from_slice(query);
+        }
+        self.dists.resize(queries.len() * index.k(), 0.0);
+        index.metric.batch_distances(&self.gather, &index.sites_t, &mut self.dists);
+        self.query_sites.assign_rows(&self.gather, index.points.dim());
+        let mut heaps: Vec<KnnHeap<F64Dist>> =
+            queries.iter().map(|_| KnnHeap::new(k.min(n))).collect();
+        let mut bounds = vec![f64::INFINITY; queries.len()];
+        sweep_rows(index, &self.query_sites, &mut self.block_dists, |id, row| {
+            for ((heap, bound), &d) in heaps.iter_mut().zip(bounds.iter_mut()).zip(row) {
+                if d <= *bound || d.is_nan() {
+                    heap.push(id, F64Dist::new(d));
+                    if let Some(worst) = heap.bound() {
+                        *bound = worst.get();
+                    }
+                }
+            }
+        });
+        let stats = QueryStats::new((index.k() + n) as u64);
+        heaps.into_iter().map(|heap| (heap.into_sorted(), stats)).collect()
+    }
+}
+
+/// Panics with the vector metrics' own message unless `query` has the
+/// index's dimension — checked before anything reads the query, so no
+/// kernel shape assert or stale scratch gets there first.
+fn check_dimension<M: BatchDistance>(index: &FlatDistPermIndex<M>, query: &[f64]) {
+    let dim = index.points.dim();
+    assert_eq!(
+        query.len(),
+        dim,
+        "vector metric applied to vectors of different dimension ({} vs {dim})",
+        query.len()
+    );
 }
 
 /// Orders candidates for the flat searchers: footrule queries run over
@@ -429,12 +548,12 @@ fn order_candidates_cached<M: BatchDistance>(
         match &index.order_keys {
             OrderingKeys::Narrow(keys) => {
                 let q = pack_perm::<u64>(&qperm.inverse());
-                budgeted_order(keys.iter().map(|&p| footrule_keys(q, p)), budget, order);
+                budgeted_order(keys.iter().map(|&p| footrule_u64(q, p)), budget, order);
                 return;
             }
             OrderingKeys::Wide(keys) => {
                 let q = pack_perm::<u128>(&qperm.inverse());
-                budgeted_order(keys.iter().map(|&p| footrule_keys(q, p)), budget, order);
+                budgeted_order(keys.iter().map(|&p| footrule_u128(q, p)), budget, order);
                 return;
             }
             OrderingKeys::Uncached => {}
@@ -443,49 +562,48 @@ fn order_candidates_cached<M: BatchDistance>(
     crate::distperm::order_candidates(&index.perms, qperm, ordering, budget, order);
 }
 
-/// Measures candidates against `query` through the batched kernel,
-/// treating the query as a single transposed site and feeding each
-/// `(id, distance)` pair to `sink`.  With no `candidates` (full budget)
-/// every row streams from storage in contiguous [`CANDIDATE_BLOCK_ROWS`]
-/// blocks, in id order; otherwise the packed candidate words are
-/// gathered block by block, in their order.  NaN distances panic (at
-/// `F64Dist::new`) exactly like the scalar path.
+/// Streams every row once, in storage order and in contiguous
+/// [`CANDIDATE_BLOCK_ROWS`] blocks, through the batched kernel against
+/// the `m ≥ 1` queries transposed in `queries`; `visit(id, dists)`
+/// receives each row's m distances, in query order.
+fn sweep_rows<M: BatchDistance>(
+    index: &FlatDistPermIndex<M>,
+    queries: &TransposedSites,
+    block_dists: &mut Vec<f64>,
+    mut visit: impl FnMut(usize, &[f64]),
+) {
+    // Callers sweep only non-empty indexes, and flat storage holds no
+    // width-0 rows, so dim > 0 here.
+    let (dim, m) = (index.points.dim(), queries.k());
+    block_dists.resize(CANDIDATE_BLOCK_ROWS * m, 0.0);
+    for (b, rows) in index.points.as_flat().chunks(CANDIDATE_BLOCK_ROWS * dim).enumerate() {
+        let out = &mut block_dists[..rows.len() / dim * m];
+        index.metric.batch_distances(rows, queries, out);
+        for (r, row) in out.chunks_exact(m).enumerate() {
+            visit(b * CANDIDATE_BLOCK_ROWS + r, row);
+        }
+    }
+}
+
+/// Measures the budgeted `candidates` (packed order words) against the
+/// one query transposed in `query`, gathering their rows block by block
+/// in order and feeding each `(id, distance)` pair to `sink`.  NaN
+/// distances panic (at `F64Dist::new`) exactly like the scalar path.
 fn measure_candidates<M: BatchDistance>(
     index: &FlatDistPermIndex<M>,
-    candidates: Option<&[u64]>,
-    query: &[f64],
-    query_site: &mut TransposedSites,
+    candidates: &[u64],
+    query: &TransposedSites,
     gather: &mut Vec<f64>,
-    cand_dists: &mut [f64],
+    block_dists: &mut [f64],
     mut sink: impl FnMut(usize, F64Dist),
 ) {
-    let dim = index.points.dim();
-    assert_eq!(
-        query.len(),
-        dim,
-        "vector metric applied to vectors of different dimension ({} vs {dim})",
-        query.len()
-    );
-    query_site.assign_rows(query, dim);
-    let Some(candidates) = candidates else {
-        // Callers measure only non-empty indexes, and flat storage holds
-        // no width-0 rows, so dim > 0 here.
-        for (b, rows) in index.points.as_flat().chunks(CANDIDATE_BLOCK_ROWS * dim).enumerate() {
-            let out = &mut cand_dists[..rows.len() / dim];
-            index.metric.batch_distances(rows, query_site, out);
-            for (j, &d) in out.iter().enumerate() {
-                sink(b * CANDIDATE_BLOCK_ROWS + j, F64Dist::new(d));
-            }
-        }
-        return;
-    };
     for block in candidates.chunks(CANDIDATE_BLOCK_ROWS) {
         gather.clear();
         for &word in block {
             gather.extend_from_slice(index.points.row(order_id(word)));
         }
-        let out = &mut cand_dists[..block.len()];
-        index.metric.batch_distances(gather, query_site, out);
+        let out = &mut block_dists[..block.len()];
+        index.metric.batch_distances(gather, query, out);
         for (&word, &d) in block.iter().zip(out.iter()) {
             sink(order_id(word), F64Dist::new(d));
         }
@@ -494,12 +612,14 @@ fn measure_candidates<M: BatchDistance>(
 
 /// The batched query-permutation kernel, taking the searcher's scratch
 /// by parts so the budgeted-scan closures can borrow disjoint fields.
+/// It uses the first k entries of `dists`, which a sweep may have grown.
 fn query_permutation_into<M: BatchDistance>(
     index: &FlatDistPermIndex<M>,
     dists: &mut [f64],
     query: &[f64],
 ) -> Permutation {
     let k = index.k();
+    let dists = &mut dists[..k];
     index.metric.batch_distances(query, &index.sites_t, dists);
     let mut pairs = [(F64Dist::ZERO, 0u8); MAX_K];
     for (j, (&d, pair)) in dists.iter().zip(pairs.iter_mut()).enumerate() {
@@ -532,12 +652,30 @@ impl<M: BatchDistance + Sync> ProximityIndex<[f64]> for FlatDistPermIndex<M> {
 impl<M: BatchDistance + Sync> Searcher<[f64]> for FlatDistPermSearcher<'_, M> {
     type Dist = F64Dist;
 
-    /// Exact k-NN as the full-budget scan: the k site evaluations of
-    /// the query permutation, then every row measured in storage order,
-    /// streamed in contiguous blocks with no candidate ordering
-    /// (k + n evaluations).
+    /// Exact k-NN as the full-budget scan: the k site evaluations, then
+    /// every row measured in storage order, streamed in contiguous
+    /// blocks with no candidate ordering (k + n evaluations).
     fn knn(&mut self, query: &[f64], k: usize) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         self.knn_approx(query, k, 1.0)
+    }
+
+    /// Exact k-NN for all `queries` in one pass over the rows: each
+    /// row block goes through the batched kernel once against every
+    /// query (see the module docs).  Answers and stats are bit-identical
+    /// to [`Self::knn`] on each query alone.  Every query's dimension is
+    /// checked before any is measured.
+    fn knn_batch(
+        &mut self,
+        queries: &[&[f64]],
+        k: usize,
+    ) -> Vec<(Vec<Neighbor<F64Dist>>, QueryStats)> {
+        for query in queries {
+            check_dimension(self.index, query);
+        }
+        if self.index.is_empty() || k == 0 || queries.is_empty() {
+            return queries.iter().map(|_| (Vec::new(), QueryStats::default())).collect();
+        }
+        self.exact_knn(queries, k)
     }
 
     /// Exact range query as the full-budget scan: k site evaluations,
@@ -573,7 +711,9 @@ impl<M: BatchDistance + Sync> ApproxIndex<[f64]> for FlatDistPermIndex<M> {}
 mod tests {
     use super::*;
     use crate::distperm::DistPermIndex;
+    use crate::query::MAX_ORDERING_DISTANCE;
     use dp_metric::{L2Squared, Metric, L2};
+    use dp_permutation::PackedKey;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -604,6 +744,16 @@ mod tests {
         }
     }
 
+    /// The footrule the SWAR form replaced, kept as its oracle: the
+    /// field-wise `abs_diff` summed over every field of the key width.
+    fn footrule_fields<K: PackedKey>(a: K, b: K) -> u64 {
+        let mut sum = 0u64;
+        for pos in 0..K::MAX_K {
+            sum += u64::from(a.field(pos).abs_diff(b.field(pos)));
+        }
+        sum
+    }
+
     #[test]
     fn footrule_over_keys_matches_the_permutation_walk() {
         // Every k from 1 to a full key (12 fields of a u64, 25 of a
@@ -626,13 +776,201 @@ mod tests {
                 let expected = spearman_footrule(&a, &b);
                 let (ia, ib) = (a.inverse(), b.inverse());
                 if k <= PACKED_MAX_K {
-                    let got = footrule_keys(pack_perm::<u64>(&ia), pack_perm::<u64>(&ib));
-                    assert_eq!(got, expected, "u64, k = {k}");
+                    let (ka, kb) = (pack_perm::<u64>(&ia), pack_perm::<u64>(&ib));
+                    assert_eq!(footrule_fields(ka, kb), expected, "u64 fields, k = {k}");
+                    assert_eq!(footrule_u64(ka, kb), expected, "u64 SWAR, k = {k}");
                 }
-                let got = footrule_keys(pack_perm::<u128>(&ia), pack_perm::<u128>(&ib));
-                assert_eq!(got, expected, "u128, k = {k}");
+                let (ka, kb) = (pack_perm::<u128>(&ia), pack_perm::<u128>(&ib));
+                assert_eq!(footrule_fields(ka, kb), expected, "u128 fields, k = {k}");
+                assert_eq!(footrule_u128(ka, kb), expected, "u128 SWAR, k = {k}");
             }
         }
+    }
+
+    #[test]
+    fn swar_footrule_handles_the_extreme_fields() {
+        // Every field 31 against every field 0, both ways, and each
+        // single field at 31 against 0: the largest lane differences,
+        // in every lane, must neither borrow nor carry into a neighbour.
+        let all_u64 = (1u64 << 60) - 1;
+        let all_u128 = (1u128 << 125) - 1;
+        assert_eq!(footrule_u64(all_u64, 0), 12 * 31);
+        assert_eq!(footrule_u64(0, all_u64), 12 * 31);
+        assert_eq!(footrule_u128(all_u128, 0), 25 * 31);
+        assert_eq!(footrule_u128(0, all_u128), 25 * 31);
+        for pos in 0..25u32 {
+            let one = 0x1Fu128 << (5 * pos);
+            assert_eq!(footrule_u128(one, 0), 31, "u128 field {pos}");
+            assert_eq!(footrule_u128(all_u128 ^ one, all_u128), 31, "u128 field {pos}");
+            if pos < 12 {
+                let one = one as u64;
+                assert_eq!(footrule_u64(0, one), 31, "u64 field {pos}");
+                assert_eq!(footrule_u64(all_u64, all_u64 ^ one), 31, "u64 field {pos}");
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        // Any 5-bit field values, not only permutations: the SWAR
+        // footrule equals the field loop at both widths.
+        #[test]
+        fn swar_footrule_matches_the_field_loop(a in any::<u128>(), b in any::<u128>()) {
+            let (a, b) = (a & ((1 << 125) - 1), b & ((1 << 125) - 1));
+            prop_assert_eq!(footrule_u128(a, b), footrule_fields(a, b));
+            let (a, b) = (a as u64 & ((1 << 60) - 1), b as u64 & ((1 << 60) - 1));
+            prop_assert_eq!(footrule_u64(a, b), footrule_fields(a, b));
+        }
+    }
+
+    /// Histogram of `values`: entry d counts the values equal to d.
+    fn histogram(values: impl Iterator<Item = u64>) -> Vec<u64> {
+        let mut counts = Vec::new();
+        for d in values {
+            let d = d as usize;
+            if counts.len() <= d {
+                counts.resize(d + 1, 0);
+            }
+            counts[d] += 1;
+        }
+        counts
+    }
+
+    /// Total displacement numbers: entry d counts the permutations of k
+    /// elements at footrule distance d from the identity, by the
+    /// weighted Motzkin-path recurrence (Bärtschi et al., "On computing
+    /// the total displacement number via weighted Motzkin paths").
+    ///
+    /// Step t brings in position t and value t; the height h is the
+    /// number of positions (equally, values) left open so far.  A step
+    /// keeps h in 2h + 1 ways (a fixed point, or one of the two sides
+    /// matched with one of h open partners), falls to h − 1 in h² ways
+    /// (both matched) and rises to h + 1 in one way (neither).  The
+    /// displacement is twice the sum of the heights after every step.
+    fn total_displacement_numbers(k: usize) -> Vec<u64> {
+        let max_half = k * k / 4;
+        // paths[h][s]: paths at height h whose heights sum to s so far.
+        let mut paths = vec![vec![0u64; max_half + 1]; k + 2];
+        paths[0][0] = 1;
+        for _ in 0..k {
+            let mut next = vec![vec![0u64; max_half + 1]; k + 2];
+            for (h, row) in paths.iter().enumerate() {
+                for (s, &count) in row.iter().enumerate() {
+                    if count == 0 {
+                        continue;
+                    }
+                    let hw = h as u64;
+                    let mut moves = vec![(h, 2 * hw + 1), (h + 1, 1)];
+                    if h > 0 {
+                        moves.push((h - 1, hw * hw));
+                    }
+                    for (to, ways) in moves {
+                        if s + to <= max_half {
+                            next[to][s + to] += count * ways;
+                        }
+                    }
+                }
+            }
+            paths = next;
+        }
+        let mut counts = vec![0u64; 2 * max_half + 1];
+        for (s, &count) in paths[0].iter().enumerate() {
+            counts[2 * s] = count;
+        }
+        counts
+    }
+
+    /// Mahonian numbers: the coefficients of ∏ᵢ₌₁ᵏ (1 + q + … + q^{i−1}),
+    /// the permutations of k elements counted by inversions.
+    fn mahonian_numbers(k: usize) -> Vec<u64> {
+        let mut poly = vec![1u64];
+        for i in 1..=k {
+            let mut next = vec![0u64; poly.len() + i - 1];
+            for (d, &c) in poly.iter().enumerate() {
+                for slot in &mut next[d..d + i] {
+                    *slot += c;
+                }
+            }
+            poly = next;
+        }
+        poly
+    }
+
+    /// Unsigned Stirling numbers of the first kind c(k, j), the
+    /// permutations of k elements with j cycles, indexed by the Cayley
+    /// distance k − j.
+    fn cayley_numbers(k: usize) -> Vec<u64> {
+        let mut row = vec![1u64];
+        for n in 0..k {
+            let mut next = vec![0u64; n + 2];
+            for (j, &c) in row.iter().enumerate() {
+                next[j] += n as u64 * c;
+                next[j + 1] += c;
+            }
+            row = next;
+        }
+        row.iter().rev().copied().take(k.max(1)).collect()
+    }
+
+    /// Counts all k! permutations by their distance from the identity
+    /// under the SWAR and the field footrule at both key widths, Kendall
+    /// tau and Cayley, and checks each histogram against its closed
+    /// form; also checks every measure's maximum, footrule's ⌊k²/2⌋
+    /// included.
+    fn check_closed_forms(k: usize) {
+        let id = Permutation::identity(k);
+        let perms: Vec<Permutation> = Permutation::all(k).collect();
+        let narrow: Vec<u64> = perms.iter().map(|p| pack_perm::<u64>(&p.inverse())).collect();
+        let wide: Vec<u128> = perms.iter().map(|p| pack_perm::<u128>(&p.inverse())).collect();
+        let (n0, w0) = (pack_perm::<u64>(&id), pack_perm::<u128>(&id));
+        let footrule = total_displacement_numbers(k);
+        let measured = [
+            ("SWAR u64", histogram(narrow.iter().map(|&key| footrule_u64(n0, key)))),
+            ("SWAR u128", histogram(wide.iter().map(|&key| footrule_u128(w0, key)))),
+            ("fields u64", histogram(narrow.iter().map(|&key| footrule_fields(n0, key)))),
+            ("fields u128", histogram(wide.iter().map(|&key| footrule_fields(w0, key)))),
+        ];
+        for (name, counts) in &measured {
+            assert_eq!(counts, &footrule, "{name} footrule, k = {k}");
+            assert_eq!(counts.len() - 1, k * k / 2, "{name} footrule maximum, k = {k}");
+        }
+        let kendall = histogram(perms.iter().map(|p| OrderingKind::KendallTau.distance(&id, p)));
+        assert_eq!(kendall, mahonian_numbers(k), "Kendall tau, k = {k}");
+        let cayley = histogram(perms.iter().map(|p| OrderingKind::Cayley.distance(&id, p)));
+        assert_eq!(cayley, cayley_numbers(k), "Cayley, k = {k}");
+        let rho_max = perms.iter().map(|p| OrderingKind::RhoSq.distance(&id, p)).max();
+        assert_eq!(rho_max, Some(((k * k * k - k) / 3) as u64), "Spearman rho maximum, k = {k}");
+    }
+
+    #[test]
+    fn closed_form_oracles_match_known_values() {
+        // k = 4, small enough to count by hand.
+        assert_eq!(total_displacement_numbers(4), [1, 0, 3, 0, 7, 0, 9, 0, 4]);
+        assert_eq!(mahonian_numbers(4), [1, 3, 5, 6, 5, 3, 1]);
+        assert_eq!(cayley_numbers(4), [1, 6, 11, 6]);
+    }
+
+    #[test]
+    fn distance_histograms_match_closed_forms_up_to_k8() {
+        for k in 1..=8 {
+            check_closed_forms(k);
+        }
+        // The maxima checked there, at the largest k the indexes
+        // accept, must fit the candidate-order words.
+        let m = MAX_K as u64;
+        assert_eq!(MAX_ORDERING_DISTANCE, (m * m * m - m) / 3, "Spearman rho at MAX_K");
+        for (name, max) in
+            [("footrule", m * m / 2), ("Kendall tau", m * (m - 1) / 2), ("Cayley", m - 1)]
+        {
+            assert!(max <= MAX_ORDERING_DISTANCE, "{name} maximum {max} at MAX_K");
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "all 9! permutations; runs in the release suite")]
+    fn distance_histograms_match_closed_forms_at_k9() {
+        check_closed_forms(9);
     }
 
     #[test]
@@ -811,6 +1149,158 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The exact scan the shared sweep replaced, kept as its oracle: the
+    /// one query as a 1-site transposed set, every row block measured
+    /// and every distance pushed, with no bound filter.
+    fn one_query_scan(idx: &FlatDistPermIndex<L2>, q: &[f64], k: usize) -> Vec<Neighbor<F64Dist>> {
+        let dim = idx.points().dim();
+        let site = TransposedSites::from_rows(q, dim);
+        let mut heap = KnnHeap::new(k.min(idx.len()));
+        let mut dists = vec![0.0; CANDIDATE_BLOCK_ROWS];
+        for (b, rows) in idx.points().as_flat().chunks(CANDIDATE_BLOCK_ROWS * dim).enumerate() {
+            let out = &mut dists[..rows.len() / dim];
+            idx.metric().batch_distances(rows, &site, out);
+            for (j, &d) in out.iter().enumerate() {
+                heap.push(b * CANDIDATE_BLOCK_ROWS + j, F64Dist::new(d));
+            }
+        }
+        heap.into_sorted()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Any number of queries swept together (register tiles and
+        // remainder columns), at any k (past n included), over any row
+        // count (block and strip remainders included), answers each
+        // query exactly as the unfiltered one-query scan and as `knn`
+        // alone, with k + n evaluations.  Grid-snapped rows and queries
+        // copied from rows make distance ties common, so the id
+        // tie-break behind the bound filter decides many answers.
+        #[test]
+        fn swept_queries_match_the_one_query_scan(
+            n in 1usize..300,
+            dim in 1usize..5,
+            m in 1usize..13,
+            k in 1usize..12,
+            grid in any::<bool>(),
+            seed in any::<u64>(),
+        ) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut coord = || {
+                let x = rng.random::<f64>();
+                if grid { (x * 4.0).floor() / 4.0 } else { x }
+            };
+            let rows: Vec<f64> = (0..n * dim).map(|_| coord()).collect();
+            let mut queries: Vec<Vec<f64>> = (0..m).map(|_| (0..dim).map(|_| coord()).collect()).collect();
+            let site_ids: Vec<usize> = (0..6.min(n)).map(|i| (i * 5 + 1) % n).collect();
+            let idx = FlatDistPermIndex::build_with_sites(L2, VectorSet::from_raw(dim, rows), site_ids, 1);
+            for (j, q) in queries.iter_mut().enumerate().filter(|(j, _)| j % 3 == 2) {
+                q.copy_from_slice(idx.points().row(j * 7 % n));
+            }
+            let refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+            let mut searcher = idx.session();
+            let swept = searcher.knn_batch(&refs, k);
+            prop_assert_eq!(swept.len(), m);
+            let stats = QueryStats::new((idx.k() + n) as u64);
+            for (q, (got, got_stats)) in refs.iter().zip(&swept) {
+                prop_assert_eq!(got, &one_query_scan(&idx, q, k));
+                prop_assert_eq!(*got_stats, stats);
+                prop_assert_eq!(&searcher.knn(q, k), &(got.clone(), stats));
+            }
+        }
+    }
+
+    /// The panic message `f` raises, or `None` if it returns.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(crate::serve::isolate::panic_message(payload))
+    }
+
+    #[test]
+    fn a_nan_query_panics_swept_as_alone() {
+        let idx = FlatDistPermIndex::build(
+            L2,
+            VectorSet::from_nested(&random_points(150, 3, 80)),
+            6,
+            PivotSelection::MaxMin,
+            1,
+        );
+        let queries = random_points(5, 3, 81);
+        let nan = [0.5, f64::NAN, 0.5];
+        let mut refs: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+        refs.insert(2, &nan);
+        let mut searcher = idx.session();
+        for message in [
+            panic_message(|| drop(searcher.knn_batch(&refs, 3))),
+            panic_message(|| drop(searcher.knn(&nan, 3))),
+        ] {
+            assert!(message.is_some_and(|m| m.contains("distance must not be NaN")));
+        }
+        // The session's scratch still holds the NaN query's site
+        // distances past the first k; later queries, exact and
+        // budgeted, must answer as a fresh session does.
+        for q in &queries {
+            assert_eq!(searcher.knn(q, 3).0, one_query_scan(&idx, q, 3));
+            assert_eq!(searcher.knn_approx(q, 3, 0.2), idx.session().knn_approx(q, 3, 0.2));
+        }
+    }
+
+    #[test]
+    fn wrong_dimension_queries_panic_with_the_metric_message() {
+        // Shorter, longer and whole multiples of the dimension used to
+        // reach kernel shape asserts (or stale scratch) first.
+        let idx = FlatDistPermIndex::build(
+            L2,
+            VectorSet::from_nested(&random_points(90, 3, 82)),
+            5,
+            PivotSelection::MaxMin,
+            1,
+        );
+        let good = [0.5, 0.5, 0.5];
+        for len in [0usize, 2, 4, 6, 9] {
+            let bad = vec![0.25; len];
+            let mut s = idx.session();
+            let radius = F64Dist::new(0.3);
+            let messages = [
+                panic_message(|| drop(s.knn(&bad, 3))),
+                panic_message(|| drop(s.knn_approx(&bad, 3, 0.3))),
+                panic_message(|| drop(s.range(&bad, radius))),
+                panic_message(|| drop(s.range_approx(&bad, radius, 0.3))),
+                panic_message(|| {
+                    s.query_permutation(&bad);
+                }),
+                panic_message(|| drop(s.knn_batch(&[&good, &bad], 3))),
+            ];
+            for (call, message) in messages.into_iter().enumerate() {
+                assert!(
+                    message.as_deref().is_some_and(|m| m.contains("different dimension")),
+                    "length {len}, call {call}: {message:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn knn_batch_short_circuits_like_knn() {
+        let empty = FlatDistPermIndex::build_with_sites(L2, VectorSet::new(2), vec![], 1);
+        let q = [0.5, 0.5];
+        assert_eq!(
+            empty.session().knn_batch(&[&q, &q], 3),
+            vec![(Vec::new(), QueryStats::default()); 2]
+        );
+        let idx = FlatDistPermIndex::build(
+            L2,
+            VectorSet::from_nested(&random_points(40, 2, 83)),
+            4,
+            PivotSelection::MaxMin,
+            1,
+        );
+        let mut s = idx.session();
+        assert_eq!(s.knn_batch(&[&q], 0), vec![s.knn(&q, 0)]);
+        assert!(s.knn_batch(&[], 3).is_empty());
     }
 
     #[test]

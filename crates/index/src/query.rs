@@ -147,7 +147,7 @@ const ORDER_ID_BITS: u32 = 48;
 /// [`MAX_K`] sites: Spearman rho's (k³ − k)/3, which is 10,912 at
 /// k = 32.  Footrule (⌊k²/2⌋), Kendall tau (k(k − 1)/2), Cayley (k − 1)
 /// and the prefix footrule (at most k·ℓ ≤ k²) are all smaller.
-const MAX_ORDERING_DISTANCE: u64 = ((MAX_K * MAX_K * MAX_K - MAX_K) / 3) as u64;
+pub(crate) const MAX_ORDERING_DISTANCE: u64 = ((MAX_K * MAX_K * MAX_K - MAX_K) / 3) as u64;
 
 const _: () = assert!(MAX_ORDERING_DISTANCE < 1 << (u64::BITS - ORDER_ID_BITS));
 

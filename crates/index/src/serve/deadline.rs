@@ -1,8 +1,9 @@
 //! Deadline-aware graceful degradation and the per-query outcome
 //! envelope.
 //!
-//! A batch may carry a **soft deadline**.  Workers check it before each
-//! query: once it has passed, remaining exact queries downgrade to
+//! A batch may carry a **soft deadline**.  Workers check it for each
+//! query of a run as they claim the run, before serving any of it: once
+//! it has passed, remaining exact queries downgrade to
 //! budgeted approximate queries ([`crate::ApproxSearcher`]) at the
 //! batch's degrade fraction — the paper's §4 candidate-budget machinery
 //! repurposed as a principled degraded mode — instead of making a late
@@ -10,9 +11,10 @@
 //! [`Outcome::Degraded`] with the fraction actually served, so callers
 //! can tell a full answer from a best-effort one.
 //!
-//! The deadline is *soft*: a query already running when it expires is
+//! The deadline is *soft*: a query already admitted when it expires is
 //! not interrupted (metric evaluations are not cancellable), so a batch
-//! can overrun by at most one query per worker.
+//! can overrun by at most one run of queries (eight at most) per
+//! worker.
 
 use crate::query::QueryStats;
 use crate::serve::isolate::QueryError;

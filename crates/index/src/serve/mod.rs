@@ -2,13 +2,18 @@
 //!
 //! The serving model is the one the trait family was shaped for: the
 //! index is built once and shared (`Sync`), each worker owns one
-//! [`Searcher`] session, and workers claim the batch's queries one at a
-//! time from a shared atomic cursor.  Results are put back in query
-//! order, so the output is **deterministic** and [`query_batch_parallel`]
-//! returns bit-identical results (and stats) at every thread count,
-//! `threads = 1` being the sequential path.  That equivalence holds
-//! because a reused searcher answers exactly like a fresh one, which the
-//! cross-crate property suite enforces for every index type.
+//! [`Searcher`] session, and workers claim runs of up to eight
+//! consecutive queries from a shared atomic cursor.  The exact k-NN
+//! queries of equal k in a run are answered by one sweep,
+//! [`Searcher::knn_batch`]: on [`crate::FlatDistPermIndex`] that is one
+//! pass over the rows for all of them, and on every other index a loop
+//! over [`Searcher::knn`].  Every other query is served alone.  Results
+//! are put back in query order, so the output is **deterministic** and
+//! [`query_batch_parallel`] returns bit-identical results (and stats)
+//! at every thread count, `threads = 1` being the sequential path.  That
+//! equivalence holds because a reused searcher answers exactly like a
+//! fresh one, and a sweep exactly like its queries served alone, which
+//! the cross-crate property suites enforce.
 //!
 //! Workers are scoped threads ([`dp_metric::par::fork_join`]), so
 //! queries may borrow from the caller's stack and no `'static` bounds
@@ -22,16 +27,17 @@
 //! by `distperm serve`:
 //!
 //! - [`steal`] — [`serve_resilient`]: the resilient engine.  Per query
-//!   it applies the deadline and panic isolation below; with no faults
-//!   and no deadline its responses are **bit-identical** to
-//!   [`query_batch_parallel`] at any thread count.
+//!   it applies the deadline and panic isolation below, both decided
+//!   when the query's run is claimed; with no faults and no deadline its
+//!   responses are **bit-identical** to [`query_batch_parallel`] at any
+//!   thread count.
 //! - [`isolate`] — panic isolation: each query runs under
 //!   `catch_unwind`; a panic becomes a structured [`QueryError`] in
 //!   that query's slot and the worker's searcher is rebuilt.  The
 //!   test-only [`FaultPlan`] injects panics and delays to prove it.
 //! - [`deadline`] — graceful degradation: past a batch's soft deadline,
-//!   remaining exact queries downgrade to budgeted queries at the
-//!   configured fraction, flagged [`Outcome::Degraded`] with the
+//!   queries in runs claimed from then on downgrade to budgeted queries
+//!   at the configured fraction, flagged [`Outcome::Degraded`] with the
 //!   fraction served.  Degradation never raises a client's own budget.
 //! - [`protocol`] — the line-delimited request protocol: a typed,
 //!   panic-free parser whose errors are per-line replies, so a session
@@ -132,43 +138,65 @@ pub(crate) fn run_one_approx<P: ?Sized, S: ApproxSearcher<P>>(
     }
 }
 
+/// Most queries a worker claims from the cursor at once.
+///
+/// A run lets a worker answer its exact k-NN queries of equal k in one
+/// pass over the index ([`Searcher::knn_batch`]).  Eight is where the
+/// measured gain of the flat index's shared row sweep levels off; the
+/// run is shorter for small batches ([`run_length`]).
+const RUN_QUERIES: usize = 8;
+
+/// The run length for a batch of `queries` over `workers` workers:
+/// [`RUN_QUERIES`], shrunk to `⌈queries / (2·workers)⌉` so that a
+/// small batch still splits into about two runs per worker, and at
+/// least 1.
+fn run_length(queries: usize, workers: usize) -> usize {
+    RUN_QUERIES.min(queries.div_ceil(2 * workers.max(1))).max(1)
+}
+
 /// The one batch dispatcher behind every serving entry point.
 ///
 /// Starts `min(threads, queries)` workers, at least one for a non-empty
 /// batch; a single worker runs inline on the caller's thread.  Each
-/// worker builds one searcher and claims query indices one at a time
-/// from a shared cursor, so a batch whose per-query cost is skewed
-/// cannot strand a worker behind a fixed share of heavy queries.
-/// `serve_one` receives the worker's searcher, the query's index and
-/// the query; results come back in query order, whichever worker served
-/// them.  A panic in `serve_one` propagates to the caller with its own
-/// payload.
-fn dispatch<'i, P, Q, I, R, F>(index: &'i I, queries: &[Q], threads: usize, serve_one: F) -> Vec<R>
+/// worker builds one searcher and claims runs of consecutive query
+/// indices ([`run_length`] of them) from a shared cursor, so a batch
+/// whose per-query cost is skewed cannot strand a worker behind a fixed
+/// share of heavy queries.  `serve_run` receives the worker's searcher,
+/// the index of the run's first query and the run's queries, and
+/// returns one result per query, in order; results come back in query
+/// order, whichever worker served them.  A panic in `serve_run`
+/// propagates to the caller with its own payload.
+fn dispatch<'i, P, Q, I, R, F>(index: &'i I, queries: &[Q], threads: usize, serve_run: F) -> Vec<R>
 where
     P: ?Sized,
     Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
     R: Send,
-    F: Fn(&mut I::Searcher<'i>, usize, &P) -> R + Sync,
+    F: Fn(&mut I::Searcher<'i>, usize, &[Q]) -> Vec<R> + Sync,
 {
+    let workers = threads.max(1).min(queries.len());
+    let run = run_length(queries.len(), workers);
     let cursor = AtomicUsize::new(0);
-    let served = fork_join(0..threads.max(1).min(queries.len()), |_| {
+    let served = fork_join(0..workers, |_| {
         let mut searcher = index.searcher();
         let mut served = Vec::new();
         loop {
             // ordering: Relaxed suffices — the cursor only hands out
-            // disjoint indices (fetch_add is atomic at every ordering) and
+            // disjoint runs (fetch_add is atomic at every ordering) and
             // publishes no other memory; results reach the caller through
             // the worker joins in fork_join.
-            let i = cursor.fetch_add(1, Ordering::Relaxed);
-            let Some(query) = queries.get(i) else { break };
-            served.push((i, serve_one(&mut searcher, i, query.borrow())));
+            let first = cursor.fetch_add(run, Ordering::Relaxed);
+            if first >= queries.len() {
+                break;
+            }
+            let claimed = &queries[first..queries.len().min(first + run)];
+            served.push((first, serve_run(&mut searcher, first, claimed)));
         }
         served
     });
-    let mut tagged: Vec<(usize, R)> = served.into_iter().flatten().collect();
-    tagged.sort_unstable_by_key(|&(i, _)| i);
-    tagged.into_iter().map(|(_, r)| r).collect()
+    let mut runs: Vec<(usize, Vec<R>)> = served.into_iter().flatten().collect();
+    runs.sort_unstable_by_key(|&(first, _)| first);
+    runs.into_iter().flat_map(|(_, results)| results).collect()
 }
 
 /// Serves a batch of queries on `threads` scoped worker threads, one
@@ -190,7 +218,15 @@ where
     Q: Borrow<P> + Sync,
     I: ProximityIndex<P>,
 {
-    dispatch(index, queries, threads, |searcher, _, q| run_one(searcher, q, request))
+    dispatch(index, queries, threads, |searcher, _, run| match request {
+        Request::Knn { k } => {
+            let run: Vec<&P> = run.iter().map(Borrow::borrow).collect();
+            searcher.knn_batch(&run, k)
+        }
+        Request::Range { .. } => {
+            run.iter().map(|q| run_one(searcher, q.borrow(), request)).collect()
+        }
+    })
 }
 
 /// [`query_batch_parallel`] for budgeted queries.
@@ -206,7 +242,9 @@ where
     I: ProximityIndex<P>,
     I::Searcher<'i>: ApproxSearcher<P>,
 {
-    dispatch(index, queries, threads, |searcher, _, q| run_one_approx(searcher, q, request))
+    dispatch(index, queries, threads, |searcher, _, run| {
+        run.iter().map(|q| run_one_approx(searcher, q.borrow(), request)).collect()
+    })
 }
 
 #[cfg(test)]
@@ -320,28 +358,49 @@ mod tests {
         }
     }
 
-    /// Serves a batch whose fourth query has the wrong dimension.  It is
-    /// empty, because the site-distance kernel rejects a longer query
-    /// with a shape message before the index's dimension check runs.
+    /// Serves strict k-NN batches on a dim-3 flat index in which one
+    /// query — at a run's edge or inside a run — has length 0, dim − 1,
+    /// dim + 1 or 2·dim, and checks that each batch panics with the
+    /// metric's own dimension message, not a kernel shape message.
     fn serve_wrong_dimension(threads: usize) {
         let flat = VectorSet::from_nested(&random_points(60, 3, 14));
         let idx = FlatDistPermIndex::build(L2, flat, 4, PivotSelection::MaxMin, 1);
-        let mut queries = random_points(6, 3, 15);
-        queries[3].clear();
-        let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
-        query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, threads);
+        for len in [0usize, 2, 4, 6] {
+            for bad in [3usize, 4] {
+                let mut queries = random_points(7, 3, 15);
+                queries[bad] = vec![0.5; len];
+                let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+                let served = std::panic::catch_unwind(|| {
+                    query_batch_parallel::<[f64], _, _>(&idx, &rows, Request::Knn { k: 2 }, threads)
+                });
+                let payload = served.expect_err("a wrong-dimension query must panic");
+                let message = isolate::panic_message(payload);
+                assert!(
+                    message.contains("different dimension"),
+                    "length {len} at {bad}, {threads} threads: {message}"
+                );
+            }
+        }
     }
 
     #[test]
-    #[should_panic(expected = "different dimension")]
     fn strict_query_panic_keeps_its_message_inline() {
         serve_wrong_dimension(1);
     }
 
     #[test]
-    #[should_panic(expected = "different dimension")]
     fn strict_query_panic_keeps_its_message_on_a_worker() {
         serve_wrong_dimension(2);
+    }
+
+    #[test]
+    fn runs_shrink_to_spread_small_batches() {
+        assert_eq!(run_length(0, 0), 1);
+        assert_eq!(run_length(1, 1), 1);
+        assert_eq!(run_length(7, 1), 4);
+        assert_eq!(run_length(7, 2), 2);
+        assert_eq!(run_length(64, 2), RUN_QUERIES);
+        assert_eq!(run_length(1000, 1), RUN_QUERIES);
     }
 
     #[test]

@@ -3,29 +3,37 @@
 //! [`serve_resilient`] is the serving loop's workhorse.  It runs a batch
 //! of (possibly heterogeneous) queries through the serving dispatcher
 //! shared with [`crate::serve::query_batch_parallel`]: warm per-worker
-//! [`crate::Searcher`] sessions claim query indices one at a time from
-//! an atomic cursor, so a skewed batch — budgeted queries whose
-//! per-query cost varies wildly (see "Cardinality of Balls in
-//! Permutation Spaces", Dinu & Zara, on why candidate-set sizes spread
-//! so far) — cannot strand a worker idle behind a fixed share of heavy
-//! queries.
+//! [`crate::Searcher`] sessions claim runs of up to eight consecutive
+//! query indices from an atomic cursor, so a skewed batch — budgeted
+//! queries whose per-query cost varies wildly (see "Cardinality of
+//! Balls in Permutation Spaces", Dinu & Zara, on why candidate-set sizes
+//! spread so far) — cannot strand a worker idle behind a fixed share of
+//! heavy queries.  Within a run, the exact k-NN queries of equal k are
+//! answered by one sweep ([`crate::Searcher::knn_batch`]); on the flat
+//! permutation index that is one pass over the rows for all of them.
 //!
 //! Robustness layers applied per query, in order:
 //!
-//! 1. **deadline** ([`Deadline`]): expired ⇒ the request downgrades to
-//!    its budgeted form at the batch's degrade fraction;
-//! 2. **panic isolation** ([`super::isolate`]): the query (and any
-//!    injected fault) runs under `catch_unwind`; a panic becomes
-//!    [`Outcome::Failed`] and the worker's searcher is rebuilt;
+//! 1. **deadline** ([`Deadline`]): checked for every query of a run when
+//!    the run is claimed, before any of it is served; expired ⇒ the
+//!    request downgrades to its budgeted form at the batch's degrade
+//!    fraction.  A run therefore holds at most eight queries admitted
+//!    before the deadline that are served after it;
+//! 2. **panic isolation** ([`super::isolate`]): each query's injected
+//!    faults fire under their own guard as it is admitted, and each
+//!    query served alone runs under `catch_unwind`; a panic becomes
+//!    [`Outcome::Failed`] and the worker's searcher is rebuilt.  A sweep
+//!    runs under one guard; if it panics, its queries are served again
+//!    one at a time, so a NaN or wrong-dimension query fails alone;
 //! 3. **determinism**: outcomes land in query order regardless of which
 //!    worker served them, so the zero-fault, no-deadline path returns
 //!    responses bit-identical to one searcher serving the batch in
 //!    order, at any thread count.
 
-use crate::api::{ApproxSearcher, ProximityIndex};
+use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::serve::deadline::{BatchReport, Deadline, Outcome, ServeRequest};
 use crate::serve::isolate::{run_guarded, FaultPlan, QueryError};
-use crate::serve::{dispatch, run_one, run_one_approx};
+use crate::serve::{dispatch, run_one, run_one_approx, ApproxRequest, Request};
 use std::borrow::Borrow;
 use std::time::{Duration, Instant};
 
@@ -80,33 +88,27 @@ struct BatchContext<'b> {
     faults: &'b FaultPlan,
 }
 
-/// Serves one query with every robustness layer applied; never panics
-/// for query-level failures (index-level failures — a searcher that
-/// cannot even be *rebuilt* — still propagate, because nothing can be
-/// served without a session).
-fn run_resilient_one<'i, P, I>(
-    ctx: &BatchContext<'_>,
+/// Serves one query alone under its own unwind guard: exact, or
+/// through the budgeted surface when `degraded` holds its downgraded
+/// request.  A panic becomes [`Outcome::Failed`] and the worker's
+/// searcher is rebuilt, since its scratch may be mid-mutation.
+fn serve_alone<'i, P, I>(
     index: &'i I,
     searcher: &mut I::Searcher<'i>,
     i: usize,
     query: &P,
     request: ServeRequest<I::Dist>,
+    degraded: Option<ApproxRequest<I::Dist>>,
 ) -> Outcome<I::Dist>
 where
     P: ?Sized,
     I: ProximityIndex<P>,
     I::Searcher<'i>: ApproxSearcher<P>,
 {
-    let degraded = ctx.deadline.expired().then(|| request.degraded(ctx.degrade_frac));
-    let attempt = run_guarded(|| {
-        if !ctx.faults.is_empty() {
-            ctx.faults.fire(i);
-        }
-        match (&degraded, request) {
-            (Some(req), _) => run_one_approx(searcher, query, *req),
-            (None, ServeRequest::Exact(req)) => run_one(searcher, query, req),
-            (None, ServeRequest::Approx(req)) => run_one_approx(searcher, query, req),
-        }
+    let attempt = run_guarded(|| match (degraded, request) {
+        (Some(req), _) => run_one_approx(searcher, query, req),
+        (None, ServeRequest::Exact(req)) => run_one(searcher, query, req),
+        (None, ServeRequest::Approx(req)) => run_one_approx(searcher, query, req),
     });
     match attempt {
         Ok(response) => match degraded {
@@ -114,12 +116,82 @@ where
             None => Outcome::Ok(response),
         },
         Err(message) => {
-            // The session's scratch may be mid-mutation; discard it and
-            // start the next query from a fresh cursor.
             *searcher = index.searcher();
             Outcome::Failed(QueryError { index: i, message })
         }
     }
+}
+
+/// Serves one claimed run of queries, `run[j]` being query `first + j`,
+/// with every robustness layer applied; never panics for query-level
+/// failures (index-level failures — a searcher that cannot even be
+/// *rebuilt* — still propagate, because nothing can be served without a
+/// session).
+///
+/// Every query of the run is admitted when the run is claimed, in
+/// order: its deadline check, then its injected faults under its own
+/// guard.  Exact k-NN queries that were admitted undegraded are then
+/// answered by one [`crate::Searcher::knn_batch`] sweep per distinct k;
+/// every other query is served alone.  If a sweep panics, the searcher
+/// is rebuilt and the sweep's queries are served again one at a time,
+/// each under its own guard, so only the queries that panic alone fail.
+fn serve_run<'i, P, Q, I, RF>(
+    ctx: &BatchContext<'_>,
+    index: &'i I,
+    searcher: &mut I::Searcher<'i>,
+    first: usize,
+    run: &[Q],
+    request_of: &RF,
+) -> Vec<Outcome<I::Dist>>
+where
+    P: ?Sized,
+    Q: Borrow<P>,
+    I: ProximityIndex<P>,
+    I::Searcher<'i>: ApproxSearcher<P>,
+    RF: Fn(usize) -> ServeRequest<I::Dist>,
+{
+    let mut served: Vec<(usize, Outcome<I::Dist>)> = Vec::with_capacity(run.len());
+    let mut sweeps: Vec<(usize, Vec<usize>)> = Vec::new();
+    let mut alone: Vec<(usize, Option<ApproxRequest<I::Dist>>)> = Vec::new();
+    for j in 0..run.len() {
+        let i = first + j;
+        let request = request_of(i);
+        let degraded = ctx.deadline.expired().then(|| request.degraded(ctx.degrade_frac));
+        if !ctx.faults.is_empty() {
+            if let Err(message) = run_guarded(|| ctx.faults.fire(i)) {
+                served.push((j, Outcome::Failed(QueryError { index: i, message })));
+                continue;
+            }
+        }
+        match (degraded, request) {
+            (None, ServeRequest::Exact(Request::Knn { k })) => {
+                match sweeps.iter_mut().find(|(swept_k, _)| *swept_k == k) {
+                    Some((_, members)) => members.push(j),
+                    None => sweeps.push((k, vec![j])),
+                }
+            }
+            (degraded, _) => alone.push((j, degraded)),
+        }
+    }
+    for (k, members) in sweeps {
+        let swept: Vec<&P> = members.iter().map(|&j| run[j].borrow()).collect();
+        match run_guarded(|| searcher.knn_batch(&swept, k)) {
+            Ok(responses) => {
+                served.extend(members.into_iter().zip(responses).map(|(j, r)| (j, Outcome::Ok(r))));
+            }
+            Err(_) => {
+                *searcher = index.searcher();
+                alone.extend(members.into_iter().map(|j| (j, None)));
+            }
+        }
+    }
+    for (j, degraded) in alone {
+        let i = first + j;
+        let outcome = serve_alone(index, searcher, i, run[j].borrow(), request_of(i), degraded);
+        served.push((j, outcome));
+    }
+    served.sort_unstable_by_key(|&(j, _)| j);
+    served.into_iter().map(|(_, outcome)| outcome).collect()
 }
 
 /// Serves a batch with panic isolation and deadline-aware degradation;
@@ -151,8 +223,8 @@ where
         degrade_frac: options.degrade_frac,
         faults,
     };
-    let outcomes = dispatch(index, queries, options.threads, |searcher, i, query| {
-        run_resilient_one(&ctx, index, searcher, i, query, request_of(i))
+    let outcomes = dispatch(index, queries, options.threads, |searcher, first, run| {
+        serve_run(&ctx, index, searcher, first, run, &request_of)
     });
     BatchReport { outcomes, elapsed: start.elapsed() }
 }
@@ -160,10 +232,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::{ApproxIndex, Searcher};
+    use crate::api::ApproxIndex;
     use crate::laesa::PivotSelection;
     use crate::serve::tests::sequential;
-    use crate::serve::{ApproxRequest, Request};
     use crate::DistPermIndex;
     use dp_metric::L2;
     use rand::rngs::StdRng;

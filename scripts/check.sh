@@ -91,6 +91,13 @@ cargo test -p dp-datasets --release -q --lib sisap_io
 echo "== cargo test --release --test serve_robustness (release-mode fault-injection run)"
 cargo test -p distance-permutations --release -q --test serve_robustness
 
+# The exhaustive closed-form checks of the permutation distances (the
+# footrule's SWAR form and field loop at both key widths, Kendall tau,
+# Cayley) enumerate all 9! permutations only under release; the debug
+# suite stops at k = 8.
+echo "== cargo test --release -p dp-index closed_forms (release-mode exhaustive run)"
+cargo test -p dp-index --release -q --lib closed_forms
+
 echo "== cargo test --release --test protocol_robustness (release-mode adversarial-input run)"
 cargo test -p dp-index --release -q --test protocol_robustness
 
@@ -136,22 +143,40 @@ echo "$SERVE_OUT" | grep -q '^bye batches=1 queries=2 shed=0 errors=0' || {
 
 # The path the benchmark serves: `distperm build` persists a flatperm
 # index (--k 8, i.e. flatperm:8) and `serve --load` answers from it.
-# Its exact k-NN replies are full-budget scans, so ids and distances
-# must match `serve --index linear` on the same file byte for byte, and
-# each must account k + n = 8 + 200 metric evaluations.
+# The batch interleaves exact k-NN at k = 3 and k = 5 with budgeted
+# (`frac=`) queries, so a worker's run sweeps exact queries of two k
+# values together.  The exact replies are full-budget scans, so ids and
+# distances must match `serve --index linear` on the same file byte for
+# byte, and each must account k + n = 8 + 200 metric evaluations.
 echo "== distperm build + serve --load smoke (exact knn equals the linear scan)"
 ./target/release/distperm build --vectors "$SERVE_TMP/db.vec" --k 8 --out "$SERVE_TMP/db.dps" \
     > /dev/null
-KNN_BATCH=$'begin exact\nknn 3 0.5 0.5 0.5 0.5\nknn 5 0.1 0.9 0.2 0.8\nknn 1 0.0 0.0 0.0 0.0\nend'
+KNN_BATCH='begin mixed
+knn 3 0.5 0.5 0.5 0.5
+knn 3 frac=0.05 0.2 0.3 0.4 0.5
+knn 5 0.1 0.9 0.2 0.8
+knn 5 frac=0.1 0.9 0.1 0.8 0.2
+knn 3 0.0 0.0 0.0 0.0
+knn 3 frac=0.05 0.6 0.6 0.1 0.1
+knn 5 0.3 0.7 0.3 0.7
+knn 5 frac=0.2 0.5 0.4 0.3 0.2
+knn 3 1.0 1.0 1.0 1.0
+knn 5 0.25 0.5 0.75 1.0
+knn 3 frac=0.05 0.9 0.8 0.7 0.6
+knn 5 0.45 0.55 0.65 0.35
+end'
+EXACT_QUERIES='^(0|2|4|6|8|9|11) '
 LOADED_OUT=$(echo "$KNN_BATCH" | ./target/release/distperm serve --load "$SERVE_TMP/db.dps" \
     --threads 2)
 LINEAR_OUT=$(echo "$KNN_BATCH" | ./target/release/distperm serve --vectors "$SERVE_TMP/db.vec" \
     --index linear --threads 2)
-replies() { sed -n 's/^ok \([0-9]*\) evals=[0-9]* /\1 /p'; }
-LOADED_REPLIES=$(echo "$LOADED_OUT" | replies)
-LINEAR_REPLIES=$(echo "$LINEAR_OUT" | replies)
-if [ -z "$LOADED_REPLIES" ] || [ "$LOADED_REPLIES" != "$LINEAR_REPLIES" ] \
-    || [ "$(echo "$LOADED_OUT" | grep -c '^ok [0-9]* evals=208 ')" -ne 3 ]; then
+exact_replies() { sed -n 's/^ok \([0-9]*\) evals=\([0-9]*\) /\1 \2 /p' | grep -E "$EXACT_QUERIES"; }
+LOADED_REPLIES=$(echo "$LOADED_OUT" | exact_replies | cut -d' ' -f1,3-)
+LINEAR_REPLIES=$(echo "$LINEAR_OUT" | exact_replies | cut -d' ' -f1,3-)
+LOADED_EVALS=$(echo "$LOADED_OUT" | exact_replies | cut -d' ' -f2 | sort -u)
+if [ "$(echo "$LOADED_REPLIES" | wc -l)" -ne 7 ] || [ "$LOADED_REPLIES" != "$LINEAR_REPLIES" ] \
+    || [ "$LOADED_EVALS" != "208" ] \
+    || ! echo "$LOADED_OUT" | grep -q '^done mixed ok=12 degraded=0 failed=0'; then
     echo "serve --load smoke: exact knn replies differ from the linear scan" >&2
     echo "$LOADED_OUT" >&2
     echo "$LINEAR_OUT" >&2

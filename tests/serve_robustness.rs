@@ -12,13 +12,21 @@
 //!
 //! The expected answers come from a plain loop in this file, not from
 //! the library's strict batch path, which shares the engine's dispatcher.
+//!
+//! The suite runs two indexes.  `DistPermIndex` answers each query
+//! alone.  `FlatDistPermIndex` answers the exact k-NN queries of equal k
+//! that a worker claims in one run with one sweep over its rows, so its
+//! arm mixes exact queries at two k values with budgeted and range
+//! queries, puts faults at run edges and inside runs, and puts a NaN
+//! query and a wrong-dimension query inside swept runs.
 
+use distance_permutations::datasets::VectorSet;
 use distance_permutations::index::serve::{
     serve_resilient, ApproxRequest, BatchOptions, FaultPlan, Outcome, Request, Response,
     ServeRequest,
 };
 use distance_permutations::index::{
-    DistPermIndex, DistPermSearcher, PivotSelection, ProximityIndex, Searcher,
+    DistPermIndex, DistPermSearcher, FlatDistPermIndex, PivotSelection, ProximityIndex, Searcher,
 };
 use distance_permutations::metric::{F64Dist, L2};
 use proptest::prelude::*;
@@ -221,5 +229,136 @@ fn session_survives_batches_where_every_query_panics() {
         assert_eq!(summary.ok, 0, "threads={threads}: {text}");
         assert!(text.lines().last().expect("bye").starts_with("bye "), "{text}");
         assert!(text.matches("\nfailed ").count() == 20, "{text}");
+    }
+}
+
+fn flat_index() -> FlatDistPermIndex<L2> {
+    let points = VectorSet::from_nested(&random_points(150, 3, 11));
+    FlatDistPermIndex::build(L2, points, 6, PivotSelection::MaxMin, 1)
+}
+
+/// The flat arm's request mix, by query index: exact k-NN at k = 2 and
+/// k = 5, a budgeted k-NN and an exact range query.  A run of eight
+/// holds two exact k values, so it sweeps twice.
+fn mixed_request(i: usize) -> ServeRequest<F64Dist> {
+    match i % 5 {
+        0 | 3 => ServeRequest::Exact(Request::Knn { k: 2 }),
+        1 => ServeRequest::Exact(Request::Knn { k: 5 }),
+        2 => ServeRequest::Approx(ApproxRequest::Knn { k: 2, frac: 0.2 }),
+        _ => ServeRequest::Exact(Request::Range { radius: F64Dist::new(0.3) }),
+    }
+}
+
+/// What one query of a flat-arm batch must come to: an answer, or a
+/// failure whose message contains the given text.
+type Expected = Result<Response<F64Dist>, String>;
+
+/// The oracle: one flat searcher serving the batch in query order;
+/// `failing[i]` names the message query `i` must fail with instead.
+fn flat_sequential(
+    index: &FlatDistPermIndex<L2>,
+    queries: &[Vec<f64>],
+    failing: &[(usize, String)],
+) -> Vec<Expected> {
+    let mut searcher = index.searcher();
+    (0..queries.len())
+        .map(|i| {
+            if let Some((_, message)) = failing.iter().find(|(f, _)| *f == i) {
+                return Err(message.clone());
+            }
+            let q = queries[i].as_slice();
+            Ok(match mixed_request(i) {
+                ServeRequest::Exact(Request::Knn { k }) => searcher.knn(q, k),
+                ServeRequest::Exact(Request::Range { radius }) => searcher.range(q, radius),
+                ServeRequest::Approx(ApproxRequest::Knn { k, frac }) => {
+                    searcher.knn_approx(q, k, frac)
+                }
+                ServeRequest::Approx(ApproxRequest::Range { radius, frac }) => {
+                    searcher.range_approx(q, radius, frac)
+                }
+            })
+        })
+        .collect()
+}
+
+/// Serves `queries` with the mixed requests and checks every outcome
+/// against `expected`.
+fn assert_flat_batch(
+    index: &FlatDistPermIndex<L2>,
+    queries: &[Vec<f64>],
+    panics: &BTreeSet<usize>,
+    expected: &[Expected],
+    threads: usize,
+) {
+    let rows: Vec<&[f64]> = queries.iter().map(Vec::as_slice).collect();
+    let report = serve_resilient(
+        index,
+        &rows,
+        mixed_request,
+        &BatchOptions::with_threads(threads),
+        &FaultPlan::none().panic_on_all(panics.iter().copied()),
+    );
+    assert_eq!(report.outcomes.len(), expected.len());
+    for (i, (outcome, want)) in report.outcomes.iter().zip(expected).enumerate() {
+        match (outcome, want) {
+            (Outcome::Ok(response), Ok(want)) => {
+                assert_eq!(response, want, "query {i}, {threads} threads");
+            }
+            (Outcome::Failed(err), Err(message)) => {
+                assert_eq!(err.index, i);
+                assert!(err.message.contains(message.as_str()), "query {i}: {}", err.message);
+            }
+            (other, want) => panic!("query {i}, {threads} threads: got {other:?}, want {want:?}"),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    // Mixed batches of sizes that are not multiples of the run length,
+    // with random faults: exactly the faulted queries fail, and every
+    // other answer equals the one-searcher loop, at 1, 2 and 3 threads.
+    #[test]
+    fn flat_index_mixed_batches_isolate_faults(
+        seed in 0u64..1000,
+        len_pick in 0usize..7,
+        panics in proptest::collection::btree_set(0usize..41, 0..6),
+    ) {
+        let len = [1usize, 5, 7, 13, 23, 30, 41][len_pick];
+        let index = flat_index();
+        let queries = random_points(len, 3, seed ^ 0xf1a7);
+        let panics: BTreeSet<usize> = panics.into_iter().filter(|&i| i < len).collect();
+        let failing: Vec<(usize, String)> =
+            panics.iter().map(|&i| (i, format!("injected fault at query {i}"))).collect();
+        let expected = flat_sequential(&index, &queries, &failing);
+        for threads in [1usize, 2, 3] {
+            assert_flat_batch(&index, &queries, &panics, &expected, threads);
+        }
+    }
+}
+
+// Faults at run edges and inside runs, a NaN query inside a k = 2 sweep
+// and a wrong-dimension query inside a k = 5 sweep: each fails alone,
+// with its own message, and every other query of those sweeps is
+// answered as the one-searcher loop answers it.  With 23 queries a run
+// is 8, 6 or 4 queries long at 1, 2 or 3 threads, so 0, 7, 8, 15, 16
+// and 22 sit on run edges at some thread count and 12 inside a run.
+#[test]
+fn flat_index_sweeps_survive_faults_and_bad_queries() {
+    let index = flat_index();
+    let mut queries = random_points(23, 3, 31);
+    // At one thread (runs of 8) query 13, exact k = 2, is swept with
+    // query 10, and query 16, exact k = 5, with query 21.
+    queries[13] = vec![0.5, f64::NAN, 0.5];
+    queries[16] = vec![0.5, 0.5];
+    let panics: BTreeSet<usize> = [0, 7, 8, 12, 15, 22].into_iter().collect();
+    let mut failing: Vec<(usize, String)> =
+        panics.iter().map(|&i| (i, format!("injected fault at query {i}"))).collect();
+    failing.push((13, "distance must not be NaN".to_string()));
+    failing.push((16, "different dimension".to_string()));
+    let expected = flat_sequential(&index, &queries, &failing);
+    for threads in [1usize, 2, 3] {
+        assert_flat_batch(&index, &queries, &panics, &expected, threads);
     }
 }
