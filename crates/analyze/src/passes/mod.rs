@@ -49,9 +49,13 @@ pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
 /// evicted hash containers from these hot paths — they must not creep
 /// back (the generic-path interner keeps explicit waivers).  PR 9's
 /// width-generic key module joins the scope: both packed widths sort and
-/// count through it.
+/// count through it.  So do the index key column, which orders the
+/// candidates of all three permutation indexes and counts their distinct
+/// keys by sorting, and the prefix index built on it.
 pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/metric/src/batch.rs",
+    "crates/index/src/keys.rs",
+    "crates/index/src/prefixindex.rs",
     "crates/permutation/src/key.rs",
     "crates/permutation/src/radix.rs",
     "crates/permutation/src/bits.rs",

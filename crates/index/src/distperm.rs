@@ -7,22 +7,30 @@
 //! to ⌈log₂ N⌉ bits per element where N is the number of distinct
 //! permutations that actually occur (the paper's central quantity).
 //!
+//! Each permutation is stored as its inverse-position key in the key
+//! column all three permutation indexes share (a `u64` for k ≤ 12, a
+//! `u128` for k ≤ 25, a position array above that);
+//! [`DistPermIndex::permutations`] decodes them.
+//!
 //! Search follows Chávez–Figueroa–Navarro: order candidates by the
 //! Spearman footrule between their stored permutation and the query's,
-//! then measure true distances in that order.  Permutations carry no
-//! lower bound, so a budgeted scan is *approximate*; the full budget
-//! (`frac = 1.0`) is exact — which is how the index satisfies the exact
-//! [`crate::ProximityIndex`] contract while also implementing the
-//! budgeted [`crate::ApproxSearcher`] surface.
+//! computed on the keys, then measure true distances in that order.
+//! Permutations carry no lower bound, so a budgeted scan is
+//! *approximate*; the full budget (`frac = 1.0`) is exact — which is how
+//! the index satisfies the exact [`crate::ProximityIndex`] contract while
+//! also implementing the budgeted [`crate::ApproxSearcher`] surface.
+//! [`crate::PrefixPermIndex`] is this index over a key column clamped to
+//! length-ℓ prefixes, and searches through [`DistPermSearcher`].
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
+use crate::keys::KeyColumn;
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
-    assert_order_ids_fit, budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor,
+    assert_frac, assert_order_ids_fit, knn_budget, order_id, range_budget, KnnHeap, Neighbor,
     QueryStats,
 };
 use dp_metric::Metric;
-use dp_permutation::encoding::FlatCodebook;
+use dp_permutation::encoding::{element_bits, FlatCodebook};
 use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
 use dp_permutation::{DistPermComputer, Permutation, PermutationCounter};
 
@@ -88,7 +96,8 @@ pub struct DistPermIndex<P, M: Metric<P>> {
     points: Vec<P>,
     site_ids: Vec<usize>,
     sites: Vec<P>,
-    perms: Vec<Permutation>,
+    /// The key column; the prefix index reads it.
+    pub(crate) keys: KeyColumn,
 }
 
 impl<P: Clone, M: Metric<P>> DistPermIndex<P, M> {
@@ -102,12 +111,26 @@ impl<P: Clone, M: Metric<P>> DistPermIndex<P, M> {
     /// Builds with explicitly provided site ids (the Table 3 protocol:
     /// random distinct database elements as sites).
     pub fn build_with_sites(metric: M, points: Vec<P>, site_ids: Vec<usize>) -> Self {
+        let k = site_ids.len();
+        Self::build_clamped(metric, points, site_ids, k)
+    }
+
+    /// [`Self::build_with_sites`] with every stored position clamped to
+    /// `prefix_len`: the index of [`crate::PrefixPermIndex`].
+    pub(crate) fn build_clamped(
+        metric: M,
+        points: Vec<P>,
+        site_ids: Vec<usize>,
+        prefix_len: usize,
+    ) -> Self {
         assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
+        assert!(prefix_len <= site_ids.len(), "prefix length exceeds site count");
         assert_order_ids_fit(points.len());
         let sites: Vec<P> = site_ids.iter().map(|&i| points[i].clone()).collect();
         let mut computer = DistPermComputer::new(site_ids.len());
-        let perms = points.iter().map(|p| computer.compute(&metric, &sites, p)).collect();
-        Self { metric, points, site_ids, sites, perms }
+        let perms = points.iter().map(|p| computer.compute(&metric, &sites, p));
+        let keys = KeyColumn::collect(site_ids.len(), prefix_len, perms);
+        Self { metric, points, site_ids, sites, keys }
     }
 }
 
@@ -137,58 +160,62 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
         &self.metric
     }
 
-    /// The stored permutations, parallel to the database.
-    pub fn permutations(&self) -> &[Permutation] {
-        &self.perms
+    /// The stored permutations, parallel to the database, decoded from
+    /// the key column.
+    pub fn permutations(&self) -> Vec<Permutation> {
+        (0..self.len()).map(|i| self.keys.permutation(i)).collect()
     }
 
     /// Occurrence counter over the stored permutations — the paper's
     /// measurement (distinct count, occupancy).
     pub fn counter(&self) -> PermutationCounter {
         let mut c = PermutationCounter::new();
-        for &p in &self.perms {
-            c.insert(p);
-        }
+        self.permutations().into_iter().for_each(|p| c.insert(p));
         c
     }
 
     /// Number of distinct permutations in the index
-    /// (|{Π_y : y ∈ database}|).
+    /// (|{Π_y : y ∈ database}|), counted over the key column.
     pub fn distinct_permutations(&self) -> usize {
-        self.counter().distinct()
+        self.keys.distinct()
     }
 
     /// A codebook over the stored permutations plus the id stream — the
     /// paper's compact storage layout.  Ids are lexicographic ranks.
     pub fn codebook(&self) -> (FlatCodebook, Vec<u32>) {
-        let cb = FlatCodebook::from_permutations(&self.perms);
-        let ids = cb.encode_all(&self.perms);
+        let perms = self.permutations();
+        let cb = FlatCodebook::from_permutations(&perms);
+        let ids = cb.encode_all(&perms);
         (cb, ids)
     }
 
-    /// Raw permutation storage bits: n·k·⌈log₂ k⌉ (the CFN layout).
+    /// Raw permutation storage bits: n·k·⌈log₂ k⌉ (the CFN layout), or
+    /// n·ℓ·⌈log₂ k⌉ for a column clamped to length-ℓ prefixes.
     pub fn storage_bits_raw(&self) -> u64 {
-        use dp_permutation::encoding::element_bits;
-        self.len() as u64 * self.k() as u64 * u64::from(element_bits(self.k()))
+        self.len() as u64 * self.row_bits()
+    }
+
+    /// Bits of one stored permutation (or prefix): ℓ·⌈log₂ k⌉.
+    fn row_bits(&self) -> u64 {
+        self.keys.prefix_len as u64 * u64::from(element_bits(self.k()))
     }
 
     /// The codebook's storage bits: n·⌈log₂ N⌉ ids plus the N-permutation
     /// table — the paper's improved layout (Θ(nd log k) in d-dimensional
-    /// Euclidean space by Corollary 8).
+    /// Euclidean space by Corollary 8).  A clamped column's table holds
+    /// its N distinct length-ℓ prefixes.
     pub fn storage_bits_codebook(&self) -> u64 {
-        use dp_permutation::encoding::element_bits;
         let n_distinct = self.distinct_permutations();
         let ids = self.len() as u64 * u64::from(element_bits(n_distinct));
-        let table = n_distinct as u64 * self.k() as u64 * u64::from(element_bits(self.k()));
-        ids + table
+        ids + n_distinct as u64 * self.row_bits()
     }
 
     /// ASCII export of the permutations, one per line in the order of the
     /// database — the output format of the paper's `build-distperm-*`
     /// programs (count distinct with `sort | uniq | wc -l`).
     pub fn export_ascii(&self) -> String {
-        let mut out = String::with_capacity(self.perms.len() * (2 * self.k() + 1));
-        for p in &self.perms {
+        let mut out = String::with_capacity(self.len() * (2 * self.k() + 1));
+        for p in self.permutations() {
             for (i, e) in p.as_slice().iter().enumerate() {
                 if i > 0 {
                     out.push(' ');
@@ -267,11 +294,6 @@ pub struct DistPermSearcher<'a, P, M: Metric<P>> {
 }
 
 impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
-    /// The underlying index.
-    pub fn index(&self) -> &DistPermIndex<P, M> {
-        self.index
-    }
-
     /// The query's distance permutation (k metric evaluations), using
     /// the cursor's scratch.
     pub fn query_permutation(&mut self, query: &P) -> Permutation {
@@ -290,6 +312,13 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
     }
 
     /// [`Self::knn_approx`] with an explicit candidate-ordering measure.
+    ///
+    /// The budget is `⌈frac·n⌉` clamped to `[min(k, n), n]`; `n == 0`
+    /// and `k == 0` answer empty with no evaluations.
+    ///
+    /// # Panics
+    /// On a [`crate::PrefixPermIndex`]'s searcher, for any measure but
+    /// the footrule.
     pub fn knn_approx_ordered(
         &mut self,
         query: &P,
@@ -297,61 +326,62 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
         frac: f64,
         ordering: OrderingKind,
     ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        let index = self.index;
-        let computer = &mut self.computer;
-        budgeted_knn_scan(
-            index.points.len(),
-            k,
-            frac,
-            index.k(),
-            &mut self.order,
-            |budget, order| {
-                let qperm = computer.compute(&index.metric, &index.sites, query);
-                order_candidates(&index.perms, &qperm, ordering, budget, order);
-            },
-            |i| index.metric.distance(query, &index.points[i]),
-        )
+        assert_frac(frac);
+        let n = self.index.len();
+        if n == 0 || k == 0 {
+            return (Vec::new(), QueryStats::default());
+        }
+        let budget = knn_budget(n, k, frac);
+        let mut heap = KnnHeap::new(k.min(n));
+        self.scan(query, ordering, budget, |id, dist| heap.push(id, dist));
+        (heap.into_sorted(), QueryStats::new((self.index.k() + budget) as u64))
     }
 
     /// Budgeted range query; a subset of the true answer, exact at
-    /// `frac = 1.0`.
+    /// `frac = 1.0`.  The budget is `⌈frac·n⌉` (no k floor).
     pub fn range_approx(
         &mut self,
         query: &P,
         radius: M::Dist,
         frac: f64,
     ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        let index = self.index;
-        let computer = &mut self.computer;
-        budgeted_range_scan(
-            index.points.len(),
-            frac,
-            index.k(),
-            radius,
-            &mut self.order,
-            |budget, order| {
-                let qperm = computer.compute(&index.metric, &index.sites, query);
-                order_candidates(&index.perms, &qperm, OrderingKind::Footrule, budget, order);
-            },
-            |i| index.metric.distance(query, &index.points[i]),
-        )
+        assert_frac(frac);
+        let n = self.index.len();
+        if n == 0 {
+            return (Vec::new(), QueryStats::default());
+        }
+        let budget = range_budget(n, frac);
+        let mut out = Vec::new();
+        self.scan(query, OrderingKind::Footrule, budget, |id, dist| {
+            if dist <= radius {
+                out.push(Neighbor { id, dist });
+            }
+        });
+        out.sort_unstable();
+        (out, QueryStats::new((self.index.k() + budget) as u64))
     }
-}
 
-/// Fills `order` with the `budget` permutation-nearest database ids in
-/// full-sort order, packed one word each — the shared budget fast path
-/// of [`DistPermSearcher`] and
-/// [`crate::flatperm::FlatDistPermSearcher`]; see [`crate::query`]'s
-/// `budgeted_order` for the select-then-sort-prefix argument and the
-/// full budget, which orders nothing.
-pub(crate) fn order_candidates(
-    perms: &[Permutation],
-    qperm: &Permutation,
-    ordering: OrderingKind,
-    budget: usize,
-    order: &mut Vec<u64>,
-) {
-    budgeted_order(perms.iter().map(|p| ordering.distance(qperm, p)), budget, order);
+    /// The budgeted scan both queries share: the query permutation (k
+    /// evaluations), the `budget` nearest candidates under `ordering`,
+    /// and each one's measured distance fed to `visit` — every element
+    /// in storage order at full budget, which orders nothing.
+    fn scan(
+        &mut self,
+        query: &P,
+        ordering: OrderingKind,
+        budget: usize,
+        mut visit: impl FnMut(usize, M::Dist),
+    ) {
+        let index = self.index;
+        let qperm = self.computer.compute(&index.metric, &index.sites, query);
+        index.keys.order(&qperm, ordering, budget, &mut self.order);
+        let mut measure = |id: usize| visit(id, index.metric.distance(query, &index.points[id]));
+        if budget == index.len() {
+            (0..budget).for_each(measure);
+        } else {
+            self.order.iter().for_each(|&word| measure(order_id(word)));
+        }
+    }
 }
 
 impl<P: Sync, M: Metric<P> + Sync> ProximityIndex<P> for DistPermIndex<P, M> {

@@ -7,30 +7,30 @@
 //! queries reuse the same vectorized distance kernel for the k site
 //! evaluations.  Permutations, candidate ordering and budget semantics
 //! are **identical** to the generic index on the same data — only the
-//! storage layout and throughput differ.
+//! storage layout and throughput differ.  Like the generic index, it
+//! keeps each permutation only as its inverse-position key in the shared
+//! key column (a `u64` for k ≤ 12, a `u128` for k ≤ 25, a position array
+//! above that); [`FlatDistPermIndex::permutations`] decodes them.
 //!
-//! An exact k-NN query (full budget, `frac = 1.0`) orders nothing:
-//! after the k site evaluations it streams the rows in storage order,
-//! contiguous block by block, through the batched kernel — k + n
-//! evaluations, the same answer as any candidate order would give.
-//! Several exact k-NN queries answered together
-//! ([`Searcher::knn_batch`], which the serving dispatcher uses) share
-//! that one pass: the queries are transposed into one site set, so each
-//! row block goes through the kernel's 4 × 4 register tile once for all
-//! of them, and each query's column feeds its own k-NN heap.  A row
-//! whose distance exceeds a full heap's k-th best is dropped before it
-//! is wrapped or pushed.  Every answer is bit-identical to the query
-//! served alone: the kernel folds each (row, query) pair's coordinates
-//! in the same order whatever the tile, and a heap's result does not
-//! depend on arrival order.
+//! An exact query (full budget, `frac = 1.0`) orders nothing: the k site
+//! distances are computed in one kernel call, counted but not ranked,
+//! and the rows are streamed in storage order, contiguous block by
+//! block, through the batched kernel — k + n evaluations.  Several exact
+//! k-NN queries answered together ([`Searcher::knn_batch`], which the
+//! serving dispatcher uses) share that one pass: the queries are
+//! transposed into one site set, so each row block goes through the
+//! kernel's 4 × 4 register tile once for all of them, and each query's
+//! column feeds its own k-NN heap.  A row whose distance exceeds a full
+//! heap's k-th best is dropped before it is wrapped or pushed.  Every
+//! answer is bit-identical to the query served alone: the kernel folds
+//! each (row, query) pair's coordinates in the same order whatever the
+//! tile, and a heap's result does not depend on arrival order.
 //!
 //! A budgeted query orders candidates by footrule as one packed word
-//! each — the footrule itself is SWAR arithmetic over the packed
-//! inverse-position keys — then gathers and measures the first
-//! `budget` of them.
-//!
-//! Every query's length is checked against the index dimension first,
-//! and a mismatch panics with the vector metrics' own message.
+//! each — the footrule is SWAR arithmetic over the keys — then gathers
+//! and measures the first `budget` of them.  Every query's length is
+//! checked against the index dimension first, and a mismatch panics with
+//! the vector metrics' own message.
 //!
 //! The generic `DistPermIndex` remains the path for strings, trees and
 //! any non-`f64` point type.  Through the trait family this index is a
@@ -40,15 +40,16 @@
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::distperm::OrderingKind;
+use crate::keys::KeyColumn;
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
-    assert_frac, assert_order_ids_fit, budgeted_order, knn_budget, order_id, range_budget, KnnHeap,
-    Neighbor, QueryStats,
+    assert_frac, assert_order_ids_fit, knn_budget, order_id, range_budget, KnnHeap, Neighbor,
+    QueryStats,
 };
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP_POINTS};
-use dp_permutation::compute::{database_permutations_flat_parallel, PACKED_MAX_K, WIDE_MAX_K};
-use dp_permutation::{pack_perm, Permutation, PermutationCounter, MAX_K};
+use dp_permutation::compute::database_permutations_flat_parallel;
+use dp_permutation::{Permutation, MAX_K};
 
 /// Candidate rows per batched distance call, streamed at full budget
 /// and gathered below it: a multiple of [`STRIP_POINTS`] so full blocks
@@ -56,98 +57,14 @@ use dp_permutation::{pack_perm, Permutation, PermutationCounter, MAX_K};
 /// buffer and its distances stay in L1.
 const CANDIDATE_BLOCK_ROWS: usize = 16 * STRIP_POINTS;
 
-/// Cached inverse-position keys for the footrule candidate ordering,
-/// packed at the key width that fits k (field `e` of a point's key is
-/// the *position* of site `e` in its permutation).  The Spearman
-/// footrule is then a field-wise `abs_diff` sum over two keys — the
-/// same u64 the permutation walk produces, without materialising an
-/// inverse permutation per candidate per query.
-#[derive(Debug, Clone)]
-enum OrderingKeys {
-    /// k ≤ 12: one `u64` key per point.
-    Narrow(Vec<u64>),
-    /// 13 ≤ k ≤ 25: one `u128` key per point.
-    Wide(Vec<u128>),
-    /// k > 25: no cache — orderings walk the stored permutations.
-    Uncached,
-}
-
-impl OrderingKeys {
-    /// Packs one inverse-position key per stored permutation at the
-    /// width fitting `k`.
-    fn build(perms: &[Permutation], k: usize) -> Self {
-        if k <= PACKED_MAX_K {
-            OrderingKeys::Narrow(perms.iter().map(|p| pack_perm::<u64>(&p.inverse())).collect())
-        } else if k <= WIDE_MAX_K {
-            OrderingKeys::Wide(perms.iter().map(|p| pack_perm::<u128>(&p.inverse())).collect())
-        } else {
-            OrderingKeys::Uncached
-        }
-    }
-}
-
-/// One in the low bit of each of the six 10-bit lanes of a `u64`.
-const LANE_ONES: u64 = 1 | 1 << 10 | 1 << 20 | 1 << 30 | 1 << 40 | 1 << 50;
-
-/// The low five bits of every lane: where key fields 0, 2, …, 10 sit
-/// as they are, and fields 1, 3, …, 11 after a shift right by five.
-const LANE_FIELDS: u64 = 0x1F * LANE_ONES;
-
-/// Bit 5 of every lane, the borrow guard of [`lane_abs_diff`].
-const LANE_GUARDS: u64 = LANE_ONES << 5;
-
-/// The lane-wise `|a − b|` of two words whose six 10-bit lanes each
-/// hold a value below 32 (and nothing else).
-///
-/// Setting every lane's guard bit before subtracting keeps a borrow
-/// inside its lane, and the guard survives exactly where the minuend's
-/// value was not the smaller.  Both differences are taken, and each
-/// lane keeps the one whose guard survived.
-#[inline]
-fn lane_abs_diff(a: u64, b: u64) -> u64 {
-    let ab = (a | LANE_GUARDS) - b;
-    let ba = (b | LANE_GUARDS) - a;
-    let keep_ab = ((ab & LANE_GUARDS) >> 5) * 0x1F;
-    (ab & keep_ab) | (ba & !keep_ab & LANE_FIELDS)
-}
-
-/// Spearman footrule over two packed `u64` inverse-position keys: the
-/// sum of the field-wise `abs_diff` over all twelve 5-bit fields, equal
-/// to `spearman_footrule` on the unpacked permutations, bit for bit.
-/// Fields past k are zero in both keys and add nothing.
-///
-/// SWAR: the even and the odd fields are each spread one to a 10-bit
-/// lane, their lane-wise differences added, and the six lane sums (each
-/// at most 62, together at most 372 < 2¹⁰) gathered into the top lane
-/// by one multiply with [`LANE_ONES`].
-#[inline]
-fn footrule_u64(a: u64, b: u64) -> u64 {
-    let even = lane_abs_diff(a & LANE_FIELDS, b & LANE_FIELDS);
-    let odd = lane_abs_diff((a >> 5) & LANE_FIELDS, (b >> 5) & LANE_FIELDS);
-    ((even + odd).wrapping_mul(LANE_ONES) >> 50) & 0x3FF
-}
-
-/// [`footrule_u64`] over packed `u128` keys: fields 0–11 (bits 0–59),
-/// fields 12–23 (bits 60–119) and field 24 (bits 120–124) each go
-/// through the `u64` footrule.
-#[inline]
-fn footrule_u128(a: u128, b: u128) -> u64 {
-    const LOW_60: u128 = (1 << 60) - 1;
-    let part =
-        |shift: u32| footrule_u64(((a >> shift) & LOW_60) as u64, ((b >> shift) & LOW_60) as u64);
-    part(0) + part(60) + part(120)
-}
-
 /// Distance-permutation index over flat vector storage.
 #[derive(Debug, Clone)]
 pub struct FlatDistPermIndex<M: BatchDistance> {
     metric: M,
     points: VectorSet,
     site_ids: Vec<usize>,
-    sites: VectorSet,
     sites_t: TransposedSites,
-    perms: Vec<Permutation>,
-    order_keys: OrderingKeys,
+    keys: KeyColumn,
 }
 
 impl<M: BatchDistance + Sync> FlatDistPermIndex<M> {
@@ -180,12 +97,11 @@ impl<M: BatchDistance + Sync> FlatDistPermIndex<M> {
         assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
         assert!(site_ids.len() <= MAX_K, "k = {} exceeds MAX_K = {MAX_K}", site_ids.len());
         assert_order_ids_fit(points.len());
-        let sites = points.gather(&site_ids);
-        let sites_t = TransposedSites::from_rows(sites.as_flat(), sites.dim());
+        let sites_t = TransposedSites::from_rows(points.gather(&site_ids).as_flat(), points.dim());
         let perms =
             database_permutations_flat_parallel(&metric, &sites_t, points.as_flat(), threads);
-        let order_keys = OrderingKeys::build(&perms, site_ids.len());
-        Self { metric, points, site_ids, sites, sites_t, perms, order_keys }
+        let keys = KeyColumn::collect(site_ids.len(), site_ids.len(), perms);
+        Self { metric, points, site_ids, sites_t, keys }
     }
 }
 
@@ -195,16 +111,17 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
     ///
     /// The caller must pass exactly what [`Self::build_with_sites`]
     /// produced for the same inputs: `sites_t` is the coordinate-major
-    /// transpose of the gathered site rows and `perms` holds one
-    /// length-`k` permutation per point.  With that contract met, the
+    /// transpose of the gathered site rows and `perm_rows` holds each
+    /// point's permutation as `k` site bytes, nearest first, point after
+    /// point (the store's `PERMS` layout).  With that contract met, the
     /// result is field-for-field identical to the freshly built index,
     /// so every query answers bit-identically.
     ///
     /// # Panics
     /// Panics if the parts are inconsistent: a site id out of range,
     /// `site_ids.len() > MAX_K`, a transposed buffer whose shape is not
-    /// `k × dim`, a permutation count differing from `points.len()`, or
-    /// a permutation whose length is not `k`.  (The store reader
+    /// `k × dim`, `perm_rows` not `points.len() · k` bytes long, or a
+    /// row that is not a permutation of `0..k`.  (The store reader
     /// validates all of this against hostile bytes *before* calling —
     /// these asserts guard in-process misuse, not I/O.)
     pub fn from_parts(
@@ -212,21 +129,20 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
         points: VectorSet,
         site_ids: Vec<usize>,
         sites_t: TransposedSites,
-        perms: Vec<Permutation>,
+        perm_rows: &[u8],
     ) -> Self {
-        assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
-        assert!(site_ids.len() <= MAX_K, "k = {} exceeds MAX_K = {MAX_K}", site_ids.len());
-        assert_order_ids_fit(points.len());
-        assert_eq!(sites_t.k(), site_ids.len(), "transposed sites disagree with site count");
-        let sites = points.gather(&site_ids);
-        assert_eq!(sites_t.dim(), sites.dim(), "transposed sites disagree with point dimension");
-        assert_eq!(perms.len(), points.len(), "one permutation per point required");
-        assert!(
-            perms.iter().all(|p| p.len() == site_ids.len()),
-            "permutation length disagrees with k"
-        );
-        let order_keys = OrderingKeys::build(&perms, site_ids.len());
-        Self { metric, points, site_ids, sites, sites_t, perms, order_keys }
+        let (n, k) = (points.len(), site_ids.len());
+        assert!(site_ids.iter().all(|&i| i < n), "site id out of range");
+        assert!(k <= MAX_K, "k = {k} exceeds MAX_K = {MAX_K}");
+        assert_order_ids_fit(n);
+        assert_eq!(sites_t.k(), k, "transposed sites disagree with site count");
+        assert_eq!(sites_t.dim(), points.dim(), "transposed sites disagree with point dimension");
+        assert_eq!(perm_rows.len(), n * k, "one permutation per point required");
+        let row = |i: usize| Permutation::from_slice(&perm_rows[i * k..][..k]);
+        let perms =
+            (0..n).map(|i| row(i).unwrap_or_else(|_| panic!("row {i} is not a permutation")));
+        let keys = KeyColumn::collect(k, k, perms);
+        Self { metric, points, site_ids, sites_t, keys }
     }
 
     /// Database size.
@@ -249,11 +165,6 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
         &self.site_ids
     }
 
-    /// The materialised site rows.
-    pub fn sites(&self) -> &VectorSet {
-        &self.sites
-    }
-
     /// The owned metric.
     pub fn metric(&self) -> &M {
         &self.metric
@@ -270,38 +181,25 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
         &self.sites_t
     }
 
-    /// The stored permutations, parallel to the database.
-    pub fn permutations(&self) -> &[Permutation] {
-        &self.perms
+    /// The points' permutations, parallel to the database, decoded
+    /// from the key column.
+    pub fn permutations(&self) -> Vec<Permutation> {
+        (0..self.len()).map(|i| self.keys.permutation(i)).collect()
     }
 
-    /// The candidate-ordering engine footrule scans run on: packed
-    /// inverse-position keys at the width that fits k (`"packed-u64"`
-    /// for k ≤ 12, `"packed-u128"` for k ≤ 25) or direct permutation
-    /// walks beyond the packed range (`"permutation"`).  All engines
+    /// The width of the key column candidate orderings run on:
+    /// `"packed-u64"` for k ≤ 12, `"packed-u128"` for k ≤ 25, and
+    /// `"permutation"` (one position byte per site) beyond.  All widths
     /// order candidates identically; the label exists so callers (the
     /// CLI in particular) can report which one serves a given k.
     pub fn ordering_engine(&self) -> &'static str {
-        match self.order_keys {
-            OrderingKeys::Narrow(_) => "packed-u64",
-            OrderingKeys::Wide(_) => "packed-u128",
-            OrderingKeys::Uncached => "permutation",
-        }
+        self.keys.engine()
     }
 
-    /// Occurrence counter over the stored permutations (the paper's
-    /// measurement).
-    pub fn counter(&self) -> PermutationCounter {
-        let mut c = PermutationCounter::new();
-        for &p in &self.perms {
-            c.insert(p);
-        }
-        c
-    }
-
-    /// Number of distinct permutations in the index.
+    /// Number of distinct permutations in the index (the paper's
+    /// measurement), counted over the key column.
     pub fn distinct_permutations(&self) -> usize {
-        self.counter().distinct()
+        self.keys.distinct()
     }
 
     /// The query's distance permutation: k metric evaluations through
@@ -418,25 +316,16 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
             let mut answers = self.exact_knn(&[query], k);
             return answers.pop().expect("one answer per swept query");
         }
-        let qperm = query_permutation_into(index, &mut self.dists, query);
-        order_candidates_cached(index, &qperm, ordering, budget, &mut self.order);
         let mut heap = KnnHeap::new(k.min(n));
-        self.query_sites.assign_rows(query, index.points.dim());
-        measure_candidates(
-            index,
-            &self.order,
-            &self.query_sites,
-            &mut self.gather,
-            &mut self.block_dists,
-            |i, d| heap.push(i, d),
-        );
+        self.measure_budget(query, ordering, budget, |i, d| heap.push(i, d));
         (heap.into_sorted(), QueryStats::new((index.k() + budget) as u64))
     }
 
     /// Budgeted range query; a subset of the true answer, exact at
     /// `frac = 1.0`.  Below full budget, candidates are measured through
     /// the batched kernel exactly as in [`Self::knn_approx_ordered`]; at
-    /// full budget every row is streamed in storage order.
+    /// full budget the k site distances are computed but not ranked, and
+    /// every row is streamed in storage order.
     pub fn range_approx(
         &mut self,
         query: &[f64],
@@ -451,26 +340,53 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
             return (Vec::new(), QueryStats::default());
         }
         let budget = range_budget(n, frac);
-        let qperm = query_permutation_into(index, &mut self.dists, query);
-        order_candidates_cached(index, &qperm, OrderingKind::Footrule, budget, &mut self.order);
-        let mut out: Vec<Neighbor<F64Dist>> = Vec::new();
-        let mut sink = |i, d| {
-            if d <= radius {
-                out.push(Neighbor { id: i, dist: d });
+        let mut out = Vec::new();
+        let mut sink = |id, dist| {
+            if dist <= radius {
+                out.push(Neighbor { id, dist });
             }
         };
-        self.query_sites.assign_rows(query, index.points.dim());
         if budget == n {
+            index.metric.batch_distances(query, &index.sites_t, &mut self.dists[..index.k()]);
+            self.query_sites.assign_rows(query, index.points.dim());
             sweep_rows(index, &self.query_sites, &mut self.block_dists, |i, d| {
                 sink(i, F64Dist::new(d[0]));
             });
         } else {
-            let (order, gather, block_dists) =
-                (&self.order, &mut self.gather, &mut self.block_dists);
-            measure_candidates(index, order, &self.query_sites, gather, block_dists, sink);
+            self.measure_budget(query, OrderingKind::Footrule, budget, sink);
         }
         out.sort_unstable();
         (out, QueryStats::new((index.k() + budget) as u64))
+    }
+
+    /// A budgeted scan below full budget: the query permutation (k
+    /// batched evaluations), the `budget` candidates nearest under
+    /// `ordering`, and their rows gathered block by block in that order
+    /// and measured through the batched kernel against the query as a
+    /// 1-site transposed set, each `(id, distance)` fed to `sink`.  NaN
+    /// distances panic (at `F64Dist::new`) exactly like the scalar path.
+    fn measure_budget(
+        &mut self,
+        query: &[f64],
+        ordering: OrderingKind,
+        budget: usize,
+        mut sink: impl FnMut(usize, F64Dist),
+    ) {
+        let index = self.index;
+        let qperm = query_permutation_into(index, &mut self.dists, query);
+        index.keys.order(&qperm, ordering, budget, &mut self.order);
+        self.query_sites.assign_rows(query, index.points.dim());
+        for block in self.order.chunks(CANDIDATE_BLOCK_ROWS) {
+            self.gather.clear();
+            for &word in block {
+                self.gather.extend_from_slice(index.points.row(order_id(word)));
+            }
+            let out = &mut self.block_dists[..block.len()];
+            index.metric.batch_distances(&self.gather, &self.query_sites, out);
+            for (&word, &d) in block.iter().zip(out.iter()) {
+                sink(order_id(word), F64Dist::new(d));
+            }
+        }
     }
 
     /// The exact k-NN scan of every query in `queries` (each of the
@@ -531,37 +447,6 @@ fn check_dimension<M: BatchDistance>(index: &FlatDistPermIndex<M>, query: &[f64]
     );
 }
 
-/// Orders candidates for the flat searchers: footrule queries run over
-/// the index's cached packed inverse-position keys when k fits a key
-/// width (same `(distance, id)` pairs as the permutation walk, so the
-/// budgeted prefix is identical to the bit); every other case falls
-/// back to [`crate::distperm::order_candidates`].  At full budget both
-/// leave `order` empty without computing a distance.
-fn order_candidates_cached<M: BatchDistance>(
-    index: &FlatDistPermIndex<M>,
-    qperm: &Permutation,
-    ordering: OrderingKind,
-    budget: usize,
-    order: &mut Vec<u64>,
-) {
-    if ordering == OrderingKind::Footrule {
-        match &index.order_keys {
-            OrderingKeys::Narrow(keys) => {
-                let q = pack_perm::<u64>(&qperm.inverse());
-                budgeted_order(keys.iter().map(|&p| footrule_u64(q, p)), budget, order);
-                return;
-            }
-            OrderingKeys::Wide(keys) => {
-                let q = pack_perm::<u128>(&qperm.inverse());
-                budgeted_order(keys.iter().map(|&p| footrule_u128(q, p)), budget, order);
-                return;
-            }
-            OrderingKeys::Uncached => {}
-        }
-    }
-    crate::distperm::order_candidates(&index.perms, qperm, ordering, budget, order);
-}
-
 /// Streams every row once, in storage order and in contiguous
 /// [`CANDIDATE_BLOCK_ROWS`] blocks, through the batched kernel against
 /// the `m ≥ 1` queries transposed in `queries`; `visit(id, dists)`
@@ -585,51 +470,21 @@ fn sweep_rows<M: BatchDistance>(
     }
 }
 
-/// Measures the budgeted `candidates` (packed order words) against the
-/// one query transposed in `query`, gathering their rows block by block
-/// in order and feeding each `(id, distance)` pair to `sink`.  NaN
-/// distances panic (at `F64Dist::new`) exactly like the scalar path.
-fn measure_candidates<M: BatchDistance>(
-    index: &FlatDistPermIndex<M>,
-    candidates: &[u64],
-    query: &TransposedSites,
-    gather: &mut Vec<f64>,
-    block_dists: &mut [f64],
-    mut sink: impl FnMut(usize, F64Dist),
-) {
-    for block in candidates.chunks(CANDIDATE_BLOCK_ROWS) {
-        gather.clear();
-        for &word in block {
-            gather.extend_from_slice(index.points.row(order_id(word)));
-        }
-        let out = &mut block_dists[..block.len()];
-        index.metric.batch_distances(gather, query, out);
-        for (&word, &d) in block.iter().zip(out.iter()) {
-            sink(order_id(word), F64Dist::new(d));
-        }
-    }
-}
-
-/// The batched query-permutation kernel, taking the searcher's scratch
-/// by parts so the budgeted-scan closures can borrow disjoint fields.
-/// It uses the first k entries of `dists`, which a sweep may have grown.
+/// The batched query-permutation kernel.  It uses the first k entries
+/// of `dists`, which a sweep may have grown.
 fn query_permutation_into<M: BatchDistance>(
     index: &FlatDistPermIndex<M>,
     dists: &mut [f64],
     query: &[f64],
 ) -> Permutation {
     let k = index.k();
-    let dists = &mut dists[..k];
-    index.metric.batch_distances(query, &index.sites_t, dists);
+    index.metric.batch_distances(query, &index.sites_t, &mut dists[..k]);
     let mut pairs = [(F64Dist::ZERO, 0u8); MAX_K];
-    for (j, (&d, pair)) in dists.iter().zip(pairs.iter_mut()).enumerate() {
+    for (j, (&d, pair)) in dists[..k].iter().zip(&mut pairs).enumerate() {
         *pair = (F64Dist::new(d), j as u8);
     }
     pairs[..k].sort_unstable();
-    let mut items = [0u8; MAX_K];
-    for (slot, &(_, j)) in items.iter_mut().zip(pairs[..k].iter()) {
-        *slot = j;
-    }
+    let items: [u8; MAX_K] = std::array::from_fn(|rank| pairs[rank].1);
     Permutation::from_slice(&items[..k]).expect("ranks form a permutation")
 }
 
@@ -678,8 +533,9 @@ impl<M: BatchDistance + Sync> Searcher<[f64]> for FlatDistPermSearcher<'_, M> {
         self.exact_knn(queries, k)
     }
 
-    /// Exact range query as the full-budget scan: k site evaluations,
-    /// then every row streamed in storage order (k + n evaluations).
+    /// Exact range query as the full-budget scan: k site evaluations in
+    /// one kernel call, then every row streamed in storage order (k + n
+    /// evaluations), with no query permutation built.
     fn range(&mut self, query: &[f64], radius: F64Dist) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         FlatDistPermSearcher::range_approx(self, query, radius, 1.0)
     }
@@ -711,9 +567,8 @@ impl<M: BatchDistance + Sync> ApproxIndex<[f64]> for FlatDistPermIndex<M> {}
 mod tests {
     use super::*;
     use crate::distperm::DistPermIndex;
-    use crate::query::MAX_ORDERING_DISTANCE;
+    use crate::linear::LinearScan;
     use dp_metric::{L2Squared, Metric, L2};
-    use dp_permutation::PackedKey;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -744,235 +599,6 @@ mod tests {
         }
     }
 
-    /// The footrule the SWAR form replaced, kept as its oracle: the
-    /// field-wise `abs_diff` summed over every field of the key width.
-    fn footrule_fields<K: PackedKey>(a: K, b: K) -> u64 {
-        let mut sum = 0u64;
-        for pos in 0..K::MAX_K {
-            sum += u64::from(a.field(pos).abs_diff(b.field(pos)));
-        }
-        sum
-    }
-
-    #[test]
-    fn footrule_over_keys_matches_the_permutation_walk() {
-        // Every k from 1 to a full key (12 fields of a u64, 25 of a
-        // u128): the unused fields must add nothing and the used ones,
-        // the top field included, everything.
-        use dp_permutation::permdist::spearman_footrule;
-        let shuffled = |k: usize, s: u64| {
-            let mut items: Vec<u8> = (0..k as u8).collect();
-            let mut seed = s;
-            for i in (1..items.len()).rev() {
-                seed = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
-                let j = (seed >> 33) as usize % (i + 1);
-                items.swap(i, j);
-            }
-            Permutation::from_slice(&items).unwrap()
-        };
-        for k in 1..=WIDE_MAX_K {
-            for s in 0..40u64 {
-                let (a, b) = (shuffled(k, 2 * s), shuffled(k, 2 * s + 1));
-                let expected = spearman_footrule(&a, &b);
-                let (ia, ib) = (a.inverse(), b.inverse());
-                if k <= PACKED_MAX_K {
-                    let (ka, kb) = (pack_perm::<u64>(&ia), pack_perm::<u64>(&ib));
-                    assert_eq!(footrule_fields(ka, kb), expected, "u64 fields, k = {k}");
-                    assert_eq!(footrule_u64(ka, kb), expected, "u64 SWAR, k = {k}");
-                }
-                let (ka, kb) = (pack_perm::<u128>(&ia), pack_perm::<u128>(&ib));
-                assert_eq!(footrule_fields(ka, kb), expected, "u128 fields, k = {k}");
-                assert_eq!(footrule_u128(ka, kb), expected, "u128 SWAR, k = {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn swar_footrule_handles_the_extreme_fields() {
-        // Every field 31 against every field 0, both ways, and each
-        // single field at 31 against 0: the largest lane differences,
-        // in every lane, must neither borrow nor carry into a neighbour.
-        let all_u64 = (1u64 << 60) - 1;
-        let all_u128 = (1u128 << 125) - 1;
-        assert_eq!(footrule_u64(all_u64, 0), 12 * 31);
-        assert_eq!(footrule_u64(0, all_u64), 12 * 31);
-        assert_eq!(footrule_u128(all_u128, 0), 25 * 31);
-        assert_eq!(footrule_u128(0, all_u128), 25 * 31);
-        for pos in 0..25u32 {
-            let one = 0x1Fu128 << (5 * pos);
-            assert_eq!(footrule_u128(one, 0), 31, "u128 field {pos}");
-            assert_eq!(footrule_u128(all_u128 ^ one, all_u128), 31, "u128 field {pos}");
-            if pos < 12 {
-                let one = one as u64;
-                assert_eq!(footrule_u64(0, one), 31, "u64 field {pos}");
-                assert_eq!(footrule_u64(all_u64, all_u64 ^ one), 31, "u64 field {pos}");
-            }
-        }
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
-
-        // Any 5-bit field values, not only permutations: the SWAR
-        // footrule equals the field loop at both widths.
-        #[test]
-        fn swar_footrule_matches_the_field_loop(a in any::<u128>(), b in any::<u128>()) {
-            let (a, b) = (a & ((1 << 125) - 1), b & ((1 << 125) - 1));
-            prop_assert_eq!(footrule_u128(a, b), footrule_fields(a, b));
-            let (a, b) = (a as u64 & ((1 << 60) - 1), b as u64 & ((1 << 60) - 1));
-            prop_assert_eq!(footrule_u64(a, b), footrule_fields(a, b));
-        }
-    }
-
-    /// Histogram of `values`: entry d counts the values equal to d.
-    fn histogram(values: impl Iterator<Item = u64>) -> Vec<u64> {
-        let mut counts = Vec::new();
-        for d in values {
-            let d = d as usize;
-            if counts.len() <= d {
-                counts.resize(d + 1, 0);
-            }
-            counts[d] += 1;
-        }
-        counts
-    }
-
-    /// Total displacement numbers: entry d counts the permutations of k
-    /// elements at footrule distance d from the identity, by the
-    /// weighted Motzkin-path recurrence (Bärtschi et al., "On computing
-    /// the total displacement number via weighted Motzkin paths").
-    ///
-    /// Step t brings in position t and value t; the height h is the
-    /// number of positions (equally, values) left open so far.  A step
-    /// keeps h in 2h + 1 ways (a fixed point, or one of the two sides
-    /// matched with one of h open partners), falls to h − 1 in h² ways
-    /// (both matched) and rises to h + 1 in one way (neither).  The
-    /// displacement is twice the sum of the heights after every step.
-    fn total_displacement_numbers(k: usize) -> Vec<u64> {
-        let max_half = k * k / 4;
-        // paths[h][s]: paths at height h whose heights sum to s so far.
-        let mut paths = vec![vec![0u64; max_half + 1]; k + 2];
-        paths[0][0] = 1;
-        for _ in 0..k {
-            let mut next = vec![vec![0u64; max_half + 1]; k + 2];
-            for (h, row) in paths.iter().enumerate() {
-                for (s, &count) in row.iter().enumerate() {
-                    if count == 0 {
-                        continue;
-                    }
-                    let hw = h as u64;
-                    let mut moves = vec![(h, 2 * hw + 1), (h + 1, 1)];
-                    if h > 0 {
-                        moves.push((h - 1, hw * hw));
-                    }
-                    for (to, ways) in moves {
-                        if s + to <= max_half {
-                            next[to][s + to] += count * ways;
-                        }
-                    }
-                }
-            }
-            paths = next;
-        }
-        let mut counts = vec![0u64; 2 * max_half + 1];
-        for (s, &count) in paths[0].iter().enumerate() {
-            counts[2 * s] = count;
-        }
-        counts
-    }
-
-    /// Mahonian numbers: the coefficients of ∏ᵢ₌₁ᵏ (1 + q + … + q^{i−1}),
-    /// the permutations of k elements counted by inversions.
-    fn mahonian_numbers(k: usize) -> Vec<u64> {
-        let mut poly = vec![1u64];
-        for i in 1..=k {
-            let mut next = vec![0u64; poly.len() + i - 1];
-            for (d, &c) in poly.iter().enumerate() {
-                for slot in &mut next[d..d + i] {
-                    *slot += c;
-                }
-            }
-            poly = next;
-        }
-        poly
-    }
-
-    /// Unsigned Stirling numbers of the first kind c(k, j), the
-    /// permutations of k elements with j cycles, indexed by the Cayley
-    /// distance k − j.
-    fn cayley_numbers(k: usize) -> Vec<u64> {
-        let mut row = vec![1u64];
-        for n in 0..k {
-            let mut next = vec![0u64; n + 2];
-            for (j, &c) in row.iter().enumerate() {
-                next[j] += n as u64 * c;
-                next[j + 1] += c;
-            }
-            row = next;
-        }
-        row.iter().rev().copied().take(k.max(1)).collect()
-    }
-
-    /// Counts all k! permutations by their distance from the identity
-    /// under the SWAR and the field footrule at both key widths, Kendall
-    /// tau and Cayley, and checks each histogram against its closed
-    /// form; also checks every measure's maximum, footrule's ⌊k²/2⌋
-    /// included.
-    fn check_closed_forms(k: usize) {
-        let id = Permutation::identity(k);
-        let perms: Vec<Permutation> = Permutation::all(k).collect();
-        let narrow: Vec<u64> = perms.iter().map(|p| pack_perm::<u64>(&p.inverse())).collect();
-        let wide: Vec<u128> = perms.iter().map(|p| pack_perm::<u128>(&p.inverse())).collect();
-        let (n0, w0) = (pack_perm::<u64>(&id), pack_perm::<u128>(&id));
-        let footrule = total_displacement_numbers(k);
-        let measured = [
-            ("SWAR u64", histogram(narrow.iter().map(|&key| footrule_u64(n0, key)))),
-            ("SWAR u128", histogram(wide.iter().map(|&key| footrule_u128(w0, key)))),
-            ("fields u64", histogram(narrow.iter().map(|&key| footrule_fields(n0, key)))),
-            ("fields u128", histogram(wide.iter().map(|&key| footrule_fields(w0, key)))),
-        ];
-        for (name, counts) in &measured {
-            assert_eq!(counts, &footrule, "{name} footrule, k = {k}");
-            assert_eq!(counts.len() - 1, k * k / 2, "{name} footrule maximum, k = {k}");
-        }
-        let kendall = histogram(perms.iter().map(|p| OrderingKind::KendallTau.distance(&id, p)));
-        assert_eq!(kendall, mahonian_numbers(k), "Kendall tau, k = {k}");
-        let cayley = histogram(perms.iter().map(|p| OrderingKind::Cayley.distance(&id, p)));
-        assert_eq!(cayley, cayley_numbers(k), "Cayley, k = {k}");
-        let rho_max = perms.iter().map(|p| OrderingKind::RhoSq.distance(&id, p)).max();
-        assert_eq!(rho_max, Some(((k * k * k - k) / 3) as u64), "Spearman rho maximum, k = {k}");
-    }
-
-    #[test]
-    fn closed_form_oracles_match_known_values() {
-        // k = 4, small enough to count by hand.
-        assert_eq!(total_displacement_numbers(4), [1, 0, 3, 0, 7, 0, 9, 0, 4]);
-        assert_eq!(mahonian_numbers(4), [1, 3, 5, 6, 5, 3, 1]);
-        assert_eq!(cayley_numbers(4), [1, 6, 11, 6]);
-    }
-
-    #[test]
-    fn distance_histograms_match_closed_forms_up_to_k8() {
-        for k in 1..=8 {
-            check_closed_forms(k);
-        }
-        // The maxima checked there, at the largest k the indexes
-        // accept, must fit the candidate-order words.
-        let m = MAX_K as u64;
-        assert_eq!(MAX_ORDERING_DISTANCE, (m * m * m - m) / 3, "Spearman rho at MAX_K");
-        for (name, max) in
-            [("footrule", m * m / 2), ("Kendall tau", m * (m - 1) / 2), ("Cayley", m - 1)]
-        {
-            assert!(max <= MAX_ORDERING_DISTANCE, "{name} maximum {max} at MAX_K");
-        }
-    }
-
-    #[test]
-    #[cfg_attr(debug_assertions, ignore = "all 9! permutations; runs in the release suite")]
-    fn distance_histograms_match_closed_forms_at_k9() {
-        check_closed_forms(9);
-    }
-
     #[test]
     fn ordering_engine_labels_follow_k() {
         let flat = VectorSet::from_nested(&random_points(100, 3, 50));
@@ -984,8 +610,8 @@ mod tests {
 
     #[test]
     fn wide_and_uncached_orderings_match_generic_index() {
-        // k = 16 exercises the u128 cached-key footrule; k = 26 the
-        // uncached permutation-walk fallback.  Both must answer exactly
+        // k = 16 exercises the u128 key footrule; k = 26 the position
+        // array keys.  Both must answer exactly
         // like the generic index, budgeted and exact.
         for k in [16usize, 26] {
             let nested = random_points(500, 3, 60 + k as u64);
@@ -1010,19 +636,53 @@ mod tests {
     #[test]
     fn from_parts_rebuilds_the_ordering_cache() {
         // The store loading path must answer bit-identically to the
-        // fresh build at a wide k — including the cached-key ordering.
+        // fresh build at a wide k — including the key-column ordering.
         let flat = VectorSet::from_nested(&random_points(300, 2, 70));
         let built = FlatDistPermIndex::build(L2, flat.clone(), 14, PivotSelection::MaxMin, 2);
+        let rows: Vec<u8> =
+            built.permutations().iter().flat_map(|p| p.as_slice().to_vec()).collect();
         let loaded = FlatDistPermIndex::from_parts(
             L2,
             flat,
             built.site_ids().to_vec(),
             built.sites_transposed().clone(),
-            built.permutations().to_vec(),
+            &rows,
         );
         assert_eq!(loaded.ordering_engine(), "packed-u128");
         for q in random_points(5, 2, 71) {
             assert_eq!(loaded.knn_approx(&q, 4, 0.3), built.knn_approx(&q, 4, 0.3));
+        }
+    }
+
+    #[test]
+    fn full_budget_range_is_the_linear_scan() {
+        // Exact range queries, through `range` and `range_approx` at
+        // frac 1.0, answer as the linear scan with k + n evaluations.
+        // Grid rows put many points at exactly the radius from a grid
+        // query, and those ties must be kept.
+        let rows: Vec<Vec<f64>> =
+            (0..150).map(|i| vec![f64::from(i % 15), f64::from(i / 15)]).collect();
+        let scan = LinearScan::new(L2, rows.clone());
+        let idx = FlatDistPermIndex::build(
+            L2,
+            VectorSet::from_nested(&rows),
+            7,
+            PivotSelection::MaxMin,
+            1,
+        );
+        let mut searcher = idx.session();
+        let stats = QueryStats::new(7 + 150);
+        for (q, radius, ties) in [
+            ([3.0, 4.0], 2.0, 4),
+            ([7.0, 2.0], 1.0, 4),
+            ([0.0, 0.0], 5.0, 4),
+            ([20.0, 20.0], 1.0, 0),
+        ] {
+            let radius = F64Dist::new(radius);
+            let truth = scan.range(&q.to_vec(), radius);
+            assert_eq!(truth.iter().filter(|nb| nb.dist == radius).count(), ties, "ties at {q:?}");
+            assert_eq!(searcher.range(&q, radius), (truth.clone(), stats), "range {q:?}");
+            assert_eq!(searcher.range_approx(&q, radius, 1.0), (truth, stats), "frac 1.0 {q:?}");
         }
     }
 
@@ -1100,7 +760,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         // Every budget from 1 to n, at each key width (k = 8 packed u64,
-        // 16 packed u128, 26 uncached), answers and counts exactly as
+        // 16 packed u128, 26 position arrays), answers and counts exactly as
         // the fully sorted `(key, id)` order.  Grid-snapped rows make
         // distance and ordering ties common, so the id tie-break
         // decides many answers.

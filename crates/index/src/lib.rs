@@ -94,6 +94,7 @@ pub mod distperm;
 pub mod flatperm;
 pub mod ghtree;
 pub mod iaesa;
+mod keys;
 pub mod laesa;
 pub mod linear;
 pub mod pivots;

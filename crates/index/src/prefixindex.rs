@@ -8,18 +8,18 @@
 //! fewer storage bits (`dp-theory::prefixes` gives the ceilings) but a
 //! blunter candidate ordering.  [`PrefixPermIndex`] makes that trade-off
 //! measurable against the full-permutation [`crate::DistPermIndex`].
+//!
+//! A prefix index *is* a [`DistPermIndex`] whose key column clamps every
+//! site's position to ℓ: points share a clamped key exactly when they
+//! share a prefix, and the footrule over clamped keys is the induced
+//! prefix footrule (`prefix_footrule`) its searcher orders by.
 
-use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
+use crate::api::{ApproxIndex, ProximityIndex};
+use crate::distperm::{DistPermIndex, DistPermSearcher};
 use crate::laesa::{choose_pivots, PivotSelection};
-use crate::query::{
-    assert_order_ids_fit, budgeted_knn_scan, budgeted_order, budgeted_range_scan, Neighbor,
-    QueryStats,
-};
+use crate::query::Neighbor;
 use dp_metric::Metric;
-use dp_permutation::encoding::element_bits;
-use dp_permutation::fxhash::FxHashSet;
-use dp_permutation::prefix::{prefix_footrule, PrefixPermutation};
-use dp_permutation::DistPermComputer;
+use dp_permutation::prefix::PrefixPermutation;
 
 /// Distance-permutation index storing length-ℓ prefixes.
 ///
@@ -27,12 +27,7 @@ use dp_permutation::DistPermComputer;
 /// evaluations plus prefix comparisons.
 #[derive(Debug, Clone)]
 pub struct PrefixPermIndex<P, M: Metric<P>> {
-    metric: M,
-    points: Vec<P>,
-    site_ids: Vec<usize>,
-    sites: Vec<P>,
-    prefixes: Vec<PrefixPermutation>,
-    prefix_len: usize,
+    index: DistPermIndex<P, M>,
 }
 
 impl<P: Clone, M: Metric<P>> PrefixPermIndex<P, M> {
@@ -50,7 +45,7 @@ impl<P: Clone, M: Metric<P>> PrefixPermIndex<P, M> {
     ) -> Self {
         assert!(prefix_len <= k, "prefix length {prefix_len} exceeds k = {k}");
         let site_ids = choose_pivots(&metric, &points, k, strategy);
-        Self::finish(metric, points, site_ids, prefix_len)
+        Self::build_with_sites(metric, points, site_ids, prefix_len)
     }
 
     /// Builds with explicitly provided site ids.
@@ -60,101 +55,78 @@ impl<P: Clone, M: Metric<P>> PrefixPermIndex<P, M> {
         site_ids: Vec<usize>,
         prefix_len: usize,
     ) -> Self {
-        assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
-        assert!(prefix_len <= site_ids.len(), "prefix length exceeds site count");
-        Self::finish(metric, points, site_ids, prefix_len)
-    }
-
-    fn finish(metric: M, points: Vec<P>, site_ids: Vec<usize>, prefix_len: usize) -> Self {
-        assert_order_ids_fit(points.len());
-        let sites: Vec<P> = site_ids.iter().map(|&i| points[i].clone()).collect();
-        let mut computer = DistPermComputer::new(site_ids.len());
-        let prefixes = points
-            .iter()
-            .map(|p| {
-                let full = computer.compute(&metric, &sites, p);
-                PrefixPermutation::from_permutation(&full, prefix_len)
-            })
-            .collect();
-        Self { metric, points, site_ids, sites, prefixes, prefix_len }
+        Self { index: DistPermIndex::build_clamped(metric, points, site_ids, prefix_len) }
     }
 }
 
 impl<P, M: Metric<P>> PrefixPermIndex<P, M> {
     /// Database size.
     pub fn len(&self) -> usize {
-        self.points.len()
+        self.index.len()
     }
 
     /// True iff empty.
     pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
+        self.index.is_empty()
     }
 
     /// Number of sites k.
     pub fn k(&self) -> usize {
-        self.site_ids.len()
+        self.index.k()
     }
 
     /// Stored prefix length ℓ.
     pub fn prefix_len(&self) -> usize {
-        self.prefix_len
+        self.index.keys.prefix_len
     }
 
     /// The site element ids.
     pub fn site_ids(&self) -> &[usize] {
-        &self.site_ids
+        self.index.site_ids()
     }
 
     /// The cached site points, parallel to [`Self::site_ids`].
     pub fn sites(&self) -> &[P] {
-        &self.sites
+        self.index.sites()
     }
 
     /// The owned metric (for evaluation counting).
     pub fn metric(&self) -> &M {
-        &self.metric
+        self.index.metric()
     }
 
-    /// The stored prefixes, parallel to the database.
-    pub fn prefixes(&self) -> &[PrefixPermutation] {
-        &self.prefixes
+    /// The stored prefixes, parallel to the database, decoded from the
+    /// key column.
+    pub fn prefixes(&self) -> Vec<PrefixPermutation> {
+        (0..self.len()).map(|i| self.index.keys.prefix(i)).collect()
     }
 
     /// Number of distinct stored prefixes — the ordered point on §2's
-    /// refinement chain at length ℓ.
+    /// refinement chain at length ℓ — counted over the key column.
     pub fn distinct_prefixes(&self) -> usize {
-        let set: FxHashSet<PrefixPermutation> = self.prefixes.iter().copied().collect();
-        set.len()
+        self.index.distinct_permutations()
     }
 
     /// Raw storage bits for the prefix column: n·ℓ·⌈log₂ k⌉.
     pub fn storage_bits_raw(&self) -> u64 {
-        self.len() as u64 * self.prefix_len as u64 * u64::from(element_bits(self.k()))
+        self.index.storage_bits_raw()
     }
 
     /// The codebook's storage bits: n·⌈log₂ N_ℓ⌉ for the id column plus the
     /// table of N_ℓ distinct prefixes.
     pub fn storage_bits_codebook(&self) -> u64 {
-        let n_distinct = self.distinct_prefixes();
-        let ids = self.len() as u64 * u64::from(element_bits(n_distinct));
-        let table = n_distinct as u64 * self.prefix_len as u64 * u64::from(element_bits(self.k()));
-        ids + table
+        self.index.storage_bits_codebook()
     }
 
     /// The query's length-ℓ prefix (k metric evaluations).
     pub fn query_prefix(&self, query: &P) -> PrefixPermutation {
-        self.session().query_prefix(query)
+        PrefixPermutation::from_permutation(&self.index.query_permutation(query), self.prefix_len())
     }
 
     /// A reusable query cursor (permutation scratch and candidate buffer
     /// allocated once).
     pub fn session(&self) -> PrefixPermSearcher<'_, P, M> {
-        PrefixPermSearcher {
-            index: self,
-            computer: DistPermComputer::new(self.k()),
-            order: Vec::new(),
-        }
+        self.index.session()
     }
 
     /// Approximate k-NN: measure the `frac` fraction of the database
@@ -171,98 +143,10 @@ impl<P, M: Metric<P>> PrefixPermIndex<P, M> {
     }
 }
 
-/// Reusable query cursor over a [`PrefixPermIndex`].
-#[derive(Debug, Clone)]
-pub struct PrefixPermSearcher<'a, P, M: Metric<P>> {
-    index: &'a PrefixPermIndex<P, M>,
-    computer: DistPermComputer<M::Dist>,
-    order: Vec<u64>,
-}
-
-impl<P, M: Metric<P>> PrefixPermSearcher<'_, P, M> {
-    /// The underlying index.
-    pub fn index(&self) -> &PrefixPermIndex<P, M> {
-        self.index
-    }
-
-    /// The query's length-ℓ prefix (k metric evaluations), using the
-    /// cursor's scratch.
-    pub fn query_prefix(&mut self, query: &P) -> PrefixPermutation {
-        query_prefix_with(self.index, &mut self.computer, query)
-    }
-
-    /// Budgeted k-NN over the `frac` prefix-nearest fraction.
-    ///
-    /// Candidate ordering is by induced prefix footrule, through the
-    /// same select-then-sort-prefix fast path as the full-permutation
-    /// searchers (keys `(footrule, id)` are distinct, so the prefix
-    /// equals the full sort's).  At `frac = 1.0` nothing is ordered:
-    /// every element is measured in storage order.
-    pub fn knn_approx(
-        &mut self,
-        query: &P,
-        k: usize,
-        frac: f64,
-    ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        let index = self.index;
-        let computer = &mut self.computer;
-        budgeted_knn_scan(
-            index.points.len(),
-            k,
-            frac,
-            index.k(),
-            &mut self.order,
-            |budget, order| {
-                let qpre = query_prefix_with(index, computer, query);
-                budgeted_order(
-                    index.prefixes.iter().map(|p| prefix_footrule(&qpre, p)),
-                    budget,
-                    order,
-                );
-            },
-            |i| index.metric.distance(query, &index.points[i]),
-        )
-    }
-
-    /// Budgeted range query; a subset of the true answer, exact at
-    /// `frac = 1.0`.
-    pub fn range_approx(
-        &mut self,
-        query: &P,
-        radius: M::Dist,
-        frac: f64,
-    ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        let index = self.index;
-        let computer = &mut self.computer;
-        budgeted_range_scan(
-            index.points.len(),
-            frac,
-            index.k(),
-            radius,
-            &mut self.order,
-            |budget, order| {
-                let qpre = query_prefix_with(index, computer, query);
-                budgeted_order(
-                    index.prefixes.iter().map(|p| prefix_footrule(&qpre, p)),
-                    budget,
-                    order,
-                );
-            },
-            |i| index.metric.distance(query, &index.points[i]),
-        )
-    }
-}
-
-/// The prefix computation, taking the searcher's scratch by parts so
-/// the budgeted-scan closures can borrow disjoint fields.
-fn query_prefix_with<P, M: Metric<P>>(
-    index: &PrefixPermIndex<P, M>,
-    computer: &mut DistPermComputer<M::Dist>,
-    query: &P,
-) -> PrefixPermutation {
-    let full = computer.compute(&index.metric, &index.sites, query);
-    PrefixPermutation::from_permutation(&full, index.prefix_len)
-}
+/// Reusable query cursor over a [`PrefixPermIndex`]: the
+/// full-permutation searcher over its clamped key column, ordering by
+/// the induced prefix footrule (nothing at `frac = 1.0`).
+pub type PrefixPermSearcher<'a, P, M> = DistPermSearcher<'a, P, M>;
 
 impl<P: Sync, M: Metric<P> + Sync> ProximityIndex<P> for PrefixPermIndex<P, M> {
     type Dist = M::Dist;
@@ -272,49 +156,11 @@ impl<P: Sync, M: Metric<P> + Sync> ProximityIndex<P> for PrefixPermIndex<P, M> {
         Self: 's;
 
     fn size(&self) -> usize {
-        self.points.len()
+        self.len()
     }
 
     fn searcher(&self) -> PrefixPermSearcher<'_, P, M> {
         self.session()
-    }
-}
-
-impl<P: Sync, M: Metric<P> + Sync> Searcher<P> for PrefixPermSearcher<'_, P, M> {
-    type Dist = M::Dist;
-
-    /// Exact k-NN as the full-budget scan: the k site evaluations of
-    /// the query prefix, then every element measured in storage order
-    /// with no candidate ordering (k + n evaluations).
-    fn knn(&mut self, query: &P, k: usize) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        self.knn_approx(query, k, 1.0)
-    }
-
-    /// Exact range query as the full-budget scan: k site evaluations,
-    /// then every element measured in storage order (k + n
-    /// evaluations).
-    fn range(&mut self, query: &P, radius: M::Dist) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        PrefixPermSearcher::range_approx(self, query, radius, 1.0)
-    }
-}
-
-impl<P: Sync, M: Metric<P> + Sync> ApproxSearcher<P> for PrefixPermSearcher<'_, P, M> {
-    fn knn_approx(
-        &mut self,
-        query: &P,
-        k: usize,
-        frac: f64,
-    ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        PrefixPermSearcher::knn_approx(self, query, k, frac)
-    }
-
-    fn range_approx(
-        &mut self,
-        query: &P,
-        radius: M::Dist,
-        frac: f64,
-    ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        PrefixPermSearcher::range_approx(self, query, radius, frac)
     }
 }
 
@@ -325,7 +171,9 @@ mod tests {
     use super::*;
     use crate::distperm::DistPermIndex;
     use crate::linear::LinearScan;
-    use dp_metric::L2;
+    use crate::query::{KnnHeap, QueryStats};
+    use dp_metric::{F64Dist, L2};
+    use dp_permutation::prefix_footrule;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -436,6 +284,47 @@ mod tests {
         let idx = PrefixPermIndex::build(L2, pts.clone(), 5, 2, PivotSelection::Prefix);
         for (i, p) in pts.iter().enumerate().step_by(13) {
             assert_eq!(idx.query_prefix(p), idx.prefixes()[i]);
+        }
+    }
+
+    #[test]
+    fn wide_prefix_indexes_order_by_the_prefix_footrule() {
+        // k = 13 and 25 store u128 keys, k = 26 and 32 position arrays.
+        // Below full budget the candidates are the first `budget` of the
+        // full `(prefix_footrule, id)` sort; at frac 1.0 the answers are
+        // the linear scan's.
+        let pts = random_points(200, 3, 17);
+        let scan = LinearScan::new(L2, pts.clone());
+        let (frac, radius) = (0.25, F64Dist::new(0.3));
+        let budget = (frac * pts.len() as f64).ceil() as usize;
+        for k in [13usize, 25, 26, 32] {
+            for len in [1, k / 2, k] {
+                let idx = PrefixPermIndex::build(L2, pts.clone(), k, len, PivotSelection::MaxMin);
+                let prefixes = idx.prefixes();
+                for (i, p) in pts.iter().enumerate().step_by(23) {
+                    assert_eq!(idx.query_prefix(p), prefixes[i], "k = {k}, ℓ = {len}, row {i}");
+                }
+                for q in random_points(3, 3, 18 + k as u64) {
+                    let qpre = idx.query_prefix(&q);
+                    let mut pairs: Vec<(u64, usize)> =
+                        prefixes.iter().map(|p| prefix_footrule(&qpre, p)).zip(0..).collect();
+                    pairs.sort_unstable();
+                    let measured: Vec<Neighbor<F64Dist>> = pairs[..budget]
+                        .iter()
+                        .map(|&(_, id)| Neighbor { id, dist: L2.distance(&q, &pts[id]) })
+                        .collect();
+                    let mut heap = KnnHeap::new(3);
+                    measured.iter().for_each(|nb| heap.push(nb.id, nb.dist));
+                    let mut within: Vec<_> =
+                        measured.into_iter().filter(|nb| nb.dist <= radius).collect();
+                    within.sort_unstable();
+                    let case = format!("k = {k}, ℓ = {len}");
+                    assert_eq!(idx.knn_approx(&q, 3, frac), heap.into_sorted(), "{case}");
+                    assert_eq!(idx.range_approx(&q, radius, frac), within, "{case}");
+                    assert_eq!(idx.knn_approx(&q, 3, 1.0), scan.knn(&q, 3), "{case}");
+                    assert_eq!(idx.range_approx(&q, radius, 1.0), scan.range(&q, radius), "{case}");
+                }
+            }
         }
     }
 

@@ -169,8 +169,8 @@ pub(crate) fn order_id(word: u64) -> usize {
 
 /// Fills `order` with the `budget` candidates nearest by `keys` (one
 /// ordering distance per database id), in `(key, id)` order — the
-/// budgeted candidate ordering shared by the permutation-family
-/// searchers.
+/// budgeted candidate ordering the key column runs for every
+/// permutation-family searcher.
 ///
 /// Each entry is one word, `key << 48 | id`.  Keys never exceed
 /// [`MAX_ORDERING_DISTANCE`] and ids stay below 2⁴⁸
@@ -204,17 +204,6 @@ pub(crate) fn budgeted_order(
     order.sort_unstable();
 }
 
-/// Visits the ids a budgeted scan measures: every id in storage order
-/// at full budget (`budget == n`), else the order [`budgeted_order`]
-/// built.
-fn for_each_candidate(order: &[u64], budget: usize, n: usize, mut visit: impl FnMut(usize)) {
-    if budget == n {
-        (0..n).for_each(visit);
-    } else {
-        order.iter().for_each(|&word| visit(order_id(word)));
-    }
-}
-
 /// Validates a scan-budget fraction (shared by every budgeted scan).
 #[inline]
 pub(crate) fn assert_frac(frac: f64) {
@@ -232,65 +221,6 @@ pub(crate) fn knn_budget(n: usize, k: usize, frac: f64) -> usize {
 #[inline]
 pub(crate) fn range_budget(n: usize, frac: f64) -> usize {
     ((frac * n as f64).ceil() as usize).min(n)
-}
-
-/// The shared budgeted k-NN scan of the generic permutation-family
-/// searchers ([`crate::DistPermSearcher`], [`crate::PrefixPermSearcher`]):
-/// validate `frac`, clamp the budget to `[min(k, n), n]`, run
-/// `order_with(budget, order)` (which computes the query's k site
-/// distances and calls [`budgeted_order`]), measure the budgeted
-/// candidates with `dist` — all n in storage order at full budget — and
-/// account `sites_k + budget` metric evaluations.
-///
-/// `n == 0` and `k == 0` short-circuit to an empty answer with zero
-/// evaluations (before any candidate ordering runs).
-pub(crate) fn budgeted_knn_scan<D: Distance>(
-    n: usize,
-    k: usize,
-    frac: f64,
-    sites_k: usize,
-    order: &mut Vec<u64>,
-    order_with: impl FnOnce(usize, &mut Vec<u64>),
-    mut dist: impl FnMut(usize) -> D,
-) -> (Vec<Neighbor<D>>, QueryStats) {
-    assert_frac(frac);
-    if n == 0 || k == 0 {
-        return (Vec::new(), QueryStats::default());
-    }
-    let budget = knn_budget(n, k, frac);
-    order_with(budget, order);
-    let mut heap = KnnHeap::new(k.min(n));
-    for_each_candidate(order, budget, n, |i| heap.push(i, dist(i)));
-    (heap.into_sorted(), QueryStats::new((sites_k + budget) as u64))
-}
-
-/// The budgeted range-query counterpart of [`budgeted_knn_scan`]:
-/// budget is `⌈frac·n⌉` (no k floor), every measured candidate within
-/// `radius` is reported, sorted by `(distance, id)`.
-pub(crate) fn budgeted_range_scan<D: Distance>(
-    n: usize,
-    frac: f64,
-    sites_k: usize,
-    radius: D,
-    order: &mut Vec<u64>,
-    order_with: impl FnOnce(usize, &mut Vec<u64>),
-    mut dist: impl FnMut(usize) -> D,
-) -> (Vec<Neighbor<D>>, QueryStats) {
-    assert_frac(frac);
-    if n == 0 {
-        return (Vec::new(), QueryStats::default());
-    }
-    let budget = range_budget(n, frac);
-    order_with(budget, order);
-    let mut out: Vec<Neighbor<D>> = Vec::new();
-    for_each_candidate(order, budget, n, |i| {
-        let d = dist(i);
-        if d <= radius {
-            out.push(Neighbor { id: i, dist: d });
-        }
-    });
-    out.sort_unstable();
-    (out, QueryStats::new((sites_k + budget) as u64))
 }
 
 #[cfg(test)]

@@ -274,10 +274,10 @@ impl<K: PackedKey> PackedCountSummary<K> {
 /// lexicographic order.  The packed counter's key layout, at either
 /// [`PackedKey`] width.
 ///
-/// Public so key-caching consumers (the flat index searcher) can derive
-/// keys from stored permutations; panics are impossible for any valid
-/// `Permutation` with `len() ≤ K::MAX_K` in debug (longer inputs
-/// silently alias in release — callers dispatch widths first).
+/// Public so the integration suites can pack their reference keys;
+/// panics are impossible for any valid `Permutation` with
+/// `len() ≤ K::MAX_K` in debug (longer inputs silently alias in release
+/// — callers dispatch widths first).
 pub fn pack_perm<K: PackedKey>(p: &Permutation) -> K {
     debug_assert!(p.len() <= K::MAX_K, "permutation too long for this key width");
     let k = p.len();

@@ -31,7 +31,7 @@ pub const SECTION_ALIGN: u64 = 64;
 /// The sections of a version-1 store, in their required TOC order.
 ///
 /// A v1 file contains exactly these four, each once, ascending by id.
-/// Ids 5 (packed permutation keys for the searcher-side key cache) and
+/// Ids 5 (packed permutation keys for the index's key column) and
 /// 6 (a page index for mmap loading) are reserved for future versions —
 /// adding a section is a format-version bump, never a silent extension.
 ///
@@ -39,9 +39,9 @@ pub const SECTION_ALIGN: u64 = 64;
 /// widths (`u64` for k ≤ 12, `u128` for k ≤ 25), so a future section 5
 /// must carry a key-width byte (8 or 16) in its payload header and its
 /// element size follows that byte — it is **not** a fixed-stride u64
-/// array.  `FlatDistPermIndex::from_parts` currently rebuilds its
-/// ordering-key cache from the PERMS section at load, so section 5
-/// stays an optimisation, never a correctness input.
+/// array.  `FlatDistPermIndex::from_parts` currently builds its key
+/// column from the PERMS section at load, so section 5 stays an
+/// optimisation, never a correctness input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SectionId {
     /// Geometry, metric tag and site ids.

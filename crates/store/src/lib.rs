@@ -6,9 +6,11 @@
 //! (`distperm search --load` / `distperm serve --load`) without paying
 //! the k·n distance computations of a rebuild.  Loading reproduces the
 //! in-memory structures **field for field** — the transposed site
-//! matrix and the permutation rows are stored in their in-memory
-//! layouts and loaded without re-transposition — so a loaded index
-//! answers every query bit-identically to the freshly built original.
+//! matrix is stored in its in-memory layout and loaded without
+//! re-transposition, and the permutation rows (decoded from the index's
+//! key column on write) are checked and packed back into it on load —
+//! so a loaded index answers every query bit-identically to the freshly
+//! built original.
 //!
 //! # Format specification (version 1)
 //!

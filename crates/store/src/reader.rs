@@ -114,7 +114,7 @@ pub fn read_store(bytes: &[u8]) -> Result<StoredIndex, StoreError> {
     let meta = parse_meta(sections.payload(bytes, SectionId::Meta))?;
     let vectors = parse_vectors(sections.payload(bytes, SectionId::Vectors), &meta)?;
     let sites_t = parse_sites_t(sections.payload(bytes, SectionId::SitesT), &meta, &vectors)?;
-    let perms = parse_perms(sections.payload(bytes, SectionId::Perms), &meta)?;
+    let perms = check_perms(sections.payload(bytes, SectionId::Perms), &meta)?;
 
     let points = VectorSet::from_raw(meta.dim, vectors);
     let sites_t = TransposedSites::from_transposed(meta.k, meta.dim, sites_t);
@@ -394,7 +394,7 @@ fn parse_sites_t(payload: &[u8], meta: &Meta, vectors: &[f64]) -> Result<Vec<f64
     Ok(values)
 }
 
-fn parse_perms(payload: &[u8], meta: &Meta) -> Result<Vec<Permutation>, StoreError> {
+fn check_perms<'a>(payload: &'a [u8], meta: &Meta) -> Result<&'a [u8], StoreError> {
     let expected = (meta.n as u64).wrapping_mul(meta.k as u64);
     if payload.len() as u64 != expected {
         return Err(StoreError::BadSectionLength {
@@ -403,19 +403,12 @@ fn parse_perms(payload: &[u8], meta: &Meta) -> Result<Vec<Permutation>, StoreErr
             found: payload.len() as u64,
         });
     }
-    if meta.k == 0 {
-        // `chunks_exact(0)` is not a thing; n empty permutations.
-        let empty =
-            Permutation::from_slice(&[]).map_err(|_| StoreError::BadPermutation { row: 0 })?;
-        return Ok(vec![empty; meta.n]);
+    // `chunks_exact(0)` is not a thing; k = 0 rows are all empty, and
+    // the empty row is a permutation.
+    for (row, chunk) in payload.chunks_exact(meta.k.max(1)).enumerate() {
+        Permutation::from_slice(chunk).map_err(|_| StoreError::BadPermutation { row })?;
     }
-    let mut perms = Vec::with_capacity(meta.n);
-    for (row, chunk) in payload.chunks_exact(meta.k).enumerate() {
-        let perm =
-            Permutation::from_slice(chunk).map_err(|_| StoreError::BadPermutation { row })?;
-        perms.push(perm);
-    }
-    Ok(perms)
+    Ok(payload)
 }
 
 /// Decodes a `rows × dim` f64 payload, first checking the byte length
