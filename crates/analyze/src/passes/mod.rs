@@ -67,10 +67,12 @@ pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
 
 /// Total-by-contract subsystems — only the isolation boundary may
 /// panic: the serving subsystem (a panicking worker would take the
-/// session down) and the store I/O layer (the reader must turn hostile
+/// session down), the store I/O layer (the reader must turn hostile
 /// bytes into typed `StoreError`s, never a panic; the writer shares the
-/// modules).
-pub const PANIC_BOUNDARY_SCOPES: &[&str] = &["crates/index/src/serve/", "crates/store/src/"];
+/// modules) and the SISAP file reader (hostile bytes become typed
+/// `SisapIoError`s; its workers share one lock and join).
+pub const PANIC_BOUNDARY_SCOPES: &[&str] =
+    &["crates/index/src/serve/", "crates/store/src/", "crates/datasets/src/sisap_io.rs"];
 
 /// The one file inside the serve scope allowed to panic (it is the
 /// `catch_unwind` boundary and the test-only fault injector).

@@ -1,14 +1,16 @@
 //! `panic-boundary` — the total-by-contract subsystems stay total.
 //!
-//! Two subsystems promise totality.  `distperm serve` promises that
+//! Three subsystems promise totality.  `distperm serve` promises that
 //! input garbage, query panics, and overload all stay inside the
 //! session as reply lines; the only place allowed to panic is the
 //! isolation boundary itself (`isolate.rs`, which owns `catch_unwind`
 //! and the test-only fault injector).  The `dp-store` I/O layer
 //! promises that hostile bytes — truncation anywhere, corruption at any
 //! offset — surface as typed `StoreError`s, never as a panic
-//! (`tests/store_robustness.rs` pins that dynamically).  In both scopes
-//! (`crates/index/src/serve/`, `crates/store/src/`), panicking
+//! (`tests/store_robustness.rs` pins that dynamically).  The SISAP
+//! reader (`crates/datasets/src/sisap_io.rs`) promises the same of a
+//! vector file, on every worker that parses it.  In all three scopes
+//! (`crates/index/src/serve/`, `crates/store/src/`, `sisap_io.rs`), panicking
 //! constructs outside `#[cfg(test)]` are findings: each must be
 //! rewritten total (poison recovery, `let … else`, bounds-checked
 //! reads) or carry a waiver arguing why the crash is genuinely
@@ -36,10 +38,11 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 tok,
                 true,
                 format!(
-                    "`{call}` inside a total-by-contract subsystem (serve loop / store I/O); \
-                     only isolate.rs may panic.  Recover (e.g. `unwrap_or_else(PoisonError::\
-                     into_inner)`, `let … else`, bounds-checked reads) or waive with a reason \
-                     proving the crash is unreachable or unservable"
+                    "`{call}` inside a total-by-contract subsystem (serve loop / store I/O / \
+                     SISAP reader); only isolate.rs may panic.  Recover (e.g. \
+                     `unwrap_or_else(PoisonError::into_inner)`, `let … else`, bounds-checked \
+                     reads) or waive with a reason proving the crash is unreachable or \
+                     unservable"
                 ),
                 out,
             );

@@ -4,15 +4,19 @@
 //! (the format `write_vectors_flat` and the benchmark's generator use) at
 //! 200k × 8, the survey input, and 10⁶ × 2, the count input.  The
 //! `from_str_floor` row converts the same tokens with `f64::from_str`
-//! and nothing else: the reader can get no faster than that, and the
+//! and nothing else: one thread can parse no faster than that, and the
 //! row shows how fast the host is running when the file was recorded.
+//! The `read_vectors_file_t1`/`_t2` rows read the same text from a
+//! temporary file on one and two workers, which split it into
+//! line-aligned segments; the two-worker row shows scaling only on a
+//! host with two free cores.
 //!
 //! `CRITERION_JSON=$PWD/BENCH_parse.json cargo bench -p dp-bench --bench sisap_parse`
 //! appends machine-readable medians; the committed baseline was recorded
 //! that way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use dp_datasets::sisap_io::{read_vectors_flat, write_vectors_flat};
+use dp_datasets::sisap_io::{read_vectors_file, read_vectors_flat, write_vectors_flat};
 use dp_datasets::vectors::uniform_unit_cube_flat;
 use std::hint::black_box;
 
@@ -28,6 +32,14 @@ fn bench_parse(c: &mut Criterion) {
                 black_box(read_vectors_flat(&mut text.as_slice()).expect("valid text").len())
             });
         });
+        let path = std::env::temp_dir().join(format!("sisap_parse_{}.vec", std::process::id()));
+        std::fs::write(&path, &text).expect("temp file write");
+        for threads in [1, 2] {
+            group.bench_function(format!("read_vectors_file_t{threads}"), |b| {
+                b.iter(|| black_box(read_vectors_file(&path, threads).expect("valid file").len()));
+            });
+        }
+        std::fs::remove_file(&path).ok();
         let body = std::str::from_utf8(&text).expect("ASCII text");
         group.bench_function("from_str_floor", |b| {
             b.iter(|| {

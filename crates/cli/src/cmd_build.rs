@@ -24,9 +24,9 @@ use std::path::Path;
 
 /// Runs `distperm build`.
 pub fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let db = data::load(parsed)?;
-    let out_path = parsed.require_str("out")?.to_string();
     let threads = parsed.threads_or(4)?;
+    let db = data::load(parsed, threads)?;
+    let out_path = parsed.require_str("out")?.to_string();
     let k_arg = match parsed.str_opt("k") {
         None => None,
         Some(s) => Some(

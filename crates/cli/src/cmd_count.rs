@@ -71,7 +71,8 @@ where
 }
 
 pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let db = data::load(parsed)?;
+    let threads = parsed.threads_or(4)?;
+    let db = data::load(parsed, threads)?;
     if db.len() < 2 {
         return Err(CliError::data("database has fewer than two elements"));
     }
@@ -94,7 +95,6 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
         )));
     }
     let seed = parsed.u64_or("seed", 0x5EED)?;
-    let threads = parsed.threads_or(4)?;
     let shard_rows = parsed.usize_or("shard-rows", 0)?;
     let prefix_len = match parsed.str_opt("prefix-len") {
         None => None,

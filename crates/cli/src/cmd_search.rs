@@ -88,14 +88,14 @@ pub fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     }
     let spec = IndexSpec::parse(parsed.require_str("index")?)
         .map_err(|e| CliError::usage(e.to_string()))?;
-    let db = data::load(parsed)?;
-    let queries_path = parsed.require_str("queries")?.to_string();
     let options = parse_options(parsed)?;
+    let db = data::load(parsed, options.threads)?;
+    let queries_path = parsed.require_str("queries")?.to_string();
     parsed.finish()?;
 
     match db {
         Database::Vectors { dim, data, metric } => {
-            let queries = read_queries(&queries_path, dim)?;
+            let queries = read_queries(&queries_path, dim, options.threads)?;
             match metric {
                 VectorMetricSpec::L1 => serve_vectors(L1, spec, data, queries, &options, out),
                 VectorMetricSpec::L2 => serve_vectors(L2, spec, data, queries, &options, out),
@@ -141,7 +141,7 @@ fn run_loaded(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> 
     let load_start = Instant::now();
     let stored = dp_store::load_store(Path::new(&store_path))
         .map_err(|e| CliError::data(format!("{store_path}: {e}")))?;
-    let queries = read_queries(&queries_path, stored.dim())?;
+    let queries = read_queries(&queries_path, stored.dim(), options.threads)?;
     let name = stored.spec_name();
     match stored {
         StoredIndex::L1(index) => serve_loaded(&index, &name, queries, &options, load_start, out),
@@ -154,8 +154,8 @@ fn run_loaded(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> 
     }
 }
 
-fn read_queries(queries_path: &str, dim: usize) -> Result<VectorSet, CliError> {
-    let queries = sisap_io::read_vectors_file_flat(queries_path)
+fn read_queries(queries_path: &str, dim: usize, threads: usize) -> Result<VectorSet, CliError> {
+    let queries = sisap_io::read_vectors_file(queries_path, threads)
         .map_err(|e| CliError::data(format!("{queries_path}: {e}")))?;
     if queries.dim() != dim {
         return Err(CliError::data(format!(

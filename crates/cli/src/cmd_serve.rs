@@ -86,8 +86,8 @@ pub fn run_with_input<R: BufRead + Send>(
     }
     let spec = IndexSpec::parse(parsed.require_str("index")?)
         .map_err(|e| CliError::usage(e.to_string()))?;
-    let db = data::load(parsed)?;
     let options = parse_options(parsed)?;
+    let db = data::load(parsed, options.config.threads)?;
     parsed.finish()?;
 
     match db {

@@ -40,7 +40,8 @@ fn engine_line(ks: &[usize]) -> String {
 }
 
 pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let db = data::load(parsed)?;
+    let threads = parsed.threads_or(1)?;
+    let db = data::load(parsed, threads)?;
     if db.len() < 2 {
         return Err(CliError::data("database has fewer than two elements"));
     }
@@ -59,7 +60,6 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
     let seed = parsed.u64_or("seed", 0x5EED)?;
     let rho_pairs = parsed.usize_or("rho-pairs", 20_000)?.max(1);
     let with_reference = parsed.flag("with-reference");
-    let threads = parsed.threads_or(1)?;
     let shard_rows = parsed.usize_or("shard-rows", 0)?;
     if shard_rows > 0 && matches!(&db, Database::Strings { .. }) {
         return Err(CliError::usage("--shard-rows applies only to vector databases"));

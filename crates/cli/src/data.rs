@@ -128,8 +128,9 @@ pub fn parse_string_metric(name: &str) -> Result<StringMetricSpec, CliError> {
 }
 
 /// Loads the database named by `--vectors` or `--strings`, resolving
-/// `--metric` (default: l2 for vectors, levenshtein for strings).
-pub fn load(parsed: &ParsedArgs) -> Result<Database, CliError> {
+/// `--metric` (default: l2 for vectors, levenshtein for strings).  A
+/// vector file is parsed on the command's `threads` workers.
+pub fn load(parsed: &ParsedArgs, threads: usize) -> Result<Database, CliError> {
     let vectors = parsed.str_opt("vectors").map(str::to_string);
     let strings = parsed.str_opt("strings").map(str::to_string);
     match (vectors, strings) {
@@ -137,7 +138,7 @@ pub fn load(parsed: &ParsedArgs) -> Result<Database, CliError> {
         (None, None) => Err(CliError::usage("missing input: --vectors <file> or --strings <file>")),
         (Some(path), None) => {
             let metric = parse_vector_metric(&parsed.str_or("metric", "l2"))?;
-            let data = sisap_io::read_vectors_file_flat(&path)
+            let data = sisap_io::read_vectors_file(&path, threads)
                 .map_err(|e| CliError::data(format!("{path}: {e}")))?;
             Ok(Database::Vectors { dim: data.dim(), data, metric })
         }
@@ -208,15 +209,15 @@ mod tests {
     #[test]
     fn load_requires_exactly_one_input() {
         let args = ParsedArgs::parse(&["count"]).unwrap();
-        assert!(load(&args).is_err());
+        assert!(load(&args, 1).is_err());
         let args = ParsedArgs::parse(&["count", "--vectors", "a", "--strings", "b"]).unwrap();
-        assert!(load(&args).is_err());
+        assert!(load(&args, 1).is_err());
     }
 
     #[test]
     fn load_reports_missing_file_as_data_error() {
         let args = ParsedArgs::parse(&["count", "--vectors", "/nonexistent/file"]).unwrap();
-        match load(&args) {
+        match load(&args, 1) {
             Err(CliError::Data(msg)) => assert!(msg.contains("/nonexistent/file")),
             other => panic!("expected data error, got {other:?}"),
         }

@@ -105,28 +105,34 @@ COMMANDS:
             --vectors <file>|--strings <file> --k <sites>
             [--metric l2|l1|linf|lp:<p>|levenshtein|hamming|prefix]
             [--seed <s>] [--sites 0,5,9] [--threads <t>] [--prefix-len <l>]
+            (--threads 4 by default; a --vectors file is parsed on the
+            same workers)
             [--shard-rows <n>  (vectors only: keys each counting worker
             buffers before sorting them into a run; default and 0 =
             131072, identical output at any size)]
   survey    full report: rho, counts, storage costs, dimension estimates
             (vector databases run through the flat batched engine)
             --vectors <file>|--strings <file> [--metric …] [--ks 4,8,12]
-            [--seed <s>] [--rho-pairs 20000] [--threads 1  (vectors only)]
+            [--seed <s>] [--rho-pairs 20000] [--threads 1  (vectors only;
+            the file is parsed on the same workers)]
             [--shard-rows <n>  (vectors only; default and 0 = 131072)]
   build     build a flatperm index once and persist it as a store file
             --vectors <db> --out <store> (--k <sites> | --sites 0,5,9)
-            [--metric l2|l1|linf|lp:<p>] [--threads 4]
+            [--metric l2|l1|linf|lp:<p>] [--threads 4  (the file is
+            parsed on the same workers)]
   search    build an index by spec and serve a query file in parallel
             --vectors <db>|--strings <db> --queries <file> --index <spec>
             [--metric …] [--knn 1 | --radius <r>] [--frac 1.0]
-            [--threads 4] [--quiet]
+            [--threads 4  (vector database and query files are parsed
+            on the same workers)] [--quiet]
             specs: linear aesa laesa[:k] iaesa[:k] distperm[:k]
                    prefixperm[:k[:l]] flatperm[:k] vptree ghtree bktree
             or: --load <store> --queries <file> … (serve a store written
             by `build`; database, metric and index come from the file)
   serve     persistent fault-tolerant query service over stdin/stdout
             --vectors <db> --index <spec> | --load <store>
-            [--metric …] [--threads 2]
+            [--metric …] [--threads 2  (a --vectors file is parsed on
+            the same workers)]
             [--queue 4] [--max-batch 4096] [--deadline-ms <ms>]
             [--degrade-frac 0.25]
             protocol: `begin <id> [deadline-ms=…] [frac=…]`, then

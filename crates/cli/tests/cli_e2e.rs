@@ -581,6 +581,79 @@ fn crlf_blank_lines_and_missing_final_newline_do_not_change_output() {
 }
 
 #[test]
+fn parse_workers_change_no_output_store_byte_or_error() {
+    // A vector file of several 1 MiB parse segments, with CRLF endings
+    // and blank lines, is parsed on the --threads workers: the output,
+    // the store and the first error must not depend on how many.
+    let dir = temp_dir("parse_threads");
+    let plain = dir.join("plain.vec");
+    stdout(&distperm(&[
+        "generate",
+        "--kind",
+        "uniform",
+        "--n",
+        "70000",
+        "--dim",
+        "2",
+        "--seed",
+        "5",
+        "--out",
+        plain.to_str().unwrap(),
+    ]));
+    let text = std::fs::read_to_string(&plain).expect("read");
+    let messy: String = text
+        .lines()
+        .enumerate()
+        .map(
+            |(i, line)| {
+                if i % 5 == 0 {
+                    format!("{line}\r\n \t\r\n")
+                } else {
+                    format!("{line}\r\n")
+                }
+            },
+        )
+        .collect();
+    assert!(messy.len() > 3 << 20, "several segments: {} bytes", messy.len());
+    let file = dir.join("messy.vec");
+    std::fs::write(&file, &messy).expect("write");
+    let (f, store) = (file.to_str().unwrap(), dir.join("db.dps"));
+    let s = store.to_str().unwrap();
+    let commands: [&[&str]; 3] = [
+        &["count", "--vectors", f, "--k", "6", "--seed", "3"],
+        &["survey", "--vectors", f, "--ks", "4,7", "--rho-pairs", "3000", "--seed", "77"],
+        &["build", "--vectors", f, "--k", "8", "--out", s],
+    ];
+    for args in commands {
+        let run = |threads: &str| {
+            let out = stdout(&distperm(&[args, &["--threads", threads]].concat()));
+            (out, std::fs::read(&store).unwrap_or_default())
+        };
+        let one = run("1");
+        for threads in ["2", "4"] {
+            assert_eq!(run(threads), one, "{} at --threads {threads}", args[0]);
+        }
+    }
+    // A bad token in the last segment: the same exit-1 diagnostic.
+    let at = messy.len() - 40;
+    let line = 1 + messy[..at].matches('\n').count();
+    let mut bad = messy.into_bytes();
+    bad[at] = b'x';
+    std::fs::write(&file, bad).expect("write");
+    let errors: Vec<String> = ["1", "4"]
+        .into_iter()
+        .map(|threads| {
+            let o = distperm(&["count", "--vectors", f, "--k", "6", "--threads", threads]);
+            assert_eq!(o.status.code(), Some(1), "--threads {threads}");
+            String::from_utf8_lossy(&o.stderr).into_owned()
+        })
+        .collect();
+    assert!(errors[0].contains(&format!("parse error at line {line}:")), "{}", errors[0]);
+    assert_eq!(errors[0], errors[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn missing_file_is_a_one_line_diagnostic_in_every_command() {
     // Regression: a missing database file must exit 1 with a single
     // diagnostic line naming the path — no panic, no backtrace.

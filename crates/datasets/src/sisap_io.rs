@@ -21,11 +21,32 @@
 //! again with `split_whitespace` itself before any error is reported, so
 //! Unicode separators such as U+00A0 and U+3000 are accepted, at no cost
 //! to ASCII input.  `f64::from_str` converts every coordinate.
+//!
+//! [`read_vectors_file`] parses a file on several workers.  It cuts the
+//! file into segments of about 1 MiB that end on line boundaries: a
+//! segment starts just after the first `\n` at or after its nominal
+//! start (the first segment at offset 0) and ends with the first `\n` at
+//! or after its nominal end, so every line lies in exactly one segment.
+//! The caller parses segments in order until it has read the header;
+//! then each worker claims the next segment from a shared cursor, reads
+//! it with `read_at` through the same block loop into its own buffer,
+//! and appends its rows to the one result when every earlier segment has
+//! been appended.  Rows therefore land in file order, and a worker holds
+//! at most one parsed segment.  A segment that fails, or that brings the
+//! rows past the header's `n`, is parsed again from the result's own
+//! line and row counts, so the error reported is the first in file order,
+//! with the line number and message the one-worker reader gives; no
+//! worker claims a segment after that.
 
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
+
+use dp_metric::par::fork_join;
 
 use crate::VectorSet;
 
@@ -97,8 +118,12 @@ fn write_rows<'a, W: Write>(
     let mut w = BufWriter::new(w);
     writeln!(w, "{dim} {n}")?;
     for row in rows {
+        // dplint: allow(panic-boundary, reason = "documented precondition of the
+        // writers: the rows come from the caller's own data, never from a file")
         assert_eq!(row.len(), dim, "vector length {} != declared dim {dim}", row.len());
         for (j, &x) in row.iter().enumerate() {
+            // dplint: allow(panic-boundary, reason = "documented precondition of
+            // the writers: NaN or ∞ in the caller's own data cannot be written")
             assert!(x.is_finite(), "non-finite coordinate {x}");
             // 17 significant digits: lossless f64 round-trip.
             write!(w, "{}{x:.17e}", if j == 0 { "" } else { " " })?;
@@ -118,52 +143,13 @@ fn write_rows<'a, W: Write>(
 /// never a silently shorter database.
 pub fn read_vectors_flat<R: Read>(r: &mut R) -> Result<VectorSet, SisapIoError> {
     // Of an input of unknown length, only what one block holds is sure.
-    read_vectors_raw(r, BLOCK_LEN / 2)
+    let mut parser = RowParser::new(BLOCK_LEN / 2);
+    parser.read_blocks(r, &mut Vec::with_capacity(BLOCK_LEN))?;
+    parser.finish()
 }
 
 /// Bytes the vector reader reads at a time; a longer line grows the block.
 const BLOCK_LEN: usize = 64 * 1024;
-
-/// The block reader behind [`read_vectors_flat`] (the module docs give
-/// its rules).  It reserves at most `max_reserve` coordinates up front,
-/// whatever the header declares; the buffer grows past that only as rows
-/// arrive.
-fn read_vectors_raw<R: Read>(r: &mut R, max_reserve: usize) -> Result<VectorSet, SisapIoError> {
-    let mut parser = RowParser { header: None, line: 0, rows: 0, data: Vec::new(), max_reserve };
-    let mut block = Vec::with_capacity(BLOCK_LEN);
-    loop {
-        let room = BLOCK_LEN - block.len() % BLOCK_LEN;
-        // Bytes read before an i/o error stay in the block: the whole
-        // lines among them are parsed before the error is returned.
-        let read = r.by_ref().take(room as u64).read_to_end(&mut block);
-        let eof = matches!(read, Ok(0));
-        if eof {
-            block.push(b'\n'); // so that the last line is whole too
-        }
-        let end = block.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
-        // On invalid UTF-8, rows before the offending line come first.
-        let (text, bad_utf8) = match std::str::from_utf8(&block[..end]) {
-            Ok(text) => (text, false),
-            Err(e) => (std::str::from_utf8(&block[..e.valid_up_to()]).unwrap_or_default(), true),
-        };
-        parser.parse(&text[..text.rfind('\n').map_or(0, |i| i + 1)])?;
-        if bad_utf8 {
-            let msg = "stream did not contain valid UTF-8";
-            return Err(io::Error::new(io::ErrorKind::InvalidData, msg).into());
-        }
-        read?;
-        if eof {
-            let (dim, n) =
-                parser.header.ok_or_else(|| parse_err(0, "empty file: missing `dim n` header"))?;
-            if parser.rows != n {
-                let msg = format!("header declared {n} rows, found {}", parser.rows);
-                return Err(parse_err(0, msg));
-            }
-            return Ok(VectorSet::from_raw(dim, parser.data));
-        }
-        block.drain(..end);
-    }
-}
 
 /// Vector-file parse state carried from block to block.
 struct RowParser {
@@ -175,6 +161,58 @@ struct RowParser {
 }
 
 impl RowParser {
+    /// A parser that reserves at most `max_reserve` coordinates up front,
+    /// whatever the header declares; the buffer grows past that only as
+    /// rows arrive.
+    fn new(max_reserve: usize) -> Self {
+        RowParser { header: None, line: 0, rows: 0, data: Vec::new(), max_reserve }
+    }
+
+    /// The block loop (the module docs give its rules): parses all of
+    /// `r`, one block at a time, reusing `block`.
+    fn read_blocks<R: Read>(&mut self, r: &mut R, block: &mut Vec<u8>) -> Result<(), SisapIoError> {
+        block.clear();
+        loop {
+            let room = BLOCK_LEN - block.len() % BLOCK_LEN;
+            // Bytes read before an i/o error stay in the block: the whole
+            // lines among them are parsed before the error is returned.
+            let read = r.by_ref().take(room as u64).read_to_end(block);
+            let eof = matches!(read, Ok(0));
+            if eof && !block.is_empty() {
+                block.push(b'\n'); // so that the last line is whole too
+            }
+            let end = block.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            // On invalid UTF-8, rows before the offending line come first.
+            let (text, bad_utf8) = match std::str::from_utf8(&block[..end]) {
+                Ok(text) => (text, false),
+                Err(e) => {
+                    (std::str::from_utf8(&block[..e.valid_up_to()]).unwrap_or_default(), true)
+                }
+            };
+            self.parse(&text[..text.rfind('\n').map_or(0, |i| i + 1)])?;
+            if bad_utf8 {
+                let msg = "stream did not contain valid UTF-8";
+                return Err(io::Error::new(io::ErrorKind::InvalidData, msg).into());
+            }
+            read?;
+            if eof {
+                return Ok(());
+            }
+            block.drain(..end);
+        }
+    }
+
+    /// The database, once the whole input is parsed: the header must have
+    /// been read and its row count met.
+    fn finish(self) -> Result<VectorSet, SisapIoError> {
+        let (dim, n) =
+            self.header.ok_or_else(|| parse_err(0, "empty file: missing `dim n` header"))?;
+        if self.rows != n {
+            return Err(parse_err(0, format!("header declared {n} rows, found {}", self.rows)));
+        }
+        Ok(VectorSet::from_raw(dim, self.data))
+    }
+
     /// Parses newline-terminated lines in one byte pass.  The header line,
     /// and any line holding a token that does not convert, go to
     /// [`RowParser::slow_line`].
@@ -257,6 +295,8 @@ impl RowParser {
 pub fn write_strings<W: Write>(w: &mut W, strings: &[String]) -> io::Result<()> {
     let mut w = BufWriter::new(w);
     for s in strings {
+        // dplint: allow(panic-boundary, reason = "documented precondition of the
+        // writer: the format cannot hold a newline inside a string")
         assert!(!s.contains('\n'), "string contains a newline");
         writeln!(w, "{s}")?;
     }
@@ -290,12 +330,207 @@ pub fn write_vectors_file<Q: AsRef<Path>>(
     write_vectors(&mut f, dim, vectors)
 }
 
-/// [`read_vectors_flat`] from a file path.  Every coordinate takes at
-/// least two bytes, so no more than half the file's length is reserved.
+/// [`read_vectors_file`] on one worker.
 pub fn read_vectors_file_flat<Q: AsRef<Path>>(path: Q) -> Result<VectorSet, SisapIoError> {
-    let mut f = File::open(path)?;
-    let max_reserve = usize::try_from(f.metadata()?.len() / 2).unwrap_or(usize::MAX);
-    read_vectors_raw(&mut f, max_reserve)
+    read_vectors_file(path, 1)
+}
+
+/// Reads a vector database from a file path on up to `threads` workers
+/// (the module docs give the segment rules).  The result, or the error,
+/// is the one [`read_vectors_flat`] returns on the same bytes, at every
+/// thread count.  One worker, or a file of one segment, parses straight
+/// into the result.  Every coordinate takes at least two bytes, so no
+/// more than half the file's length is reserved.
+pub fn read_vectors_file<Q: AsRef<Path>>(
+    path: Q,
+    threads: usize,
+) -> Result<VectorSet, SisapIoError> {
+    read_segments(path.as_ref(), threads, SEGMENT_LEN, &AtomicUsize::new(0))
+}
+
+/// Nominal bytes in one segment of a file parsed on several workers.
+const SEGMENT_LEN: u64 = 1 << 20;
+
+/// Coordinates each worker's segment buffer reserves: 64 MiB of address
+/// space, of which only what one segment's rows fill is ever touched.
+/// glibc raises its mmap threshold to the size of any mapped block freed
+/// below 32 MiB, and the count's mid-sized buffers then stay resident on
+/// the heap: a buffer grown by doubling to about 512 KiB put 0.9 MiB on
+/// the peak RSS of a 10⁶ × 2 count at 2 threads.  A block past 32 MiB
+/// leaves the threshold as it was.
+const SEGMENT_ROWS_RESERVE: usize = (64 << 20) / std::mem::size_of::<f64>();
+
+/// [`read_vectors_file`] with segments of nominal length `segment_len`;
+/// `parsed` counts the segments the workers parse.
+fn read_segments(
+    path: &Path,
+    threads: usize,
+    segment_len: u64,
+    parsed: &AtomicUsize,
+) -> Result<VectorSet, SisapIoError> {
+    let mut file = File::open(path)?;
+    let len = file.metadata()?.len();
+    let mut parser = RowParser::new(usize::try_from(len / 2).unwrap_or(usize::MAX));
+    let mut block = Vec::with_capacity(BLOCK_LEN);
+    let segments = usize::try_from(len.div_ceil(segment_len)).unwrap_or(usize::MAX);
+    if threads <= 1 || segments <= 1 {
+        parser.read_blocks(&mut file, &mut block)?;
+        return parser.finish();
+    }
+    let mut first = 0;
+    while parser.header.is_none() && first < segments {
+        parser.read_blocks(&mut Segment::new(&file, first, segment_len), &mut block)?;
+        first += 1;
+    }
+    let Some((dim, n)) = parser.header else { return parser.finish() };
+    let cursor = AtomicUsize::new(first);
+    let commits = Mutex::new(Commits { result: parser, next: first, failed: None });
+    let turn = Condvar::new();
+    fork_join(0..threads.min(segments - first), |_| {
+        let _wake = WakeOnUnwind { commits: &commits, turn: &turn };
+        let data = Vec::with_capacity(SEGMENT_ROWS_RESERVE);
+        let mut local = RowParser { header: Some((dim, n)), data, ..RowParser::new(0) };
+        let mut block = Vec::with_capacity(BLOCK_LEN);
+        loop {
+            // ordering: Relaxed suffices — the cursor only hands out
+            // distinct segments; their rows reach the result under the
+            // mutex, and the result reaches the caller through the
+            // worker joins in fork_join.
+            let s = cursor.fetch_add(1, Ordering::Relaxed);
+            if s >= segments {
+                break;
+            }
+            // ordering: Relaxed — a count read after the joins.
+            parsed.fetch_add(1, Ordering::Relaxed);
+            (local.line, local.rows) = (0, 0);
+            local.data.clear();
+            let ok = local.read_blocks(&mut Segment::new(&file, s, segment_len), &mut block);
+            let mut c = lock(&commits);
+            while c.next != s && c.failed.is_none() {
+                c = turn.wait(c).unwrap_or_else(PoisonError::into_inner);
+            }
+            if c.failed.is_some() {
+                break;
+            }
+            let result = &mut c.result;
+            if ok.is_ok() && result.rows + local.rows <= n {
+                result.data.extend_from_slice(&local.data);
+                (result.line, result.rows) = (result.line + local.line, result.rows + local.rows);
+            } else if let Err(e) =
+                result.read_blocks(&mut Segment::new(&file, s, segment_len), &mut block)
+            {
+                c.failed = Some(e);
+                // ordering: Relaxed — stops further claims; a worker
+                // that claims one anyway finds `failed` set under the
+                // mutex.
+                cursor.store(segments, Ordering::Relaxed);
+            }
+            c.next += 1;
+            drop(c);
+            turn.notify_all();
+        }
+    });
+    let commits = commits.into_inner().unwrap_or_else(PoisonError::into_inner);
+    match commits.failed {
+        Some(e) => Err(e),
+        None => commits.result.finish(),
+    }
+}
+
+/// The result of a multi-worker read, shared under one mutex.
+struct Commits {
+    /// The rows of every segment before `next`, in file order.
+    result: RowParser,
+    /// The segment whose rows are appended next.
+    next: usize,
+    /// The first error in file order; no segment after it is appended.
+    failed: Option<SisapIoError>,
+}
+
+fn lock(commits: &Mutex<Commits>) -> MutexGuard<'_, Commits> {
+    commits.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Fails the read if its worker unwinds, so that no other worker waits
+/// for a segment that will never be appended.
+struct WakeOnUnwind<'a> {
+    commits: &'a Mutex<Commits>,
+    turn: &'a Condvar,
+}
+
+impl Drop for WakeOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let mut c = lock(self.commits);
+            c.failed.get_or_insert_with(|| io::Error::other("a parse worker panicked").into());
+            drop(c);
+            self.turn.notify_all();
+        }
+    }
+}
+
+/// One segment of a vector file, read with `read_at`: from just after the
+/// first `\n` at or after its nominal start (from the start itself for
+/// the first segment) through the first `\n` at or after its nominal end.
+struct Segment<'f> {
+    file: &'f File,
+    /// File offset of the next byte to read.
+    at: u64,
+    /// The nominal end.
+    end: u64,
+    /// True while the partial line at the nominal start is skipped.
+    skip: bool,
+    done: bool,
+}
+
+impl<'f> Segment<'f> {
+    fn new(file: &'f File, index: usize, segment_len: u64) -> Self {
+        let at = segment_len.saturating_mul(index as u64);
+        Segment { file, at, end: at.saturating_add(segment_len), skip: index > 0, done: false }
+    }
+}
+
+impl Read for Segment<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        while !self.done {
+            let (at, got) = (self.at, self.file.read_at(buf, self.at)?);
+            if got == 0 {
+                self.done = !buf.is_empty(); // end of file
+                break;
+            }
+            let mut from = 0;
+            if self.skip {
+                let Some(i) = buf[..got].iter().position(|&b| b == b'\n') else {
+                    self.at += got as u64;
+                    continue;
+                };
+                // The line through the nominal end was the segment
+                // before's: this one is empty.
+                self.done = at + i as u64 >= self.end;
+                if self.done {
+                    break;
+                }
+                (self.skip, from) = (false, i + 1);
+            }
+            let tail = usize::try_from(self.end.saturating_sub(at)).unwrap_or(usize::MAX);
+            let tail = tail.clamp(from, got);
+            let take = match buf[tail..got].iter().position(|&b| b == b'\n') {
+                Some(j) => {
+                    self.done = true;
+                    tail + j + 1
+                }
+                None => got,
+            };
+            self.at += take as u64;
+            if from > 0 {
+                buf.copy_within(from..take, 0);
+            }
+            if take > from {
+                return Ok(take - from);
+            }
+        }
+        Ok(0)
+    }
 }
 
 /// [`write_strings`] to a file path.
@@ -751,6 +986,133 @@ mod tests {
                 let _ = assert_readers_agree(&bytes[..cut]);
             }
         }
+    }
+
+    /// `bytes` written to a temporary file of its own.
+    struct TempFile(std::path::PathBuf);
+
+    impl TempFile {
+        fn new(bytes: &[u8]) -> Self {
+            static NEXT: AtomicUsize = AtomicUsize::new(0);
+            // ordering: Relaxed — only makes the name unique.
+            let id = NEXT.fetch_add(1, Ordering::Relaxed);
+            let name = format!("dp_sisap_segments_{}_{id}.vec", std::process::id());
+            let path = std::env::temp_dir().join(name);
+            std::fs::write(&path, bytes).unwrap();
+            TempFile(path)
+        }
+    }
+
+    impl Drop for TempFile {
+        fn drop(&mut self) {
+            std::fs::remove_file(&self.0).ok();
+        }
+    }
+
+    /// The segmented file reader at every worker count and segment
+    /// length given, against [`read_vectors_flat`] on the same bytes:
+    /// the same rows bit-for-bit, or the same error (line and message).
+    /// Returns the most segments the workers parsed in any one read.
+    fn assert_segments_agree(bytes: &[u8], workers: &[usize], segment_lens: &[u64]) -> usize {
+        let want = read(bytes);
+        let file = TempFile::new(bytes);
+        let mut most_parsed = 0;
+        for &threads in workers {
+            for &segment_len in segment_lens {
+                let parsed = AtomicUsize::new(0);
+                let got = read_segments(&file.0, threads, segment_len, &parsed);
+                let how = format!("{threads} workers, {segment_len}-byte segments");
+                match (&want, got) {
+                    (Ok(want), Ok(got)) => {
+                        assert_eq!(want.dim(), got.dim(), "{how}: dim disagrees");
+                        let bits =
+                            |v: &VectorSet| v.as_flat().iter().map(|x| x.to_bits()).collect();
+                        let (want, got): (Vec<u64>, Vec<u64>) = (bits(want), bits(&got));
+                        assert_eq!(want, got, "{how}: rows disagree");
+                    }
+                    (Err(want), Err(got)) => {
+                        assert_eq!(want.to_string(), got.to_string(), "{how}: errors disagree");
+                    }
+                    (want, got) => panic!(
+                        "{how}: readers disagree on {:?}: block reader {:?}, segmented {:?}",
+                        String::from_utf8_lossy(bytes),
+                        want.as_ref().map(VectorSet::len).map_err(ToString::to_string),
+                        got.map(|v| v.len()).map_err(|e| e.to_string())
+                    ),
+                }
+                most_parsed = most_parsed.max(parsed.into_inner());
+            }
+        }
+        most_parsed
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn segmented_reader_matches_the_block_reader(bytes in Just(()).prop_perturb(|(), rng| sisap_text(rng))) {
+            assert_segments_agree(&bytes, &[1, 2, 3, 8], &[1, 2, 3, 5, 8, 13, 64]);
+        }
+    }
+
+    /// 6000 rows of `dim` 2, about 290 KB: many 4 KiB segments.
+    fn many_segments() -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_vectors_flat(&mut buf, &crate::vectors::uniform_unit_cube_flat(6000, 2, 5)).unwrap();
+        buf
+    }
+
+    #[test]
+    fn segmented_reads_of_a_large_file_match() {
+        let buf = many_segments();
+        let crlf: Vec<u8> = String::from_utf8(buf.clone()).unwrap().replace('\n', "\r\n \n").into();
+        for bytes in [&buf, &crlf] {
+            assert_segments_agree(bytes, &[2, 3, 8], &[4096, 65_536, SEGMENT_LEN]);
+        }
+    }
+
+    #[test]
+    fn the_first_bad_token_in_file_order_wins_across_segments() {
+        let mut bad = many_segments();
+        let (early, late) = (20 * 4096 + 100, bad.len() - 30);
+        let line = 1 + bad[..early].iter().filter(|&&b| b == b'\n').count();
+        bad[early] = b'x';
+        bad[late] = b'x';
+        assert_segments_agree(&bad, &[2, 3, 8], &[4096, 10_000]);
+        let file = TempFile::new(&bad);
+        let err = read_segments(&file.0, 3, 4096, &AtomicUsize::new(0)).unwrap_err().to_string();
+        assert!(err.contains(&format!("line {line}:")), "{err}");
+    }
+
+    #[test]
+    fn a_crlf_row_end_on_a_segment_edge_is_read_whole() {
+        let text = b"2 4\r\n0.5 1.5\r\n2.5 3.5\r\n4.5 5.5\r\n6.5 7.5\r\n";
+        for (at, _) in text.windows(2).enumerate().filter(|(_, w)| w == b"\r\n") {
+            // Segment edges on the `\r`, on the `\n` and just after it.
+            let lens = [at as u64, at as u64 + 1, at as u64 + 2];
+            assert_segments_agree(text, &[2, 3, 8], &lens);
+        }
+        // A row split by its line end, in a multi-segment file.
+        let crlf: Vec<u8> =
+            String::from_utf8(many_segments()).unwrap().replace('\n', "\r\n").into();
+        let at = crlf.windows(2).skip(4096).position(|w| w == b"\r\n").unwrap() as u64 + 4096;
+        assert_segments_agree(&crlf, &[2, 3], &[at, at + 1]);
+    }
+
+    #[test]
+    fn workers_stop_claiming_once_the_declared_rows_are_exceeded() {
+        // Four-byte segments: segment 0 holds the header and one row, and
+        // each later segment one more row.
+        let mut text = b"1 1\n".to_vec();
+        for _ in 0..100_000 {
+            text.extend_from_slice(b"0.5\n");
+        }
+        for workers in [2, 3, 8] {
+            let parsed = assert_segments_agree(&text, &[workers], &[4]);
+            assert!(parsed <= workers, "{workers} workers parsed {parsed} of 100000 segments");
+        }
+        let err = read(&text).unwrap_err().to_string();
+        assert!(err.contains("line 3: more than the declared 1 rows"), "{err}");
     }
 
     #[test]

@@ -108,29 +108,6 @@ impl<D: Distance> KnnHeap<D> {
         (self.heap.len() == self.k).then(|| self.heap.peek().expect("non-empty").dist)
     }
 
-    /// True iff a candidate at distance `d` could still enter the result.
-    ///
-    /// **Contract: deliberately inclusive on distance ties.**  The heap
-    /// orders candidates by `(distance, id)`, so when the heap is full a
-    /// candidate at exactly the bound distance displaces the incumbent
-    /// only if its id is smaller; with a larger id, [`Self::push`]
-    /// leaves the heap as it was and [`Self::into_sorted`] never sees
-    /// it.  `admits` cannot know the candidate's id, so it must say *yes*
-    /// to every distance tie:
-    ///
-    /// * admitting a tie that loses is harmless (one wasted evaluation —
-    ///   the push is a no-op for the final answer);
-    /// * **rejecting** a tie would be a correctness bug: a smaller-id tie
-    ///   must be able to enter, or exact indexes would disagree with
-    ///   [`crate::LinearScan`]'s `(distance, id)` order on tied
-    ///   distances.
-    pub fn admits(&self, d: D) -> bool {
-        match self.bound() {
-            None => true,
-            Some(b) => d <= b,
-        }
-    }
-
     /// Finishes the query: neighbours sorted by (distance, id).
     pub fn into_sorted(self) -> Vec<Neighbor<D>> {
         let mut v = self.heap.into_vec();
@@ -267,31 +244,20 @@ mod tests {
     }
 
     #[test]
-    fn admits_respects_bound() {
-        let mut h = KnnHeap::new(1);
-        assert!(h.admits(100u64));
-        h.push(0, 10);
-        assert!(h.admits(10));
-        assert!(!h.admits(11));
-    }
-
-    #[test]
-    fn admits_is_inclusive_on_ties_and_push_resolves_them_by_id() {
-        // Regression test for the admits/into_sorted contract: a full heap
-        // admits every candidate at exactly the bound distance, but only
-        // smaller-id ties actually displace the incumbent.
+    fn push_resolves_distance_ties_by_id() {
+        // The heap orders candidates by (distance, id): on a full heap a
+        // candidate at exactly the bound distance displaces the
+        // incumbent only if its id is smaller.
         let mut h = KnnHeap::new(2);
         h.push(3, 5u64);
         h.push(6, 5);
         assert_eq!(h.bound(), Some(5));
-        assert!(h.admits(5), "distance ties must be admitted");
 
-        // Larger-id tie: admitted, pushed, silently dropped.
+        // Larger-id tie: pushed, silently dropped.
         h.push(9, 5);
         assert_eq!(h.clone().into_sorted().iter().map(|n| n.id).collect::<Vec<_>>(), vec![3, 6]);
 
-        // Smaller-id tie: admitted and *must* displace the largest-id
-        // incumbent — this is why admits cannot use a strict comparison.
+        // Smaller-id tie: displaces the largest-id incumbent.
         h.push(1, 5);
         assert_eq!(h.into_sorted().iter().map(|n| n.id).collect::<Vec<_>>(), vec![1, 3]);
     }

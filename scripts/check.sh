@@ -20,8 +20,8 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark's own packages build against the library crates' public
 # API: perfbench/trace imports count_permutations_flat_sharded,
-# survey_database_flat_sharded, collect_packed_flat_parallel and
-# packed_keys_flat by name.  collect_packed_flat_parallel is now only
+# survey_database_flat_sharded, collect_packed_flat_parallel,
+# packed_keys_flat and read_vectors_file_flat by name.  collect_packed_flat_parallel is now only
 # the packed collector at the default shard size, kept for the trace.
 # Checking both here makes a rename they depend on fail this gate
 # before it fails a benchmark run.  Cargo
@@ -82,6 +82,24 @@ cargo test -p dp-permutation --release -q --test radix_properties
 # transforms, so the differential suite also runs under release.
 echo "== cargo test --release -p dp-datasets sisap_io (release-mode differential run)"
 cargo test -p dp-datasets --release -q --lib sisap_io
+
+# `distperm count` parses a --vectors file on its --threads workers, in
+# line-aligned segments of about 1 MiB committed in file order: a 30k × 2
+# file (two segments) must count byte for byte the same at one and two
+# workers.
+echo "== distperm count smoke (parse on 1 and 2 workers, same stdout)"
+PARSE_TMP=$(mktemp -d)
+./target/release/distperm generate --kind uniform --out "$PARSE_TMP/db.vec" --n 30000 --dim 2 \
+    --seed 3 > /dev/null
+for t in 1 2; do
+    ./target/release/distperm count --vectors "$PARSE_TMP/db.vec" --k 8 --threads "$t" \
+        > "$PARSE_TMP/count_t$t.txt"
+done
+cmp "$PARSE_TMP/count_t1.txt" "$PARSE_TMP/count_t2.txt" || {
+    echo "count smoke: stdout differs between --threads 1 and --threads 2" >&2
+    exit 1
+}
+rm -rf "$PARSE_TMP"
 
 # The serving robustness suites pin panic isolation and bit-identity of
 # the resilient engine against a one-searcher sequential loop written in
