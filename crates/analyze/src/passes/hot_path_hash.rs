@@ -1,12 +1,14 @@
-//! `hot-path-hash` — no hash/tree containers in the flat hot paths.
+//! `hot-path-hash` — no hash/tree containers in the counting hot paths.
 //!
 //! PR 5 replaced hash interning with sorted-run flat codebooks
-//! (`FlatCodebook`/`PackedCodebook`) and radix-sorted packed counting;
-//! the scoped modules are exactly the ones that won that eviction.  A
-//! `HashMap` creeping back in costs the iteration-order determinism and
-//! the cache behaviour the flat engine's speed and bit-identity rest on.
-//! The generic-path interner (arbitrary k, off the hot path) keeps
-//! explicit waivers where it legitimately lives.
+//! (`FlatCodebook`/`PackedCodebook`) and radix-sorted packed counting,
+//! and since the FxHash counter was deleted every distinct count — any
+//! k, any point type — is a sort and a run scan.  The scoped modules
+//! are exactly the ones that won that eviction.  A `HashMap` creeping
+//! back in costs the iteration-order determinism and the cache
+//! behaviour the engine's speed and bit-identity rest on.  A container
+//! that counts nothing (a sampler's sparse swap map) may stay under an
+//! explicit waiver that says so.
 
 use crate::source::{Diagnostic, SourceFile};
 
@@ -31,10 +33,10 @@ pub fn check(file: &SourceFile, out: &mut Vec<Diagnostic>) {
                 tok,
                 true,
                 format!(
-                    "`{}` in a flat kernel/radix/codebook module; the hot paths use \
-                     sorted-run scans and flat codebooks — hash/tree containers were \
-                     deliberately evicted (waive only for the generic fallback path, \
-                     with a reason)",
+                    "`{}` in a counting/kernel/radix/codebook module; the hot paths \
+                     use sorted-run scans and flat codebooks — hash/tree containers \
+                     were deliberately evicted (waive only a container that counts \
+                     nothing, with a reason)",
                     tok.text
                 ),
                 out,

@@ -45,23 +45,33 @@ pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
     "crates/datasets/src/rho.rs",
 ];
 
-/// Flat kernel / radix / codebook modules: the PR 5 sorted-run pipeline
-/// evicted hash containers from these hot paths — they must not creep
-/// back (the generic-path interner keeps explicit waivers).  PR 9's
-/// width-generic key module joins the scope: both packed widths sort and
-/// count through it.  So do the index key column, which orders the
-/// candidates of all three permutation indexes and counts their distinct
-/// keys by sorting, and the prefix index built on it.
+/// Counting, kernel, radix and codebook modules: the PR 5 sorted-run
+/// pipeline evicted hash containers from the flat hot paths, and the
+/// one sorted-run counter now counts every k and point type, so none
+/// may creep back.  PR 9's width-generic key module joins the scope:
+/// both packed widths sort and count through it.  So do the index key
+/// column, which orders the candidates of all three permutation indexes
+/// and counts their distinct keys by sorting, and the prefix index built
+/// on it.  The counter and every module that counts distinct
+/// permutations or prefixes (the dp-core count, survey and refinement
+/// chain, pivot selection, grid sampling) joined when the hash counter
+/// was deleted.
 pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/metric/src/batch.rs",
     "crates/index/src/keys.rs",
+    "crates/index/src/pivots.rs",
     "crates/index/src/prefixindex.rs",
+    "crates/geometry/src/sampling.rs",
+    "crates/permutation/src/counter.rs",
     "crates/permutation/src/key.rs",
     "crates/permutation/src/radix.rs",
     "crates/permutation/src/bits.rs",
     "crates/permutation/src/compute.rs",
     "crates/permutation/src/encoding.rs",
     "crates/permutation/src/shard.rs",
+    "crates/core/src/count.rs",
+    "crates/core/src/orders.rs",
+    "crates/core/src/survey.rs",
     "crates/core/src/survey_flat.rs",
 ];
 

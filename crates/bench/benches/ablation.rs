@@ -1,7 +1,5 @@
 //! Ablation benchmarks for the design choices DESIGN.md calls out:
 //!
-//! * **counting strategy** — FxHash set vs std SipHash set (distinct
-//!   counting is the inner loop of Tables 2 and 3);
 //! * **scratch reuse** — `DistPermComputer` vs a fresh allocation per
 //!   point (the perf-book "reusing collections" guidance);
 //! * **metric monotone-equivalence** — L2 vs L2Squared for permutation
@@ -10,39 +8,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use dp_datasets::uniform_unit_cube;
 use dp_metric::{L2Squared, Metric, L2};
-use dp_permutation::compute::{database_permutations, distance_permutation, DistPermComputer};
-use dp_permutation::fxhash::FxHashSet;
-use dp_permutation::Permutation;
-use std::collections::HashSet;
+use dp_permutation::compute::{distance_permutation, DistPermComputer};
 use std::hint::black_box;
-
-fn bench_counting_strategies(c: &mut Criterion) {
-    // One shared permutation stream: 20k points, k = 8, 4-D.
-    let db = uniform_unit_cube(20_000, 4, 1);
-    let sites = uniform_unit_cube(8, 4, 2);
-    let perms = database_permutations(&L2Squared, &sites, &db);
-
-    let mut group = c.benchmark_group("distinct_counting_20k_k8");
-    group.bench_function("fx_hash_set", |b| {
-        b.iter(|| {
-            let mut set: FxHashSet<Permutation> = FxHashSet::default();
-            for &p in &perms {
-                set.insert(p);
-            }
-            black_box(set.len())
-        });
-    });
-    group.bench_function("sip_hash_set", |b| {
-        b.iter(|| {
-            let mut set: HashSet<Permutation> = HashSet::new();
-            for &p in &perms {
-                set.insert(p);
-            }
-            black_box(set.len())
-        });
-    });
-    group.finish();
-}
 
 fn bench_scratch_reuse(c: &mut Criterion) {
     let db = uniform_unit_cube(4_096, 4, 3);
@@ -103,5 +70,5 @@ fn bench_l2_vs_squared(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_counting_strategies, bench_scratch_reuse, bench_l2_vs_squared);
+criterion_group!(benches, bench_scratch_reuse, bench_l2_vs_squared);
 criterion_main!(benches);

@@ -9,7 +9,7 @@ use dp_core::count::{
 use dp_datasets::{uniform_unit_cube, uniform_unit_cube_flat};
 use dp_metric::L2Squared;
 use dp_permutation::encoding::FlatCodebook;
-use dp_permutation::{compute::database_permutations, PermutationCounter};
+use dp_permutation::{compute::database_permutations, PackedPermutationCounter, Permutation};
 use std::hint::black_box;
 
 fn bench_count_distinct(c: &mut Criterion) {
@@ -65,13 +65,24 @@ fn bench_counter_and_codebook(c: &mut Criterion) {
     let db = uniform_unit_cube(20_000, 4, 5);
     let sites = uniform_unit_cube(8, 4, 6);
     let perms = database_permutations(&L2Squared, &sites, &db);
-    c.bench_function("permutation_counter_insert_20k", |b| {
+    // The run counter fed permutation values: packed into u64 keys (what
+    // the per-point path does at k ≤ 12) and as Permutation keys (k > 25).
+    c.bench_function("run_counter_insert_20k_packed", |b| {
         b.iter(|| {
-            let mut counter = PermutationCounter::new();
-            for &p in &perms {
+            let mut counter = PackedPermutationCounter::<u64>::new(8);
+            for p in &perms {
                 counter.insert(p);
             }
-            black_box(counter.distinct())
+            black_box(counter.finalize().distinct())
+        });
+    });
+    c.bench_function("run_counter_insert_20k_permutation", |b| {
+        b.iter(|| {
+            let mut counter = PackedPermutationCounter::<Permutation>::new(8);
+            for p in &perms {
+                counter.insert(p);
+            }
+            black_box(counter.finalize().distinct())
         });
     });
     c.bench_function("codebook_build_20k", |b| {

@@ -46,14 +46,14 @@ fn main() {
         l2_cells.distinct(),
         l1_cells.distinct()
     );
-    let same = l1_cells.sorted_permutations() == l2_cells.sorted_permutations();
+    let same = l1_cells.permutations() == l2_cells.permutations();
     println!("L1 and L2 realise the same permutation sets: {same} (paper: false)");
 
     // Exact L2 permutation set (rational slab enumeration): the grid
     // census is validated against it, and the L1/L2 overlap quantified.
     let exact = exact_permutations(&sites_i);
     assert_eq!(exact.len() as u128, euclidean_cells(&sites_i));
-    let l1_set = l1_cells.sorted_permutations();
+    let l1_set = l1_cells.permutations();
     let shared = l1_set.iter().filter(|p| exact.binary_search(p).is_ok()).count();
     println!(
         "exact L2 set has {} permutations; sampled L1 set shares {shared} of its {}",

@@ -35,7 +35,7 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
     let l1 = grid_count(&L1, &sites_f, bbox, 800, 800);
     writeln!(out, "grid census: L2 = {}, L1 = {} cells", l2.distinct(), l1.distinct())?;
     let exact = exact_permutations(&sites_i);
-    let l1_set = l1.sorted_permutations();
+    let l1_set = l1.permutations();
     let shared = l1_set.iter().filter(|p| exact.binary_search(p).is_ok()).count();
     writeln!(
         out,

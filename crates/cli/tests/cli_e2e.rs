@@ -156,7 +156,7 @@ fn wide_k_names_its_engine_in_count_survey_and_search() {
         qs.to_str().unwrap(),
     ]));
 
-    for (k, engine) in [("8", "packed-u64"), ("16", "packed-u128"), ("26", "hash")] {
+    for (k, engine) in [("8", "packed-u64"), ("16", "packed-u128"), ("26", "permutation")] {
         let text = stdout(&distperm(&["count", "--vectors", f, "--k", k, "--seed", "3"]));
         assert!(text.contains(&format!("counting engine: {engine}")), "k = {k}: {text}");
     }

@@ -9,9 +9,8 @@
 //!   storage, with **one entry point**,
 //!   [`count_permutations_flat_sharded`]`(metric, sites, database,
 //!   threads, shard_rows)`: site-transposed, 4-wide strip-mined distance
-//!   kernels feeding the width-generic packed sorted-run counter (keys
-//!   streamed through bounded shards, each LSD radix-sorted over the
-//!   `5k` significant key bits and run-length scanned, the runs merged
+//!   kernels feeding the sorted-run counter (keys streamed through
+//!   bounded shards, each sorted and run-length scanned, the runs merged
 //!   on a tiered stack).  `threads = 1` runs inline; more threads give
 //!   each worker its own counter and merge their runs.  `shard_rows`
 //!   caps the keys a worker buffers (0 means the default 131,072).
@@ -19,19 +18,17 @@
 //!   This is the engine behind the Table 3 protocol in
 //!   [`crate::experiments`].
 //!
-//! The flat path dispatches once per workload over the packed-key width
-//! ([`CountEngine::for_k`]): `u64` keys for k ≤ 12, `u128` keys for
-//! k ≤ 25, and the hash counter over materialised permutations beyond
-//! that.  All three engines produce bit-identical reports.
+//! Both paths count on the one sorted-run counter
+//! ([`dp_permutation::PackedPermutationCounter`]) and dispatch once per
+//! workload over its key ([`CountEngine::for_k`]): `u64` packed keys for
+//! k ≤ 12, `u128` packed keys for k ≤ 25, and the permutation values
+//! themselves beyond that.  Every key produces a bit-identical report.
 
 use dp_datasets::VectorSet;
-use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
-use dp_permutation::compute::{
-    collect_counter_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
-};
-use dp_permutation::counter::collect_counter;
-use dp_permutation::{PackedCountSummary, PackedKey, PermutationCounter};
+use dp_permutation::compute::{collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K};
+use dp_permutation::counter::{collect_counter, collect_counter_parallel};
+use dp_permutation::{PackedCountSummary, RunKey};
 
 /// Summary of one counting run.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,34 +42,28 @@ pub struct CountReport {
     pub mean_occupancy: f64,
 }
 
-impl From<&PermutationCounter> for CountReport {
-    fn from(c: &PermutationCounter) -> Self {
-        CountReport { distinct: c.distinct(), total: c.total(), mean_occupancy: c.mean_occupancy() }
-    }
-}
-
-impl<K: PackedKey> From<&PackedCountSummary<K>> for CountReport {
+impl<K: RunKey> From<&PackedCountSummary<K>> for CountReport {
     fn from(c: &PackedCountSummary<K>) -> Self {
         CountReport { distinct: c.distinct(), total: c.total(), mean_occupancy: c.mean_occupancy() }
     }
 }
 
-/// Which counting engine the flat path selects for a given site count.
+/// Which run key the counting paths select for a given site count.
 ///
 /// The selection is a property of `k` alone, made once per workload, so
 /// the monomorphized kernels under it contain no width branches.  All
-/// three engines produce bit-identical [`CountReport`]s — the packed
-/// paths are faster, never different.  The CLI reports the chosen
-/// engine's [`name`](CountEngine::name) so a k that silently leaves the
-/// packed range is visible.
+/// three keys produce bit-identical [`CountReport`]s — the packed keys
+/// are faster, never different.  The CLI reports the chosen key's
+/// [`name`](CountEngine::name) so a k that leaves the packed range is
+/// visible.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CountEngine {
     /// Sorted-run counting over `u64` packed keys (k ≤ 12).
     PackedU64,
     /// Sorted-run counting over `u128` packed keys (13 ≤ k ≤ 25).
     PackedU128,
-    /// Hash counting over materialised permutations (k ≥ 26).
-    Hash,
+    /// Sorted-run counting over the permutation values (k ≥ 26).
+    Permutation,
 }
 
 impl CountEngine {
@@ -83,7 +74,7 @@ impl CountEngine {
         } else if k <= WIDE_MAX_K {
             CountEngine::PackedU128
         } else {
-            CountEngine::Hash
+            CountEngine::Permutation
         }
     }
 
@@ -92,7 +83,7 @@ impl CountEngine {
         match self {
             CountEngine::PackedU64 => "packed-u64",
             CountEngine::PackedU128 => "packed-u128",
-            CountEngine::Hash => "hash",
+            CountEngine::Permutation => "permutation",
         }
     }
 }
@@ -101,12 +92,14 @@ impl CountEngine {
 ///
 /// Exactly `sites.len() * database.len()` metric evaluations.
 pub fn count_permutations<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) -> CountReport {
-    CountReport::from(&collect_counter(metric, sites, database))
+    dp_permutation::for_packed_k!(sites.len(), K => {
+        CountReport::from(&collect_counter::<K, P, M>(metric, sites, database).finalize())
+    })
 }
 
 /// Parallel version: splits the database across `threads` scoped workers
-/// and merges the per-chunk counters.  Deterministic: the merged distinct
-/// set is independent of the split.
+/// and merges their counted runs.  Deterministic: the report is
+/// independent of the split.
 pub fn count_permutations_parallel<P, M>(
     metric: &M,
     sites: &[P],
@@ -117,16 +110,9 @@ where
     P: Sync,
     M: Metric<P> + Sync,
 {
-    if threads <= 1 || database.len() < 1024 {
-        return count_permutations(metric, sites, database);
-    }
-    let chunk = chunk_len(database.len(), threads);
-    let counters = fork_join(database.chunks(chunk), |part| collect_counter(metric, sites, part));
-    let mut merged = PermutationCounter::new();
-    for c in &counters {
-        merged.merge(c);
-    }
-    CountReport::from(&merged)
+    dp_permutation::for_packed_k!(sites.len(), K => CountReport::from(
+        &collect_counter_parallel::<K, P, M>(metric, sites, database, threads).finalize()
+    ))
 }
 
 /// Counts distinct distance permutations over flat vector storage — the
@@ -138,15 +124,12 @@ where
 /// split across `threads` scoped workers (1 runs inline); the report is
 /// independent of the split.
 ///
-/// Each worker streams its packed keys through a
+/// Each worker streams its keys (packed up to [`WIDE_MAX_K`], the
+/// permutations themselves beyond) through a
 /// [`dp_permutation::PackedPermutationCounter`] holding at most
 /// `shard_rows` keys (0 means [`dp_permutation::DEFAULT_SHARD_ROWS`])
 /// plus its sorted counted runs.  The report is bit-identical at every
 /// shard size — it changes the working set, never the counts.
-///
-/// Beyond [`WIDE_MAX_K`] there is no packed key to shard on, so the
-/// hash engine runs regardless of `shard_rows` (its working set is
-/// already one entry per distinct permutation).
 ///
 /// # Panics
 /// Panics if the site and database dimensions disagree (when both are
@@ -161,14 +144,10 @@ pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     check_flat_dims(sites, database);
     let sites_t = transpose_sites(sites, database);
     let flat = database.as_flat();
-    dp_permutation::for_packed_k!(
-        sites.len(),
-        K => CountReport::from(
-            &collect_sharded_flat_parallel::<K, _>(metric, &sites_t, flat, threads, shard_rows)
-                .finalize()
-        ),
-        _ => CountReport::from(&collect_counter_flat_parallel(metric, &sites_t, flat, threads)),
-    )
+    dp_permutation::for_packed_k!(sites.len(), K => CountReport::from(
+        &collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows)
+            .finalize()
+    ))
 }
 
 pub(crate) fn check_flat_dims(sites: &VectorSet, database: &VectorSet) {
@@ -280,24 +259,25 @@ mod tests {
     #[test]
     fn engine_selection_matches_the_dispatch_macro() {
         for k in 0usize..=32 {
-            let expected = dp_permutation::for_packed_k!(
-                k,
-                K => if K::BITS == 64 { CountEngine::PackedU64 } else { CountEngine::PackedU128 },
-                _ => CountEngine::Hash,
-            );
+            let expected = dp_permutation::for_packed_k!(k, K => match std::mem::size_of::<K>() {
+                8 => CountEngine::PackedU64,
+                16 => CountEngine::PackedU128,
+                _ => CountEngine::Permutation,
+            });
             assert_eq!(CountEngine::for_k(k), expected, "k = {k}");
         }
         assert_eq!(CountEngine::for_k(12), CountEngine::PackedU64);
         assert_eq!(CountEngine::for_k(13), CountEngine::PackedU128);
         assert_eq!(CountEngine::for_k(25), CountEngine::PackedU128);
-        assert_eq!(CountEngine::for_k(26), CountEngine::Hash);
+        assert_eq!(CountEngine::for_k(26), CountEngine::Permutation);
         assert_eq!(CountEngine::for_k(13).name(), "packed-u128");
+        assert_eq!(CountEngine::for_k(32).name(), "permutation");
     }
 
     #[test]
     fn flat_matches_nested_across_the_width_seams() {
-        // k = 12/13 (u64 → u128) and k = 25/26 (u128 → hash): every
-        // engine must agree with the nested per-point path in every
+        // k = 12/13 (u64 → u128) and k = 25/26 (u128 → Permutation
+        // keys): every engine must agree with the nested per-point path in every
         // field, including the f64 occupancy bits.
         for k in [12usize, 13, 14, 25, 26] {
             let db = uniform_unit_cube(1500, 4, 40 + k as u64);

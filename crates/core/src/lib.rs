@@ -26,9 +26,10 @@
 //! * [`survey`] — the §5 analysis as one call: ρ, per-k permutation
 //!   counts, every storage layout's cost, and the dimension estimates;
 //! * [`survey_flat`] — the same survey on flat [`dp_datasets::VectorSet`]
-//!   storage through the batched site-transposed kernels and
-//!   width-generic packed counting (`u64` keys for k ≤ 12, `u128` keys
-//!   for k ≤ 25, hash counting beyond; see [`count::CountEngine`]),
+//!   storage through the batched site-transposed kernels and the one
+//!   sorted-run counter (`u64` packed keys for k ≤ 12, `u128` packed
+//!   keys for k ≤ 25, permutation keys beyond; see
+//!   [`count::CountEngine`]),
 //!   with ranking and key packing fused into one register-resident tile
 //!   pass — bit-identical report, several times the throughput; this is
 //!   the engine the CLI uses for vector databases.

@@ -6,11 +6,11 @@
 //! prefix), the order-j Voronoi diagrams (Fig 2: the **unordered** set of
 //! the j nearest sites), and the ordered-prefix diagrams in between.
 //! Counting distinct keys at every truncation length measures that chain
-//! on real data.
+//! on real data, on the same sorted-run counter as the full
+//! permutations.
 
 use dp_metric::Metric;
-use dp_permutation::fxhash::FxHashSet;
-use dp_permutation::{DistPermComputer, Permutation};
+use dp_permutation::{DistPermComputer, PackedKey, PackedPermutationCounter, Permutation};
 
 /// How a truncated permutation identifies a cell.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -22,6 +22,10 @@ pub enum PrefixKind {
     Unordered,
 }
 
+/// A prefix's key: its `len` sites (ascending for an unordered prefix)
+/// in the 5-bit fields of a packed length-`len` permutation key, so the
+/// sorted-run counter counts distinct prefixes as it counts
+/// permutations.
 fn prefix_key(p: &Permutation, len: usize, kind: PrefixKind) -> u64 {
     debug_assert!(len <= p.len() && len <= 8, "prefix keys pack 8 elements max");
     let mut items = [0u8; 8];
@@ -29,7 +33,7 @@ fn prefix_key(p: &Permutation, len: usize, kind: PrefixKind) -> u64 {
     if kind == PrefixKind::Unordered {
         items[..len].sort_unstable();
     }
-    u64::from_le_bytes(items)
+    items[..len].iter().fold(0, |key, &site| (key << u64::elem_shift(1)) | u64::from_elem(site))
 }
 
 /// Counts distinct length-`len` prefixes of the database's distance
@@ -50,12 +54,11 @@ pub fn count_distinct_prefixes<P, M: Metric<P>>(
 ) -> usize {
     assert!(len >= 1 && len <= sites.len() && len <= 8, "invalid prefix length {len}");
     let mut computer = DistPermComputer::new(sites.len());
-    let mut seen: FxHashSet<u64> = FxHashSet::default();
+    let mut counter = PackedPermutationCounter::<u64>::new(len);
     for y in database {
-        let p = computer.compute(metric, sites, y);
-        seen.insert(prefix_key(&p, len, kind));
+        counter.insert_key(prefix_key(&computer.compute(metric, sites, y), len, kind));
     }
-    seen.len()
+    counter.finalize().distinct()
 }
 
 /// The whole refinement chain: distinct ordered-prefix counts for
@@ -68,14 +71,15 @@ pub fn refinement_chain<P, M: Metric<P>>(
 ) -> Vec<usize> {
     assert!(max_len >= 1 && max_len <= sites.len() && max_len <= 8);
     let mut computer = DistPermComputer::new(sites.len());
-    let mut seen: Vec<FxHashSet<u64>> = (0..max_len).map(|_| FxHashSet::default()).collect();
+    let mut counters: Vec<PackedPermutationCounter<u64>> =
+        (1..=max_len).map(PackedPermutationCounter::new).collect();
     for y in database {
         let p = computer.compute(metric, sites, y);
-        for (j, set) in seen.iter_mut().enumerate() {
-            set.insert(prefix_key(&p, j + 1, PrefixKind::Ordered));
+        for (j, counter) in counters.iter_mut().enumerate() {
+            counter.insert_key(prefix_key(&p, j + 1, PrefixKind::Ordered));
         }
     }
-    seen.into_iter().map(|s| s.len()).collect()
+    counters.into_iter().map(|c| c.finalize().distinct()).collect()
 }
 
 #[cfg(test)]

@@ -14,10 +14,14 @@
 //! user actually wants from the paper.
 //!
 //! This module is the generic per-point engine, usable with any metric
-//! over any point type.  Real-vector databases in flat storage should
-//! prefer [`crate::survey_flat::survey_database_flat_sharded`], which produces
-//! the identical `DatabaseSurvey` (bit for bit) through the batched
-//! kernels several times faster.
+//! over any point type: each per-k count packs every computed
+//! permutation into the narrowest run key (`u64` to k = 12, `u128` to
+//! k = 25, the permutation itself above) and counts on the one
+//! sorted-run counter, whose codebook-ordered occupancies are the
+//! frequency table.  Real-vector databases in flat storage should
+//! prefer [`crate::survey_flat::survey_database_flat_sharded`], which
+//! produces the identical `DatabaseSurvey` (bit for bit) through the
+//! batched kernels several times faster.
 
 use crate::count::CountReport;
 use crate::dimension::{estimate_dimension, min_euclidean_dimension, ReferenceProfile};
@@ -25,7 +29,7 @@ use dp_metric::Metric;
 use dp_permutation::counter::collect_counter;
 use dp_permutation::encoding::element_bits;
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::PermutationCounter;
+use dp_permutation::{PackedCountSummary, RunKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -116,44 +120,38 @@ where
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
         let site_ids = dp_datasets::vectors::choose_distinct_indices(database.len(), k, &mut rng);
         let sites: Vec<P> = site_ids.iter().map(|&i| database[i].clone()).collect();
-        let counter = collect_counter(metric, &sites, database);
-        let report = CountReport::from(&counter);
-        per_k.push(build_ksurvey(k, site_ids, report, &counter_freqs(&counter)));
+        per_k.push(dp_permutation::for_packed_k!(k, K => build_ksurvey(
+            k,
+            site_ids,
+            &collect_counter::<K, P, M>(metric, &sites, database).finalize(),
+        )));
     }
     let dimension_estimate = dimension_estimate(&per_k, config);
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
 }
 
-/// The occupancy distribution of a counter, indexed by codebook id —
-/// i.e. ordered by the lexicographic rank of each distinct permutation.
-/// Both survey engines produce their frequency tables in this order, so
-/// the entropy/Huffman sums run over identical vectors (bit-identical
+/// Assembles one [`KSurvey`] row from a finalized count (the shared
+/// tail of both survey engines).  The frequency table is the summary's
+/// occupancies in codebook-id order — the lexicographic rank of each
+/// distinct permutation, which every run key sorts in — so both engines
+/// run the entropy/Huffman sums over identical vectors (bit-identical
 /// results).
-///
-/// [`PermutationCounter::sorted_counts`] emits exactly this order (ids
-/// of a codebook interned from the sorted permutations are `0..N` in
-/// sequence), so no codebook — flat or hashed — needs to be built here.
-pub(crate) fn counter_freqs(counter: &PermutationCounter) -> Vec<u64> {
-    counter.sorted_counts().into_iter().map(|(_, c)| c).collect()
-}
-
-/// Assembles one [`KSurvey`] row from a counting result and its
-/// frequency table (the shared tail of both survey engines).
-pub(crate) fn build_ksurvey(
+pub(crate) fn build_ksurvey<K: RunKey>(
     k: usize,
     site_ids: Vec<usize>,
-    report: CountReport,
-    freqs: &[u64],
+    summary: &PackedCountSummary<K>,
 ) -> KSurvey {
-    let huffman = HuffmanCode::from_frequencies(freqs);
+    let report = CountReport::from(summary);
+    let freqs = summary.lexicographic_counts();
+    let huffman = HuffmanCode::from_frequencies(&freqs);
     KSurvey {
         k,
         site_ids,
         naive_bits: naive_permutation_bits(k),
         raw_bits: k as u32 * element_bits(k),
         codebook_bits: element_bits(report.distinct),
-        huffman_bits: huffman.mean_bits(freqs),
-        entropy_bits: entropy_bits(freqs),
+        huffman_bits: huffman.mean_bits(&freqs),
+        entropy_bits: entropy_bits(&freqs),
         min_euclidean_dim: min_euclidean_dimension(report.distinct, k as u32),
         report,
     }

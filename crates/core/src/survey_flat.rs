@@ -7,10 +7,10 @@
 //! [`VectorSet`] storage.  ρ sampling runs over row views with the
 //! identical pair stream, and every per-k counting pass runs through the
 //! site-transposed, 4-wide strip-mined [`BatchDistance`] kernels with
-//! the branchless k²/2 ranking — width-generic packed sort+scan
-//! counting (`u64` keys for k ≤ 12, `u128` keys for k ≤ 25), the hash
-//! counter beyond.  Distances, counts, frequency tables and therefore
-//! **every field of the returned [`DatabaseSurvey`] are bit-for-bit
+//! the branchless k²/2 ranking into the one sorted-run counter (`u64`
+//! packed keys for k ≤ 12, `u128` packed keys for k ≤ 25, the
+//! permutations themselves beyond).  Distances, counts, frequency
+//! tables and therefore **every field of the returned [`DatabaseSurvey`] are bit-for-bit
 //! identical** to the generic per-point path; the workspace property
 //! suite (`tests/survey_equivalence.rs`) enforces that, and the `survey`
 //! bench records the speedup (`BENCH_survey.json`).
@@ -21,13 +21,10 @@
 //! worker buffers (0 means the default 131,072), again with an identical
 //! report.
 
-use crate::count::CountReport;
-use crate::survey::{
-    build_ksurvey, counter_freqs, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig,
-};
+use crate::survey::{build_ksurvey, dimension_estimate, DatabaseSurvey, KSurvey, SurveyConfig};
 use dp_datasets::VectorSet;
 use dp_metric::BatchDistance;
-use dp_permutation::compute::{collect_counter_flat_parallel, collect_sharded_flat_parallel};
+use dp_permutation::compute::collect_sharded_flat_parallel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -36,8 +33,8 @@ use rand::SeedableRng;
 /// engine.  Bit-identical to the generic path on equal coordinates.
 ///
 /// Each per-k counting scan is split across `threads` scoped workers;
-/// the survey is independent of the thread count.  Every packed per-k
-/// scan streams through [`dp_permutation::PackedPermutationCounter`]s
+/// the survey is independent of the thread count.  Every per-k scan
+/// streams through [`dp_permutation::PackedPermutationCounter`]s
 /// holding at most `shard_rows` keys each (0 means
 /// [`dp_permutation::DEFAULT_SHARD_ROWS`]) plus their sorted counted
 /// runs, never all n keys.  The survey is **bit-identical** at every
@@ -74,15 +71,13 @@ pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
     DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
 }
 
-/// One per-k measurement through the flat engine.  For k within a
-/// packed range (either key width) the distinct/occupancy scan is the
-/// radix-sorted-run counter and the frequency table comes from
+/// One per-k measurement through the flat engine: the sorted-run
+/// counter at the run key [`dp_permutation::for_packed_k!`] picks for k,
+/// and the frequency table from
 /// [`dp_permutation::PackedCountSummary::lexicographic_counts`], which
 /// matches the generic path's codebook order exactly without decoding a
-/// single permutation; beyond [`dp_permutation::WIDE_MAX_K`] the hash
-/// counter feeds the same sorted-count frequency table the generic path
-/// uses.  The packed arm is monomorphized per key width so the per-row
-/// loops carry no width branch.
+/// single permutation.  Monomorphized per key so the per-row loops carry
+/// no width branch.
 fn survey_one_k<M: BatchDistance + Sync>(
     metric: &M,
     database: &VectorSet,
@@ -94,19 +89,12 @@ fn survey_one_k<M: BatchDistance + Sync>(
     crate::count::check_flat_dims(sites, database);
     let sites_t = crate::count::transpose_sites(sites, database);
     let (k, flat) = (sites.len(), database.as_flat());
-    dp_permutation::for_packed_k!(
+    dp_permutation::for_packed_k!(k, K => build_ksurvey(
         k,
-        K => {
-            let summary =
-                collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows)
-                    .finalize();
-            build_ksurvey(k, site_ids, CountReport::from(&summary), &summary.lexicographic_counts())
-        },
-        _ => {
-            let counter = collect_counter_flat_parallel(metric, &sites_t, flat, threads);
-            build_ksurvey(k, site_ids, CountReport::from(&counter), &counter_freqs(&counter))
-        },
-    )
+        site_ids,
+        &collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows)
+            .finalize(),
+    ))
 }
 
 #[cfg(test)]
@@ -160,9 +148,9 @@ mod tests {
 
     #[test]
     fn flat_survey_crosses_the_packed_boundaries() {
-        // k = 13 crosses the u64/u128 seam onto the wide packed engine;
-        // k = 26 exceeds WIDE_MAX_K and lands on the hash-counter arm.
-        // Every arm must produce the same report as the generic path,
+        // k = 13 crosses the u64/u128 seam onto the wide packed keys;
+        // k = 26 exceeds WIDE_MAX_K and counts Permutation keys.
+        // Every key must produce the same report as the generic path,
         // bit-for-bit including the Huffman and entropy f64 sums.
         let nested = uniform_unit_cube(1500, 4, 31);
         let flat = uniform_unit_cube_flat(1500, 4, 31);

@@ -11,7 +11,7 @@
 //! paper's §5 sampling has.
 
 use dp_metric::Metric;
-use dp_permutation::{DistPermComputer, Permutation, PermutationCounter};
+use dp_permutation::{DistPermComputer, PackedCountSummary, PackedPermutationCounter, Permutation};
 
 /// An axis-aligned bounding box in the plane.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -50,7 +50,8 @@ impl BBox {
 }
 
 /// Enumerates the distance permutation at every point of a `width`×`height`
-/// grid over `bbox` and returns the counter.
+/// grid over `bbox` and returns their counts (sorted-run counted, over
+/// permutation keys).
 ///
 /// Grid points sit at pixel centres, so no sample lands exactly on the box
 /// boundary.
@@ -60,12 +61,12 @@ pub fn grid_count<M: Metric<[f64]>>(
     bbox: BBox,
     width: usize,
     height: usize,
-) -> PermutationCounter {
-    let mut counter = PermutationCounter::new();
+) -> PackedCountSummary<Permutation> {
+    let mut counter = PackedPermutationCounter::new(sites.len());
     for_each_grid_permutation(metric, sites, bbox, width, height, |_, _, p| {
-        counter.insert(p);
+        counter.insert(&p);
     });
-    counter
+    counter.finalize()
 }
 
 /// Visits every grid point with its pixel coordinates and permutation.
@@ -116,18 +117,18 @@ pub fn adaptive_count<M: Metric<[f64]>>(
     bbox: BBox,
     base: usize,
     max_depth: u32,
-) -> PermutationCounter {
+) -> PackedCountSummary<Permutation> {
     assert!(base >= 2, "need at least a 2x2 base grid");
     assert!(sites.iter().all(|s| s.len() == 2), "adaptive sampling is 2-D");
     let mut computer = DistPermComputer::new(sites.len());
     let site_refs: Vec<&[f64]> = sites.iter().map(std::vec::Vec::as_slice).collect();
     let adapter = SliceMetric { inner: metric };
-    let mut counter = PermutationCounter::new();
-    let mut eval = |x: f64, y: f64, counter: &mut PermutationCounter| {
+    let mut counter = PackedPermutationCounter::new(sites.len());
+    let mut eval = |x: f64, y: f64, counter: &mut PackedPermutationCounter<Permutation>| {
         let point = [x, y];
         let q: &[f64] = &point;
         let p = computer.compute(&adapter, &site_refs, &q);
-        counter.insert(p);
+        counter.insert(&p);
         p
     };
 
@@ -181,7 +182,7 @@ pub fn adaptive_count<M: Metric<[f64]>>(
             }
         }
     }
-    counter
+    counter.finalize()
 }
 
 /// Adapts a `Metric<[f64]>` to the `&[f64]` point type used for zero-copy
@@ -238,7 +239,7 @@ mod tests {
         assert_eq!(l1.distinct(), 18, "L1 cell count");
         assert_eq!(l2.distinct(), 18, "L2 cell count");
         // ... but not the same permutation sets (the paper's observation).
-        assert_ne!(l1.sorted_permutations(), l2.sorted_permutations());
+        assert_ne!(l1.permutations(), l2.permutations());
     }
 
     #[test]

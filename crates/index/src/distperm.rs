@@ -32,7 +32,7 @@ use crate::query::{
 use dp_metric::Metric;
 use dp_permutation::encoding::{element_bits, FlatCodebook};
 use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
-use dp_permutation::{DistPermComputer, Permutation, PermutationCounter};
+use dp_permutation::{DistPermComputer, PackedCountSummary, PackedPermutationCounter, Permutation};
 
 /// Permutation-similarity measures available for candidate ordering.
 ///
@@ -166,12 +166,13 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
         (0..self.len()).map(|i| self.keys.permutation(i)).collect()
     }
 
-    /// Occurrence counter over the stored permutations — the paper's
-    /// measurement (distinct count, occupancy).
-    pub fn counter(&self) -> PermutationCounter {
-        let mut c = PermutationCounter::new();
-        self.permutations().into_iter().for_each(|p| c.insert(p));
-        c
+    /// Occurrence counts of the stored permutations — the paper's
+    /// measurement (distinct count, occupancy), counted on the sorted-run
+    /// counter over permutation keys.
+    pub fn counter(&self) -> PackedCountSummary<Permutation> {
+        let mut c = PackedPermutationCounter::new(self.k());
+        self.permutations().iter().for_each(|p| c.insert(p));
+        c.finalize()
     }
 
     /// Number of distinct permutations in the index

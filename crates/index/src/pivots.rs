@@ -14,7 +14,6 @@
 //! SplitMix64 so this crate stays free of RNG dependencies.
 
 use dp_metric::{Distance, Metric};
-use dp_permutation::fxhash::FxHashSet;
 use dp_permutation::{Permutation, MAX_K};
 
 /// SplitMix64 step — the standard 64-bit mixer (Steele–Lea–Flood).
@@ -37,6 +36,8 @@ pub fn sample_distinct(n: usize, count: usize, seed: u64) -> Vec<usize> {
     let mut state = seed;
     // Partial Fisher–Yates over a lazily materialised identity map: only
     // touched slots are stored, so sampling k of n costs O(k) memory.
+    // dplint: allow(hot-path-hash, reason = "the sparse swap map of a partial
+    // Fisher–Yates: it samples site ids and counts nothing")
     let mut swapped: std::collections::HashMap<usize, usize> = std::collections::HashMap::new();
     let mut out = Vec::with_capacity(count);
     for i in 0..count {
@@ -91,13 +92,14 @@ pub fn perm_diversity_pivots<P, M: Metric<P>>(
 
     let mut chosen: Vec<usize> = Vec::with_capacity(k); // indices into `candidates`
     let mut scratch: Vec<(f64, u8)> = Vec::with_capacity(k);
+    let mut seen: Vec<Permutation> = Vec::with_capacity(sample);
     while chosen.len() < k {
         let mut best: Option<(usize, usize)> = None; // (distinct, candidate idx)
         for (ci, &cid) in candidates.iter().enumerate() {
             if chosen.contains(&ci) {
                 continue;
             }
-            let mut seen: FxHashSet<Permutation> = FxHashSet::default();
+            seen.clear();
             for (s, &cand_d) in dist[ci].iter().enumerate() {
                 scratch.clear();
                 for (rank, &prev) in chosen.iter().enumerate() {
@@ -106,8 +108,10 @@ pub fn perm_diversity_pivots<P, M: Metric<P>>(
                 scratch.push((cand_d, chosen.len() as u8));
                 scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 let items: Vec<u8> = scratch.iter().map(|&(_, i)| i).collect();
-                seen.insert(Permutation::from_slice(&items).expect("ranks are a permutation"));
+                seen.push(Permutation::from_slice(&items).expect("ranks are a permutation"));
             }
+            seen.sort_unstable();
+            seen.dedup();
             let better = match best {
                 None => true,
                 Some((bd, bc)) => seen.len() > bd || (seen.len() == bd && cid < candidates[bc]),

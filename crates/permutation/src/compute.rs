@@ -5,10 +5,9 @@
 //! pair `(distance, index)` realises exactly that rule, and because
 //! [`dp_metric::Distance`] is totally ordered the result is deterministic.
 
-use crate::counter::PermutationCounter;
 use crate::key::PackedKey;
 use crate::perm::{Permutation, MAX_K};
-use crate::shard::PackedPermutationCounter;
+use crate::shard::{PackedPermutationCounter, RunKey};
 use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 
@@ -157,38 +156,13 @@ pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
     perms
 }
 
-/// Counts permutation occurrences over a flat database — the batched
-/// core of the paper's measurement, feeding a [`PermutationCounter`]
-/// without materialising the permutation vector.  The rows split across
-/// `threads` scoped workers and the per-chunk counters merge;
-/// deterministic — the merged counts are independent of the split.
-pub fn collect_counter_flat_parallel<M: BatchDistance + Sync>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    threads: usize,
-) -> PermutationCounter {
-    let counters = fork_join(worker_rows(sites, db_rows, threads), |rows| {
-        let mut counter = PermutationCounter::new();
-        flat_scan(metric, sites, rows, |p| counter.insert(p));
-        counter
-    });
-    counters
-        .into_iter()
-        .reduce(|mut merged, c| {
-            merged.merge(&c);
-            merged
-        })
-        .unwrap_or_default()
-}
-
 /// Largest k whose permutations pack into a u64 key (5 bits per
 /// element) — covers every configuration the paper's experiments use.
 pub const PACKED_MAX_K: usize = <u64 as PackedKey>::MAX_K;
 
 /// Largest k the packed pipeline covers at all: the u128 key width
-/// (5 bits per element, 25 fields).  `k > WIDE_MAX_K` falls back to the
-/// hash counting path.
+/// (5 bits per element, 25 fields).  `k > WIDE_MAX_K` counts
+/// [`Permutation`] keys instead, through the same run counter.
 pub const WIDE_MAX_K: usize = <u128 as PackedKey>::MAX_K;
 
 /// Branchless distance-permutation ranking.
@@ -598,6 +572,45 @@ fn flat_scan<M: BatchDistance>(
     flat_scan_ranks(metric, sites, db_rows, |ranks, k| emit(permutation_from_ranks(ranks, k)));
 }
 
+/// A [`RunKey`] the flat block scan emits, one per row in order: packed
+/// keys come from the fused rank+pack tile, [`Permutation`]s (every
+/// k above [`WIDE_MAX_K`]) from the rank rows.
+pub trait FlatKey: RunKey {
+    /// Emits the key of every row of `db_rows`, in order.
+    ///
+    /// # Panics
+    /// Panics if `sites.k()` exceeds [`RunKey::MAX_LEN`], if `db_rows`
+    /// is not a multiple of `sites.dim()`, or if any distance is NaN.
+    fn scan_flat<M: BatchDistance>(
+        metric: &M,
+        sites: &TransposedSites,
+        db_rows: &[f64],
+        emit: impl FnMut(Self),
+    );
+}
+
+impl<K: PackedKey> FlatKey for K {
+    fn scan_flat<M: BatchDistance>(
+        metric: &M,
+        sites: &TransposedSites,
+        db_rows: &[f64],
+        emit: impl FnMut(K),
+    ) {
+        flat_scan_keys(metric, sites, db_rows, emit);
+    }
+}
+
+impl FlatKey for Permutation {
+    fn scan_flat<M: BatchDistance>(
+        metric: &M,
+        sites: &TransposedSites,
+        db_rows: &[f64],
+        emit: impl FnMut(Permutation),
+    ) {
+        flat_scan(metric, sites, db_rows, emit);
+    }
+}
+
 /// Computes the packed permutation key of every row — the
 /// distance + ranking phases of the counting pipeline with no sort and
 /// no counter, in database order, at either key width.  The one-thread
@@ -639,8 +652,8 @@ pub fn rank_distance_rows_packed<K: PackedKey>(row_dists: &[f64], k: usize) -> V
 /// [`collect_sharded_flat_parallel`] at the default shard size.
 ///
 /// # Panics
-/// Panics if `sites.k() > K::MAX_K`.
-pub fn collect_packed_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
+/// Panics if `sites.k() > K::MAX_LEN`.
+pub fn collect_packed_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
@@ -650,22 +663,22 @@ pub fn collect_packed_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
 }
 
 /// Counts permutation occurrences over a flat database into one
-/// unfinalized [`PackedPermutationCounter`] — the packed counting path:
-/// no permutation value is materialised, keys are single machine words.
+/// unfinalized [`PackedPermutationCounter`] — the flat counting path at
+/// every k.  For packed keys no permutation value is materialised: the
+/// block scan feeds fused rank+pack tiles straight into the counter;
+/// [`Permutation`] keys come from the rank rows ([`FlatKey`]).
 ///
 /// Each of `threads` scoped workers (1 scans inline) streams its row
 /// range through its own counter flushing every `shard_rows` keys
-/// (0 means [`crate::shard::DEFAULT_SHARD_ROWS`]).  The block scan feeds
-/// fused rank+pack tiles straight into the counter, so the distance and
-/// ranking phases are untouched.  Workers sort their tail shards, and
-/// their runs land in one counter; its `finalize` merges them.  The
-/// finalized summary is independent of the split and the shard size (a
-/// merge of sorted counted multisets is the run-length scan of the
-/// whole).
+/// (0 means [`crate::shard::DEFAULT_SHARD_ROWS`]).  Workers sort their
+/// tail shards, and their runs land in one counter; its `finalize`
+/// merges them.  The finalized summary is independent of the split and
+/// the shard size (a merge of sorted counted multisets is the
+/// run-length scan of the whole).
 ///
 /// # Panics
-/// Panics if `sites.k() > K::MAX_K`.
-pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
+/// Panics if `sites.k() > K::MAX_LEN`.
+pub fn collect_sharded_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
@@ -673,19 +686,13 @@ pub fn collect_sharded_flat_parallel<K: PackedKey, M: BatchDistance + Sync>(
     shard_rows: usize,
 ) -> PackedPermutationCounter<K> {
     let new_counter = || PackedPermutationCounter::<K>::with_shard_rows(sites.k(), shard_rows);
-    let counters = fork_join(worker_rows(sites, db_rows, threads), |rows| {
+    let workers = fork_join(worker_rows(sites, db_rows, threads), |rows| {
         let mut counter = new_counter();
-        flat_scan_keys(metric, sites, rows, |key| counter.insert_key(key));
+        K::scan_flat(metric, sites, rows, |key| counter.insert_key(key));
         counter.flush();
         counter
     });
-    counters
-        .into_iter()
-        .reduce(|mut all, counter| {
-            all.absorb(counter);
-            all
-        })
-        .unwrap_or_else(new_counter)
+    PackedPermutationCounter::join(workers, new_counter)
 }
 
 #[cfg(test)]
@@ -819,21 +826,29 @@ mod tests {
         }
     }
 
+    /// The oracle: the permutation stream sorted, then deduplicated.
+    fn sorted_distinct(mut perms: Vec<Permutation>) -> Vec<Permutation> {
+        perms.sort_unstable();
+        perms.dedup();
+        perms
+    }
+
     #[test]
     fn flat_counter_agrees_with_permutation_stream() {
         use dp_metric::L1;
         let (n, k, dim) = (800, 6, 2);
         let db = weyl_rows(n, dim, 5);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 6), dim);
-        let counter = collect_counter_flat_parallel(&L1, &sites_t, &db, 1);
         let perms = database_permutations_flat_parallel(&L1, &sites_t, &db, 1);
-        let mut direct = PermutationCounter::new();
-        for &p in &perms {
-            direct.insert(p);
+        let expected = sorted_distinct(perms);
+        let packed = collect_packed_flat_parallel::<u64, _>(&L1, &sites_t, &db, 1).finalize();
+        let whole =
+            collect_packed_flat_parallel::<Permutation, _>(&L1, &sites_t, &db, 1).finalize();
+        for summary in [packed.permutations(), whole.permutations()] {
+            assert_eq!(summary, expected);
         }
-        assert_eq!(counter.distinct(), direct.distinct());
-        assert_eq!(counter.total(), direct.total());
-        assert_eq!(counter.total(), n as u64);
+        assert_eq!(packed.total(), n as u64);
+        assert_eq!(whole.total(), n as u64);
     }
 
     #[test]
@@ -844,35 +859,38 @@ mod tests {
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 8), dim);
         let seq_packed =
             collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, 1).finalize();
-        let seq_hash = collect_counter_flat_parallel(&L2Squared, &sites_t, &db, 1);
         for threads in [1, 2, 3, 8] {
             let par = collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, &db, threads)
                 .finalize();
             assert_eq!(par.distinct(), seq_packed.distinct(), "threads = {threads}");
             assert_eq!(par.total(), seq_packed.total());
             assert_eq!(par.permutations(), seq_packed.permutations());
-            let par_hash = collect_counter_flat_parallel(&L2Squared, &sites_t, &db, threads);
-            assert_eq!(par_hash.distinct(), seq_hash.distinct(), "threads = {threads}");
-            assert_eq!(par_hash.sorted_permutations(), seq_hash.sorted_permutations());
+            let whole =
+                collect_packed_flat_parallel::<Permutation, _>(&L2Squared, &sites_t, &db, threads)
+                    .finalize();
+            assert_eq!(whole.permutations(), seq_packed.permutations(), "threads = {threads}");
+            assert_eq!(whole.lexicographic_counts(), seq_packed.lexicographic_counts());
         }
     }
 
     #[test]
-    fn wide_collectors_match_hash_collectors_above_the_u64_seam() {
+    fn wide_collectors_match_permutation_keys_above_the_u64_seam() {
         use dp_metric::L2Squared;
         // k = 16 only fits the u128 key width; the wide sorted-run
-        // pipeline must agree with the hash oracle exactly.
+        // pipeline must agree with Permutation keys and the sorted
+        // permutation stream exactly.
         let (n, k, dim) = (4000, 16, 3);
         let db = weyl_rows(n, dim, 11);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 12), dim);
         let wide = collect_packed_flat_parallel::<u128, _>(&L2Squared, &sites_t, &db, 1).finalize();
-        let hash = collect_counter_flat_parallel(&L2Squared, &sites_t, &db, 1);
-        assert_eq!(wide.distinct(), hash.distinct());
-        assert_eq!(wide.total(), hash.total());
-        assert_eq!(wide.mean_occupancy().to_bits(), hash.mean_occupancy().to_bits());
-        let mut decoded = wide.permutations();
-        decoded.sort_unstable();
-        assert_eq!(decoded, hash.sorted_permutations());
+        let whole =
+            collect_packed_flat_parallel::<Permutation, _>(&L2Squared, &sites_t, &db, 1).finalize();
+        assert_eq!(wide.distinct(), whole.distinct());
+        assert_eq!(wide.total(), whole.total());
+        assert_eq!(wide.mean_occupancy().to_bits(), whole.mean_occupancy().to_bits());
+        assert_eq!(wide.lexicographic_counts(), whole.lexicographic_counts());
+        let perms = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
+        assert_eq!(wide.permutations(), sorted_distinct(perms));
         for threads in [1, 2, 4] {
             let par = collect_packed_flat_parallel::<u128, _>(&L2Squared, &sites_t, &db, threads)
                 .finalize();

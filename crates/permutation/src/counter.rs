@@ -3,38 +3,34 @@
 //! This is the measurement the paper's experiments perform: enumerate the
 //! distance permutation of every database element and count the distinct
 //! values (`sort | uniq | wc` over the SISAP `build-distperm-*` output, §5).
-//! Two counters implement it:
+//! One engine implements it, literally as a sort and a run scan:
+//! [`crate::shard::PackedPermutationCounter`] streams keys through
+//! bounded shards that are sorted, collapsed by [`count_sorted_runs`]
+//! and merged as sorted counted runs.  A key is the narrowest
+//! [`RunKey`] that holds the permutation — a [`PackedKey`] word (`u64`
+//! for k ≤ 12, `u128` for k ≤ 25, radix-sorted) or the [`Permutation`]
+//! itself above that — so no hashing happens anywhere.
 //!
-//! * [`PermutationCounter`] — an Fx-hashed multiset for arbitrary k and
-//!   point streams; also tracks occupancy (how many elements map to each
-//!   permutation), which Table 2's analysis uses ("about 10 database
-//!   points per permutation").
-//! * [`crate::shard::PackedPermutationCounter`] — the sorted-run engine
-//!   behind the flat pipeline: packed keys (a [`PackedKey`] word — `u64`
-//!   for k ≤ 12, `u128` for k ≤ 25) stream through bounded shards that
-//!   are radix-sorted, collapsed by [`count_sorted_runs`] and merged as
-//!   sorted counted runs.  No hashing anywhere on the hot path.
-//!
-//! The packed engine ends in a [`PackedCountSummary`], which keeps one
+//! The engine ends in a [`PackedCountSummary`], which keeps one
 //! `(key, occupancy)` pair per **distinct** permutation — O(distinct)
 //! memory, so downstream consumers (codebooks, Huffman, the survey)
-//! never pay for n again.
+//! never pay for n again.  [`collect_counter`] and
+//! [`collect_counter_parallel`] feed it from the per-point path, for
+//! any metric over any point type.
 
 use crate::compute::DistPermComputer;
-use crate::fxhash::FxHashMap;
 use crate::key::PackedKey;
 use crate::perm::Permutation;
-use crate::radix::RadixSorter;
+use crate::shard::{PackedPermutationCounter, RunKey};
+use dp_metric::par::{chunk_len, fork_join};
 use dp_metric::Metric;
 
 /// Run lengths of consecutive equal values in a sorted (or at least
 /// run-grouped) slice: `[3, 3, 3, 7, 9, 9]` → `[3, 1, 2]`.
 ///
 /// The shared scan under every sort-then-dedup consumer in this crate —
-/// the packed counter run-length encodes each sorted shard with it,
-/// [`PermutationCounter::sorted_counts`] collapses its sorted key stream
-/// with it, and the flat codebooks in [`crate::encoding`] locate run
-/// starts through it.
+/// the run counter run-length encodes each sorted shard with it, and the
+/// flat codebooks in [`crate::encoding`] locate run starts through it.
 pub fn count_sorted_runs<T: PartialEq>(sorted: &[T]) -> Vec<u64> {
     let mut runs = Vec::new();
     let mut start = 0usize;
@@ -50,136 +46,21 @@ pub fn count_sorted_runs<T: PartialEq>(sorted: &[T]) -> Vec<u64> {
     runs
 }
 
-/// Accumulates distance permutations and distinct-count statistics.
-#[derive(Debug, Clone, Default)]
-pub struct PermutationCounter {
-    counts: FxHashMap<Permutation, u64>,
-    total: u64,
-}
-
-impl PermutationCounter {
-    /// An empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Records one occurrence of `p`.
-    pub fn insert(&mut self, p: Permutation) {
-        *self.counts.entry(p).or_insert(0) += 1;
-        self.total += 1;
-    }
-
-    /// Number of distinct permutations observed.
-    pub fn distinct(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Total number of observations.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Mean occupancy: observations per distinct permutation.
-    pub fn mean_occupancy(&self) -> f64 {
-        if self.counts.is_empty() {
-            0.0
-        } else {
-            self.total as f64 / self.counts.len() as f64
-        }
-    }
-
-    /// Iterator over `(permutation, occurrence count)`.
-    pub fn iter(&self) -> impl Iterator<Item = (&Permutation, &u64)> {
-        self.counts.iter()
-    }
-
-    /// The observed permutations, sorted lexicographically — a stable order
-    /// for codebook assignment and for diffing against other runs.
-    pub fn sorted_permutations(&self) -> Vec<Permutation> {
-        let mut v: Vec<Permutation> = self.counts.keys().copied().collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// `(permutation, occurrence count)` pairs sorted lexicographically —
-    /// the order a codebook built from [`Self::sorted_permutations`]
-    /// assigns ids in, so mapping this to its counts *is* the frequency
-    /// table both survey engines emit.
-    ///
-    /// For a uniform permutation length `k ≤ WIDE_MAX_K` the sort runs
-    /// as a radix sort over packed lexicographic keys at the width that
-    /// fits `k` (no `Permutation` is compared); mixed or longer lengths
-    /// fall back to a comparison sort with identical output.
-    pub fn sorted_counts(&self) -> Vec<(Permutation, u64)> {
-        let uniform_k = self.counts.keys().next().map(super::perm::Permutation::len).filter(|&k| {
-            k <= crate::compute::WIDE_MAX_K && self.counts.keys().all(|p| p.len() == k)
-        });
-        if let Some(k) = uniform_k {
-            crate::for_packed_k!(k, K => self.sorted_counts_radix::<K>(k),
-                _ => self.sorted_counts_cmp())
-        } else {
-            self.sorted_counts_cmp()
-        }
-    }
-
-    /// The radix arm of [`Self::sorted_counts`]: sort packed
-    /// (lexicographic-layout) keys of a uniform length `k` at width `K`.
-    fn sorted_counts_radix<K: PackedKey>(&self, k: usize) -> Vec<(Permutation, u64)> {
-        let mut pairs: Vec<(K, u64)> =
-            self.counts.iter().map(|(p, &c)| (pack_perm::<K>(p), c)).collect();
-        RadixSorter::<K>::new().sort_pairs(&mut pairs, K::key_bits(k));
-        pairs.into_iter().map(|(key, c)| (decode_packed(key, k), c)).collect()
-    }
-
-    /// The comparison-sort arm of [`Self::sorted_counts`] — identical
-    /// output, works for any mix of lengths.
-    fn sorted_counts_cmp(&self) -> Vec<(Permutation, u64)> {
-        let mut v: Vec<(Permutation, u64)> = self.counts.iter().map(|(&p, &c)| (p, c)).collect();
-        v.sort_unstable_by_key(|&(p, _)| p);
-        v
-    }
-
-    /// Merges another counter into this one.
-    pub fn merge(&mut self, other: &PermutationCounter) {
-        for (&p, &c) in other.counts.iter() {
-            *self.counts.entry(p).or_insert(0) += c;
-        }
-        self.total += other.total;
-    }
-
-    /// Occupancy histogram: `histogram[i]` = number of permutations seen
-    /// exactly `i+1` times (Fig 7's "cells the database happens to miss"
-    /// analysis looks at the other side of this distribution).
-    pub fn occupancy_histogram(&self) -> Vec<u64> {
-        let max = self.counts.values().copied().max().unwrap_or(0) as usize;
-        let mut hist = vec![0u64; max];
-        for &c in self.counts.values() {
-            hist[(c - 1) as usize] += 1;
-        }
-        hist
-    }
-
-    /// The most heavily occupied permutation and its count.
-    pub fn mode(&self) -> Option<(Permutation, u64)> {
-        self.counts.iter().map(|(&p, &c)| (p, c)).max_by_key(|&(p, c)| (c, std::cmp::Reverse(p)))
-    }
-}
-
-/// Finalized statistics of a [`crate::shard::PackedPermutationCounter`].
+/// Finalized statistics of a [`PackedPermutationCounter`].
 ///
 /// Holds one key per **distinct** permutation (ascending key order, which
-/// the [`pack_perm`] layout makes lexicographic order) plus its occupancy
-/// count and the observation total — `O(distinct)` memory, independent of
-/// the database size.
+/// every [`RunKey`] makes lexicographic order) plus its occupancy count
+/// and the observation total — `O(distinct)` memory, independent of the
+/// database size.
 #[derive(Debug, Clone)]
-pub struct PackedCountSummary<K: PackedKey = u64> {
+pub struct PackedCountSummary<K: RunKey = u64> {
     k: usize,
     keys: Vec<K>,
     occupancies: Vec<u64>,
     total: u64,
 }
 
-impl<K: PackedKey> PackedCountSummary<K> {
+impl<K: RunKey> PackedCountSummary<K> {
     /// Wraps strictly ascending distinct keys and their counts — the
     /// packed counter's merged runs.
     pub(crate) fn from_sorted_counts(k: usize, keys: Vec<K>, occupancies: Vec<u64>) -> Self {
@@ -212,36 +93,32 @@ impl<K: PackedKey> PackedCountSummary<K> {
         self.k
     }
 
-    /// The distinct permutations, decoded, in lexicographic order —
-    /// the same order as [`PermutationCounter::sorted_permutations`].
+    /// The distinct permutations, decoded, in lexicographic order.
     pub fn permutations(&self) -> Vec<Permutation> {
-        self.distinct_keys().map(|key| self.decode(key)).collect()
+        self.distinct_keys().map(|key| key.to_permutation(self.k)).collect()
     }
 
-    /// The distinct packed keys in ascending key order — one per
-    /// occupancy entry.  The [`pack_perm`] layout makes this the
-    /// lexicographic order of the decoded permutations.
+    /// The distinct keys in ascending key order — one per occupancy
+    /// entry.  Every [`RunKey`] makes this the lexicographic order of
+    /// the decoded permutations.
     pub fn distinct_keys(&self) -> impl Iterator<Item = K> + '_ {
         self.keys.iter().copied()
     }
 
     /// Iterator over `(permutation, occurrence count)`, in
-    /// lexicographic order.  The counterpart of
-    /// [`PermutationCounter::iter`] — the flat survey path uses it to
-    /// recover the occupancy distribution without re-hashing every
-    /// observation.
+    /// lexicographic order.
     pub fn iter(&self) -> impl Iterator<Item = (Permutation, u64)> + '_ {
         self.keys
             .iter()
             .zip(self.occupancies.iter())
-            .map(|(&key, &count)| (self.decode(key), count))
+            .map(|(&key, &count)| (key.to_permutation(self.k), count))
     }
 
     /// Occurrence counts ordered by the **lexicographic** rank of each
-    /// distinct permutation — the order a codebook built from
-    /// [`PermutationCounter::sorted_permutations`] assigns ids in, so a
-    /// frequency table built from this vector is element-for-element
-    /// identical to the hash-counter path's.
+    /// distinct permutation — the order a [`crate::FlatCodebook`] built
+    /// from the same permutations assigns ids in, so a frequency table
+    /// built from this vector is the survey's codebook-ordered table at
+    /// every key width.
     ///
     /// The [`pack_perm`] layout puts position 0 in the most significant
     /// occupied group, so ascending key order *is* lexicographic order
@@ -249,21 +126,6 @@ impl<K: PackedKey> PackedCountSummary<K> {
     /// sort, no decode.
     pub fn lexicographic_counts(&self) -> Vec<u64> {
         self.occupancies.clone()
-    }
-
-    /// Expands into an ordinary [`PermutationCounter`] (same counts).
-    pub fn unpack(&self) -> PermutationCounter {
-        let mut out = PermutationCounter::new();
-        for (p, count) in self.iter() {
-            for _ in 0..count {
-                out.insert(p);
-            }
-        }
-        out
-    }
-
-    fn decode(&self, key: K) -> Permutation {
-        decode_packed(key, self.k)
     }
 }
 
@@ -302,64 +164,94 @@ pub(crate) fn decode_packed<K: PackedKey>(key: K, k: usize) -> Permutation {
 ///
 /// The headline operation of the paper: |{Π_y : y ∈ database}|.
 pub fn count_distinct<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) -> usize {
-    collect_counter(metric, sites, database).distinct()
+    crate::for_packed_k!(sites.len(), K => {
+        collect_counter::<K, P, M>(metric, sites, database).finalize().distinct()
+    })
 }
 
-/// Runs the full scan and returns the counter (distinct count + occupancy).
-pub fn collect_counter<P, M: Metric<P>>(
+/// Runs the full per-point scan into an unfinalized counter of `K` keys
+/// (dispatch `K` on `sites.len()` with
+/// [`for_packed_k!`](crate::for_packed_k)).
+///
+/// # Panics
+/// Panics if `sites.len()` exceeds `K::MAX_LEN`.
+pub fn collect_counter<K: RunKey, P, M: Metric<P>>(
     metric: &M,
     sites: &[P],
     database: &[P],
-) -> PermutationCounter {
+) -> PackedPermutationCounter<K> {
     let mut computer = DistPermComputer::new(sites.len());
-    let mut counter = PermutationCounter::new();
+    let mut counter = PackedPermutationCounter::new(sites.len());
     for y in database {
-        counter.insert(computer.compute(metric, sites, y));
+        counter.insert(&computer.compute(metric, sites, y));
     }
     counter
+}
+
+/// [`collect_counter`] split across `threads` scoped workers (1, or
+/// fewer than 1024 points, scans inline); each worker counts its
+/// contiguous chunk and their runs merge into one counter, so the
+/// summary is independent of the split.
+///
+/// # Panics
+/// Panics if `sites.len()` exceeds `K::MAX_LEN`.
+pub fn collect_counter_parallel<K, P, M>(
+    metric: &M,
+    sites: &[P],
+    database: &[P],
+    threads: usize,
+) -> PackedPermutationCounter<K>
+where
+    K: RunKey,
+    P: Sync,
+    M: Metric<P> + Sync,
+{
+    let parts: Vec<&[P]> = if threads <= 1 || database.len() < 1024 {
+        vec![database]
+    } else {
+        database.chunks(chunk_len(database.len(), threads)).collect()
+    };
+    let workers = fork_join(parts, |part| {
+        let mut counter = collect_counter(metric, sites, part);
+        counter.flush();
+        counter
+    });
+    PackedPermutationCounter::join(workers, || PackedPermutationCounter::new(sites.len()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shard::PackedPermutationCounter;
     use dp_metric::L2;
 
+    fn perm(items: &[u8]) -> Permutation {
+        Permutation::from_slice(items).unwrap()
+    }
+
     #[test]
-    fn counter_basics() {
-        let mut c = PermutationCounter::new();
+    fn counter_basics_with_permutation_keys() {
+        let mut c = PackedPermutationCounter::<Permutation>::new(3);
         let a = Permutation::identity(3);
-        let b = Permutation::from_slice(&[1, 0, 2]).unwrap();
-        c.insert(a);
-        c.insert(a);
-        c.insert(b);
-        assert_eq!(c.distinct(), 2);
-        assert_eq!(c.total(), 3);
-        assert!((c.mean_occupancy() - 1.5).abs() < 1e-12);
+        let b = perm(&[1, 0, 2]);
+        c.insert(&a);
+        c.insert(&a);
+        c.insert(&b);
+        let summary = c.finalize();
+        assert_eq!(summary.distinct(), 2);
+        assert_eq!(summary.total(), 3);
+        assert!((summary.mean_occupancy() - 1.5).abs() < 1e-12);
+        assert_eq!(summary.permutations(), vec![a, b]);
     }
 
     #[test]
-    fn empty_counter() {
-        let c = PermutationCounter::new();
-        assert_eq!(c.distinct(), 0);
-        assert_eq!(c.total(), 0);
-        assert_eq!(c.mean_occupancy(), 0.0);
-    }
-
-    #[test]
-    fn merge_combines_counts() {
-        let mut a = PermutationCounter::new();
-        let mut b = PermutationCounter::new();
-        let p = Permutation::identity(2);
-        let q = Permutation::from_slice(&[1, 0]).unwrap();
-        a.insert(p);
-        b.insert(p);
-        b.insert(q);
-        a.merge(&b);
-        assert_eq!(a.distinct(), 2);
-        assert_eq!(a.total(), 3);
-        let pc = a.iter().find(|(x, _)| **x == p).map(|(_, c)| *c);
-        assert_eq!(pc, Some(2));
+    fn empty_summary() {
+        let packed = PackedPermutationCounter::<u64>::new(3).finalize();
+        let whole = PackedPermutationCounter::<Permutation>::new(3).finalize();
+        assert_eq!((packed.distinct(), packed.total()), (0, 0));
+        assert_eq!((whole.distinct(), whole.total()), (0, 0));
+        assert_eq!(packed.mean_occupancy(), 0.0);
+        assert_eq!(whole.mean_occupancy(), 0.0);
+        assert!(packed.iter().next().is_none() && whole.iter().next().is_none());
     }
 
     #[test]
@@ -382,48 +274,19 @@ mod tests {
     }
 
     #[test]
-    fn occupancy_histogram_and_mode() {
-        let mut c = PermutationCounter::new();
-        let a = Permutation::identity(3);
-        let b = Permutation::from_slice(&[1, 0, 2]).unwrap();
-        let d = Permutation::from_slice(&[2, 1, 0]).unwrap();
-        for _ in 0..3 {
-            c.insert(a);
-        }
-        c.insert(b);
-        c.insert(d);
-        // Two permutations seen once, one seen three times.
-        assert_eq!(c.occupancy_histogram(), vec![2, 0, 1]);
-        assert_eq!(c.mode(), Some((a, 3)));
-        let empty = PermutationCounter::new();
-        assert!(empty.occupancy_histogram().is_empty());
-        assert_eq!(empty.mode(), None);
-    }
-
-    #[test]
-    fn packed_summary_iter_matches_hash_counter() {
+    fn summary_iter_matches_sorted_pairs_at_both_key_types() {
+        let perms = [Permutation::identity(3), perm(&[1, 0, 2]), perm(&[2, 1, 0])];
         let mut packed = PackedPermutationCounter::<u64>::new(3);
-        let mut hash = PermutationCounter::new();
-        let perms = [
-            Permutation::identity(3),
-            Permutation::from_slice(&[1, 0, 2]).unwrap(),
-            Permutation::from_slice(&[2, 1, 0]).unwrap(),
-        ];
+        let mut whole = PackedPermutationCounter::<Permutation>::new(3);
         for (i, p) in perms.iter().enumerate() {
             for _ in 0..=i {
                 packed.insert(p);
-                hash.insert(*p);
+                whole.insert(p);
             }
         }
-        let summary = packed.finalize();
-        let mut pairs: Vec<(Permutation, u64)> = summary.iter().collect();
-        pairs.sort_unstable();
-        let mut expected: Vec<(Permutation, u64)> = hash.iter().map(|(&p, &c)| (p, c)).collect();
-        expected.sort_unstable();
-        assert_eq!(pairs, expected);
-        // Counts align with the decoded permutations, not just the totals.
-        assert_eq!(summary.iter().map(|(_, c)| c).sum::<u64>(), summary.total());
-        assert!(PackedPermutationCounter::<u64>::new(2).finalize().iter().next().is_none());
+        let expected: Vec<(Permutation, u64)> = vec![(perms[0], 1), (perms[1], 2), (perms[2], 3)];
+        assert_eq!(packed.finalize().iter().collect::<Vec<_>>(), expected);
+        assert_eq!(whole.finalize().iter().collect::<Vec<_>>(), expected);
     }
 
     #[test]
@@ -449,13 +312,42 @@ mod tests {
     }
 
     #[test]
-    fn sorted_permutations_is_sorted_and_complete() {
+    fn collected_permutations_are_sorted_and_complete() {
         let sites = vec![vec![0.0], vec![0.4], vec![1.0]];
         let db: Vec<Vec<f64>> = (0..500).map(|i| vec![i as f64 / 250.0 - 0.5]).collect();
-        let counter = collect_counter(&L2, &sites, &db);
-        let sorted = counter.sorted_permutations();
-        assert_eq!(sorted.len(), counter.distinct());
+        let packed = collect_counter::<u64, _, _>(&L2, &sites, &db).finalize();
+        let sorted = packed.permutations();
+        assert_eq!(sorted.len(), packed.distinct());
         assert!(sorted.windows(2).all(|w| w[0] < w[1]));
+        let mut computer = DistPermComputer::new(3);
+        let mut all: Vec<Permutation> =
+            db.iter().map(|y| computer.compute(&L2, &sites, y)).collect();
+        all.sort_unstable();
+        all.dedup();
+        assert_eq!(sorted, all);
+        let whole = collect_counter::<Permutation, _, _>(&L2, &sites, &db).finalize();
+        assert_eq!(whole.permutations(), sorted);
+        assert_eq!(whole.lexicographic_counts(), packed.lexicographic_counts());
+    }
+
+    #[test]
+    fn parallel_collector_is_independent_of_the_split() {
+        // ≥ 1024 points so workers split; the merged runs must equal the
+        // one-worker scan at every key type.
+        let sites = vec![vec![0.0, 0.3], vec![0.9, 0.1], vec![0.5, 0.8], vec![0.2, 0.9]];
+        let db: Vec<Vec<f64>> =
+            (0..1500).map(|i| vec![(i % 40) as f64 / 40.0, (i / 40) as f64 / 40.0]).collect();
+        let seq = collect_counter::<u64, _, _>(&L2, &sites, &db).finalize();
+        assert_eq!(seq.total(), 1500);
+        for threads in [1usize, 2, 3, 7] {
+            let par = collect_counter_parallel::<u64, _, _>(&L2, &sites, &db, threads).finalize();
+            assert_eq!(par.permutations(), seq.permutations(), "threads = {threads}");
+            assert_eq!(par.lexicographic_counts(), seq.lexicographic_counts());
+            let whole =
+                collect_counter_parallel::<Permutation, _, _>(&L2, &sites, &db, threads).finalize();
+            assert_eq!(whole.permutations(), seq.permutations(), "threads = {threads}");
+            assert_eq!(whole.lexicographic_counts(), seq.lexicographic_counts());
+        }
     }
 
     #[test]
@@ -474,33 +366,6 @@ mod tests {
         let runs = count_sorted_runs(&keys);
         assert_eq!(runs.iter().sum::<u64>(), 500);
         assert_eq!(runs.len(), 37.min(keys.len()));
-    }
-
-    #[test]
-    fn sorted_counts_matches_sorted_permutations_and_counts() {
-        let sites = vec![vec![0.0, 0.3], vec![0.9, 0.1], vec![0.5, 0.8], vec![0.2, 0.9]];
-        let db: Vec<Vec<f64>> =
-            (0..900).map(|i| vec![(i % 30) as f64 / 30.0, (i / 30) as f64 / 30.0]).collect();
-        let counter = collect_counter(&L2, &sites, &db);
-        let pairs = counter.sorted_counts();
-        let perms: Vec<Permutation> = pairs.iter().map(|&(p, _)| p).collect();
-        assert_eq!(perms, counter.sorted_permutations());
-        for (p, c) in &pairs {
-            let direct = counter.iter().find(|(q, _)| *q == p).map(|(_, &c)| c);
-            assert_eq!(direct, Some(*c));
-        }
-        assert!(PermutationCounter::new().sorted_counts().is_empty());
-    }
-
-    #[test]
-    fn sorted_counts_mixed_lengths_fall_back_to_comparison_order() {
-        let mut c = PermutationCounter::new();
-        c.insert(Permutation::identity(3));
-        c.insert(Permutation::identity(2));
-        c.insert(Permutation::from_slice(&[1, 0]).unwrap());
-        let pairs = c.sorted_counts();
-        let perms: Vec<Permutation> = pairs.iter().map(|&(p, _)| p).collect();
-        assert_eq!(perms, c.sorted_permutations());
     }
 
     #[test]
@@ -538,11 +403,12 @@ mod tests {
     }
 
     #[test]
-    fn wide_packed_counter_matches_hash_counter() {
+    fn wide_packed_counter_matches_permutation_keys() {
         // An irregular multiset of k = 20 permutations.
         let k = 20usize;
         let mut packed: PackedPermutationCounter<u128> = PackedPermutationCounter::new(k);
-        let mut hash = PermutationCounter::new();
+        let mut whole: PackedPermutationCounter<Permutation> = PackedPermutationCounter::new(k);
+        let mut all = Vec::new();
         let mut items: Vec<u8> = (0..k as u8).collect();
         for round in 0..600usize {
             // Deterministic Fisher–Yates from a splitmix-style stream.
@@ -553,38 +419,18 @@ mod tests {
             }
             let p = Permutation::from_slice(&items).unwrap();
             packed.insert(&p);
-            hash.insert(p);
+            whole.insert(&p);
+            all.push(p);
         }
-        let summary = packed.finalize();
-        assert_eq!(summary.distinct(), hash.distinct());
-        assert_eq!(summary.total(), hash.total());
-        assert_eq!(summary.mean_occupancy().to_bits(), hash.mean_occupancy().to_bits());
-        // Lexicographic frequency tables agree element for element.
-        let expected: Vec<u64> = hash.sorted_counts().into_iter().map(|(_, c)| c).collect();
-        assert_eq!(summary.lexicographic_counts(), expected);
-        // Decoded permutations agree with the hash counter's sorted set.
-        let mut decoded = summary.permutations();
-        decoded.sort_unstable();
-        assert_eq!(decoded, hash.sorted_permutations());
-    }
-
-    #[test]
-    fn sorted_counts_uses_radix_above_the_u64_seam() {
-        // k = 14 permutations take the u128 radix arm of sorted_counts;
-        // the output must equal the comparison-sort arm's.
-        let mut c = PermutationCounter::new();
-        let mut items: Vec<u8> = (0..14u8).collect();
-        for round in 0..300usize {
-            items.rotate_left(round % 14);
-            if round % 3 == 0 {
-                items.swap(0, 7);
-            }
-            c.insert(Permutation::from_slice(&items).unwrap());
-        }
-        let radix = c.sorted_counts();
-        let expected = c.sorted_counts_cmp();
-        assert_eq!(radix, expected);
-        let perms: Vec<Permutation> = radix.iter().map(|&(p, _)| p).collect();
-        assert_eq!(perms, c.sorted_permutations());
+        let (packed, whole) = (packed.finalize(), whole.finalize());
+        assert_eq!(packed.distinct(), whole.distinct());
+        assert_eq!(packed.total(), whole.total());
+        assert_eq!(packed.mean_occupancy().to_bits(), whole.mean_occupancy().to_bits());
+        assert_eq!(packed.lexicographic_counts(), whole.lexicographic_counts());
+        all.sort_unstable();
+        assert_eq!(packed.lexicographic_counts(), count_sorted_runs(&all));
+        all.dedup();
+        assert_eq!(packed.permutations(), all);
+        assert_eq!(whole.permutations(), all);
     }
 }

@@ -94,7 +94,8 @@ pub fn unpack(bytes: &[u8], k: usize) -> Result<Permutation, PermutationError> {
 ///
 /// Ids are **lexicographic ranks**: building one is a sort + run scan,
 /// and id `i` is the `i`-th entry of
-/// [`crate::counter::PermutationCounter::sorted_permutations`].  Lookup
+/// [`crate::counter::PackedCountSummary::permutations`] over the same
+/// permutations.  Lookup
 /// is a binary search over the sorted table (no hash table, no
 /// per-entry heap box), decoding is an array index;
 /// [`FlatCodebook::id_bits`] is the per-element storage cost.  Build one

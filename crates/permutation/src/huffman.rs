@@ -18,7 +18,6 @@
 //! measured by the E13 storage experiment.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::counter::PermutationCounter;
 use crate::encoding::FlatCodebook;
 use crate::perm::Permutation;
 use crate::radix::RadixSorter;
@@ -82,21 +81,6 @@ impl HuffmanCode {
     pub fn from_frequencies(freqs: &[u64]) -> Self {
         let lengths = code_lengths(freqs);
         Self::from_lengths(lengths)
-    }
-
-    /// Builds the code for a [`PermutationCounter`]'s distribution, using
-    /// `codebook` ids as symbols.
-    ///
-    /// # Panics
-    /// Panics if the counter contains a permutation absent from the
-    /// codebook.
-    pub fn from_counter(counter: &PermutationCounter, codebook: &FlatCodebook) -> Self {
-        let mut freqs = vec![0u64; codebook.len()];
-        for (p, &n) in counter.iter() {
-            let id = codebook.id_of(p).expect("counter permutation missing from codebook");
-            freqs[id as usize] = n;
-        }
-        Self::from_frequencies(&freqs)
     }
 
     fn from_lengths(lengths: Vec<u8>) -> Self {

@@ -14,7 +14,8 @@
 //!   to the sorted-run pipeline that previously fell back to hashing.
 //!
 //! The trait is **sealed**: exactly these two widths exist, and every
-//! consumer dispatches over them once per workload through
+//! consumer dispatches over them (and over [`crate::Permutation`] keys
+//! for longer k) once per workload through
 //! [`for_packed_k!`](crate::for_packed_k) so the per-row loops stay
 //! branch-free.  Code outside this module must derive shifts and masks
 //! through [`PackedKey::elem_shift`] / [`PackedKey::key_bits`] /
@@ -137,23 +138,23 @@ impl PackedKey for u128 {
     }
 }
 
-/// Dispatches a block of code over the packed-key width that fits `k`,
-/// falling back when no width does.
+/// Dispatches a block of code over the narrowest run key that holds a
+/// length-`k` permutation.
 ///
-/// The first arm binds the chosen width to a caller-named type parameter
-/// and runs once with `u64` (k ≤ 12) or `u128` (k ≤ 25); the `_` arm is
-/// the hash-path fallback for k ≥ 26.  Each workload dispatches **once**,
-/// so the monomorphized kernels under the arm contain no width branches:
+/// The body runs once, with the caller-named type parameter bound to
+/// `u64` (k ≤ 12), `u128` (k ≤ 25) or [`crate::Permutation`] (every
+/// longer k) — the three [`crate::shard::RunKey`]s.  Each workload
+/// dispatches **once**, so the monomorphized kernels under the body
+/// contain no width branches:
 ///
 /// ```
-/// use dp_permutation::key::PackedKey;
 /// let k = 16;
-/// let max_k = dp_permutation::for_packed_k!(k, K => K::MAX_K, _ => usize::MAX);
-/// assert_eq!(max_k, 25);
+/// let key_bytes = dp_permutation::for_packed_k!(k, K => std::mem::size_of::<K>());
+/// assert_eq!(key_bytes, 16);
 /// ```
 #[macro_export]
 macro_rules! for_packed_k {
-    ($k:expr, $K:ident => $body:expr, _ => $fallback:expr $(,)?) => {{
+    ($k:expr, $K:ident => $body:expr $(,)?) => {{
         let for_packed_k: usize = $k;
         if for_packed_k <= <u64 as $crate::key::PackedKey>::MAX_K {
             #[allow(non_camel_case_types)]
@@ -164,7 +165,9 @@ macro_rules! for_packed_k {
             type $K = u128;
             $body
         } else {
-            $fallback
+            #[allow(non_camel_case_types)]
+            type $K = $crate::Permutation;
+            $body
         }
     }};
 }
@@ -220,10 +223,17 @@ mod tests {
 
     #[test]
     fn for_packed_k_selects_by_k() {
-        for (k, expected_bits) in [(0, 64), (12, 64), (13, 128), (25, 128)] {
-            let bits = for_packed_k!(k, K => K::BITS, _ => 0);
-            assert_eq!(bits, expected_bits, "k = {k}");
+        use std::any::TypeId;
+        let cases = [
+            (0, TypeId::of::<u64>()),
+            (12, TypeId::of::<u64>()),
+            (13, TypeId::of::<u128>()),
+            (25, TypeId::of::<u128>()),
+            (26, TypeId::of::<crate::Permutation>()),
+            (32, TypeId::of::<crate::Permutation>()),
+        ];
+        for (k, expected) in cases {
+            assert_eq!(for_packed_k!(k, K => TypeId::of::<K>()), expected, "k = {k}");
         }
-        assert_eq!(for_packed_k!(26, K => K::BITS, _ => 0), 0);
     }
 }

@@ -6,34 +6,40 @@
 //! of site indices sorted by increasing distance from y, ties broken by
 //! smaller site index (the paper's Definition, §1).
 //!
-//! ## The width-generic packed pipeline
+//! ## One counting engine: sorted runs
 //!
-//! The flat engine's counting path never materialises a [`Permutation`]:
-//! each database row becomes one **packed key** — a machine word holding
-//! the permutation in 5-bit fields ([`key::PackedKey`], sealed over `u64`
-//! for k ≤ [`PACKED_MAX_K`] = 12 and `u128` for k ≤ [`WIDE_MAX_K`] = 25).
-//! Every stage is generic over that width and monomorphized once per
-//! workload by [`for_packed_k!`], so the per-row loops carry no width
-//! branches:
+//! Counting distinct permutations is a sort and a run scan, at every k
+//! and for every point type.  Each permutation becomes one **run key**
+//! ([`shard::RunKey`]): a packed machine word holding the permutation in
+//! 5-bit fields ([`key::PackedKey`], sealed over `u64` for
+//! k ≤ [`PACKED_MAX_K`] = 12 and `u128` for k ≤ [`WIDE_MAX_K`] = 25), or
+//! the [`Permutation`] value itself for every longer k.  Every stage is
+//! generic over the key and monomorphized once per workload by
+//! [`for_packed_k!`], so the per-row loops carry no width branches:
 //!
 //! 1. the batched kernels fuse ranking and packing per 4-row tile
 //!    ([`compute::packed_keys_flat`] — one pairwise-halved compare
 //!    schedule, dispatched to a constant-`k` instantiation so the whole
 //!    accumulator tile is register-resident, folds each site's rank
 //!    straight into the key lanes with no rank-array round-trip; tails
-//!    of `n mod 4` rows run the same path on a padded tile);
+//!    of `n mod 4` rows run the same path on a padded tile); above
+//!    k = 25 the rank rows become [`Permutation`] keys, and the
+//!    per-point path ([`counter::collect_counter`], any metric over any
+//!    point type) packs each computed permutation with [`pack_perm`];
 //! 2. [`shard::PackedPermutationCounter`] buffers at most `shard_rows`
 //!    keys ([`shard::DEFAULT_SHARD_ROWS`] = 131,072 by default) — never
 //!    all n;
-//! 3. [`radix`] sorts each full shard in at most `⌈5k/12⌉` LSD
-//!    12-bit-digit passes (5 for `u64` at k = 12, 11 for `u128` at
-//!    k = 25), with a per-word constant-digit skip so the high word of a
-//!    barely-wide workload costs nothing;
+//! 3. each full shard is sorted: [`radix`] sorts packed keys in at most
+//!    `⌈5k/12⌉` LSD 12-bit-digit passes (5 for `u64` at k = 12, 11 for
+//!    `u128` at k = 25), with a per-word constant-digit skip so the high
+//!    word of a barely-wide workload costs nothing; [`Permutation`] keys
+//!    take a comparison sort;
 //! 4. [`counter::count_sorted_runs`] collapses the sorted shard into a
 //!    run of `(key, count)` entries, and the runs merge on a tiered
 //!    stack (a run merges into the one below it while that one is at
 //!    most twice its size) into a [`counter::PackedCountSummary`] — one
-//!    `(key, count)` pair per *distinct* permutation;
+//!    `(key, count)` pair per *distinct* permutation, in lexicographic
+//!    order at every key type;
 //! 5. [`encoding::PackedCodebook`] / [`encoding::FlatCodebook`] assign
 //!    lexicographic codebook ids straight off the sorted distinct keys —
 //!    no hash table anywhere.
@@ -41,23 +47,17 @@
 //! The shard size bounds the working set, never the answer: merging
 //! sorted multiset runs is associative, so the finalized summary — and
 //! everything downstream of it, including the float Huffman/entropy
-//! sums — is the same at every shard size and thread count
+//! sums — is the same at every shard size, thread count and key type
 //! (`distperm count/survey --shard-rows` caps it on the command line).
 //!
 //! Each flat computation has **one entry point**, taking a `threads`
 //! count (1 scans inline on the calling thread):
 //! [`compute::database_permutations_flat_parallel`] (one permutation per
-//! row), [`compute::collect_sharded_flat_parallel`] (packed counting,
-//! plus `shard_rows`) and [`compute::collect_counter_flat_parallel`]
-//! (hash counting, any k).  All three split the rows into contiguous
-//! chunks on [`dp_metric::par::fork_join`], so results never depend on
-//! `threads`.  [`compute::collect_packed_flat_parallel`] is the packed
-//! collector at the default shard size.
-//!
-//! The hash path ([`counter::PermutationCounter`]) survives as the
-//! reference oracle for arbitrary k and as the fallback for k > 25; the
-//! sorted-run pipeline is pinned bit-identical to it (including
-//! floating-point Huffman/entropy sums) by the survey equivalence suite.
+//! row) and [`compute::collect_sharded_flat_parallel`] (counting, plus
+//! `shard_rows`).  Both split the rows into contiguous chunks on
+//! [`dp_metric::par::fork_join`], so results never depend on `threads`.
+//! [`compute::collect_packed_flat_parallel`] is the flat collector at
+//! the default shard size.
 //!
 //! ## Everything else
 //!
@@ -81,9 +81,7 @@
 //!   §4's "more sophisticated structure may be possible" remark;
 //! * [`prefix`] — truncated permutations ([`prefix::PrefixPermutation`])
 //!   and the induced top-ℓ footrule, the practical CFN index form;
-//! * [`bits`] — the LSB-first bit I/O under all the packed layouts;
-//! * [`fxhash`] — a local FxHash-style hasher for the generic
-//!   (arbitrary-k, arbitrary-point) counting path.
+//! * [`bits`] — the LSB-first bit I/O under all the packed layouts.
 
 #![forbid(unsafe_code)]
 
@@ -91,7 +89,6 @@ pub mod bits;
 pub mod compute;
 pub mod counter;
 pub mod encoding;
-pub mod fxhash;
 pub mod huffman;
 pub mod key;
 pub mod lehmer;
@@ -103,16 +100,16 @@ pub mod shard;
 pub mod store;
 
 pub use compute::{
-    collect_counter_flat_parallel, collect_packed_flat_parallel, collect_sharded_flat_parallel,
+    collect_packed_flat_parallel, collect_sharded_flat_parallel,
     database_permutations_flat_parallel, distance_permutation, packed_keys_flat, DistPermComputer,
-    PACKED_MAX_K, WIDE_MAX_K,
+    FlatKey, PACKED_MAX_K, WIDE_MAX_K,
 };
-pub use counter::{count_sorted_runs, pack_perm, PackedCountSummary, PermutationCounter};
+pub use counter::{count_sorted_runs, pack_perm, PackedCountSummary};
 pub use encoding::{FlatCodebook, PackedCodebook};
 pub use huffman::{HuffmanCode, HuffmanPermStore};
 pub use key::PackedKey;
 pub use perm::{Permutation, PermutationError, MAX_K};
 pub use prefix::{prefix_footrule, PrefixPermutation};
 pub use radix::RadixSorter;
-pub use shard::{PackedPermutationCounter, DEFAULT_SHARD_ROWS};
+pub use shard::{PackedPermutationCounter, RunKey, DEFAULT_SHARD_ROWS};
 pub use store::{PackedPermStore, RawPermStore};

@@ -1,13 +1,21 @@
-//! The packed counting engine: distinct-permutation counts streamed
+//! The one counting engine: distinct-permutation counts streamed
 //! through bounded shards and a tiered stack of sorted runs.
 //!
 //! [`PackedPermutationCounter`] never holds all n keys.  Inserts append
 //! to a **shard** of at most `shard_rows` keys ([`DEFAULT_SHARD_ROWS`]
 //! unless set with [`PackedPermutationCounter::with_shard_rows`]).  Each
-//! full shard is radix-sorted (one [`RadixSorter`] per counter, so the
-//! scratch is paid once) and run-length encoded into a sorted **run**:
-//! ascending distinct keys and their counts, stored as two arrays
-//! (`Vec<K>` + `Vec<u64>`, 24 bytes an entry at `u128`).
+//! full shard is sorted ([`RunKey::sort_run`]: a radix sort for packed
+//! keys, with one [`RadixSorter`] per counter so the scratch is paid
+//! once; a comparison sort for [`Permutation`] keys) and run-length
+//! encoded into a sorted **run**: ascending distinct keys and their
+//! counts, stored as two arrays (`Vec<K>` + `Vec<u64>`, 24 bytes an
+//! entry at `u128`).
+//!
+//! The key is the narrowest [`RunKey`] that holds the permutation: a
+//! packed `u64` for k ≤ 12, a packed `u128` for k ≤ 25 and the
+//! [`Permutation`] value itself above that, chosen once per workload by
+//! [`for_packed_k!`](crate::for_packed_k).  Every key type orders like
+//! the permutations it holds, so the summary is the same at every width.
 //!
 //! Runs live on a stack, largest at the bottom.  After a push, while the
 //! run below the top holds at most twice as many entries as the top,
@@ -28,13 +36,14 @@
 //! so the finalized [`PackedCountSummary`] — distinct keys,
 //! occupancies, total, and every float derived from them downstream —
 //! does not depend on the shard size, the merge order or the thread
-//! count (`tests/sharded_equivalence.rs` pins it against the generic
-//! hash-counting path).
+//! count (`tests/sharded_equivalence.rs` pins it against the per-point
+//! path).
 
-use crate::counter::{count_sorted_runs, pack_perm, PackedCountSummary};
+use crate::counter::{count_sorted_runs, decode_packed, pack_perm, PackedCountSummary};
 use crate::key::PackedKey;
-use crate::perm::Permutation;
+use crate::perm::{Permutation, MAX_K};
 use crate::radix::RadixSorter;
+use std::fmt::Debug;
 
 /// Keys a counter buffers before sorting them into a run: 1 MiB of
 /// `u64` keys or 2 MiB of `u128`, plus equal sort scratch, which bounds
@@ -44,15 +53,75 @@ use crate::radix::RadixSorter;
 /// merge time, larger ones cost the count memory and time.
 pub const DEFAULT_SHARD_ROWS: usize = 131_072;
 
+/// A key the sorted-run counter counts: one permutation of length k,
+/// ordered like the permutations themselves (lexicographically at a
+/// fixed k), so ascending key order is the codebook id order at every
+/// width.
+///
+/// Implemented by both [`PackedKey`] widths (a blanket impl: radix sort
+/// over the [`pack_perm`] layout) and by [`Permutation`] itself (a
+/// comparison sort), which serves every k above
+/// [`WIDE_MAX_K`](crate::WIDE_MAX_K).
+pub trait RunKey: Copy + Ord + Send + Debug + 'static {
+    /// Sort scratch a counter keeps from shard to shard.
+    type Sorter: Default + Clone + Debug + Send;
+
+    /// Longest permutation a key holds.
+    const MAX_LEN: usize;
+
+    /// Sorts one shard of keys of length-`k` permutations ascending.
+    fn sort_run(keys: &mut [Self], k: usize, sorter: &mut Self::Sorter);
+
+    /// The key of a permutation (at most [`Self::MAX_LEN`] long).
+    fn from_permutation(p: &Permutation) -> Self;
+
+    /// The length-`k` permutation a key holds.
+    fn to_permutation(self, k: usize) -> Permutation;
+}
+
+impl<K: PackedKey> RunKey for K {
+    type Sorter = RadixSorter<K>;
+    const MAX_LEN: usize = K::MAX_K;
+
+    fn sort_run(keys: &mut [Self], k: usize, sorter: &mut RadixSorter<K>) {
+        sorter.sort_keys(keys, K::key_bits(k));
+    }
+
+    fn from_permutation(p: &Permutation) -> Self {
+        pack_perm(p)
+    }
+
+    fn to_permutation(self, k: usize) -> Permutation {
+        decode_packed(self, k)
+    }
+}
+
+impl RunKey for Permutation {
+    type Sorter = ();
+    const MAX_LEN: usize = MAX_K;
+
+    fn sort_run(keys: &mut [Self], _k: usize, _sorter: &mut ()) {
+        keys.sort_unstable();
+    }
+
+    fn from_permutation(p: &Permutation) -> Self {
+        *p
+    }
+
+    fn to_permutation(self, _k: usize) -> Permutation {
+        self
+    }
+}
+
 /// One sorted counted run: strictly ascending keys and the number of
 /// observations of each.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Run<K> {
     keys: Vec<K>,
     counts: Vec<u64>,
 }
 
-impl<K: PackedKey> Run<K> {
+impl<K: RunKey> Run<K> {
     fn len(&self) -> usize {
         self.keys.len()
     }
@@ -101,19 +170,20 @@ impl<K: PackedKey> Run<K> {
     }
 }
 
-/// Occurrence counter over packed permutation keys (5 bits per element
-/// in a [`PackedKey`] word — `u64` for k ≤ 12, `u128` for k ≤ 25), in
-/// bounded memory.
+/// Occurrence counter over permutation keys ([`RunKey`]: a packed `u64`
+/// for k ≤ 12, a packed `u128` for k ≤ 25, the [`Permutation`] above),
+/// in bounded memory.
 ///
-/// The one engine behind flat counting: feed keys with
-/// [`Self::insert_key`] and take the summary with [`Self::finalize`].
-/// Inserts only append to the shard (no hashing, no per-insert cache
-/// miss); distinct-counting happens per shard as a radix sort and run
-/// scan.  Packing is injective, so the distinct count equals the
-/// distinct count of the underlying permutations exactly.  See the
-/// [module docs](self) for the run stack and its memory bound.
+/// The one counting engine, flat and per-point alike: feed keys with
+/// [`Self::insert_key`] (or permutations with [`Self::insert`]) and
+/// take the summary with [`Self::finalize`].  Inserts only append to
+/// the shard (no hashing, no per-insert cache miss); distinct-counting
+/// happens per shard as a sort and run scan.  Keys are injective, so
+/// the distinct count equals the distinct count of the underlying
+/// permutations exactly.  See the [module docs](self) for the run stack
+/// and its memory bound.
 #[derive(Debug, Clone)]
-pub struct PackedPermutationCounter<K: PackedKey = u64> {
+pub struct PackedPermutationCounter<K: RunKey = u64> {
     k: usize,
     shard_rows: usize,
     /// Unsorted keys of the shard in flight — never more than `shard_rows`.
@@ -121,18 +191,18 @@ pub struct PackedPermutationCounter<K: PackedKey = u64> {
     /// Sorted counted runs, largest at the bottom; each holds more than
     /// twice the entries of the run above it.
     runs: Vec<Run<K>>,
-    sorter: RadixSorter<K>,
+    sorter: K::Sorter,
     /// Observations already in `runs`.
     flushed: u64,
     peak_run_entries: usize,
 }
 
-impl<K: PackedKey> PackedPermutationCounter<K> {
+impl<K: RunKey> PackedPermutationCounter<K> {
     /// An empty counter for permutations of length `k`, flushing every
     /// [`DEFAULT_SHARD_ROWS`] inserts.
     ///
     /// # Panics
-    /// Panics if `k` exceeds the key width's capacity (`K::MAX_K`).
+    /// Panics if `k` exceeds the key's capacity (`K::MAX_LEN`).
     pub fn new(k: usize) -> Self {
         Self::with_shard_rows(k, DEFAULT_SHARD_ROWS)
     }
@@ -141,14 +211,9 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
     /// [`DEFAULT_SHARD_ROWS`].
     ///
     /// # Panics
-    /// Panics if `k` exceeds the key width's capacity (`K::MAX_K`).
+    /// Panics if `k` exceeds the key's capacity (`K::MAX_LEN`).
     pub fn with_shard_rows(k: usize, shard_rows: usize) -> Self {
-        assert!(
-            k <= K::MAX_K,
-            "k = {k} exceeds MAX_K = {} for {}-bit packed keys",
-            K::MAX_K,
-            K::BITS
-        );
+        assert!(k <= K::MAX_LEN, "k = {k} exceeds MAX_LEN = {} for this key type", K::MAX_LEN);
         let shard_rows = match shard_rows {
             0 => DEFAULT_SHARD_ROWS,
             rows => rows,
@@ -158,7 +223,7 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
             shard_rows,
             shard: Vec::new(),
             runs: Vec::new(),
-            sorter: RadixSorter::new(),
+            sorter: K::Sorter::default(),
             flushed: 0,
             peak_run_entries: 0,
         }
@@ -174,8 +239,8 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
         self.flushed + self.shard.len() as u64
     }
 
-    /// Records one occurrence of a packed key (the [`pack_perm`]
-    /// lexicographic layout), flushing the shard if this insert fills it.
+    /// Records one occurrence of a key ([`RunKey::from_permutation`]'s
+    /// layout), flushing the shard if this insert fills it.
     #[inline]
     pub fn insert_key(&mut self, key: K) {
         self.shard.push(key);
@@ -190,7 +255,7 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
     /// Panics if `p.len() != k`.
     pub fn insert(&mut self, p: &Permutation) {
         assert_eq!(p.len(), self.k, "permutation length mismatch");
-        self.insert_key(pack_perm(p));
+        self.insert_key(K::from_permutation(p));
     }
 
     /// Sorts the shard in flight into a run now, even if it is only
@@ -203,11 +268,11 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
         self.sorter = sorter;
     }
 
-    fn flush_with(&mut self, sorter: &mut RadixSorter<K>) {
+    fn flush_with(&mut self, sorter: &mut K::Sorter) {
         if self.shard.is_empty() {
             return;
         }
-        sorter.sort_keys(&mut self.shard, K::key_bits(self.k));
+        K::sort_run(&mut self.shard, self.k, sorter);
         let run = Run::from_sorted(&self.shard);
         self.flushed += self.shard.len() as u64;
         self.shard.clear();
@@ -230,16 +295,29 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
         }
     }
 
-    /// Moves every observation of `other` into this counter — the
-    /// parallel collector's hand-off from its workers.  `other`'s runs
-    /// go in smallest first, so its small runs merge into this
+    /// Moves every observation of `other` into this counter.  `other`'s
+    /// runs go in smallest first, so its small runs merge into this
     /// counter's small runs before the two bottom runs meet.
-    pub(crate) fn absorb(&mut self, mut other: Self) {
+    fn absorb(&mut self, mut other: Self) {
         other.flush();
         self.flushed += other.flushed;
         for run in other.runs.into_iter().rev() {
             self.push_run(run);
         }
+    }
+
+    /// One counter holding every observation of `workers` (`empty` when
+    /// there are none) — the parallel collectors' hand-off.  Each
+    /// worker should flush its tail shard before it returns, so the
+    /// sorts run on the workers.
+    pub(crate) fn join(workers: Vec<Self>, empty: impl FnOnce() -> Self) -> Self {
+        workers
+            .into_iter()
+            .reduce(|mut all, worker| {
+                all.absorb(worker);
+                all
+            })
+            .unwrap_or_else(empty)
     }
 
     /// `(key, count)` entries across the run stack now.
@@ -261,13 +339,14 @@ impl<K: PackedKey> PackedPermutationCounter<K> {
     }
 
     /// [`Self::finalize`], sorting the tail shard through a caller-owned
-    /// [`RadixSorter`] instead of the counter's own.
-    pub fn finalize_with(mut self, sorter: &mut RadixSorter<K>) -> PackedCountSummary<K> {
+    /// sorter (a [`RadixSorter`] for packed keys) instead of the
+    /// counter's own.
+    pub fn finalize_with(mut self, sorter: &mut K::Sorter) -> PackedCountSummary<K> {
         self.flush_with(sorter);
         let mut smallest_first = self.runs.into_iter().rev();
         let all = match smallest_first.next() {
             Some(top) => smallest_first.fold(top, |acc, run| Run::merge(&run, &acc)),
-            None => Run::default(),
+            None => Run { keys: Vec::new(), counts: Vec::new() },
         };
         PackedCountSummary::from_sorted_counts(self.k, all.keys, all.counts)
     }

@@ -10,7 +10,8 @@
 //! 2. read the file back (as an external user would);
 //! 3. build the `distperm` index over Levenshtein distance;
 //! 4. dump the ASCII permutation file;
-//! 5. count unique lines — and check it equals the in-memory counter.
+//! 5. count unique lines — and check it equals the index's in-memory
+//!    count, which is the same `sort | uniq` done as a sorted-run scan.
 //!
 //! Run with: `cargo run --release --example sisap_pipeline`
 
@@ -49,23 +50,23 @@ fn main() {
 
     // 5. `sort | uniq | wc -l`, in-process.
     let unique: BTreeSet<&str> = ascii.lines().collect();
-    let counter = index.counter();
+    let counts = index.counter();
     println!(
-        "unique permutations: {} (ascii) = {} (in-memory counter)",
+        "unique permutations: {} (ascii) = {} (in-memory sorted-run count)",
         unique.len(),
-        counter.distinct()
+        counts.distinct()
     );
-    assert_eq!(unique.len(), counter.distinct());
+    assert_eq!(unique.len(), counts.distinct());
 
     // The Table 2 shape: far fewer distinct permutations than both k! and n.
     let kfact = 40_320u64; // 8!
     println!(
         "k! = {kfact}, n = {}; observed {} — the Table 2 phenomenon",
         index.len(),
-        counter.distinct()
+        counts.distinct()
     );
-    assert!((counter.distinct() as u64) < kfact);
-    println!("mean occupancy: {:.1} words per permutation", counter.mean_occupancy());
+    assert!((counts.distinct() as u64) < kfact);
+    println!("mean occupancy: {:.1} words per permutation", counts.mean_occupancy());
 
     std::fs::remove_dir_all(&dir).ok();
 }

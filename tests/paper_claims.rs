@@ -104,7 +104,7 @@ fn figure3_vs_figure4_same_count_different_permutations() {
     let l2_exact = exact_permutations(&sites_i);
     assert_eq!(l2_exact.len(), 18);
     let bbox = BBox { x_min: -2.0, x_max: 3.0, y_min: -2.0, y_max: 3.0 };
-    let l1_set = grid_count(&L1, &sites_f, bbox, 800, 800).sorted_permutations();
+    let l1_set = grid_count(&L1, &sites_f, bbox, 800, 800).permutations();
     assert_eq!(l1_set.len(), 18);
     assert_ne!(l1_set, l2_exact, "the paper: not the same 18 permutations");
     let shared = l1_set.iter().filter(|p| l2_exact.binary_search(p).is_ok()).count();

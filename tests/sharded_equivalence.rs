@@ -9,7 +9,7 @@
 //!   packing it afterwards, for every `n mod 4` tail shape and on both
 //!   sides of both key-width cutovers;
 //! * **sharded == generic** — counting through bounded shards merged as
-//!   sorted runs must reproduce the generic per-point hash-counting path
+//!   sorted runs must reproduce the generic per-point counting path
 //!   in every survey field, including the floating-point Huffman and
 //!   entropy sums, for the default shard size (0), degenerate shard
 //!   sizes (1, n-1, n, n+1) and any thread count.
@@ -166,9 +166,9 @@ fn sharded_survey_bit_identical_across_u64_u128_cutover() {
     }
 }
 
-/// Sharded surveys across the u128 → hash seam.  k = 26 has no packed
-/// key to shard on and must fall back to the flat hash engine with
-/// identical output.
+/// Sharded surveys across the u128 → `Permutation` key seam.  k = 26
+/// has no packed key; its `Permutation` keys go through the same shards
+/// and must give identical output.
 #[test]
 fn sharded_survey_bit_identical_across_u128_hash_cutover() {
     assert_eq!(WIDE_MAX_K, 25, "boundary test tracks the u128 packing cutoff");

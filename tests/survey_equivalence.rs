@@ -3,10 +3,10 @@
 //! distinct/total/occupancy, every storage-cost column (including the
 //! floating-point Huffman and entropy sums), the site ids, and the
 //! dimension estimate — for every vector metric, at any thread count,
-//! and on both sides of *both* packed-key cutovers: u64 → u128 at
-//! `PACKED_MAX_K` = 12 and u128 → hash at `WIDE_MAX_K` = 25.  The flat
-//! survey is the engine behind `distperm survey` on vector files, so
-//! any divergence here is a user-visible wrong answer.
+//! and on both sides of *both* key cutovers: u64 → u128 at
+//! `PACKED_MAX_K` = 12 and u128 → `Permutation` keys at `WIDE_MAX_K` =
+//! 25.  The flat survey is the engine behind `distperm survey` on
+//! vector files, so any divergence here is a user-visible wrong answer.
 
 use distance_permutations::core::survey_flat::survey_database_flat_sharded;
 use distance_permutations::core::{
@@ -103,8 +103,8 @@ proptest! {
     }
 }
 
-/// One k across a counting cutover: the flat engine (whatever width or
-/// fallback serves this k) must agree with the per-point hash path in
+/// One k across a counting cutover: the flat engine (whatever run key
+/// serves this k) must agree with the per-point path in
 /// every count field, and the full survey (freq tables, Huffman and
 /// entropy f64 sums) must be bit-identical sequentially and at 1, 2 and
 /// 4 threads.
@@ -133,7 +133,7 @@ fn check_cutover_k(k: usize, n: usize, d: usize) {
 /// Regression for the k = 12 → 13 key-width boundary: PACKED_MAX_K is
 /// the largest k the u64 sort+scan counter handles; k = 13 crosses onto
 /// the u128 wide path.  Both sides of the seam must agree with the
-/// per-point hash-based path in every report field — an off-by-one in
+/// per-point path in every report field — an off-by-one in
 /// the cutover, the 5-bit packing, or the lexicographic reordering
 /// would show up exactly here.
 #[test]
@@ -146,7 +146,7 @@ fn u64_u128_cutover_boundary_agrees_with_hash_path() {
 }
 
 /// Regression for the k = 25 → 26 boundary: WIDE_MAX_K is the largest k
-/// any packed width handles; k = 26 falls back to the hash counter.
+/// any packed width handles; k = 26 counts `Permutation` keys.
 /// Same bit-identity contract on both sides of the seam.
 #[test]
 fn u128_hash_cutover_boundary_agrees_with_hash_path() {
