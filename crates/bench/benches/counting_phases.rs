@@ -1,16 +1,20 @@
 //! Phase-level breakdown of the flat counting pipeline on the headline
 //! 100k-point, k = 12, d = 8 configuration (plus k = 4 for the small-k
-//! regime).
+//! regime, and k = 16 and 24 on `u128` keys for the distance and scan
+//! phases).
 //!
 //! End-to-end counting numbers (`BENCH_flat.json`) can say *that* the
 //! count moved but not *which phase* moved it.  This bench times the
 //! phases in isolation so future PRs can attribute deltas directly:
 //!
-//! * `phase_distances` — the batched site-transposed distance kernel
-//!   alone, all `n × k` distances into one buffer;
-//! * `phase_ranking`   — the branchless k²/2 ranking + key packing over
-//!   a precomputed distance buffer
-//!   ([`dp_permutation::compute::rank_distance_rows_packed`]);
+//! * `phase_distances` — the column kernel alone
+//!   ([`dp_metric::BatchDistance::column_distances`]): every 32-row strip
+//!   transposed coordinate-major and its site-major distance tile
+//!   computed, the distance half of the scan;
+//! * `phase_scan`      — the whole strip scan, distances plus the
+//!   lane-wise k²/2 ranking and key packing, one key per row
+//!   ([`packed_keys_flat`]); the difference to `phase_distances` is the
+//!   rank+pack cost;
 //! * `phase_sort`      — sorting the packed key buffer: the LSD radix
 //!   sort ([`RadixSorter`]) vs `sort_unstable`, same input;
 //! * `phase_codebook`  — the survey/storage tail over a finalized
@@ -23,11 +27,13 @@
 //! way.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
+use dp_bench::column_pass;
 use dp_datasets::vectors::uniform_unit_cube_flat;
-use dp_metric::{BatchDistance, L2Squared, TransposedSites};
-use dp_permutation::compute::rank_distance_rows_packed;
+use dp_metric::{L2Squared, TransposedSites};
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::{collect_packed_flat_parallel, packed_keys_flat, PackedCodebook, RadixSorter};
+use dp_permutation::{
+    collect_packed_flat_parallel, packed_keys_flat, PackedCodebook, RadixSorter, PACKED_MAX_K,
+};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -40,33 +46,38 @@ fn setup(k: usize) -> (Vec<f64>, TransposedSites) {
     (db.as_flat().to_vec(), sites_t)
 }
 
+/// The scan's k values: both `u64` (4, 12) and `u128` (16, 24) keys.
+const SCAN_KS: [usize; 4] = [4, 12, 16, 24];
+
+/// Rows per strip, as the scan runs the column kernel.
+const LANES: usize = 32;
+
 fn bench_distances(c: &mut Criterion) {
-    for k in [4usize, 12] {
+    for k in SCAN_KS {
         let (db, sites_t) = setup(k);
-        let mut out = vec![0.0f64; N * k];
+        let mut tile = vec![[0.0f64; LANES]; k];
         let mut group = c.benchmark_group(format!("phase_distances_n{N}_k{k}_d{DIM}"));
         group.sample_size(20);
         group.throughput(Throughput::Elements((N * k) as u64));
-        group.bench_function("strip", |b| {
-            b.iter(|| {
-                L2Squared.batch_distances(&db, &sites_t, &mut out);
-                black_box(out[0])
-            });
+        group.bench_function("columns", |b| {
+            b.iter(|| black_box(column_pass(&L2Squared, &db, &sites_t, &mut tile)));
         });
         group.finish();
     }
 }
 
-fn bench_ranking(c: &mut Criterion) {
-    for k in [4usize, 12] {
+fn bench_scan(c: &mut Criterion) {
+    for k in SCAN_KS {
         let (db, sites_t) = setup(k);
-        let mut dists = vec![0.0f64; N * k];
-        L2Squared.batch_distances(&db, &sites_t, &mut dists);
-        let mut group = c.benchmark_group(format!("phase_ranking_n{N}_k{k}_d{DIM}"));
+        let mut group = c.benchmark_group(format!("phase_scan_n{N}_k{k}_d{DIM}"));
         group.sample_size(20);
         group.throughput(Throughput::Elements(N as u64));
-        group.bench_function("rank_pack", |b| {
-            b.iter(|| black_box(rank_distance_rows_packed::<u64>(&dists, k).len()));
+        group.bench_function("packed_keys_flat", |b| {
+            if k <= PACKED_MAX_K {
+                b.iter(|| black_box(packed_keys_flat::<u64, _>(&L2Squared, &sites_t, &db).len()));
+            } else {
+                b.iter(|| black_box(packed_keys_flat::<u128, _>(&L2Squared, &sites_t, &db).len()));
+            }
         });
         group.finish();
     }
@@ -127,5 +138,5 @@ fn bench_codebook(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_distances, bench_ranking, bench_sort, bench_codebook);
+criterion_group!(benches, bench_distances, bench_scan, bench_sort, bench_codebook);
 criterion_main!(benches);

@@ -19,10 +19,12 @@
 //! Criterion micro-benchmarks live in `benches/`.
 //!
 //! This library crate holds the tiny CLI/table plumbing the binaries
-//! share; it has no public API stability promises.
+//! share, and the one strip pass the kernel benches time; it has no
+//! public API stability promises.
 
 #![forbid(unsafe_code)]
 
+use dp_metric::{BatchDistance, TransposedSites};
 use std::collections::HashMap;
 
 /// Minimal `--flag value` parser (no external dependency needed for a
@@ -85,6 +87,33 @@ pub fn ensure_out_dir(path: &str) -> std::io::Result<std::path::PathBuf> {
     let p = std::path::PathBuf::from(path);
     std::fs::create_dir_all(&p)?;
     Ok(p)
+}
+
+/// All `n × k` distances of a row-major database through
+/// [`BatchDistance::column_distances`], one `L`-row strip at a time,
+/// each strip transposed coordinate-major first — the distance half of
+/// the flat strip scan, as the `kernels` and `counting_phases` benches
+/// time it.  `n` must be a multiple of `L`.  Returns the sum of one
+/// tile entry per strip, for the caller to black-box.
+pub fn column_pass<M: BatchDistance, const L: usize>(
+    metric: &M,
+    db: &[f64],
+    sites: &TransposedSites,
+    tile: &mut [[f64; L]],
+) -> f64 {
+    let dim = sites.dim();
+    let mut cols = vec![[0.0f64; L]; dim];
+    let mut sink = 0.0;
+    for strip in db.chunks_exact(L * dim) {
+        for (lane, row) in strip.chunks_exact(dim).enumerate() {
+            for (col, &x) in cols.iter_mut().zip(row) {
+                col[lane] = x;
+            }
+        }
+        metric.column_distances(&cols, sites, tile);
+        sink += tile[0][0];
+    }
+    sink
 }
 
 #[cfg(test)]

@@ -30,8 +30,8 @@
 //!   sorted-run counter (`u64` packed keys for k ≤ 12, `u128` packed
 //!   keys for k ≤ 25, permutation keys beyond; see
 //!   [`count::CountEngine`]),
-//!   with ranking and key packing fused into one register-resident tile
-//!   pass — bit-identical report, several times the throughput; this is
+//!   with distances, ranking and key packing fused into one 32-row
+//!   strip tile — bit-identical report, several times the throughput; this is
 //!   the engine the CLI uses for vector databases.
 //!
 //! Both the counting and survey measurements come in two equivalent

@@ -30,11 +30,21 @@
 //!   point-count remainders (n mod 4) fall back to the row-at-a-time
 //!   kernel.
 //!
+//! # Column layout
+//!
+//! [`BatchDistance::column_distances`] is the kernel every flat count
+//! and permutation scan runs.  Its input is a strip of `L` rows already
+//! transposed coordinate-major (`cols[c][l]`), its output a site-major
+//! tile (`out[j][l]`): for each site one `[f64; L]` accumulator array
+//! folds the coordinates in order, so the fold vectorizes across the
+//! `L` rows with no shuffle, and the tile is laid out exactly as the
+//! lane-wise ranking in `dp-permutation` reads it.
+//!
 //! # Bit-identity
 //!
-//! Every accumulator — tiled, remainder, or row-at-a-time — belongs to
-//! exactly one (point, site) pair and folds that pair's coordinates in
-//! ascending coordinate order, which is precisely the order
+//! Every accumulator — tiled, column, remainder, or row-at-a-time —
+//! belongs to exactly one (point, site) pair and folds that pair's
+//! coordinates in ascending coordinate order, which is precisely the order
 //! [`Metric::distance`] uses.  Blocking changes *which* accumulators are
 //! live concurrently, never the sequence of operations any single
 //! accumulator performs, so `out[r*k + j]` is the same `f64`, to the
@@ -50,8 +60,8 @@
 //!
 //! [`BatchDistance::batch_distances_rowwise`] keeps the one-row-at-a-time
 //! kernel callable as the in-tree reference: the equivalence tests pin
-//! strip == rowwise == scalar, and the `kernels` Criterion bench measures
-//! what the strip layout buys over it.
+//! strip == column == rowwise == scalar, and the `kernels` Criterion
+//! bench measures what each layout buys over it.
 //!
 //! Implemented for [`L1`], [`L2`], [`L2Squared`], [`LInf`] and [`Lp`].
 
@@ -157,11 +167,12 @@ impl TransposedSites {
 
 /// Vector metrics with a batched site-transposed kernel.
 ///
-/// The contract, for both methods: `out[r*k + j]` receives the same
-/// `f64` — same value, same floating-point rounding, bit for bit — that
-/// `self.distance(row_r, site_j)` would produce, because every
-/// accumulator sums its pair's coordinates in ascending order.  `out`
-/// must hold `rows_count * k` elements.
+/// The contract, for every method: each output receives the same `f64`
+/// — same value, same floating-point rounding, bit for bit — that
+/// `self.distance(row, site)` would produce, because every accumulator
+/// sums its pair's coordinates in ascending order.  The row-major
+/// methods write `out[r*k + j]`, so `out` must hold `rows_count * k`
+/// elements.
 pub trait BatchDistance: Metric<[f64], Dist = F64Dist> {
     /// Computes all `rows × sites` distances into `out`, row-major,
     /// through the strip-mined register-tiled kernel (see the module
@@ -177,6 +188,23 @@ pub trait BatchDistance: Metric<[f64], Dist = F64Dist> {
     /// the register-tiled strip.  Kept callable so the equivalence tests
     /// and the `kernels` bench can pin the strip kernel against it.
     fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]);
+
+    /// The column kernel: distances of `L` rows given coordinate-major
+    /// (`cols[c][l]` is coordinate `c` of row `l`) to every site,
+    /// site-major — `out[j][l]` is the same `f64`, to the bit, as
+    /// `self.distance(row_l, site_j)`.  Each site's `L` accumulators are
+    /// one lane-wise array folded over the coordinates in ascending
+    /// order, so the fold vectorizes across rows (see the module docs).
+    ///
+    /// # Panics
+    /// Panics if `cols.len() != sites.dim()` or `out` holds fewer than
+    /// `sites.k()` lane arrays.
+    fn column_distances<const L: usize>(
+        &self,
+        cols: &[[f64; L]],
+        sites: &TransposedSites,
+        out: &mut [[f64; L]],
+    );
 }
 
 /// Handles the `dim = 0` / `k = 0` degenerate shapes shared by both
@@ -329,49 +357,75 @@ fn strip_rows(
     }
 }
 
-impl BatchDistance for L1 {
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        strip_rows(rows, sites, out, 0.0, |a, x, s| a + (x - s).abs(), |a| a);
-    }
-
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        rowwise_rows(rows, sites, out, 0.0, |a, x, s| a + (x - s).abs(), |a| a);
-    }
-}
-
-impl BatchDistance for L2Squared {
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        strip_rows(rows, sites, out, 0.0, |a, x, s| a + (x - s) * (x - s), |a| a);
-    }
-
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        rowwise_rows(rows, sites, out, 0.0, |a, x, s| a + (x - s) * (x - s), |a| a);
-    }
-}
-
-impl BatchDistance for L2 {
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        strip_rows(rows, sites, out, 0.0, |a, x, s| a + (x - s) * (x - s), f64::sqrt);
-    }
-
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        rowwise_rows(rows, sites, out, 0.0, |a, x, s| a + (x - s) * (x - s), f64::sqrt);
-    }
-}
-
-impl BatchDistance for LInf {
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        strip_rows(rows, sites, out, 0.0, |a, x, s| a.max((x - s).abs()), |a| a);
-    }
-
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        rowwise_rows(rows, sites, out, 0.0, |a, x, s| a.max((x - s).abs()), |a| a);
+/// Column driver: one `L`-lane accumulator array per site, folded over
+/// the coordinate-major rows in ascending coordinate order.
+#[inline(always)]
+fn column_rows<const L: usize>(
+    cols: &[[f64; L]],
+    sites: &TransposedSites,
+    out: &mut [[f64; L]],
+    init: f64,
+    step: impl Fn(f64, f64, f64) -> f64 + Copy,
+    finish: impl Fn(f64) -> f64 + Copy,
+) {
+    let (k, dim) = (sites.k(), sites.dim());
+    assert_eq!(cols.len(), dim, "column strip has {} coordinates, sites have {dim}", cols.len());
+    assert!(out.len() >= k, "output buffer too small");
+    let site_coords = sites.as_flat();
+    for (j, lanes) in out[..k].iter_mut().enumerate() {
+        let mut acc = [init; L];
+        for (c, xs) in cols.iter().enumerate() {
+            let s = site_coords[c * k + j];
+            for (a, &x) in acc.iter_mut().zip(xs.iter()) {
+                *a = step(*a, x, s);
+            }
+        }
+        for (o, &a) in lanes.iter_mut().zip(acc.iter()) {
+            *o = finish(a);
+        }
     }
 }
+
+/// Implements [`BatchDistance`] for a metric whose distance is the fold
+/// `finish(step(…step(0.0, x₀, s₀)…, x_{d-1}, s_{d-1}))`: all three
+/// drivers run the one `(step, finish)` pair, so they agree to the bit.
+macro_rules! batch_distance_impl {
+    ($metric:ty, $step:expr, $finish:expr) => {
+        impl BatchDistance for $metric {
+            fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
+                strip_rows(rows, sites, out, 0.0, $step, $finish);
+            }
+
+            fn batch_distances_rowwise(
+                &self,
+                rows: &[f64],
+                sites: &TransposedSites,
+                out: &mut [f64],
+            ) {
+                rowwise_rows(rows, sites, out, 0.0, $step, $finish);
+            }
+
+            fn column_distances<const L: usize>(
+                &self,
+                cols: &[[f64; L]],
+                sites: &TransposedSites,
+                out: &mut [[f64; L]],
+            ) {
+                column_rows(cols, sites, out, 0.0, $step, $finish);
+            }
+        }
+    };
+}
+
+batch_distance_impl!(L1, |a, x, s| a + (x - s).abs(), |a| a);
+batch_distance_impl!(L2Squared, |a, x, s| a + (x - s) * (x - s), |a| a);
+batch_distance_impl!(L2, |a, x, s| a + (x - s) * (x - s), f64::sqrt);
+batch_distance_impl!(LInf, |a, x, s| a.max((x - s).abs()), |a| a);
 
 impl BatchDistance for Lp {
+    // Each method matches Lp::distance exactly: it special-cases p = 1
+    // and p = 2.
     fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        // Match Lp::distance exactly: it special-cases p = 1 and p = 2.
         let p = self.p();
         if p == 1.0 {
             return L1.batch_distances(rows, sites, out);
@@ -399,6 +453,29 @@ impl BatchDistance for Lp {
         }
         rowwise_rows(
             rows,
+            sites,
+            out,
+            0.0,
+            move |a, x, s| a + (x - s).abs().powf(p),
+            move |a| a.powf(1.0 / p),
+        );
+    }
+
+    fn column_distances<const L: usize>(
+        &self,
+        cols: &[[f64; L]],
+        sites: &TransposedSites,
+        out: &mut [[f64; L]],
+    ) {
+        let p = self.p();
+        if p == 1.0 {
+            return L1.column_distances(cols, sites, out);
+        }
+        if p == 2.0 {
+            return L2.column_distances(cols, sites, out);
+        }
+        column_rows(
+            cols,
             sites,
             out,
             0.0,

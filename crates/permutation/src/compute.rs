@@ -96,15 +96,6 @@ pub fn database_permutations<P, M: Metric<P>>(
     database.iter().map(|y| computer.compute(metric, sites, y)).collect()
 }
 
-/// Rows scanned per batched-kernel call: large enough to amortise loop
-/// overhead, small enough that the `block × k` distance buffer stays in
-/// L1 while the k site vectors stay resident throughout.  A whole
-/// multiple of the kernel's strip width, so full blocks run entirely on
-/// the register-tiled strip path and only the final partial block ever
-/// reaches the row-at-a-time remainder.
-const FLAT_BLOCK_ROWS: usize = 64 * dp_metric::STRIP_POINTS;
-const _: () = assert!(FLAT_BLOCK_ROWS.is_multiple_of(dp_metric::STRIP_POINTS));
-
 /// The contiguous row ranges `threads` workers scan: the whole database
 /// as one range, scanned inline, at one thread or below 1024 rows.
 fn worker_rows<'a>(sites: &TransposedSites, db_rows: &'a [f64], threads: usize) -> Vec<&'a [f64]> {
@@ -120,13 +111,12 @@ fn worker_rows<'a>(sites: &TransposedSites, db_rows: &'a [f64], threads: usize) 
 /// Computes Π_y for every row of a flat row-major database, split
 /// across `threads` scoped workers.
 ///
-/// The batched equivalent of [`database_permutations`]: distances come
-/// from [`BatchDistance::batch_distances`] (site-transposed, strip-mined
-/// four points per pass with register-tiled accumulators) in blocks of
-/// 256 rows, and each row's ranking runs on a stack
-/// scratch — no per-row allocation.
-/// Results are **identical** (bit-for-bit distances, same tie-break) to
-/// the per-point path, at any thread count.
+/// The batched equivalent of [`database_permutations`]: every row goes
+/// through the 32-row strip tile (site-major distances from
+/// [`BatchDistance::column_distances`], ranked lane-wise), and each
+/// row's permutation is built from its rank row — no per-row
+/// allocation.  Results are **identical** (bit-for-bit distances, same
+/// tie-break) to the per-point path, at any thread count.
 ///
 /// # Panics
 /// Panics if `sites.k() > MAX_K`, if `db_rows` is not a multiple of
@@ -151,7 +141,9 @@ pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
         .collect();
     fork_join(work, |(rows, slots)| {
         let mut slot = slots.iter_mut();
-        flat_scan(metric, sites, rows, |p| *slot.next().expect("chunk sizes agree") = p);
+        Permutation::scan_flat(metric, sites, rows, |p| {
+            *slot.next().expect("chunk sizes agree") = p;
+        });
     });
     perms
 }
@@ -165,25 +157,38 @@ pub const PACKED_MAX_K: usize = <u64 as PackedKey>::MAX_K;
 /// [`Permutation`] keys instead, through the same run counter.
 pub const WIDE_MAX_K: usize = <u128 as PackedKey>::MAX_K;
 
-/// Branchless distance-permutation ranking.
+/// Rows per strip tile.  Every flat row is computed, ranked and packed
+/// in a strip of this many rows, one lane per row: the strip is
+/// transposed coordinate-major, its `k × STRIP` distance tile computed
+/// site-major by [`BatchDistance::column_distances`], and every
+/// per-site step of the ranking runs lane-wise across the strip.
+///
+/// The width is measured, not a knob.  Ranking alone at k = 24 on an
+/// AVX-512 host took about 135–150, 175–200, 190–240 and 56–71 ns a
+/// row at 4, 8, 16 and 32 lanes.  Below 32 LLVM fully unrolls the lane
+/// loop and vectorizes the site loop `j` instead, with shuffles
+/// (`vpermt2pd`/`vpermt2q`/`vpunpck*`) to gather each pair's lanes; at
+/// 32 the lane loop survives unrolling and every site pair becomes
+/// eight 4-lane `vcmplepd` with no shuffle.  The tile (`32 × k` f64,
+/// 8 KiB at k = 32) and the pending ranks stay in L1.
+const STRIP: usize = 32;
+
+/// One value per row of a strip.
+type Lanes<T> = [T; STRIP];
+
+/// Branchless distance-permutation ranking of one row — the scalar
+/// reference the strip tile is tested against.
 ///
 /// `ranks[i]` receives the position of site `i` in Π (the number of
 /// sites strictly closer, ties to the smaller index — `d_i <= d_j` with
 /// `i < j` resolves ties exactly like sorting `(distance, index)` pairs).
-/// k²/2 branch-free comparisons beat a comparison sort on this workload:
-/// sorting 12 random keys mispredicts a branch every few comparisons,
-/// which costs more than the extra arithmetic.
-///
-/// Distances must be non-NaN (checked by the callers); on that domain
-/// plain `<=` coincides with the `F64Dist` total order.
-#[inline]
+/// Distances must be non-NaN; on that domain plain `<=` coincides with
+/// the `F64Dist` total order.
+#[cfg(test)]
 fn rank_row(row_dists: &[f64], ranks: &mut [u8; MAX_K]) {
     let k = row_dists.len();
     for i in 0..k {
         let di = row_dists[i];
-        // Site i's rank = closer-or-tied earlier sites + strictly closer
-        // later ones: two pure reductions with no cross-iteration memory
-        // traffic, which the vectorizer turns into masked lane sums.
         let mut r = 0u8;
         for &dj in &row_dists[..i] {
             r += u8::from(dj <= di);
@@ -195,36 +200,22 @@ fn rank_row(row_dists: &[f64], ranks: &mut [u8; MAX_K]) {
     }
 }
 
-/// Rows ranked per tile by [`rank_rows`]: the comparison loops run
-/// lane-wise across this many rows at once, so every `(i, j)` site pair
-/// costs one vector compare instead of `RANK_LANES` scalar ones.
-const RANK_LANES: usize = 4;
-
-/// Transposes a `RANK_LANES × k` row-major tile site-major, so each
-/// `(i, j)` site comparison is one `f64×LANES` vector compare.
-#[inline]
-fn transpose_tile(tile: &[f64], k: usize, cols: &mut [[f64; RANK_LANES]; MAX_K]) {
-    debug_assert_eq!(tile.len(), RANK_LANES * k);
-    for (lane, row) in tile.chunks_exact(k).enumerate() {
-        for (col, &d) in cols[..k].iter_mut().zip(row.iter()) {
-            col[lane] = d;
-        }
-    }
-}
-
-/// Dispatches a tile kernel on the runtime `k` to its `const`-generic
+/// Dispatches a strip kernel on the runtime `k` to its `const`-generic
 /// instantiation.  The call site defines a one-argument `arm!` macro
 /// mapping a literal `k` to the monomorphic call.
 ///
-/// The constant bound is what makes the pairwise schedule pay off: with
-/// `k` known at compile time every per-site loop fully unrolls, and the
-/// whole `k × RANK_LANES` i64 accumulator tile is register-allocated
-/// (an AVX-512 build has 32 vector registers — enough even at the
-/// `u128` widths), so the halved compare count is not bought back by
-/// loads and stores of in-memory accumulator rows.
+/// What the constant buys is measured, and it is not register
+/// residency: the pending-rank rows (`k` lane arrays of i64, 96
+/// AVX-512 registers' worth at k = 24) live in L1 either way.  Ranking
+/// alone at 32 lanes and k = 24 ran 56–71 ns a row with a constant `k`
+/// and 56–62 ns with a runtime one, and the key scan of 10⁶ × 2 rows
+/// was within noise; but the 2-thread count of those rows ran 78–86 ms
+/// on the constant-`k` instantiation against 91–96 ms over a runtime
+/// `k`, in five alternating sessions.
 macro_rules! dispatch_tile_k {
     ($k:expr, $arm:ident) => {
         match $k {
+            0 => $arm!(0),
             1 => $arm!(1),
             2 => $arm!(2),
             3 => $arm!(3),
@@ -257,13 +248,15 @@ macro_rules! dispatch_tile_k {
             30 => $arm!(30),
             31 => $arm!(31),
             32 => $arm!(32),
-            _ => unreachable!("tile kernels require 1 <= k <= MAX_K"),
+            _ => unreachable!("strip kernels require k <= MAX_K"),
         }
     };
 }
 
-/// Pairwise-halved rank accumulation over a transposed tile: fills
-/// `acc[i][lane]` with site `i`'s rank in lane `lane`'s row.
+/// Pairwise-halved rank accumulation over a site-major strip tile
+/// (`dists[j][l]` = distance of row `l` to site `j`): hands each site's
+/// finished rank lanes (`ranks[l]` = position of site `i` in row `l`'s
+/// Π) to `site`, in ascending site order.
 ///
 /// Each unordered site pair `(i, j)`, `i < j`, is compared **once**:
 /// the mask `c = (d_i <= d_j)` settles both sides — site `j` gains `c`
@@ -271,103 +264,116 @@ macro_rules! dispatch_tile_k {
 /// on the non-NaN domain the callers guarantee `!(d_i <= d_j)` is
 /// exactly `d_j < d_i`, the strictly-closer-later rule.  Seeding site
 /// `i`'s accumulator with its later-pair count `KC-1-i` and
-/// *subtracting* `c` folds the complement into the same mask, so the
-/// output is bit-for-bit [`rank_row`]'s at k(k-1)/2 vector compares per
-/// tile instead of k(k-1).  The masks accumulate as i64 lanes — a
-/// `vcmppd`/`vpsubq` pair on AVX2, no scalar booleans anywhere in the
-/// hot loop — and the `pend` tile of not-yet-final rows stays in
-/// registers because `KC` is a compile-time constant (see
-/// [`dispatch_tile_k`]).
+/// *subtracting* `c` folds the complement into the same mask, so every
+/// lane is bit-for-bit the scalar `rank_row` at k(k-1)/2 lane-wise
+/// compares instead of k(k-1).  The masks accumulate as i64 lanes, the
+/// width of an f64 compare mask, so no lane ever changes width.
 ///
-/// After outer step `i`, row `i` is **final**: its pairs with smaller
-/// indices contributed in earlier steps, the rest in step `i` — so the
-/// row streams straight out to `acc[i]` and the fused packer can fold
-/// each site into the key lanes without a second pass.
-#[inline]
-fn pairwise_rank_lanes_k<const KC: usize>(
-    cols: &[[f64; RANK_LANES]; MAX_K],
-    acc: &mut [[i64; RANK_LANES]; MAX_K],
-) {
-    let mut pend = [[0i64; RANK_LANES]; KC];
+/// After outer step `i`, site `i`'s ranks are **final**: its pairs with
+/// smaller indices contributed in earlier steps, the rest in step `i`
+/// — so the emit folds them into keys without a second pass.
+#[inline(always)]
+fn rank_strip_k<const KC: usize>(dists: &[Lanes<f64>], mut site: impl FnMut(usize, &Lanes<i64>)) {
+    let d: &[Lanes<f64>; KC] = dists.try_into().expect("the strip tile holds k sites");
+    let mut pend = [[0i64; STRIP]; KC];
     for i in 0..KC {
-        let ci = cols[i];
         let mut ri = pend[i];
         for r in &mut ri {
             *r += (KC - 1 - i) as i64;
         }
         for j in i + 1..KC {
-            for lane in 0..RANK_LANES {
-                let c = i64::from(ci[lane] <= cols[j][lane]);
-                pend[j][lane] += c;
-                ri[lane] -= c;
+            for l in 0..STRIP {
+                let c = i64::from(d[i][l] <= d[j][l]);
+                pend[j][l] += c;
+                ri[l] -= c;
             }
         }
-        acc[i] = ri;
+        site(i, &ri);
     }
 }
 
-/// Runtime-`k` front end for [`pairwise_rank_lanes_k`].
+/// Ranks **and packs** a strip tile: `keys[l]` receives row `l`'s
+/// packed lexicographic key (element at position `p` of Π in field
+/// `k-1-p`, the [`crate::pack_perm`] layout).
+///
+/// Each site's field ORs into the lane keys the moment its ranks are
+/// final, by a lane-wise variable shift.  The key is built as a `lo`/
+/// `hi` pair of 64-bit words, so both widths keep every lane op 64 bits
+/// wide: a `u64` key is `lo` alone, and a `u128` field at bit offset
+/// `s` lands in `lo` below bit 64, in `hi` above it, and in both when
+/// it straddles bit 64 (`s = 60`).  No lane is ever de-transposed.
+#[inline(always)]
+fn pack_strip_k<K: PackedKey, const KC: usize>(dists: &[Lanes<f64>], keys: &mut Lanes<K>) {
+    const WORD: u32 = u64::BITS;
+    let mut lo = [0u64; STRIP];
+    let mut hi = [0u64; STRIP];
+    rank_strip_k::<KC>(dists, |site, ranks| {
+        let e = site as u64;
+        for l in 0..STRIP {
+            let s = K::elem_shift(KC - 1 - ranks[l] as usize);
+            if K::BITS > WORD {
+                // The field's bits below 64, then its bits from 64 up:
+                // the straddling field (s < 64 < s + 5) sets both.
+                let low = if s < WORD { e << s } else { 0 };
+                let high =
+                    if s < WORD { e.checked_shr(WORD - s).unwrap_or(0) } else { e << (s - WORD) };
+                lo[l] |= low;
+                hi[l] |= high;
+            } else {
+                lo[l] |= e << s;
+            }
+        }
+    });
+    for ((key, &lo), &hi) in keys.iter_mut().zip(lo.iter()).zip(hi.iter()) {
+        *key = K::from_words(lo, hi);
+    }
+}
+
+/// Runtime-`k` front end for [`pack_strip_k`].
 #[inline]
-fn pairwise_rank_lanes(
-    cols: &[[f64; RANK_LANES]; MAX_K],
-    k: usize,
-    acc: &mut [[i64; RANK_LANES]; MAX_K],
-) {
+fn pack_strip<K: PackedKey>(dists: &[Lanes<f64>], keys: &mut Lanes<K>) {
     macro_rules! arm {
         ($kc:literal) => {
-            pairwise_rank_lanes_k::<$kc>(cols, acc)
+            pack_strip_k::<K, $kc>(dists, keys)
         };
     }
-    dispatch_tile_k!(k, arm);
+    dispatch_tile_k!(dists.len(), arm);
 }
 
-/// Ranks a tile of [`RANK_LANES`] rows at once — the
-/// [`pairwise_rank_lanes`] schedule over a freshly transposed tile.
-/// Tie-break and output are exactly [`rank_row`]'s, row by row.
+/// Ranks a strip tile into one rank row per lane: `rows[l][i]` is the
+/// position of site `i` in row `l`'s Π.
 #[inline]
-fn rank_rows_tile(tile: &[f64], k: usize, rank_lanes: &mut [[i64; RANK_LANES]; MAX_K]) {
-    let mut cols = [[0.0f64; RANK_LANES]; MAX_K];
-    transpose_tile(tile, k, &mut cols);
-    pairwise_rank_lanes(&cols, k, rank_lanes);
+fn rank_strip(dists: &[Lanes<f64>], rows: &mut Lanes<[u8; MAX_K]>) {
+    macro_rules! arm {
+        ($kc:literal) => {
+            rank_strip_k::<$kc>(dists, |site, ranks| {
+                for (row, &r) in rows.iter_mut().zip(ranks.iter()) {
+                    row[site] = r as u8;
+                }
+            })
+        };
+    }
+    dispatch_tile_k!(dists.len(), arm);
 }
 
-/// Ranks every `k`-wide row of a distance block, emitting one rank
-/// vector per row in order — full tiles through [`rank_rows_tile`], the
-/// remainder through [`rank_row`] (identical results; the tile is just
-/// the vectorized schedule).
-#[inline]
-fn rank_rows(block_dists: &[f64], k: usize, mut emit: impl FnMut(&[u8; MAX_K])) {
-    debug_assert!(k > 0);
-    let ranks = &mut [0u8; MAX_K];
-    let tiles = block_dists.chunks_exact(RANK_LANES * k);
-    let remainder = tiles.remainder();
-    let mut rank_lanes = [[0i64; RANK_LANES]; MAX_K];
-    for tile in tiles {
-        rank_rows_tile(tile, k, &mut rank_lanes);
-        for lane in 0..RANK_LANES {
-            for (r, lanes) in ranks[..k].iter_mut().zip(rank_lanes.iter()) {
-                *r = lanes[lane] as u8;
-            }
-            emit(ranks);
-        }
-    }
-    for row_dists in remainder.chunks_exact(k) {
-        rank_row(row_dists, ranks);
-        emit(ranks);
-    }
-}
-
-/// Shared block driver for the flat kernels: computes batched distances
-/// and hands each row's rank vector (`ranks[site] = position`) to `emit`.
-fn flat_scan_ranks<M: BatchDistance>(
+/// The strip driver behind every flat scan: walks `db_rows` one strip
+/// of [`STRIP`] rows at a time, transposes it coordinate-major,
+/// computes its site-major distance tile, rejects NaN distances on the
+/// tile, and hands the tile (`k` lane arrays) with its count of real
+/// rows to `tile`.
+///
+/// A tail strip of `live < STRIP` rows is padded by replicating its
+/// last real row into the remaining lanes: lanes are independent, so
+/// the real lanes are unchanged, and the callers emit only the first
+/// `live`.  One code path serves full strips and tails.
+fn scan_strips<M: BatchDistance>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
-    mut emit: impl FnMut(&[u8; MAX_K], usize),
+    mut tile: impl FnMut(&[Lanes<f64>], usize),
 ) {
-    let k = sites.k();
+    let (k, dim) = (sites.k(), sites.dim());
     assert!(k <= MAX_K, "k = {k} exceeds MAX_K = {MAX_K}");
-    let dim = sites.dim();
     // Zero-dim flat storage cannot represent a non-empty database (n
     // rows of width 0 are 0 floats) — row count would be unrecoverable.
     assert!(
@@ -375,24 +381,40 @@ fn flat_scan_ranks<M: BatchDistance>(
         "sites declare dim 0 but the database has coordinates; build the \
          TransposedSites with the database's dimension"
     );
-    let dim = dim.max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    if k == 0 {
-        let ranks = &[0u8; MAX_K];
-        for _ in 0..db_rows.len() / dim {
-            emit(ranks, 0);
+    let row_len = dim.max(1);
+    assert_eq!(db_rows.len() % row_len, 0, "database rows not a multiple of dim");
+    let mut cols = vec![[0.0f64; STRIP]; dim];
+    let mut tile_buf = [[0.0f64; STRIP]; MAX_K];
+    let dists = &mut tile_buf[..k];
+    for strip in db_rows.chunks(STRIP * row_len) {
+        let live = strip.len() / row_len;
+        for lane in 0..STRIP {
+            let row = &strip[lane.min(live - 1) * dim..][..dim];
+            for (col, &x) in cols.iter_mut().zip(row.iter()) {
+                col[lane] = x;
+            }
         }
-        return;
-    }
-    let mut dists = vec![0.0f64; FLAT_BLOCK_ROWS * k];
-    for block in db_rows.chunks(FLAT_BLOCK_ROWS * dim) {
-        let rows_in_block = block.len() / dim;
-        let block_dists = &mut dists[..rows_in_block * k];
-        metric.batch_distances(block, sites, block_dists);
-        let any_nan = block_dists.iter().fold(false, |acc, &d| acc | d.is_nan());
+        metric.column_distances(&cols, sites, dists);
+        let any_nan = dists.iter().flatten().fold(false, |acc, d| acc | d.is_nan());
         assert!(!any_nan, "distance must not be NaN");
-        rank_rows(block_dists, k, |ranks| emit(ranks, k));
+        tile(dists, live);
     }
+}
+
+/// Emits every row's rank row (`ranks[site] = position`), in order.
+fn flat_scan_ranks<M: BatchDistance>(
+    metric: &M,
+    sites: &TransposedSites,
+    db_rows: &[f64],
+    mut emit: impl FnMut(&[u8; MAX_K]),
+) {
+    let mut rows = [[0u8; MAX_K]; STRIP];
+    scan_strips(metric, sites, db_rows, |dists, live| {
+        rank_strip(dists, &mut rows);
+        for row in &rows[..live] {
+            emit(row);
+        }
+    });
 }
 
 /// Builds the permutation value from a rank vector.
@@ -408,9 +430,9 @@ fn permutation_from_ranks(ranks: &[u8; MAX_K], k: usize) -> Permutation {
 /// Packs a rank vector into the 5-bits-per-element lexicographic key
 /// (requires `k <= K::MAX_K`): element at position `p` of Π occupies
 /// group `k-1-p`, the [`crate::pack_perm`] layout, so ascending key order is
-/// the permutations' lexicographic order.  Injective, so distinct
-/// keys ⇔ distinct permutations.  The fused tile made this test-only:
-/// it is the reference the equivalence tests pack against.
+/// the permutations' lexicographic order.  The fused strip tile made
+/// this test-only: it is the reference the equivalence tests pack
+/// against.
 #[cfg(test)]
 fn packed_key_from_ranks<K: PackedKey>(ranks: &[u8; MAX_K], k: usize) -> K {
     debug_assert!(k <= K::MAX_K);
@@ -421,160 +443,10 @@ fn packed_key_from_ranks<K: PackedKey>(ranks: &[u8; MAX_K], k: usize) -> K {
     key
 }
 
-/// Ranks **and packs** a tile of [`RANK_LANES`] rows in one fused pass:
-/// `keys[lane]` receives row `lane`'s packed lexicographic key, with no
-/// intermediate rank rows between compare and key field.
-///
-/// Built on [`pairwise_rank_lanes`]'s halved-compare schedule.  At the
-/// `u64` width, the moment outer step `i` finalizes site `i`'s rank
-/// lanes the site's 5-bit field ORs into the lane keys — rank to key
-/// field while both are register-resident.  Wide (`u128`) keys keep
-/// the rank accumulator for the whole tile instead: a variable 128-bit
-/// shift is several ops on 64-bit hardware, so each lane de-transposes
-/// into a position-ordered row and shift-accumulates with a constant
-/// one-field shift — the same Σ site·2^(5·(k-1-pos)) value, field by
-/// field.
-#[inline]
-fn rank_pack_cols<K: PackedKey, const KC: usize>(
-    cols: &[[f64; RANK_LANES]; MAX_K],
-    keys: &mut [K; RANK_LANES],
-) {
-    if K::BITS > 64 {
-        let mut acc = [[0i64; RANK_LANES]; MAX_K];
-        pairwise_rank_lanes_k::<KC>(cols, &mut acc);
-        for (lane, key) in keys.iter_mut().enumerate() {
-            let mut items = [0u8; MAX_K];
-            for (i, lanes) in acc[..KC].iter().enumerate() {
-                items[lanes[lane] as usize] = i as u8;
-            }
-            for &site in &items[..KC] {
-                *key = (*key << K::elem_shift(1)) | K::from_elem(site);
-            }
-        }
-        return;
-    }
-    // The u64 arm inlines the pairwise schedule so each finalized site
-    // folds into the keys immediately (see pairwise_rank_lanes_k for
-    // the rank arithmetic and its bit-identity argument).
-    let mut pend = [[0i64; RANK_LANES]; KC];
-    for i in 0..KC {
-        let ci = cols[i];
-        let mut ri = pend[i];
-        for r in &mut ri {
-            *r += (KC - 1 - i) as i64;
-        }
-        for j in i + 1..KC {
-            for lane in 0..RANK_LANES {
-                let c = i64::from(ci[lane] <= cols[j][lane]);
-                pend[j][lane] += c;
-                ri[lane] -= c;
-            }
-        }
-        for (key, &r) in keys.iter_mut().zip(ri.iter()) {
-            *key |= K::from_elem(i as u8) << K::elem_shift(KC - 1 - r as usize);
-        }
-    }
-}
-
-/// Runtime-`k` front end for [`rank_pack_cols`]: transposes the tile
-/// and dispatches to the constant-`k` fused rank+pack kernel.
-#[inline]
-fn rank_pack_tile<K: PackedKey>(tile: &[f64], k: usize, keys: &mut [K; RANK_LANES]) {
-    debug_assert!(k > 0 && k <= K::MAX_K);
-    let mut cols = [[0.0f64; RANK_LANES]; MAX_K];
-    transpose_tile(tile, k, &mut cols);
-    *keys = [K::ZERO; RANK_LANES];
-    macro_rules! arm {
-        ($kc:literal) => {
-            rank_pack_cols::<K, $kc>(&cols, keys)
-        };
-    }
-    dispatch_tile_k!(k, arm);
-}
-
-/// Ranks every `k`-wide row of a distance block and emits one **packed
-/// key** per row, in order — every row, full tile or tail, through the
-/// fused [`rank_pack_tile`].
-///
-/// A tail of `n mod RANK_LANES ≠ 0` rows is padded to a full tile by
-/// replicating its last real row: lanes are computed independently, so
-/// the real lanes' keys are unchanged and the padding lanes' keys are
-/// simply not emitted.  One code path, one set of rank/pack semantics.
-#[inline]
-fn rank_rows_keys<K: PackedKey>(block_dists: &[f64], k: usize, mut emit: impl FnMut(K)) {
-    debug_assert!(k > 0 && k <= K::MAX_K);
-    let mut keys = [K::ZERO; RANK_LANES];
-    let tiles = block_dists.chunks_exact(RANK_LANES * k);
-    let remainder = tiles.remainder();
-    for tile in tiles {
-        rank_pack_tile(tile, k, &mut keys);
-        for &key in &keys {
-            emit(key);
-        }
-    }
-    let rem_rows = remainder.len() / k;
-    if rem_rows > 0 {
-        let mut padded = [0.0f64; RANK_LANES * MAX_K];
-        let padded = &mut padded[..RANK_LANES * k];
-        padded[..remainder.len()].copy_from_slice(remainder);
-        for lane in rem_rows..RANK_LANES {
-            padded.copy_within((rem_rows - 1) * k..rem_rows * k, lane * k);
-        }
-        rank_pack_tile(padded, k, &mut keys);
-        for &key in &keys[..rem_rows] {
-            emit(key);
-        }
-    }
-}
-
-/// Block driver for the packed-key kernels: computes batched distances
-/// and hands each row's fused packed key to `emit` — [`flat_scan_ranks`]
-/// with the ranking and packing phases fused per tile.
-fn flat_scan_keys<K: PackedKey, M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    mut emit: impl FnMut(K),
-) {
-    let k = sites.k();
-    assert!(k <= K::MAX_K, "k = {k} exceeds MAX_K = {} for {}-bit packed keys", K::MAX_K, K::BITS);
-    let dim = sites.dim();
-    assert!(
-        dim > 0 || db_rows.is_empty(),
-        "sites declare dim 0 but the database has coordinates; build the \
-         TransposedSites with the database's dimension"
-    );
-    let dim = dim.max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    if k == 0 {
-        for _ in 0..db_rows.len() / dim {
-            emit(K::ZERO);
-        }
-        return;
-    }
-    let mut dists = vec![0.0f64; FLAT_BLOCK_ROWS * k];
-    for block in db_rows.chunks(FLAT_BLOCK_ROWS * dim) {
-        let rows_in_block = block.len() / dim;
-        let block_dists = &mut dists[..rows_in_block * k];
-        metric.batch_distances(block, sites, block_dists);
-        let any_nan = block_dists.iter().fold(false, |acc, &d| acc | d.is_nan());
-        assert!(!any_nan, "distance must not be NaN");
-        rank_rows_keys(block_dists, k, &mut emit);
-    }
-}
-
-fn flat_scan<M: BatchDistance>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    mut emit: impl FnMut(Permutation),
-) {
-    flat_scan_ranks(metric, sites, db_rows, |ranks, k| emit(permutation_from_ranks(ranks, k)));
-}
-
-/// A [`RunKey`] the flat block scan emits, one per row in order: packed
-/// keys come from the fused rank+pack tile, [`Permutation`]s (every
-/// k above [`WIDE_MAX_K`]) from the rank rows.
+/// A [`RunKey`] the flat strip scan emits, one per row in order: packed
+/// keys come from the fused rank+pack strip tile, [`Permutation`]s
+/// (every k above [`WIDE_MAX_K`], and the index build) from its rank
+/// rows.
 pub trait FlatKey: RunKey {
     /// Emits the key of every row of `db_rows`, in order.
     ///
@@ -594,9 +466,22 @@ impl<K: PackedKey> FlatKey for K {
         metric: &M,
         sites: &TransposedSites,
         db_rows: &[f64],
-        emit: impl FnMut(K),
+        mut emit: impl FnMut(K),
     ) {
-        flat_scan_keys(metric, sites, db_rows, emit);
+        let k = sites.k();
+        assert!(
+            k <= K::MAX_K,
+            "k = {k} exceeds MAX_K = {} for {}-bit packed keys",
+            K::MAX_K,
+            K::BITS
+        );
+        let mut keys = [K::ZERO; STRIP];
+        scan_strips(metric, sites, db_rows, |dists, live| {
+            pack_strip(dists, &mut keys);
+            for &key in &keys[..live] {
+                emit(key);
+            }
+        });
     }
 }
 
@@ -605,15 +490,16 @@ impl FlatKey for Permutation {
         metric: &M,
         sites: &TransposedSites,
         db_rows: &[f64],
-        emit: impl FnMut(Permutation),
+        mut emit: impl FnMut(Permutation),
     ) {
-        flat_scan(metric, sites, db_rows, emit);
+        let k = sites.k();
+        flat_scan_ranks(metric, sites, db_rows, |ranks| emit(permutation_from_ranks(ranks, k)));
     }
 }
 
-/// Computes the packed permutation key of every row — the
-/// distance + ranking phases of the counting pipeline with no sort and
-/// no counter, in database order, at either key width.  The one-thread
+/// Computes the packed permutation key of every row — the strip scan
+/// (distances, ranking and packing) of the counting pipeline with no
+/// sort and no counter, in database order, at either key width.  The one-thread
 /// [`collect_sharded_flat_parallel`] feeds exactly this key stream into
 /// its [`PackedPermutationCounter`]; the `counting_phases` bench and the
 /// equivalence suites use it to time and check the phases separately.
@@ -627,25 +513,7 @@ pub fn packed_keys_flat<K: PackedKey, M: BatchDistance>(
 ) -> Vec<K> {
     let n = db_rows.len() / sites.dim().max(1);
     let mut keys = Vec::with_capacity(n);
-    flat_scan_keys(metric, sites, db_rows, |key| keys.push(key));
-    keys
-}
-
-/// Ranks every row of an `n × k` distance buffer into packed keys — the
-/// ranking phase in isolation (the pipeline normally interleaves it with
-/// blocked distance computation; this entry point exists so the phase
-/// benchmarks can time it against a precomputed buffer).
-///
-/// # Panics
-/// Panics if `k` is 0 or exceeds `K::MAX_K`, if the buffer is not a
-/// whole number of rows, or if any distance is NaN.
-pub fn rank_distance_rows_packed<K: PackedKey>(row_dists: &[f64], k: usize) -> Vec<K> {
-    assert!((1..=K::MAX_K).contains(&k), "k = {k} outside 1..=MAX_K for this key width");
-    assert_eq!(row_dists.len() % k, 0, "distance buffer not a multiple of k");
-    let any_nan = row_dists.iter().fold(false, |acc, &d| acc | d.is_nan());
-    assert!(!any_nan, "distance must not be NaN");
-    let mut keys = Vec::with_capacity(row_dists.len() / k);
-    rank_rows_keys(row_dists, k, |key| keys.push(key));
+    K::scan_flat(metric, sites, db_rows, |key| keys.push(key));
     keys
 }
 
@@ -665,8 +533,8 @@ pub fn collect_packed_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
 /// Counts permutation occurrences over a flat database into one
 /// unfinalized [`PackedPermutationCounter`] — the flat counting path at
 /// every k.  For packed keys no permutation value is materialised: the
-/// block scan feeds fused rank+pack tiles straight into the counter;
-/// [`Permutation`] keys come from the rank rows ([`FlatKey`]).
+/// strip scan feeds each strip tile's fused keys straight into the
+/// counter; [`Permutation`] keys come from its rank rows ([`FlatKey`]).
 ///
 /// Each of `threads` scoped workers (1 scans inline) streams its row
 /// range through its own counter flushing every `shard_rows` keys
@@ -698,6 +566,7 @@ pub fn collect_sharded_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::for_packed_k;
     use dp_metric::{Levenshtein, L1, L2};
 
     #[test]
@@ -795,7 +664,7 @@ mod tests {
     #[test]
     fn flat_kernel_matches_per_point_path() {
         use dp_metric::{L2Squared, LInf};
-        let (n, k, dim) = (517, 9, 5); // odd n exercises the partial block
+        let (n, k, dim) = (517, 9, 5); // odd n exercises the padded tail strip
         let db = weyl_rows(n, dim, 1);
         let site_rows = weyl_rows(k, dim, 2);
         let sites_t = TransposedSites::from_rows(&site_rows, dim);
@@ -899,28 +768,116 @@ mod tests {
         }
     }
 
-    #[test]
-    fn fused_key_packing_matches_rank_then_pack() {
-        // The fused tile packer must emit exactly the keys the two-phase
-        // rank → pack path produces, at both widths, for every tail
-        // shape (n mod RANK_LANES ∈ {0, 1, 2, 3} — the padded tail
-        // shares the fused path and must stay invisible).
-        for n in [1024usize, 1025, 1026, 1027, 1, 2, 3] {
-            for k in [1usize, 7, 12] {
-                let row_dists = weyl_rows(n, k, 31 + (n * 31 + k) as u64);
-                let fused: Vec<u64> = rank_distance_rows_packed(&row_dists, k);
-                let mut unfused: Vec<u64> = Vec::new();
-                rank_rows(&row_dists, k, |ranks| unfused.push(packed_key_from_ranks(ranks, k)));
-                assert_eq!(fused, unfused, "n = {n}, k = {k}");
-            }
-            for k in [13usize, 20, 25] {
-                let row_dists = weyl_rows(n, k, 41 + (n * 37 + k) as u64);
-                let fused: Vec<u128> = rank_distance_rows_packed(&row_dists, k);
-                let mut unfused: Vec<u128> = Vec::new();
-                rank_rows(&row_dists, k, |ranks| unfused.push(packed_key_from_ranks(ranks, k)));
-                assert_eq!(fused, unfused, "n = {n}, k = {k}");
+    /// The two input families of the strip-tile differential test:
+    /// irregular Weyl rows, and a tie-heavy integer grid whose rows come
+    /// in duplicated pairs and whose sites repeat above k = 9, so the
+    /// index tie-break decides many ranks.
+    fn strip_inputs(n: usize, k: usize) -> [(Vec<f64>, Vec<f64>, usize); 2] {
+        let grid = |i: usize| [(i * 7 % 5) as f64, (i * 3 % 4) as f64];
+        [
+            (weyl_rows(n, 3, 17), weyl_rows(k, 3, 18), 3),
+            (
+                (0..n).flat_map(|i| grid(i / 2)).collect(),
+                (0..k).flat_map(|j| grid(j % 9)).collect(),
+                2,
+            ),
+        ]
+    }
+
+    /// The oracle's rank rows: scalar `Metric::distance`, then `rank_row`.
+    fn oracle_ranks<M: BatchDistance>(
+        metric: &M,
+        db: &[f64],
+        site_rows: &[f64],
+        dim: usize,
+    ) -> Vec<[u8; MAX_K]> {
+        db.chunks_exact(dim)
+            .map(|row| {
+                let dists: Vec<f64> =
+                    site_rows.chunks_exact(dim).map(|s| metric.distance(row, s).get()).collect();
+                let mut ranks = [0u8; MAX_K];
+                rank_row(&dists, &mut ranks);
+                ranks
+            })
+            .collect()
+    }
+
+    fn assert_keys_match<K: PackedKey, M: BatchDistance>(
+        metric: &M,
+        sites_t: &TransposedSites,
+        db: &[f64],
+        ranks: &[[u8; MAX_K]],
+        ctx: &str,
+    ) {
+        let k = sites_t.k();
+        let want: Vec<K> = ranks.iter().map(|r| packed_key_from_ranks(r, k)).collect();
+        assert_eq!(
+            packed_keys_flat::<K, _>(metric, sites_t, db),
+            want,
+            "{ctx}: {}-bit keys",
+            K::BITS
+        );
+    }
+
+    /// Every output of the strip tile — rank rows, permutations, packed
+    /// keys at both widths and the counted summary — against the scalar
+    /// oracle, at every k, at tail shapes that pad (n mod 32 ≠ 0), and
+    /// at worker chunks that are not multiples of 32 (n = 1031 split 2
+    /// and 3 ways).
+    fn assert_strip_tile_matches_oracle<M: BatchDistance + Sync>(metric: &M, tag: &str) {
+        for k in 1..=MAX_K {
+            for n in [0usize, 1, 31, 32, 33, 1031] {
+                for (db, site_rows, dim) in strip_inputs(n, k) {
+                    let ctx = format!("{tag}, k = {k}, n = {n}, dim = {dim}");
+                    let sites_t = TransposedSites::from_rows(&site_rows, dim);
+                    let ranks = oracle_ranks(metric, &db, &site_rows, dim);
+                    let mut rows = Vec::new();
+                    flat_scan_ranks(metric, &sites_t, &db, |r| rows.push(r[..k].to_vec()));
+                    let want_rows: Vec<Vec<u8>> = ranks.iter().map(|r| r[..k].to_vec()).collect();
+                    assert_eq!(rows, want_rows, "{ctx}: rank rows");
+                    if k <= PACKED_MAX_K {
+                        assert_keys_match::<u64, _>(metric, &sites_t, &db, &ranks, &ctx);
+                    }
+                    if k <= WIDE_MAX_K {
+                        assert_keys_match::<u128, _>(metric, &sites_t, &db, &ranks, &ctx);
+                    }
+                    let perms: Vec<Permutation> =
+                        ranks.iter().map(|r| permutation_from_ranks(r, k)).collect();
+                    let mut counted: Vec<(Permutation, u64)> = Vec::new();
+                    for p in sorted_distinct(perms.clone()) {
+                        counted.push((p, perms.iter().filter(|&q| *q == p).count() as u64));
+                    }
+                    for threads in [1usize, 2, 3] {
+                        assert_eq!(
+                            database_permutations_flat_parallel(metric, &sites_t, &db, threads),
+                            perms,
+                            "{ctx}, threads = {threads}: permutations"
+                        );
+                        let summary: Vec<(Permutation, u64)> = for_packed_k!(k, K => {
+                            collect_packed_flat_parallel::<K, _>(metric, &sites_t, &db, threads)
+                                .finalize()
+                                .iter()
+                                .collect()
+                        });
+                        assert_eq!(summary, counted, "{ctx}, threads = {threads}: counts");
+                    }
+                }
             }
         }
+    }
+
+    #[test]
+    fn strip_tile_matches_scalar_oracle_l1_l2() {
+        assert_strip_tile_matches_oracle(&L1, "L1");
+        assert_strip_tile_matches_oracle(&L2, "L2");
+    }
+
+    #[test]
+    fn strip_tile_matches_scalar_oracle_l2sq_linf_lp3() {
+        use dp_metric::{L2Squared, LInf, Lp};
+        assert_strip_tile_matches_oracle(&L2Squared, "L2Squared");
+        assert_strip_tile_matches_oracle(&LInf, "LInf");
+        assert_strip_tile_matches_oracle(&Lp::new(3.0), "Lp(3)");
     }
 
     #[test]

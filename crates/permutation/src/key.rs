@@ -81,6 +81,10 @@ pub trait PackedKey:
     /// widths.
     fn low64(self) -> u64;
 
+    /// The key whose low 64 bits are `lo` and whose next 64 are `hi` —
+    /// the inverse of splitting the word; `hi` must be 0 for `u64`.
+    fn from_words(lo: u64, hi: u64) -> Self;
+
     /// Bit offset of the field at position `pos`.
     #[inline]
     fn elem_shift(pos: usize) -> u32 {
@@ -119,6 +123,12 @@ impl PackedKey for u64 {
     fn low64(self) -> u64 {
         self
     }
+
+    #[inline]
+    fn from_words(lo: u64, hi: u64) -> Self {
+        debug_assert_eq!(hi, 0, "a u64 key has no high word");
+        lo
+    }
 }
 
 impl PackedKey for u128 {
@@ -135,6 +145,11 @@ impl PackedKey for u128 {
     #[inline]
     fn low64(self) -> u64 {
         self as u64
+    }
+
+    #[inline]
+    fn from_words(lo: u64, hi: u64) -> Self {
+        (u128::from(hi) << u64::BITS) | u128::from(lo)
     }
 }
 

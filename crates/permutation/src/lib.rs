@@ -17,15 +17,19 @@
 //! generic over the key and monomorphized once per workload by
 //! [`for_packed_k!`], so the per-row loops carry no width branches:
 //!
-//! 1. the batched kernels fuse ranking and packing per 4-row tile
-//!    ([`compute::packed_keys_flat`] — one pairwise-halved compare
-//!    schedule, dispatched to a constant-`k` instantiation so the whole
-//!    accumulator tile is register-resident, folds each site's rank
-//!    straight into the key lanes with no rank-array round-trip; tails
-//!    of `n mod 4` rows run the same path on a padded tile); above
-//!    k = 25 the rank rows become [`Permutation`] keys, and the
-//!    per-point path ([`counter::collect_counter`], any metric over any
-//!    point type) packs each computed permutation with [`pack_perm`];
+//! 1. one 32-row strip tile computes, ranks and packs every row
+//!    ([`compute::packed_keys_flat`]): the strip is transposed
+//!    coordinate-major, its site-major distance tile comes from
+//!    [`dp_metric::BatchDistance::column_distances`] and is checked for
+//!    NaN while it sits in L1, and one pairwise-halved compare schedule
+//!    runs lane-wise across the 32 rows — the width at which the lane
+//!    loop vectorizes instead of being unrolled into shuffles — folding
+//!    each site's finished rank straight into `lo`/`hi` key words with
+//!    no rank-array round-trip; tails of `n mod 32` rows run the same
+//!    path on a padded strip.  Above k = 25 the strip's rank rows
+//!    become [`Permutation`] keys, and the per-point path
+//!    ([`counter::collect_counter`], any metric over any point type)
+//!    packs each computed permutation with [`pack_perm`];
 //! 2. [`shard::PackedPermutationCounter`] buffers at most `shard_rows`
 //!    keys ([`shard::DEFAULT_SHARD_ROWS`] = 131,072 by default) — never
 //!    all n;

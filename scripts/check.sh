@@ -61,13 +61,19 @@ cargo test -p distance-permutations --release -q --test survey_equivalence
 echo "== cargo test --release --test kernel_equivalence (release-mode property run)"
 cargo test -p distance-permutations --release -q --test kernel_equivalence
 
-# The fused rank+pack tile and the sharded packed counter are pure
-# optimizations whose contract is bit-identity with the phase-separated
-# key stream and the generic hash-counting path; the fused tile only
+# The 32-row strip tile and the sharded packed counter are pure
+# optimizations whose contract is bit-identity with the scalar rank
+# oracle and the generic sort-and-count path; the strip tile only
 # vectorizes under optimized codegen and the suite's million-point
 # memory-bound run is only tractable there, so it runs under release.
 echo "== cargo test --release --test sharded_equivalence (release-mode property run)"
 cargo test -p distance-permutations --release -q --test sharded_equivalence
+
+# The strip tile's differential test (every k in 1..=32, padded tails,
+# odd worker chunks, five metrics, tie-heavy grids) against the scalar
+# rank_row oracle, under the codegen that vectorizes the tile.
+echo "== cargo test --release -p dp-permutation --lib compute (strip tile vs scalar oracle)"
+cargo test -p dp-permutation --release -q --lib compute
 
 # The radix sorter's contract is exact equality with sort_unstable at
 # both key widths (u64 and u128 since the width-generic refactor); its

@@ -76,15 +76,15 @@ fn nan_distance_is_rejected() {
     let _ = F64Dist::new(f64::NAN);
 }
 
-/// Counts a 4096 × 2 grid database whose row 3000 is NaN through the
-/// flat counting entry point.  Every `(threads, shard_rows)` — 0 being
-/// the default shard size — must reject it with the kernel's own
+/// Counts an `n` × 2 grid database whose row `nan_row` is NaN through
+/// the flat counting entry point.  Every `(threads, shard_rows)` — 0
+/// being the default shard size — must reject it with the kernel's own
 /// message, whether the NaN row lands on the calling thread or on a
-/// worker.
-fn count_with_nan_row(threads: usize, shard_rows: usize) {
-    let db = VectorSet::generate(4096, 2, |i, row| {
+/// worker, and wherever it sits in its 32-row strip.
+fn count_with_nan_row(n: usize, nan_row: usize, threads: usize, shard_rows: usize) {
+    let db = VectorSet::generate(n, 2, |i, row| {
         row[0] = (i % 64) as f64 / 64.0;
-        row[1] = if i == 3000 { f64::NAN } else { (i / 64) as f64 / 64.0 };
+        row[1] = if i == nan_row { f64::NAN } else { (i / 64) as f64 / 64.0 };
     });
     let sites = db.gather(&[0, 100, 2000, 4000]);
     let _ = count_permutations_flat_sharded(&L2, &sites, &db, threads, shard_rows);
@@ -93,25 +93,44 @@ fn count_with_nan_row(threads: usize, shard_rows: usize) {
 #[test]
 #[should_panic(expected = "distance must not be NaN")]
 fn nan_row_is_rejected_inline_in_memory() {
-    count_with_nan_row(1, 0);
+    count_with_nan_row(4096, 3000, 1, 0);
 }
 
 #[test]
 #[should_panic(expected = "distance must not be NaN")]
 fn nan_row_is_rejected_inline_sharded() {
-    count_with_nan_row(1, 512);
+    count_with_nan_row(4096, 3000, 1, 512);
 }
 
 #[test]
 #[should_panic(expected = "distance must not be NaN")]
 fn nan_row_is_rejected_by_a_worker_in_memory() {
-    count_with_nan_row(2, 0);
+    count_with_nan_row(4096, 3000, 2, 0);
 }
 
 #[test]
 #[should_panic(expected = "distance must not be NaN")]
 fn nan_row_is_rejected_by_a_worker_sharded() {
-    count_with_nan_row(2, 512);
+    count_with_nan_row(4096, 3000, 2, 512);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_in_the_first_lane_of_a_strip() {
+    count_with_nan_row(4096, 64, 1, 0);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_in_the_last_lane_of_a_strip() {
+    count_with_nan_row(4096, 95, 1, 0);
+}
+
+#[test]
+#[should_panic(expected = "distance must not be NaN")]
+fn nan_row_is_rejected_as_the_last_row_of_a_padded_tail() {
+    // 4101 = 128 full strips + a 5-row tail padded to 32 lanes.
+    count_with_nan_row(4101, 4100, 1, 0);
 }
 
 #[test]

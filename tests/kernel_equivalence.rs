@@ -1,9 +1,11 @@
-//! Strip-mined kernel equivalence: the 4-wide register-tiled
-//! `BatchDistance::batch_distances` must be **bit-for-bit** equal to the
-//! row-at-a-time reference kernel and to the scalar `Metric::distance`
-//! path — for all five vector metrics, every remainder shape (n mod 4,
-//! k mod 4), non-finite inputs, and through every flat consumer
-//! (permutation scans, counting, the flat index) at 1/2/4 threads.
+//! Batch-kernel equivalence: the 4-wide strip-mined
+//! `BatchDistance::batch_distances` and the 32-lane column kernel
+//! `BatchDistance::column_distances` must be **bit-for-bit** equal to
+//! the row-at-a-time reference kernel and to the scalar
+//! `Metric::distance` path — for all five vector metrics, every
+//! remainder shape (n mod 4, k mod 4, partial 32-row strips),
+//! non-finite inputs, and through every flat consumer (permutation
+//! scans, counting, the flat index) at 1/2/4 threads.
 //!
 //! `scripts/check.sh` also runs this suite under `--release`, where the
 //! optimized-float codegen actually exercises the vectorized tiles —
@@ -32,8 +34,38 @@ fn weyl_rows(n: usize, dim: usize, salt: u64) -> Vec<f64> {
         .collect()
 }
 
-/// Runs one metric through strip, rowwise and scalar on one shape and
-/// asserts all three agree to the bit.
+/// Rows per strip of the column kernel, the width the flat scan uses.
+const LANES: usize = 32;
+
+/// All `n × k` distances through the column kernel, strip by strip
+/// (a partial last strip leaves its spare lanes zero), returned
+/// row-major like the other two kernels.
+fn column_kernel<M: BatchDistance>(
+    metric: &M,
+    rows: &[f64],
+    sites: &TransposedSites,
+    dim: usize,
+) -> Vec<f64> {
+    let k = sites.k();
+    let mut out = Vec::with_capacity(rows.len() / dim * k);
+    let mut tile = vec![[f64::NAN; LANES]; k];
+    for strip in rows.chunks(LANES * dim) {
+        let mut cols = vec![[0.0f64; LANES]; dim];
+        for (lane, row) in strip.chunks_exact(dim).enumerate() {
+            for (col, &x) in cols.iter_mut().zip(row) {
+                col[lane] = x;
+            }
+        }
+        metric.column_distances(&cols, sites, &mut tile);
+        for lane in 0..strip.len() / dim {
+            out.extend(tile.iter().map(|site| site[lane]));
+        }
+    }
+    out
+}
+
+/// Runs one metric through strip, column, rowwise and scalar on one
+/// shape and asserts all four agree to the bit.
 fn assert_kernel_equivalence<M: BatchDistance>(
     metric: &M,
     rows: &[f64],
@@ -47,18 +79,24 @@ fn assert_kernel_equivalence<M: BatchDistance>(
     let mut rowwise = vec![f64::NAN; n * k];
     metric.batch_distances(rows, &sites, &mut strip);
     metric.batch_distances_rowwise(rows, &sites, &mut rowwise);
+    let columns = column_kernel(metric, rows, &sites, dim);
+    assert_eq!(columns.len(), n * k, "{tag}: column kernel output length");
     for r in 0..n {
         for j in 0..k {
-            let (s, w) = (strip[r * k + j], rowwise[r * k + j]);
-            if s.is_nan() || w.is_nan() {
+            let (s, c, w) = (strip[r * k + j], columns[r * k + j], rowwise[r * k + j]);
+            if s.is_nan() || c.is_nan() || w.is_nan() {
                 // NaN-ness must agree, but payload bits are
                 // codegen-defined (scalar and vector instructions may
                 // generate different quiet-NaN patterns); NaN distances
                 // panic at every public API boundary regardless.
-                assert!(s.is_nan() && w.is_nan(), "{tag}: NaN disagreement at ({r}, {j})");
+                assert!(
+                    s.is_nan() && c.is_nan() && w.is_nan(),
+                    "{tag}: NaN disagreement at ({r}, {j})"
+                );
                 continue;
             }
             assert_eq!(s.to_bits(), w.to_bits(), "{tag}: strip vs rowwise at ({r}, {j})");
+            assert_eq!(c.to_bits(), w.to_bits(), "{tag}: columns vs rowwise at ({r}, {j})");
             let scalar =
                 metric.distance(&rows[r * dim..(r + 1) * dim], &site_rows[j * dim..(j + 1) * dim]);
             assert_eq!(F64Dist::new(s), scalar, "{tag}: strip vs scalar at ({r}, {j})");
@@ -78,12 +116,13 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Every (n, k, dim) shape — including all 16 (n mod 4, k mod 4)
-    // remainder combinations over time — keeps the three kernels
-    // bit-identical for all five metrics (plus a random-exponent Lp).
+    // remainder combinations over time, up to three 32-row strips and
+    // every k to MAX_K = 32 — keeps the four kernels bit-identical for
+    // all five metrics (plus a random-exponent Lp).
     #[test]
     fn kernels_agree_on_random_shapes(
-        n in 0usize..40,
-        k in 0usize..14,
+        n in 0usize..72,
+        k in 0usize..33,
         dim in 1usize..9,
         p in 1.0f64..6.0,
         salt in 0u64..1000,
@@ -94,8 +133,8 @@ proptest! {
         assert_kernel_equivalence(&Lp::new(p), &rows, &site_rows, dim, "shape Lp-rand");
     }
 
-    // Non-finite coordinates (NaN, ±∞) propagate through the strip and
-    // rowwise kernels identically — and identically to the scalar fold
+    // Non-finite coordinates (NaN, ±∞) propagate through the strip,
+    // column and rowwise kernels identically — and identically to the scalar fold
     // wherever the scalar result is representable (non-NaN).
     #[test]
     fn kernels_agree_on_non_finite_inputs(
