@@ -1,14 +1,14 @@
 //! `hot-path-hash` — no hash/tree containers in the counting hot paths.
 //!
-//! PR 5 replaced hash interning with sorted-run flat codebooks
-//! (`FlatCodebook`/`PackedCodebook`) and radix-sorted packed counting,
-//! and since the FxHash counter was deleted every distinct count — any
-//! k, any point type — is a sort and a run scan.  The scoped modules
-//! are exactly the ones that won that eviction.  A `HashMap` creeping
-//! back in costs the iteration-order determinism and the cache
-//! behaviour the engine's speed and bit-identity rest on.  A container
-//! that counts nothing (a sampler's sparse swap map) may stay under an
-//! explicit waiver that says so.
+//! Sorted-run codebooks and radix-sorted packed counting replaced hash
+//! interning, and since the FxHash counter was deleted every distinct
+//! count — any k, any point type — is a sort and a run scan, whose
+//! finalized summary is also the one codebook the stores use.  The
+//! scoped modules are exactly the ones that won that eviction.  A
+//! `HashMap` creeping back in costs the iteration-order determinism and
+//! the cache behaviour the engine's speed and bit-identity rest on.  A
+//! container that counts nothing (a sampler's sparse swap map) may stay
+//! under an explicit waiver that says so.
 
 use crate::source::{Diagnostic, SourceFile};
 

@@ -55,7 +55,8 @@ pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
 /// on it.  The counter and every module that counts distinct
 /// permutations or prefixes (the dp-core count, survey and refinement
 /// chain, pivot selection, grid sampling) joined when the hash counter
-/// was deleted.
+/// was deleted.  The packed and Huffman stores joined when their
+/// codebook became the run counter's summary.
 pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/metric/src/batch.rs",
     "crates/index/src/keys.rs",
@@ -67,8 +68,9 @@ pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/permutation/src/radix.rs",
     "crates/permutation/src/bits.rs",
     "crates/permutation/src/compute.rs",
-    "crates/permutation/src/encoding.rs",
+    "crates/permutation/src/huffman.rs",
     "crates/permutation/src/shard.rs",
+    "crates/permutation/src/store.rs",
     "crates/core/src/count.rs",
     "crates/core/src/orders.rs",
     "crates/core/src/survey.rs",

@@ -18,9 +18,8 @@
 //! * `phase_sort`      — sorting the packed key buffer: the LSD radix
 //!   sort ([`RadixSorter`]) vs `sort_unstable`, same input;
 //! * `phase_codebook`  — the survey/storage tail over a finalized
-//!   summary: codebook-ordered frequency table
-//!   (`lexicographic_counts`), the flat codebook build
-//!   ([`PackedCodebook::from_summary`]), and the Huffman + entropy sums.
+//!   summary, which is itself the codebook: the id-ordered frequency
+//!   table (`lexicographic_counts`) and the Huffman + entropy sums.
 //!
 //! Set `CRITERION_JSON=BENCH_counting_phases.json` to append
 //! machine-readable medians; the committed baseline was recorded that
@@ -31,9 +30,7 @@ use dp_bench::column_pass;
 use dp_datasets::vectors::uniform_unit_cube_flat;
 use dp_metric::{L2Squared, TransposedSites};
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::{
-    collect_packed_flat_parallel, packed_keys_flat, PackedCodebook, RadixSorter, PACKED_MAX_K,
-};
+use dp_permutation::{collect_packed_flat_parallel, packed_keys_flat, RadixSorter, PACKED_MAX_K};
 use std::hint::black_box;
 
 const N: usize = 100_000;
@@ -124,9 +121,6 @@ fn bench_codebook(c: &mut Criterion) {
             // layout, this is a straight clone of the occupancy table,
             // which boxing only the length would let the optimizer elide.
             b.iter(|| black_box(summary.lexicographic_counts()));
-        });
-        group.bench_function("packed_codebook", |b| {
-            b.iter(|| black_box(PackedCodebook::from_summary(&summary)));
         });
         group.bench_function("huffman_entropy", |b| {
             b.iter(|| {

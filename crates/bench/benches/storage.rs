@@ -1,12 +1,13 @@
 //! Microbenchmarks for the permutation storage layouts (E13's kernels):
-//! packing, codebook interning, random access into the bit-packed store,
-//! and Huffman encode/decode throughput.
+//! building each store (the codebook stores count their codebook with
+//! the run counter), random access into the bit-packed stores, and
+//! sequential decode throughput.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dp_metric::L2Squared;
 use dp_permutation::huffman::HuffmanPermStore;
 use dp_permutation::store::{PackedPermStore, RawPermStore};
-use dp_permutation::{distance_permutation, FlatCodebook, Permutation};
+use dp_permutation::{distance_permutation, Permutation};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::hint::black_box;
@@ -72,24 +73,5 @@ fn bench_sequential_decode(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_codebook_build(c: &mut Criterion) {
-    let perms = permutation_column(20_000, 3, 10, 4);
-    let mut group = c.benchmark_group("codebook_n20k_k10");
-    group.throughput(Throughput::Elements(perms.len() as u64));
-    group.bench_function("build_all", |b| {
-        b.iter(|| {
-            let cb: FlatCodebook = perms.iter().copied().collect();
-            black_box(cb.len())
-        });
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_store_build,
-    bench_random_access,
-    bench_sequential_decode,
-    bench_codebook_build
-);
+criterion_group!(benches, bench_store_build, bench_random_access, bench_sequential_decode);
 criterion_main!(benches);

@@ -35,7 +35,7 @@ fn main() {
     let pts = uniform_unit_cube(n, 2, 99);
     let idx = DistPermIndex::build(L2, pts, 12, PivotSelection::MaxMin);
     let (cb, ids) = idx.codebook();
-    let distinct = cb.len();
+    let distinct = cb.distinct();
     let bits = cb.id_bits();
     println!("  distinct permutations observed: {distinct} (max possible N_2,2(12) = 1992)");
     println!("  codebook id: {bits} bits/element; packed permutation: 48 bits; rank: 29 bits");

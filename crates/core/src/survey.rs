@@ -26,8 +26,8 @@
 use crate::count::CountReport;
 use crate::dimension::{estimate_dimension, min_euclidean_dimension, ReferenceProfile};
 use dp_metric::Metric;
+use dp_permutation::bits::element_bits;
 use dp_permutation::counter::collect_counter;
-use dp_permutation::encoding::element_bits;
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
 use dp_permutation::{PackedCountSummary, RunKey};
 use rand::rngs::StdRng;

@@ -30,7 +30,7 @@ use crate::query::{
     QueryStats,
 };
 use dp_metric::Metric;
-use dp_permutation::encoding::{element_bits, FlatCodebook};
+use dp_permutation::bits::element_bits;
 use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
 use dp_permutation::{DistPermComputer, PackedCountSummary, PackedPermutationCounter, Permutation};
 
@@ -181,12 +181,14 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
         self.keys.distinct()
     }
 
-    /// A codebook over the stored permutations plus the id stream — the
-    /// paper's compact storage layout.  Ids are lexicographic ranks.
-    pub fn codebook(&self) -> (FlatCodebook, Vec<u32>) {
-        let perms = self.permutations();
-        let cb = FlatCodebook::from_permutations(&perms);
-        let ids = cb.encode_all(&perms);
+    /// A codebook over the stored permutations ([`Self::counter`]) plus
+    /// the id stream — the paper's compact storage layout.  Ids are
+    /// lexicographic ranks.
+    pub fn codebook(&self) -> (PackedCountSummary<Permutation>, Vec<u32>) {
+        let cb = self.counter();
+        let ids = (0..self.len())
+            .map(|i| cb.id_of(&self.keys.permutation(i)).expect("every stored permutation counted"))
+            .collect();
         (cb, ids)
     }
 
@@ -532,9 +534,9 @@ mod tests {
         let idx = DistPermIndex::build(L2, pts, 5, PivotSelection::MaxMin);
         let (cb, ids) = idx.codebook();
         assert_eq!(ids.len(), idx.len());
-        assert_eq!(cb.len(), idx.distinct_permutations());
+        assert_eq!(cb.distinct(), idx.distinct_permutations());
         for (i, &id) in ids.iter().enumerate() {
-            assert_eq!(cb.permutation(id), Some(&idx.permutations()[i]));
+            assert_eq!(cb.permutation(id), Some(idx.permutations()[i]));
         }
     }
 

@@ -8,7 +8,18 @@
 //! packed buffer at a bit offset.
 //!
 //! LSB-first means the first bit written lands in the least significant
-//! bit of byte 0, matching the layout of `encoding::pack_ids`.
+//! bit of byte 0.  [`crate::store::RawPermStore`] and
+//! [`crate::store::PackedPermStore`] own the two fixed-width layouts on
+//! top of it; [`element_bits`] is the width of one field in either.
+
+/// Bits for one of `n` values, ⌈log₂ n⌉ (0 for n ≤ 1): a permutation
+/// element at n = k, a codebook id at n = N distinct permutations.
+pub fn element_bits(n: usize) -> u32 {
+    match n {
+        0 | 1 => 0,
+        _ => usize::BITS - (n - 1).leading_zeros(),
+    }
+}
 
 /// Appends values to a growing LSB-first bit buffer.
 #[derive(Debug, Clone, Default)]
@@ -188,17 +199,33 @@ mod tests {
     }
 
     #[test]
-    fn random_access_matches_sequential() {
-        let mut w = BitWriter::new();
-        let values: Vec<(u64, u32)> = (0..50u64).map(|i| (i * 37 % 61, 6)).collect();
-        for &(v, b) in &values {
-            w.write(v, b);
+    fn element_bits_values() {
+        let expected = [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (9, 4), (32, 5)];
+        for (n, bits) in expected {
+            assert_eq!(element_bits(n), bits, "n = {n}");
         }
-        let (bytes, len) = w.finish();
-        let mut r = BitReader::new(&bytes, len);
-        for (i, &(v, b)) in values.iter().enumerate() {
-            assert_eq!(r.read(b), Some(v));
-            assert_eq!(read_bits_at(&bytes, i * 6, 6), v);
+    }
+
+    #[test]
+    fn random_access_matches_sequential() {
+        // Fixed-width streams at every id width 0..=17, as the stores
+        // lay them out: 100 values a width, each field at `i * bits`.
+        for bits in 0..=17u32 {
+            let modulus = 1u64 << bits;
+            let values: Vec<u64> = (0..100u64).map(|i| (i * 37) % modulus).collect();
+            let mut w = BitWriter::new();
+            for &v in &values {
+                w.write(v, bits);
+            }
+            let (bytes, len) = w.finish();
+            assert_eq!(len, 100 * bits as usize, "bits = {bits}");
+            assert_eq!(bytes.len(), len.div_ceil(8), "bits = {bits}");
+            let mut r = BitReader::new(&bytes, len);
+            for (i, &v) in values.iter().enumerate() {
+                assert_eq!(r.read(bits), Some(v), "bits = {bits}, i = {i}");
+                assert_eq!(read_bits_at(&bytes, i * bits as usize, bits), v);
+            }
+            assert_eq!(r.remaining(), 0);
         }
     }
 

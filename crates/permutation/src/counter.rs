@@ -13,11 +13,14 @@
 //!
 //! The engine ends in a [`PackedCountSummary`], which keeps one
 //! `(key, occupancy)` pair per **distinct** permutation — O(distinct)
-//! memory, so downstream consumers (codebooks, Huffman, the survey)
-//! never pay for n again.  [`collect_counter`] and
+//! memory, so downstream consumers (Huffman, the survey, the stores)
+//! never pay for n again.  The summary is also the paper's codebook
+//! (§4): a distinct permutation's id is its position in the sorted keys.
+//! [`collect_counter`] and
 //! [`collect_counter_parallel`] feed it from the per-point path, for
 //! any metric over any point type.
 
+use crate::bits::element_bits;
 use crate::compute::DistPermComputer;
 use crate::key::PackedKey;
 use crate::perm::Permutation;
@@ -28,9 +31,7 @@ use dp_metric::Metric;
 /// Run lengths of consecutive equal values in a sorted (or at least
 /// run-grouped) slice: `[3, 3, 3, 7, 9, 9]` → `[3, 1, 2]`.
 ///
-/// The shared scan under every sort-then-dedup consumer in this crate —
-/// the run counter run-length encodes each sorted shard with it, and the
-/// flat codebooks in [`crate::encoding`] locate run starts through it.
+/// The run counter run-length encodes each sorted shard with it.
 pub fn count_sorted_runs<T: PartialEq>(sorted: &[T]) -> Vec<u64> {
     let mut runs = Vec::new();
     let mut start = 0usize;
@@ -52,6 +53,11 @@ pub fn count_sorted_runs<T: PartialEq>(sorted: &[T]) -> Vec<u64> {
 /// every [`RunKey`] makes lexicographic order) plus its occupancy count
 /// and the observation total — `O(distinct)` memory, independent of the
 /// database size.
+///
+/// It is the one codebook of the paper's storage layout (§4): the id of
+/// a distinct permutation is its lexicographic rank, found by binary
+/// search over the sorted keys ([`Self::id_of`]) and decoded by index
+/// ([`Self::permutation`]); [`Self::id_bits`] is the stored id width.
 #[derive(Debug, Clone)]
 pub struct PackedCountSummary<K: RunKey = u64> {
     k: usize,
@@ -115,10 +121,9 @@ impl<K: RunKey> PackedCountSummary<K> {
     }
 
     /// Occurrence counts ordered by the **lexicographic** rank of each
-    /// distinct permutation — the order a [`crate::FlatCodebook`] built
-    /// from the same permutations assigns ids in, so a frequency table
-    /// built from this vector is the survey's codebook-ordered table at
-    /// every key width.
+    /// distinct permutation — indexed by codebook id ([`Self::id_of`]),
+    /// so this is the survey's and the Huffman store's frequency table
+    /// at every key width.
     ///
     /// The [`pack_perm`] layout puts position 0 in the most significant
     /// occupied group, so ascending key order *is* lexicographic order
@@ -126,6 +131,27 @@ impl<K: RunKey> PackedCountSummary<K> {
     /// sort, no decode.
     pub fn lexicographic_counts(&self) -> Vec<u64> {
         self.occupancies.clone()
+    }
+
+    /// The codebook id of `p` — its lexicographic rank among the distinct
+    /// permutations — or `None` if `p` is absent or its length is not k.
+    /// The length is checked before packing, so a longer permutation
+    /// never aliases a packed key.
+    pub fn id_of(&self, p: &Permutation) -> Option<u32> {
+        if p.len() != self.k {
+            return None;
+        }
+        self.keys.binary_search(&K::from_permutation(p)).ok().map(|id| id as u32)
+    }
+
+    /// The distinct permutation with codebook id `id`, decoded.
+    pub fn permutation(&self, id: u32) -> Option<Permutation> {
+        self.keys.get(id as usize).map(|&key| key.to_permutation(self.k))
+    }
+
+    /// Bits per stored codebook id: ⌈log₂ distinct⌉.
+    pub fn id_bits(&self) -> u32 {
+        element_bits(self.distinct())
     }
 }
 
@@ -347,6 +373,69 @@ mod tests {
                 collect_counter_parallel::<Permutation, _, _>(&L2, &sites, &db, threads).finalize();
             assert_eq!(whole.permutations(), seq.permutations(), "threads = {threads}");
             assert_eq!(whole.lexicographic_counts(), seq.lexicographic_counts());
+        }
+    }
+
+    /// A duplicate-rich stream of length-`k` permutations: `n` seeded
+    /// Fisher–Yates shuffles over 37 seeds.
+    fn shuffled_stream(k: usize, n: usize) -> Vec<Permutation> {
+        (0..n)
+            .map(|round| {
+                let mut items: Vec<u8> = (0..k as u8).collect();
+                let mut state = round as u64 % 37;
+                for i in (1..k).rev() {
+                    state = state.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(0x1234_5678);
+                    items.swap(i, (state >> 33) as usize % (i + 1));
+                }
+                perm(&items)
+            })
+            .collect()
+    }
+
+    /// The summary's codebook against a sorted, deduplicated permutation
+    /// list searched with `binary_search`; returns the summary.
+    fn assert_codebook_matches_sorted_oracle<K: RunKey>(k: usize) -> PackedCountSummary<K> {
+        let perms = shuffled_stream(k, 120);
+        let mut counter = PackedPermutationCounter::<K>::new(k);
+        perms.iter().for_each(|p| counter.insert(p));
+        let summary = counter.finalize();
+        let mut oracle = perms.clone();
+        oracle.sort_unstable();
+        oracle.dedup();
+        assert_eq!(summary.distinct(), oracle.len(), "k = {k}");
+        assert_eq!(summary.id_bits(), element_bits(oracle.len()), "k = {k}");
+        for p in &perms {
+            assert_eq!(summary.id_of(p), oracle.binary_search(p).ok().map(|i| i as u32), "{p}");
+        }
+        for (id, p) in oracle.iter().enumerate() {
+            assert_eq!(summary.permutation(id as u32), Some(*p), "k = {k}, id = {id}");
+        }
+        assert_eq!(summary.permutation(oracle.len() as u32), None);
+        let mut absent = Permutation::identity(k);
+        while oracle.binary_search(&absent).is_ok() {
+            assert!(absent.next_lex(), "every length-{k} permutation occurs");
+        }
+        assert_eq!(summary.id_of(&absent), None, "absent {absent}");
+        assert_eq!(summary.id_of(&Permutation::identity(k - 1)), None, "shorter, k = {k}");
+        summary
+    }
+
+    #[test]
+    fn summary_codebook_matches_sorted_oracle_at_every_key_type() {
+        let narrow = assert_codebook_matches_sorted_oracle::<u64>(4);
+        assert_codebook_matches_sorted_oracle::<u128>(15);
+        assert_codebook_matches_sorted_oracle::<Permutation>(27);
+        // A k = 13 permutation overflows a u64 key; the length check
+        // rejects it before it is packed.
+        assert_eq!(narrow.id_of(&Permutation::identity(13)), None);
+        assert_eq!(narrow.id_of(&shuffled_stream(13, 1)[0]), None);
+        // The id width at every distinct count 0..=24, across each power
+        // of two.
+        let all: Vec<Permutation> = Permutation::all(4).collect();
+        for n in 0..=all.len() {
+            let mut counter = PackedPermutationCounter::<u64>::new(4);
+            all[..n].iter().for_each(|p| counter.insert(p));
+            assert_eq!(counter.finalize().id_bits(), element_bits(n), "n = {n}");
         }
     }
 

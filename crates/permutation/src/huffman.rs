@@ -12,15 +12,17 @@
 //! better.
 //!
 //! [`HuffmanCode`] is a canonical Huffman code over `u32` symbols
-//! (codebook ids); [`HuffmanPermStore`] couples it with a
-//! [`FlatCodebook`] into a sequential-access permutation store.  The trade-off against
+//! (codebook ids); [`HuffmanPermStore`] couples it with the run
+//! counter's [`PackedCountSummary`] as the codebook into a
+//! sequential-access permutation store.  The trade-off against
 //! [`crate::store::PackedPermStore`] (random access, fixed width) is
 //! measured by the E13 storage experiment.
 
 use crate::bits::{BitReader, BitWriter};
-use crate::encoding::FlatCodebook;
+use crate::counter::PackedCountSummary;
 use crate::perm::Permutation;
 use crate::radix::RadixSorter;
+use crate::store::count_codebook;
 
 /// Empirical entropy of a frequency table, in bits per symbol.
 ///
@@ -313,7 +315,7 @@ fn code_lengths(freqs: &[u64]) -> Vec<u8> {
 /// scan — which is the price of beating the flat ⌈log₂ N⌉ layout.
 #[derive(Debug, Clone)]
 pub struct HuffmanPermStore {
-    codebook: FlatCodebook,
+    codebook: PackedCountSummary<Permutation>,
     code: HuffmanCode,
     data: Vec<u8>,
     len_bits: usize,
@@ -324,15 +326,18 @@ impl HuffmanPermStore {
     /// Builds the store from a permutation stream (two passes: count,
     /// then encode).
     ///
-    /// The codebook is a [`FlatCodebook`] — ids are lexicographic ranks
-    /// from one sorted-run scan, no hash interning — and the frequency
-    /// table falls out of the same scan.  Any Huffman code built on a
-    /// permuted frequency table is equally optimal, so the per-stream
-    /// cost ([`Self::mean_bits`]) is the same as the old first-seen-id
-    /// layout; only the id numbering inside the stream differs.
+    /// The codebook is the run counter's summary — ids are
+    /// lexicographic ranks, no hash interning — and the frequency table
+    /// is its [`PackedCountSummary::lexicographic_counts`].  Any Huffman
+    /// code built on a permuted frequency table is equally optimal, so
+    /// the per-stream cost ([`Self::mean_bits`]) does not depend on the
+    /// id numbering.
+    ///
+    /// # Panics
+    /// Panics if the permutations differ in length.
     pub fn from_permutations(perms: &[Permutation]) -> Self {
-        let (codebook, freqs) = FlatCodebook::from_permutations_with_counts(perms);
-        let code = HuffmanCode::from_frequencies(&freqs);
+        let codebook = count_codebook(perms);
+        let code = HuffmanCode::from_frequencies(&codebook.lexicographic_counts());
         let mut w = BitWriter::new();
         for p in perms {
             let id = codebook.id_of(p).expect("interned");
@@ -354,7 +359,7 @@ impl HuffmanPermStore {
 
     /// Number of distinct permutations.
     pub fn distinct(&self) -> usize {
-        self.codebook.len()
+        self.codebook.distinct()
     }
 
     /// Mean bits per element actually spent by the encoded stream.
@@ -381,7 +386,7 @@ impl HuffmanPermStore {
             }
             produced += 1;
             let id = self.code.decode_symbol(&mut reader).expect("stream holds len symbols");
-            Some(*self.codebook.permutation(id).expect("id interned"))
+            Some(self.codebook.permutation(id).expect("id interned"))
         })
     }
 
@@ -391,16 +396,14 @@ impl HuffmanPermStore {
     /// *canonical* code is fully determined by its per-symbol lengths,
     /// so the code adds only one byte per distinct permutation.
     pub fn heap_bytes(&self) -> usize {
-        self.data.len()
-            + self.codebook.len() * std::mem::size_of::<Permutation>()
-            + self.codebook.len()
+        self.data.len() + self.codebook.distinct() * (std::mem::size_of::<Permutation>() + 1)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoding::element_bits;
+    use crate::bits::element_bits;
     use crate::lehmer::unrank;
 
     #[test]

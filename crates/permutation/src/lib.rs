@@ -44,9 +44,10 @@
 //!    most twice its size) into a [`counter::PackedCountSummary`] — one
 //!    `(key, count)` pair per *distinct* permutation, in lexicographic
 //!    order at every key type;
-//! 5. [`encoding::PackedCodebook`] / [`encoding::FlatCodebook`] assign
-//!    lexicographic codebook ids straight off the sorted distinct keys —
-//!    no hash table anywhere.
+//! 5. the summary is also the codebook: [`PackedCountSummary::id_of`]
+//!    finds a permutation's lexicographic id by binary search over the
+//!    sorted distinct keys, and [`PackedCountSummary::permutation`]
+//!    decodes an id — no hash table anywhere.
 //!
 //! The shard size bounds the working set, never the answer: merging
 //! sorted multiset runs is associative, so the finalized summary — and
@@ -75,24 +76,22 @@
 //! * [`permdist`] — Kendall tau, Spearman footrule and Spearman rho
 //!   permutation distances (used by the `distperm`/iAESA index types for
 //!   candidate ordering);
-//! * [`encoding`] — bit-packed codes and the [`encoding::FlatCodebook`]
-//!   realising the paper's storage claim: once only N distinct permutations
-//!   occur, each element needs only ⌈log₂ N⌉ bits;
 //! * [`store`] — random-access physical layouts: [`store::RawPermStore`]
-//!   (k·⌈log₂ k⌉ bits/element) and [`store::PackedPermStore`]
-//!   (⌈log₂ N⌉ bits/element, the paper's strategy);
+//!   (k·⌈log₂ k⌉ bits/element) and [`store::PackedPermStore`], the
+//!   paper's storage claim: once only N distinct permutations occur, a
+//!   codebook of them plus ⌈log₂ N⌉ bits per element suffice;
 //! * [`huffman`] — entropy coding of permutation streams, implementing
 //!   §4's "more sophisticated structure may be possible" remark;
 //! * [`prefix`] — truncated permutations ([`prefix::PrefixPermutation`])
 //!   and the induced top-ℓ footrule, the practical CFN index form;
-//! * [`bits`] — the LSB-first bit I/O under all the packed layouts.
+//! * [`bits`] — the LSB-first bit I/O under all the packed layouts, and
+//!   [`bits::element_bits`], the ⌈log₂ n⌉ field width.
 
 #![forbid(unsafe_code)]
 
 pub mod bits;
 pub mod compute;
 pub mod counter;
-pub mod encoding;
 pub mod huffman;
 pub mod key;
 pub mod lehmer;
@@ -109,7 +108,6 @@ pub use compute::{
     FlatKey, PACKED_MAX_K, WIDE_MAX_K,
 };
 pub use counter::{count_sorted_runs, pack_perm, PackedCountSummary};
-pub use encoding::{FlatCodebook, PackedCodebook};
 pub use huffman::{HuffmanCode, HuffmanPermStore};
 pub use key::PackedKey;
 pub use perm::{Permutation, PermutationError, MAX_K};

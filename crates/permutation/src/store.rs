@@ -8,17 +8,32 @@
 //! * [`RawPermStore`] — each permutation packed positionally at
 //!   `k·⌈log₂ k⌉` bits (the unrestricted O(nk log k)-bit layout the paper
 //!   credits to Chávez–Figueroa–Navarro);
-//! * [`PackedPermStore`] — a [`FlatCodebook`] of the N distinct permutations
-//!   plus ⌈log₂ N⌉ bits per element (the paper's improvement; Θ(nd log k)
-//!   bits in d-dimensional Euclidean space by Corollary 8).
+//! * [`PackedPermStore`] — a codebook of the N distinct permutations plus
+//!   ⌈log₂ N⌉ bits per element (the paper's improvement; Θ(nd log k)
+//!   bits in d-dimensional Euclidean space by Corollary 8).  The codebook
+//!   is the run counter's [`PackedCountSummary`], so ids are
+//!   lexicographic ranks.
 //!
 //! For the entropy-optimal but sequential-access layout, see
 //! [`crate::huffman`].  All three are compared byte-for-byte by the E13
 //! storage experiment and the `storage_formats` example.
 
-use crate::bits::{read_bits_at, BitWriter};
-use crate::encoding::{element_bits, FlatCodebook};
+use crate::bits::{element_bits, read_bits_at, BitWriter};
+use crate::counter::PackedCountSummary;
 use crate::perm::{Permutation, MAX_K};
+use crate::shard::PackedPermutationCounter;
+
+/// The codebook of a permutation stream: its distinct permutations and
+/// their counts, sorted by the run counter.  k is the first
+/// permutation's length (0 for an empty stream).
+///
+/// # Panics
+/// Panics if the permutations differ in length.
+pub(crate) fn count_codebook(perms: &[Permutation]) -> PackedCountSummary<Permutation> {
+    let mut counter = PackedPermutationCounter::new(perms.first().map_or(0, Permutation::len));
+    perms.iter().for_each(|p| counter.insert(p));
+    counter.finalize()
+}
 
 /// Fixed-width positional store: `k·⌈log₂ k⌉` bits per permutation.
 #[derive(Debug, Clone)]
@@ -106,7 +121,7 @@ impl RawPermStore {
 /// (§4).
 #[derive(Debug, Clone)]
 pub struct PackedPermStore {
-    codebook: FlatCodebook,
+    codebook: PackedCountSummary<Permutation>,
     data: Vec<u8>,
     bits: u32,
     len: usize,
@@ -114,8 +129,11 @@ pub struct PackedPermStore {
 
 impl PackedPermStore {
     /// Builds the codebook and packs ids in two passes over `perms`.
+    ///
+    /// # Panics
+    /// Panics if the permutations differ in length.
     pub fn from_permutations(perms: &[Permutation]) -> Self {
-        let codebook = FlatCodebook::from_permutations(perms);
+        let codebook = count_codebook(perms);
         let bits = codebook.id_bits();
         let mut w = BitWriter::with_capacity(perms.len() * bits as usize);
         for p in perms {
@@ -138,7 +156,7 @@ impl PackedPermStore {
 
     /// Number of *distinct* permutations (the paper's N).
     pub fn distinct(&self) -> usize {
-        self.codebook.len()
+        self.codebook.distinct()
     }
 
     /// Bits per element: ⌈log₂ N⌉.
@@ -160,7 +178,7 @@ impl PackedPermStore {
     /// # Panics
     /// Panics if `i >= len`.
     pub fn get(&self, i: usize) -> Permutation {
-        *self.codebook.permutation(self.id_at(i)).expect("id interned at build")
+        self.codebook.permutation(self.id_at(i)).expect("id interned at build")
     }
 
     /// Iterates over all stored permutations in insertion order.
@@ -169,7 +187,7 @@ impl PackedPermStore {
     }
 
     /// Borrows the codebook (e.g. to share with a Huffman store).
-    pub fn codebook(&self) -> &FlatCodebook {
+    pub fn codebook(&self) -> &PackedCountSummary<Permutation> {
         &self.codebook
     }
 
@@ -177,7 +195,7 @@ impl PackedPermStore {
     /// (`N × size_of::<Permutation>()`), matching how the paper accounts
     /// storage (table + ids).
     pub fn heap_bytes(&self) -> usize {
-        self.data.len() + self.codebook.len() * std::mem::size_of::<Permutation>()
+        self.data.len() + self.codebook.distinct() * std::mem::size_of::<Permutation>()
     }
 }
 
@@ -278,5 +296,12 @@ mod tests {
     fn raw_store_rejects_mixed_lengths() {
         let perms = vec![Permutation::identity(3), Permutation::identity(4)];
         RawPermStore::from_permutations(3, &perms);
+    }
+
+    #[test]
+    #[should_panic(expected = "length")]
+    fn packed_store_rejects_mixed_lengths() {
+        let perms = vec![Permutation::identity(3), Permutation::identity(4)];
+        PackedPermStore::from_permutations(&perms);
     }
 }

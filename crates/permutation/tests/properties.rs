@@ -1,7 +1,6 @@
 //! In-crate property tests for the permutation machinery.
 
-use dp_permutation::bits::{BitReader, BitWriter};
-use dp_permutation::encoding::{element_bits, pack, pack_ids, unpack, unpack_ids};
+use dp_permutation::bits::{element_bits, BitReader, BitWriter};
 use dp_permutation::huffman::{entropy_bits, HuffmanCode, HuffmanPermStore};
 use dp_permutation::lehmer::{factorial, rank, unrank};
 use dp_permutation::perm::Permutation;
@@ -66,20 +65,6 @@ proptest! {
         prop_assert_eq!(kendall_tau(&ga, &gb), kendall_tau(&a, &b));
         prop_assert_eq!(spearman_footrule(&ga, &gb), spearman_footrule(&a, &b));
         prop_assert_eq!(spearman_rho_sq(&ga, &gb), spearman_rho_sq(&a, &b));
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip(p in arb_perm(11)) {
-        let bytes = pack(&p);
-        prop_assert_eq!(bytes.len(), (11 * element_bits(11) as usize).div_ceil(8));
-        prop_assert_eq!(unpack(&bytes, 11).unwrap(), p);
-    }
-
-    #[test]
-    fn pack_ids_roundtrip(ids in prop::collection::vec(0u32..5000, 0..200)) {
-        let bits = 13; // 5000 < 2^13
-        let stream = pack_ids(&ids, bits);
-        prop_assert_eq!(unpack_ids(&stream, bits, ids.len()), ids);
     }
 
     #[test]

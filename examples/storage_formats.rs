@@ -21,8 +21,7 @@ use distance_permutations::datasets::uniform_unit_cube;
 use distance_permutations::metric::L2;
 use distance_permutations::permutation::huffman::entropy_bits;
 use distance_permutations::permutation::{
-    distance_permutation, FlatCodebook, HuffmanPermStore, PackedPermStore, Permutation,
-    RawPermStore,
+    distance_permutation, HuffmanPermStore, PackedPermStore, Permutation, RawPermStore,
 };
 use distance_permutations::theory::storage::log2_factorial_ceil;
 
@@ -50,13 +49,9 @@ fn main() {
     // 4. Huffman.
     let huff = HuffmanPermStore::from_permutations(&perms);
 
-    // The entropy floor of the observed distribution.
-    let codebook: FlatCodebook = perms.iter().copied().collect();
-    let mut freqs = vec![0u64; codebook.len()];
-    for p in &perms {
-        freqs[codebook.id_of(p).unwrap() as usize] += 1;
-    }
-    let h = entropy_bits(&freqs);
+    // The entropy floor of the observed distribution: the codebook's
+    // occurrence counts, in id order.
+    let h = entropy_bits(&packed.codebook().lexicographic_counts());
 
     println!("\nbits per element:");
     println!("  unrestricted rank  ⌈log2 k!⌉ : {naive_bits:>8}");

@@ -32,7 +32,9 @@
 //!   the one-call database survey
 //!
 //! Storage layouts for permutation columns (raw packed, codebook ids,
-//! Huffman entropy coding) live in [`permutation`]; the `distperm`
+//! Huffman entropy coding) live in [`permutation`]; their one codebook
+//! is the counting engine's sorted summary
+//! ([`permutation::PackedCountSummary`]).  The `distperm`
 //! command-line tool (crate `dp-cli`) exposes the measurements on SISAP
 //! ASCII files without writing Rust.
 //!

@@ -8,8 +8,7 @@ use distance_permutations::datasets::uniform_unit_cube;
 use distance_permutations::metric::{Levenshtein, L2};
 use distance_permutations::permutation::huffman::entropy_bits;
 use distance_permutations::permutation::{
-    distance_permutation, FlatCodebook, HuffmanPermStore, PackedPermStore, Permutation,
-    RawPermStore,
+    distance_permutation, HuffmanPermStore, PackedPermStore, Permutation, RawPermStore,
 };
 use distance_permutations::theory::euclidean::storage_bits;
 
@@ -40,11 +39,9 @@ fn size_hierarchy_matches_the_paper() {
     let packed = PackedPermStore::from_permutations(&perms);
     let huff = HuffmanPermStore::from_permutations(&perms);
 
-    let codebook: FlatCodebook = perms.iter().copied().collect();
-    let mut freqs = vec![0u64; codebook.len()];
-    for p in &perms {
-        freqs[codebook.id_of(p).unwrap() as usize] += 1;
-    }
+    let mut sorted = perms;
+    sorted.sort_unstable();
+    let freqs: Vec<u64> = sorted.chunk_by(|a, b| a == b).map(|run| run.len() as u64).collect();
     let h = entropy_bits(&freqs);
 
     assert!(h <= huff.mean_bits() + 1e-9);
