@@ -32,6 +32,8 @@ pub const PASS_NAMES: &[&str] = &[
 /// Bit-identity modules: float accumulations here must be explicit
 /// sequential loops, never iterator reductions whose order/type is
 /// implicit (`tests/survey_equivalence.rs` pins the sums to the bit).
+/// The decimal fast path joins them: Clinger's exact path is one
+/// multiply or divide, and must stay one rounding.
 pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
     "crates/metric/src/batch.rs",
     "crates/metric/src/vector.rs",
@@ -43,6 +45,7 @@ pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
     "crates/core/src/count.rs",
     "crates/core/src/dimension.rs",
     "crates/datasets/src/rho.rs",
+    "crates/datasets/src/decimal.rs",
 ];
 
 /// Counting, kernel, radix and codebook modules: the PR 5 sorted-run
@@ -82,9 +85,14 @@ pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
 /// session down), the store I/O layer (the reader must turn hostile
 /// bytes into typed `StoreError`s, never a panic; the writer shares the
 /// modules) and the SISAP file reader (hostile bytes become typed
-/// `SisapIoError`s; its workers share one lock and join).
-pub const PANIC_BOUNDARY_SCOPES: &[&str] =
-    &["crates/index/src/serve/", "crates/store/src/", "crates/datasets/src/sisap_io.rs"];
+/// `SisapIoError`s; its workers share one lock and join), with the
+/// decimal fast path it runs on every token of a file.
+pub const PANIC_BOUNDARY_SCOPES: &[&str] = &[
+    "crates/index/src/serve/",
+    "crates/store/src/",
+    "crates/datasets/src/sisap_io.rs",
+    "crates/datasets/src/decimal.rs",
+];
 
 /// The one file inside the serve scope allowed to panic (it is the
 /// `catch_unwind` boundary and the test-only fault injector).

@@ -9,12 +9,13 @@
 //! offset — surface as typed `StoreError`s, never as a panic
 //! (`tests/store_robustness.rs` pins that dynamically).  The SISAP
 //! reader (`crates/datasets/src/sisap_io.rs`) promises the same of a
-//! vector file, on every worker that parses it.  In all three scopes
-//! (`crates/index/src/serve/`, `crates/store/src/`, `sisap_io.rs`), panicking
-//! constructs outside `#[cfg(test)]` are findings: each must be
-//! rewritten total (poison recovery, `let … else`, bounds-checked
-//! reads) or carry a waiver arguing why the crash is genuinely
-//! unreachable or unservable.
+//! vector file, on every worker that parses it, and so does the decimal
+//! fast path it runs on every token (`decimal.rs`).  In all three scopes
+//! (`crates/index/src/serve/`, `crates/store/src/`, `sisap_io.rs` with
+//! `decimal.rs`), panicking constructs outside `#[cfg(test)]` are
+//! findings: each must be rewritten total (poison recovery, `let …
+//! else`, bounds-checked reads) or carry a waiver arguing why the crash
+//! is genuinely unreachable or unservable.
 
 use crate::source::{Diagnostic, SourceFile};
 

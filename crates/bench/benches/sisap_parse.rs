@@ -4,7 +4,8 @@
 //! (the format `write_vectors_flat` and the benchmark's generator use) at
 //! 200k × 8, the survey input, and 10⁶ × 2, the count input.  The
 //! `from_str_floor` row converts the same tokens with `f64::from_str`
-//! and nothing else: one thread can parse no faster than that, and the
+//! and nothing else: the reader's decimal fast path gives the same bits
+//! faster, so the one-worker reader/floor ratio falls below 1, and the
 //! row shows how fast the host is running when the file was recorded.
 //! The `read_vectors_file_t1`/`_t2` rows read the same text from a
 //! temporary file on one and two workers, which split it into

@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 
 pub mod colors;
+mod decimal;
 pub mod dictionary;
 pub mod documents;
 pub mod flat;

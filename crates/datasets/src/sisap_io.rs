@@ -15,12 +15,18 @@
 //! The vector reader reads one reused 64 KiB block at a time, checks it
 //! as UTF-8 once and parses only its whole lines; a partial last line
 //! carries over to the next block, which grows if one line outgrows it.
-//! One byte pass finds tokens and counts lines.  Its separators are the
-//! ASCII whitespace `str::split_whitespace` knows (space, `\t`, `\n`,
-//! `\x0B`, `\x0C`, `\r`).  A line whose token fails to convert is split
-//! again with `split_whitespace` itself before any error is reported, so
-//! Unicode separators such as U+00A0 and U+3000 are accepted, at no cost
-//! to ASCII input.  `f64::from_str` converts every coordinate.
+//! One byte pass finds tokens, converts them and counts lines.  Its
+//! separators are the ASCII whitespace `str::split_whitespace` knows
+//! (space, `\t`, `\n`, `\x0B`, `\x0C`, `\r`).  Once the header is read,
+//! each token goes first to the crate's decimal fast path, which reads
+//! and converts it in that same pass and gives exactly the bits
+//! `f64::from_str` would; a token it declines (too many digits, a
+//! halfway case, `inf`, anything malformed) is cut at the next separator
+//! and converted by `f64::from_str`.  A line whose token fails to convert
+//! is split again with `split_whitespace` itself before any error is
+//! reported, so Unicode separators such as U+00A0 and U+3000 are
+//! accepted, at no cost to ASCII input, and every error message is
+//! `f64::from_str`'s.
 //!
 //! [`read_vectors_file`] parses a file on several workers.  It cuts the
 //! file into segments of about 1 MiB that end on line boundaries: a
@@ -48,6 +54,7 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use dp_metric::par::fork_join;
 
+use crate::decimal::{self, is_space};
 use crate::VectorSet;
 
 /// Errors from reading a SISAP-format file.
@@ -213,15 +220,22 @@ impl RowParser {
         Ok(VectorSet::from_raw(dim, self.data))
     }
 
-    /// Parses newline-terminated lines in one byte pass.  The header line,
-    /// and any line holding a token that does not convert, go to
-    /// [`RowParser::slow_line`].
+    /// Parses newline-terminated lines in one byte pass.  A token the
+    /// decimal fast path declines is converted by `f64::from_str`; the
+    /// header line, and any line holding a token that does not convert,
+    /// go to [`RowParser::slow_line`].
     fn parse(&mut self, text: &str) -> Result<(), SisapIoError> {
-        let is_space = |b: u8| matches!(b, b' ' | b'\t' | b'\n' | 0x0B | 0x0C | b'\r');
         let (bytes, mut i, mut row_start) = (text.as_bytes(), 0, self.data.len());
         while i < bytes.len() {
             let b = bytes[i];
             if b > b' ' || !is_space(b) {
+                if self.header.is_some() {
+                    if let Some((x, len)) = decimal::parse(&bytes[i..]) {
+                        self.data.push(x);
+                        i += len;
+                        continue;
+                    }
+                }
                 let start = i;
                 while bytes[i] > b' ' || !is_space(bytes[i]) {
                     i += 1;
@@ -891,9 +905,19 @@ mod tests {
     const SEPARATORS: [&str; 9] =
         [" ", "\t", "  ", "\x0b", "\x0c", "\r", "\u{a0}", "\u{3000}", "\u{85}"];
     /// Tokens that are not finite coordinates, including control bytes
-    /// that are not whitespace (`\x1f` is whitespace to some tools).
-    const MALFORMED: [&str; 12] = [
+    /// that are not whitespace (`\x1f` is whitespace to some tools), and
+    /// near misses of the decimal fast path's grammar.
+    #[rustfmt::skip]
+    const MALFORMED: [&str; 17] = [
         "1e", "--1", "0x1", "inf", "NaN", "-inf", "1e400", "abc", "1,5", "\u{a0}x", "1\x1f2", "\0",
+        ".", "+", "1e+", "1.7976931348623159e308", "1.5\x01",
+    ];
+    /// Finite coordinates at the edges of the decimal fast path: where it
+    /// stops reading, and where it leaves the token to `f64::from_str`.
+    #[rustfmt::skip]
+    const NEAR_MISSES: [&str; 7] = [
+        "1.", "+.5", "1E5", "1.5e-0", "12345678901234567890123", "0.000000000000000000001234",
+        "-0.0",
     ];
     /// Lines that hold no token.
     const BLANK_LINES: [&str; 6] = ["", " ", "\t", "\r", "\u{a0}", "\u{3000} \u{85}"];
@@ -956,6 +980,7 @@ mod tests {
                     1 => format!("{}", (rng.next_u64() % 100) as i64 - 50),
                     2 => ".5".to_string(),
                     3 => "-0".to_string(),
+                    4 => pick(&mut rng, &NEAR_MISSES).to_string(),
                     _ => format!("{:.17e}", (rng.next_u64() >> 11) as f64 / 1e9 - 4e6),
                 })
                 .collect();

@@ -84,10 +84,14 @@ cargo test -p dp-permutation --release -q --test radix_properties
 
 # The SISAP block reader must accept and reject exactly what the line
 # reader it replaced did (its test module keeps that reader as the
-# oracle); its byte loop and UTF-8 checks are what optimized codegen
-# transforms, so the differential suite also runs under release.
-echo "== cargo test --release -p dp-datasets sisap_io (release-mode differential run)"
-cargo test -p dp-datasets --release -q --lib sisap_io
+# oracle), and its decimal fast path must give exactly f64::from_str's
+# bits (its test module recomputes the powers-of-five table and compares
+# against from_str).  The byte loop, the UTF-8 checks, the 8-digit SWAR
+# chunks and the u128 products are what optimized codegen transforms, so
+# the crate's whole unit suite, both differential suites included, also
+# runs under release.
+echo "== cargo test --release -p dp-datasets --lib (release-mode differential run)"
+cargo test -p dp-datasets --release -q --lib
 
 # `distperm count` parses a --vectors file on its --threads workers, in
 # line-aligned segments of about 1 MiB committed in file order: a 30k × 2
