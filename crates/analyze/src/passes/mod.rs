@@ -41,7 +41,6 @@ pub const FLOAT_REASSOC_SCOPE: &[&str] = &[
     "crates/permutation/src/permdist.rs",
     "crates/permutation/src/shard.rs",
     "crates/core/src/survey.rs",
-    "crates/core/src/survey_flat.rs",
     "crates/core/src/count.rs",
     "crates/core/src/dimension.rs",
     "crates/datasets/src/rho.rs",
@@ -77,7 +76,6 @@ pub const HOT_PATH_HASH_SCOPE: &[&str] = &[
     "crates/core/src/count.rs",
     "crates/core/src/orders.rs",
     "crates/core/src/survey.rs",
-    "crates/core/src/survey_flat.rs",
 ];
 
 /// Total-by-contract subsystems — only the isolation boundary may

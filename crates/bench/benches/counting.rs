@@ -4,12 +4,10 @@
 //! codebook behind the storage result.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dp_core::count::{
-    count_permutations, count_permutations_flat_sharded, count_permutations_parallel,
-};
+use dp_core::count::{count_permutations, count_permutations_flat_sharded};
 use dp_datasets::{uniform_unit_cube, uniform_unit_cube_flat};
 use dp_metric::L2Squared;
-use dp_permutation::{compute::database_permutations, PackedPermutationCounter, Permutation};
+use dp_permutation::{DistPermComputer, PackedPermutationCounter, Permutation};
 use std::hint::black_box;
 
 fn bench_count_distinct(c: &mut Criterion) {
@@ -19,7 +17,7 @@ fn bench_count_distinct(c: &mut Criterion) {
         let db = uniform_unit_cube(10_000, d, 1);
         let sites = uniform_unit_cube(k, d, 2);
         group.bench_function(format!("d{d}_k{k}"), |b| {
-            b.iter(|| black_box(count_permutations(&L2Squared, &sites, &db).distinct));
+            b.iter(|| black_box(count_permutations(&L2Squared, &sites, &db, 1).distinct));
         });
         // Same coordinates through the flat batched engine.
         let db_flat = uniform_unit_cube_flat(10_000, d, 1);
@@ -45,9 +43,7 @@ fn bench_count_parallel(c: &mut Criterion) {
     let sites_flat = uniform_unit_cube_flat(12, 6, 4);
     for threads in [1usize, 4, 8] {
         group.bench_function(format!("threads{threads}"), |b| {
-            b.iter(|| {
-                black_box(count_permutations_parallel(&L2Squared, &sites, &db, threads).distinct)
-            });
+            b.iter(|| black_box(count_permutations(&L2Squared, &sites, &db, threads).distinct));
         });
         group.bench_function(format!("threads{threads}_flat"), |b| {
             b.iter(|| {
@@ -64,7 +60,9 @@ fn bench_count_parallel(c: &mut Criterion) {
 fn bench_counter(c: &mut Criterion) {
     let db = uniform_unit_cube(20_000, 4, 5);
     let sites = uniform_unit_cube(8, 4, 6);
-    let perms = database_permutations(&L2Squared, &sites, &db);
+    let mut computer = DistPermComputer::new(sites.len());
+    let perms: Vec<Permutation> =
+        db.iter().map(|y| computer.compute(&L2Squared, &sites, y)).collect();
     // The run counter fed permutation values: packed into u64 keys (what
     // the per-point path does at k ≤ 12) and as Permutation keys (k > 25).
     c.bench_function("run_counter_insert_20k_packed", |b| {

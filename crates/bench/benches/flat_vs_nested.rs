@@ -30,7 +30,7 @@ fn bench_count(c: &mut Criterion) {
             let flat_sites = uniform_unit_cube_flat(k, DIM, 2);
             group.bench_function(format!("nested_k{k}"), |b| {
                 b.iter(|| {
-                    black_box(count_permutations(&L2Squared, &nested_sites, &nested_db).distinct)
+                    black_box(count_permutations(&L2Squared, &nested_sites, &nested_db, 1).distinct)
                 });
             });
             group.bench_function(format!("flat_k{k}"), |b| {

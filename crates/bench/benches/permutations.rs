@@ -36,24 +36,26 @@ fn bench_distance_permutation(c: &mut Criterion) {
 
 fn bench_database_permutations_flat(c: &mut Criterion) {
     use dp_metric::TransposedSites;
-    use dp_permutation::compute::{database_permutations, database_permutations_flat_parallel};
+    use dp_permutation::FlatKey;
     let mut group = c.benchmark_group("database_permutations_n10k_d8");
     group.sample_size(15);
     for k in [4usize, 12] {
         let db = random_points(10_000, 8, 5);
         let sites = random_points(k, 8, 6);
         group.bench_function(format!("nested_k{k}"), |b| {
-            b.iter(|| black_box(database_permutations(&L2Squared, &sites, &db).len()));
+            b.iter(|| {
+                let mut computer = DistPermComputer::new(k);
+                black_box(db.iter().map(|y| computer.compute(&L2Squared, &sites, y)).count())
+            });
         });
         let db_flat: dp_datasets::VectorSet = db.iter().cloned().collect();
         let sites_flat: dp_datasets::VectorSet = sites.iter().cloned().collect();
         let sites_t = TransposedSites::from_rows(sites_flat.as_flat(), sites_flat.dim());
         group.bench_function(format!("flat_k{k}"), |b| {
             b.iter(|| {
-                black_box(
-                    database_permutations_flat_parallel(&L2Squared, &sites_t, db_flat.as_flat(), 1)
-                        .len(),
-                )
+                let mut perms = Vec::with_capacity(db_flat.len());
+                Permutation::scan_flat(&L2Squared, &sites_t, db_flat.as_flat(), |p| perms.push(p));
+                black_box(perms.len())
             });
         });
     }

@@ -30,7 +30,9 @@ fn bench_survey(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(N as u64));
     group.bench_function(format!("generic_k{K}"), |b| {
-        b.iter(|| black_box(survey_database(&L2Squared, &nested, &cfg).per_k[0].report.distinct));
+        b.iter(|| {
+            black_box(survey_database(&L2Squared, &nested, &cfg, 1).per_k[0].report.distinct)
+        });
     });
     group.bench_function(format!("flat_k{K}"), |b| {
         b.iter(|| {

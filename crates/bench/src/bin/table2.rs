@@ -15,7 +15,7 @@
 //! databases.
 
 use dp_bench::Args;
-use dp_core::count::count_permutations_parallel;
+use dp_core::count::count_permutations;
 use dp_datasets::intrinsic_dimensionality;
 use dp_datasets::table2::{table2_roster, Table2Data};
 use dp_datasets::vectors::choose_distinct_indices;
@@ -76,7 +76,7 @@ fn run<P: Clone + Sync, M: dp_metric::Metric<P> + Sync>(
         .map(|&k| {
             let ids = choose_distinct_indices(points.len(), k, &mut rng);
             let sites: Vec<P> = ids.iter().map(|&i| points[i].clone()).collect();
-            count_permutations_parallel(metric, &sites, points, threads).distinct
+            count_permutations(metric, &sites, points, threads).distinct
         })
         .collect();
     (rho, counts)

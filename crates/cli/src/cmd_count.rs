@@ -5,9 +5,7 @@ use crate::data::{self, Database, StringMetricSpec, VectorMetricSpec};
 use crate::CliError;
 use dp_core::dimension::min_euclidean_dimension;
 use dp_core::{count_distinct_prefixes, PrefixKind};
-use dp_core::{
-    count_permutations_flat_sharded, count_permutations_parallel, CountEngine, CountReport,
-};
+use dp_core::{count_permutations, count_permutations_flat_sharded, CountEngine, CountReport};
 use dp_datasets::vectors::choose_distinct_indices;
 use dp_datasets::VectorSet;
 use dp_metric::{
@@ -36,30 +34,27 @@ where
     M: Metric<P> + Sync,
 {
     let sites: Vec<P> = site_ids.iter().map(|&i| data[i].clone()).collect();
-    let report = count_permutations_parallel(metric, &sites, data, threads);
+    let report = count_permutations(metric, &sites, data, threads);
     let prefix_distinct = prefix_len
         .map(|l| (l, count_distinct_prefixes(metric, &sites, data, l, PrefixKind::Ordered)));
     CountOutcome { report, site_ids, prefix_distinct }
 }
 
-/// Vector databases run through the flat batched engine (keys streamed
-/// through `shard_rows`-key shards, 0 meaning the default 131,072 —
-/// identical report at any size, bounded memory);
-/// the optional prefix count reuses the generic per-point path over row
-/// views.
+/// Vector databases run through the flat batched engine at the default
+/// shard size; the optional prefix count reuses the generic per-point
+/// path over row views.
 fn measure_flat<M>(
     metric: &M,
     data: &VectorSet,
     site_ids: Vec<usize>,
     threads: usize,
-    shard_rows: usize,
     prefix_len: Option<usize>,
 ) -> CountOutcome
 where
     M: BatchDistance + Sync,
 {
     let sites = data.gather(&site_ids);
-    let report = count_permutations_flat_sharded(metric, &sites, data, threads, shard_rows);
+    let report = count_permutations_flat_sharded(metric, &sites, data, threads, 0);
     let prefix_distinct = prefix_len.map(|l| {
         // Borrow rows as slice views: no copy of the database.
         let rows: Vec<&[f64]> = data.rows().collect();
@@ -95,7 +90,6 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
         )));
     }
     let seed = parsed.u64_or("seed", 0x5EED)?;
-    let shard_rows = parsed.usize_or("shard-rows", 0)?;
     let prefix_len = match parsed.str_opt("prefix-len") {
         None => None,
         Some(s) => {
@@ -121,22 +115,13 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
 
     let outcome = match &db {
         Database::Vectors { data, metric, .. } => match metric {
-            VectorMetricSpec::L1 => {
-                measure_flat(&L1, data, site_ids, threads, shard_rows, prefix_len)
-            }
-            VectorMetricSpec::L2 => {
-                measure_flat(&L2, data, site_ids, threads, shard_rows, prefix_len)
-            }
-            VectorMetricSpec::LInf => {
-                measure_flat(&LInf, data, site_ids, threads, shard_rows, prefix_len)
-            }
+            VectorMetricSpec::L1 => measure_flat(&L1, data, site_ids, threads, prefix_len),
+            VectorMetricSpec::L2 => measure_flat(&L2, data, site_ids, threads, prefix_len),
+            VectorMetricSpec::LInf => measure_flat(&LInf, data, site_ids, threads, prefix_len),
             VectorMetricSpec::Lp(p) => {
-                measure_flat(&Lp::new(*p), data, site_ids, threads, shard_rows, prefix_len)
+                measure_flat(&Lp::new(*p), data, site_ids, threads, prefix_len)
             }
         },
-        Database::Strings { .. } if shard_rows > 0 => {
-            return Err(CliError::usage("--shard-rows applies only to vector databases"));
-        }
         Database::Strings { data, metric } => match metric {
             StringMetricSpec::Levenshtein => {
                 measure(&Levenshtein, data, site_ids, threads, prefix_len)

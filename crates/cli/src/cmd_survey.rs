@@ -5,17 +5,9 @@ use crate::data::{self, Database, StringMetricSpec, VectorMetricSpec};
 use crate::CliError;
 use dp_core::dimension::ReferenceProfile;
 use dp_core::{survey_database, survey_database_flat_sharded, CountEngine, SurveyConfig};
-use dp_metric::{Hamming, LInf, Levenshtein, Lp, Metric, PrefixDistance, L1, L2};
+use dp_metric::{Hamming, LInf, Levenshtein, Lp, PrefixDistance, L1, L2};
 use dp_permutation::MAX_K;
 use std::io::Write;
-
-fn survey<P, M>(metric: &M, data: &[P], cfg: &SurveyConfig) -> dp_core::DatabaseSurvey
-where
-    P: Clone,
-    M: Metric<P>,
-{
-    survey_database(metric, data, cfg)
-}
 
 /// One line naming the counting engine each surveyed k runs on, with
 /// consecutive same-engine ks grouped:
@@ -60,10 +52,6 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
     let seed = parsed.u64_or("seed", 0x5EED)?;
     let rho_pairs = parsed.usize_or("rho-pairs", 20_000)?.max(1);
     let with_reference = parsed.flag("with-reference");
-    let shard_rows = parsed.usize_or("shard-rows", 0)?;
-    if shard_rows > 0 && matches!(&db, Database::Strings { .. }) {
-        return Err(CliError::usage("--shard-rows applies only to vector databases"));
-    }
     parsed.finish()?;
 
     let reference = if with_reference {
@@ -76,32 +64,22 @@ pub(crate) fn run(parsed: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliErr
     };
     let cfg = SurveyConfig { ks, seed, rho_pairs, reference };
 
+    // Vector databases are already stored flat, so the survey runs
+    // straight through the batched engine at the default shard size —
+    // same report, bit for bit, as the generic per-point path.
     let report = match &db {
-        Database::Vectors { data, metric, .. } => {
-            // Vector databases are already stored flat, so the survey
-            // runs straight through the batched engine — same report,
-            // bit for bit, as the generic per-point path, at every
-            // --shard-rows (the per-k counting buffers at most that many
-            // keys per worker; 0 means the default 131,072).
-            match metric {
-                VectorMetricSpec::L1 => {
-                    survey_database_flat_sharded(&L1, data, &cfg, threads, shard_rows)
-                }
-                VectorMetricSpec::L2 => {
-                    survey_database_flat_sharded(&L2, data, &cfg, threads, shard_rows)
-                }
-                VectorMetricSpec::LInf => {
-                    survey_database_flat_sharded(&LInf, data, &cfg, threads, shard_rows)
-                }
-                VectorMetricSpec::Lp(p) => {
-                    survey_database_flat_sharded(&Lp::new(*p), data, &cfg, threads, shard_rows)
-                }
+        Database::Vectors { data, metric, .. } => match metric {
+            VectorMetricSpec::L1 => survey_database_flat_sharded(&L1, data, &cfg, threads, 0),
+            VectorMetricSpec::L2 => survey_database_flat_sharded(&L2, data, &cfg, threads, 0),
+            VectorMetricSpec::LInf => survey_database_flat_sharded(&LInf, data, &cfg, threads, 0),
+            VectorMetricSpec::Lp(p) => {
+                survey_database_flat_sharded(&Lp::new(*p), data, &cfg, threads, 0)
             }
-        }
+        },
         Database::Strings { data, metric } => match metric {
-            StringMetricSpec::Levenshtein => survey(&Levenshtein, data, &cfg),
-            StringMetricSpec::Hamming => survey(&Hamming, data, &cfg),
-            StringMetricSpec::Prefix => survey(&PrefixDistance, data, &cfg),
+            StringMetricSpec::Levenshtein => survey_database(&Levenshtein, data, &cfg, threads),
+            StringMetricSpec::Hamming => survey_database(&Hamming, data, &cfg, threads),
+            StringMetricSpec::Prefix => survey_database(&PrefixDistance, data, &cfg, threads),
         },
     };
     writeln!(out, "metric: {}", db.metric_name())?;

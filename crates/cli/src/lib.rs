@@ -107,15 +107,11 @@ COMMANDS:
             [--seed <s>] [--sites 0,5,9] [--threads <t>] [--prefix-len <l>]
             (--threads 4 by default; a --vectors file is parsed on the
             same workers)
-            [--shard-rows <n>  (vectors only: keys each counting worker
-            buffers before sorting them into a run; default and 0 =
-            131072, identical output at any size)]
   survey    full report: rho, counts, storage costs, dimension estimates
             (vector databases run through the flat batched engine)
             --vectors <file>|--strings <file> [--metric …] [--ks 4,8,12]
-            [--seed <s>] [--rho-pairs 20000] [--threads 1  (vectors only;
-            the file is parsed on the same workers)]
-            [--shard-rows <n>  (vectors only; default and 0 = 131072)]
+            [--seed <s>] [--rho-pairs 20000] [--threads 1  (a --vectors
+            file is parsed on the same workers)]
   build     build a flatperm index once and persist it as a store file
             --vectors <db> --out <store> (--k <sites> | --sites 0,5,9)
             [--metric l2|l1|linf|lp:<p>] [--threads 4  (the file is
@@ -150,8 +146,8 @@ pub fn usage_line(command: &str) -> Option<&'static str> {
         "table1" => "distperm table1 [--dmax 10] [--kmax 12]",
         "build" => "distperm build --vectors <db> --out <store> (--k <sites> | --sites 0,5,9) [--metric <m>] [--threads <t>]",
         "generate" => "distperm generate --kind <kind> --n <count> --out <file> [--dim <d>] [--seed <s>]",
-        "count" => "distperm count --vectors <file>|--strings <file> --k <sites> [--metric <m>] [--threads <t>] [--shard-rows <n>]",
-        "survey" => "distperm survey --vectors <file>|--strings <file> [--metric <m>] [--ks 4,8,12] [--shard-rows <n>]",
+        "count" => "distperm count --vectors <file>|--strings <file> --k <sites> [--metric <m>] [--threads <t>]",
+        "survey" => "distperm survey --vectors <file>|--strings <file> [--metric <m>] [--ks 4,8,12] [--threads <t>]",
         "search" => "distperm search --vectors <db>|--strings <db> --index <spec> | --load <store>  --queries <file> [--knn <k>|--radius <r>] [--frac <f>] [--threads <t>]",
         "serve" => "distperm serve --vectors <db> --index <spec> | --load <store> [--threads <t>] [--queue <n>] [--deadline-ms <ms>] [--degrade-frac <f>]",
         "figures" => "distperm figures [--out figures/] [--size 640]",

@@ -414,71 +414,30 @@ fn figures_command_writes_files() {
 }
 
 #[test]
-fn sharded_survey_output_is_byte_identical_to_in_memory() {
-    // --shard-rows only changes the counting working set, never the
-    // report: every shard size must render byte-for-byte the same text
-    // as the default, including a shard smaller than the database and
-    // the explicit default spelling (0).
-    let dir = temp_dir("shard_golden");
-    let file = dir.join("s.vec");
-    let f = file.to_str().unwrap();
-    stdout(&distperm(&[
-        "generate", "--kind", "uniform", "--n", "3000", "--dim", "3", "--seed", "41", "--out", f,
-    ]));
-    let base_args =
-        ["survey", "--vectors", f, "--ks", "4,7", "--rho-pairs", "3000", "--seed", "77"];
-    let in_memory = stdout(&distperm(&base_args));
-    for shard_rows in ["0", "257", "3000", "65536"] {
-        let mut args = base_args.to_vec();
-        args.extend_from_slice(&["--shard-rows", shard_rows]);
-        let sharded = stdout(&distperm(&args));
-        assert_eq!(sharded, in_memory, "--shard-rows {shard_rows} changed the survey text");
-    }
-    // Same contract for count, with threads in the mix.
-    let count_args = ["count", "--vectors", f, "--k", "6", "--seed", "3", "--threads", "2"];
-    let in_memory = stdout(&distperm(&count_args));
-    let mut args = count_args.to_vec();
-    args.extend_from_slice(&["--shard-rows", "101"]);
-    assert_eq!(stdout(&distperm(&args)), in_memory, "--shard-rows changed the count text");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn shard_rows_rejects_malformed_values_with_usage_error() {
+fn shard_rows_is_an_unknown_option() {
+    // The shard size is a library parameter only: on the command line
+    // `--shard-rows` is an unknown option, for vectors and strings alike.
     let dir = temp_dir("shard_usage");
     let file = dir.join("u.vec");
     let f = file.to_str().unwrap();
     stdout(&distperm(&[
         "generate", "--kind", "uniform", "--n", "64", "--dim", "2", "--seed", "1", "--out", f,
     ]));
-    // Non-numeric and u64-overflowing values are one-line usage errors.
-    for bad in ["abc", "-1", "99999999999999999999999999"] {
-        for cmd in ["count", "survey"] {
-            let karg: &[&str] = if cmd == "count" { &["--k", "4"] } else { &["--ks", "4"] };
-            let mut args = vec![cmd, "--vectors", f];
-            args.extend_from_slice(karg);
-            args.extend_from_slice(&["--shard-rows", bad]);
-            let o = distperm(&args);
-            assert_eq!(o.status.code(), Some(2), "{cmd} --shard-rows {bad} must exit 2");
-            let err = String::from_utf8_lossy(&o.stderr);
-            // One diagnostic line plus the standard usage line.
-            let first = err.lines().next().unwrap_or_default();
-            assert!(first.contains("shard-rows"), "{cmd} --shard-rows {bad}: {err}");
-            assert!(first.starts_with("distperm: usage error:"), "{cmd} --shard-rows {bad}: {err}");
-        }
-    }
-    // Strings have no flat key pipeline to shard: flag rejected up front.
     let words = dir.join("w.txt");
     std::fs::write(&words, "alpha\nbeta\ngamma\ndelta\n").expect("write words");
     let w = words.to_str().unwrap();
     for args in [
+        vec!["count", "--vectors", f, "--k", "4", "--shard-rows", "8"],
+        vec!["survey", "--vectors", f, "--ks", "4", "--shard-rows", "0"],
         vec!["count", "--strings", w, "--k", "2", "--shard-rows", "8"],
         vec!["survey", "--strings", w, "--ks", "2", "--shard-rows", "8"],
     ] {
         let o = distperm(&args);
         assert_eq!(o.status.code(), Some(2), "{args:?} must exit 2");
         let err = String::from_utf8_lossy(&o.stderr);
-        assert!(err.contains("vector"), "{args:?}: {err}");
+        let first = err.lines().next().unwrap_or_default();
+        assert_eq!(first, "distperm: usage error: unknown option(s): --shard-rows", "{args:?}");
+        assert!(o.stdout.is_empty(), "{args:?} printed a report");
     }
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,22 +1,21 @@
 //! The measurement at the heart of the paper: |{Π_y : y ∈ database}|.
 //!
-//! Two equivalent engines are provided:
+//! Two equivalent engines are provided, each with one entry point
+//! taking a `threads` count (1 runs inline; more split the database
+//! into contiguous chunks whose counted runs merge independently of
+//! the split):
 //!
-//! * the generic per-point path ([`count_permutations`], or
-//!   [`count_permutations_parallel`] on scoped workers) for any metric
-//!   over any point type (strings, trees, sparse vectors, …);
-//! * the flat batched path for real-vector data in [`VectorSet`]
-//!   storage, with **one entry point**,
-//!   [`count_permutations_flat_sharded`]`(metric, sites, database,
-//!   threads, shard_rows)`: site-transposed, 4-wide strip-mined distance
-//!   kernels feeding the sorted-run counter (keys streamed through
-//!   bounded shards, each sorted and run-length scanned, the runs merged
-//!   on a tiered stack).  `threads = 1` runs inline; more threads give
-//!   each worker its own counter and merge their runs.  `shard_rows`
-//!   caps the keys a worker buffers (0 means the default 131,072).
-//!   Identical results, several times the throughput.
-//!   This is the engine behind the Table 3 protocol in
-//!   [`crate::experiments`].
+//! * [`count_permutations`]`(metric, sites, database, threads)`, the
+//!   generic per-point path for any metric over any point type
+//!   (strings, trees, sparse vectors, …);
+//! * [`count_permutations_flat_sharded`]`(metric, sites, database,
+//!   threads, shard_rows)`, the flat path for real-vector data in
+//!   [`VectorSet`] storage: every row goes through the 32-row strip
+//!   tile (site-major column distances, lane-wise rank and pack) into
+//!   the sorted-run counter, whose workers each buffer at most
+//!   `shard_rows` keys (0 means the default 131,072).  Identical
+//!   results, several times the throughput; this is the engine behind
+//!   the Table 3 protocol in [`crate::experiments`].
 //!
 //! Both paths count on the one sorted-run counter
 //! ([`dp_permutation::PackedPermutationCounter`]) and dispatch once per
@@ -27,7 +26,7 @@
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 use dp_permutation::compute::{collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K};
-use dp_permutation::counter::{collect_counter, collect_counter_parallel};
+use dp_permutation::counter::collect_counter;
 use dp_permutation::{PackedCountSummary, RunKey};
 
 /// Summary of one counting run.
@@ -88,30 +87,22 @@ impl CountEngine {
     }
 }
 
-/// Counts distinct distance permutations of `database` w.r.t. `sites`.
+/// Counts distinct distance permutations of `database` w.r.t. `sites`
+/// on `threads` workers ([`collect_counter`]); the report is
+/// independent of the split.
 ///
 /// Exactly `sites.len() * database.len()` metric evaluations.
-pub fn count_permutations<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) -> CountReport {
-    dp_permutation::for_packed_k!(sites.len(), K => {
-        CountReport::from(&collect_counter::<K, P, M>(metric, sites, database).finalize())
-    })
-}
-
-/// Parallel version: splits the database across `threads` scoped workers
-/// and merges their counted runs.  Deterministic: the report is
-/// independent of the split.
-pub fn count_permutations_parallel<P, M>(
+pub fn count_permutations<P: Sync, M>(
     metric: &M,
     sites: &[P],
     database: &[P],
     threads: usize,
 ) -> CountReport
 where
-    P: Sync,
     M: Metric<P> + Sync,
 {
     dp_permutation::for_packed_k!(sites.len(), K => CountReport::from(
-        &collect_counter_parallel::<K, P, M>(metric, sites, database, threads).finalize()
+        &collect_counter::<K, P, M>(metric, sites, database, threads).finalize()
     ))
 }
 
@@ -120,9 +111,9 @@ where
 ///
 /// Batched equivalent of [`count_permutations`]: same `distinct`,
 /// `total` and `mean_occupancy` (distances are bit-for-bit identical),
-/// computed by the site-transposed block kernel.  The database rows
-/// split across `threads` scoped workers (1 runs inline); the report is
-/// independent of the split.
+/// computed by the 32-row strip tile.  The database rows split across
+/// `threads` scoped workers (1 runs inline); the report is independent
+/// of the split.
 ///
 /// Each worker streams its keys (packed up to [`WIDE_MAX_K`], the
 /// permutations themselves beyond) through a
@@ -141,22 +132,18 @@ pub fn count_permutations_flat_sharded<M: BatchDistance + Sync>(
     threads: usize,
     shard_rows: usize,
 ) -> CountReport {
-    check_flat_dims(sites, database);
-    let sites_t = transpose_sites(sites, database);
-    let flat = database.as_flat();
-    dp_permutation::for_packed_k!(sites.len(), K => CountReport::from(
-        &collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows)
-            .finalize()
-    ))
-}
-
-pub(crate) fn check_flat_dims(sites: &VectorSet, database: &VectorSet) {
     assert!(
         sites.is_empty() || database.is_empty() || sites.dim() == database.dim(),
         "site dimension {} != database dimension {}",
         sites.dim(),
         database.dim()
     );
+    let sites_t = transpose_sites(sites, database);
+    let flat = database.as_flat();
+    dp_permutation::for_packed_k!(sites.len(), K => CountReport::from(
+        &collect_sharded_flat_parallel::<K, M>(metric, &sites_t, flat, threads, shard_rows)
+            .finalize()
+    ))
 }
 
 /// Sites transposed with a definite dimension: an empty site set adopts
@@ -176,7 +163,7 @@ mod tests {
     fn report_fields() {
         let sites = vec![vec![0.0], vec![1.0]];
         let db: Vec<Vec<f64>> = (0..10).map(|i| vec![i as f64 / 10.0]).collect();
-        let r = count_permutations(&L2, &sites, &db);
+        let r = count_permutations(&L2, &sites, &db, 1);
         assert_eq!(r.distinct, 2);
         assert_eq!(r.total, 10);
         assert!((r.mean_occupancy - 5.0).abs() < 1e-12);
@@ -186,9 +173,9 @@ mod tests {
     fn parallel_matches_sequential() {
         let db = uniform_unit_cube(5000, 3, 1);
         let sites = uniform_unit_cube(8, 3, 2);
-        let seq = count_permutations(&L2, &sites, &db);
+        let seq = count_permutations(&L2, &sites, &db, 1);
         for threads in [2, 3, 8] {
-            let par = count_permutations_parallel(&L2, &sites, &db, threads);
+            let par = count_permutations(&L2, &sites, &db, threads);
             assert_eq!(par.distinct, seq.distinct, "threads={threads}");
             assert_eq!(par.total, seq.total);
         }
@@ -200,8 +187,8 @@ mod tests {
         let db = uniform_unit_cube(2000, 2, 3);
         let sites = uniform_unit_cube(6, 2, 4);
         assert_eq!(
-            count_permutations(&L2, &sites, &db).distinct,
-            count_permutations(&L2Squared, &sites, &db).distinct
+            count_permutations(&L2, &sites, &db, 1).distinct,
+            count_permutations(&L2Squared, &sites, &db, 1).distinct
         );
     }
 
@@ -214,16 +201,16 @@ mod tests {
             let sites = uniform_unit_cube(k, d, seed ^ 1);
             let db_flat = uniform_unit_cube_flat(3000, d, seed);
             let sites_flat = uniform_unit_cube_flat(k, d, seed ^ 1);
-            let nested = count_permutations(&L2Squared, &sites, &db);
+            let nested = count_permutations(&L2Squared, &sites, &db, 1);
             let flat = count_permutations_flat_sharded(&L2Squared, &sites_flat, &db_flat, 1, 0);
             assert_eq!(flat, nested, "d={d} k={k}");
             assert_eq!(
                 count_permutations_flat_sharded(&dp_metric::L1, &sites_flat, &db_flat, 1, 0),
-                count_permutations(&dp_metric::L1, &sites, &db)
+                count_permutations(&dp_metric::L1, &sites, &db, 1)
             );
             assert_eq!(
                 count_permutations_flat_sharded(&dp_metric::LInf, &sites_flat, &db_flat, 1, 0),
-                count_permutations(&dp_metric::LInf, &sites, &db)
+                count_permutations(&dp_metric::LInf, &sites, &db, 1)
             );
         }
     }
@@ -234,7 +221,7 @@ mod tests {
         // total = n (NOT n·d; regression for the zero-dim site case).
         let db = uniform_unit_cube(500, 3, 30);
         let db_flat = uniform_unit_cube_flat(500, 3, 30);
-        let nested = count_permutations(&L2, &Vec::<Vec<f64>>::new(), &db);
+        let nested = count_permutations(&L2, &Vec::<Vec<f64>>::new(), &db, 1);
         let flat =
             count_permutations_flat_sharded(&L2, &dp_datasets::VectorSet::new(0), &db_flat, 1, 0);
         assert_eq!(flat, nested);
@@ -284,7 +271,7 @@ mod tests {
             let sites = uniform_unit_cube(k, 4, 41 ^ k as u64);
             let db_flat = uniform_unit_cube_flat(1500, 4, 40 + k as u64);
             let sites_flat = uniform_unit_cube_flat(k, 4, 41 ^ k as u64);
-            let nested = count_permutations(&L2Squared, &sites, &db);
+            let nested = count_permutations(&L2Squared, &sites, &db, 1);
             let flat = count_permutations_flat_sharded(&L2Squared, &sites_flat, &db_flat, 1, 0);
             assert_eq!(flat, nested, "k = {k} ({})", CountEngine::for_k(k).name());
             assert_eq!(flat.mean_occupancy.to_bits(), nested.mean_occupancy.to_bits(), "k = {k}");
@@ -309,7 +296,7 @@ mod tests {
     fn count_bounded_by_theory() {
         let db = uniform_unit_cube(20_000, 2, 5);
         let sites = uniform_unit_cube(6, 2, 6);
-        let r = count_permutations_parallel(&L2, &sites, &db, 4);
+        let r = count_permutations(&L2, &sites, &db, 4);
         // N_{2,2}(6) = 101.
         assert!(r.distinct <= 101, "{}", r.distinct);
         assert!(r.distinct >= 50, "{} cells hit of 101", r.distinct);

@@ -8,7 +8,7 @@
 //! exist for 3-D L1 k=6, 3-D L∞ k=5 and 4-D L1 k=6, for which a
 //! randomised search is provided.
 
-use crate::count::count_permutations_parallel;
+use crate::count::count_permutations;
 use dp_datasets::uniform_unit_cube;
 use dp_metric::{LInf, Metric, L1};
 use dp_theory::n_euclidean;
@@ -46,7 +46,7 @@ impl CounterexampleReport {
 pub fn verify_eq12(samples: usize, seed: u64, threads: usize) -> CounterexampleReport {
     let sites = eq12_sites();
     let db = uniform_unit_cube(samples, 3, seed);
-    let observed = count_permutations_parallel(&L1, &sites, &db, threads).distinct;
+    let observed = count_permutations(&L1, &sites, &db, threads).distinct;
     CounterexampleReport { observed, euclidean_max: n_euclidean(3, 5).expect("small") }
 }
 
@@ -80,8 +80,8 @@ pub fn search_counterexample(
     for t in 0..trials {
         let sites = uniform_unit_cube(k, d, seed ^ (0xC0FFEE + t as u64));
         let observed = match metric {
-            SearchMetric::L1 => count_permutations_parallel(&L1, &sites, &db, threads).distinct,
-            SearchMetric::LInf => count_permutations_parallel(&LInf, &sites, &db, threads).distinct,
+            SearchMetric::L1 => count_permutations(&L1, &sites, &db, threads).distinct,
+            SearchMetric::LInf => count_permutations(&LInf, &sites, &db, threads).distinct,
         };
         if best.as_ref().is_none_or(|&(_, b)| observed > b) {
             best = Some((sites, observed));
@@ -106,7 +106,7 @@ pub fn sampled_count<M: Metric<Vec<f64>> + Sync>(
     threads: usize,
 ) -> usize {
     let db = uniform_unit_cube(samples, d, seed);
-    count_permutations_parallel(metric, sites, &db, threads).distinct
+    count_permutations(metric, sites, &db, threads).distinct
 }
 
 #[cfg(test)]

@@ -95,7 +95,7 @@ mod tests {
         for d in [1usize, 2, 3] {
             let db = uniform_unit_cube(3000, d, 1000 + d as u64);
             let sites: Vec<Vec<f64>> = db[..6].to_vec();
-            let observed = crate::count::count_permutations(&L2, &sites, &db).distinct;
+            let observed = crate::count::count_permutations(&L2, &sites, &db, 1).distinct;
             let est = estimate_dimension(observed, &profile);
             assert!(
                 (est - d as f64).abs() <= 1.0,
@@ -111,7 +111,7 @@ mod tests {
         let profile = small_profile();
         let db = curve_embedded(3000, 6, 5);
         let sites: Vec<Vec<f64>> = db[..6].to_vec();
-        let observed = crate::count::count_permutations(&L2, &sites, &db).distinct;
+        let observed = crate::count::count_permutations(&L2, &sites, &db, 1).distinct;
         let est = estimate_dimension(observed, &profile);
         assert!(est < 2.5, "estimated {est} for an intrinsically 1-D set");
     }

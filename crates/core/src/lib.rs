@@ -24,36 +24,25 @@
 //!   Voronoi (Fig 2) and ordered-prefix cell counts from the same
 //!   permutation scan;
 //! * [`survey`] — the §5 analysis as one call: ρ, per-k permutation
-//!   counts, every storage layout's cost, and the dimension estimates;
-//! * [`survey_flat`] — the same survey on flat [`dp_datasets::VectorSet`]
-//!   storage through the batched site-transposed kernels and the one
-//!   sorted-run counter (`u64` packed keys for k ≤ 12, `u128` packed
-//!   keys for k ≤ 25, permutation keys beyond; see
-//!   [`count::CountEngine`]),
-//!   with distances, ranking and key packing fused into one 32-row
-//!   strip tile — bit-identical report, several times the throughput; this is
-//!   the engine the CLI uses for vector databases.
+//!   counts, every storage layout's cost, and the dimension estimates.
 //!
 //! Both the counting and survey measurements come in two equivalent
 //! engines: the generic per-point path for any metric over any point
-//! type, and the flat batched path for real-vector data.  The flat path
-//! is not an approximation — distances, counts and derived statistics
-//! are bit-for-bit equal (enforced by the workspace property suites),
-//! so callers may pick purely on storage layout.
+//! type ([`count_permutations`], [`survey_database`]), and the flat path
+//! for real-vector [`dp_datasets::VectorSet`] data
+//! ([`count_permutations_flat_sharded`], [`survey_database_flat_sharded`]),
+//! which computes, ranks and packs every row in one 32-row strip tile.
+//! The flat path is not an approximation — distances, counts and
+//! derived statistics are bit-for-bit equal (enforced by the workspace
+//! property suites), so callers may pick purely on storage layout.
 //!
-//! Each flat measurement has **one entry point**:
-//! [`count_permutations_flat_sharded`] and
-//! [`survey_flat::survey_database_flat_sharded`], both taking
-//! `(threads, shard_rows)`.  `threads = 1` runs inline on the calling
-//! thread; more threads split the rows into contiguous chunks whose
-//! results merge independently of the split.  `shard_rows = 0` counts
-//! in memory, buffering every packed key before the sort; a positive
-//! value streams the keys through fixed-size shards (at most
-//! `shard_rows` buffered keys plus one `(key, count)` run per distinct
-//! permutation).  Neither parameter changes the report — sharded output
-//! is bit-identical, floats included, which the root
-//! `sharded_equivalence` suite enforces.  On the command line these are
-//! `distperm count/survey --threads <n> --shard-rows <n>`.
+//! Each entry point takes a `threads` count: 1 runs inline on the
+//! calling thread; more split the database into contiguous chunks whose
+//! counted runs merge independently of the split.  The flat ones also
+//! take `shard_rows`, the keys each worker buffers before sorting them
+//! into a run (0 means the default 131,072).  Neither parameter changes
+//! the report — floats included, which the root `sharded_equivalence`
+//! suite enforces.
 
 #![forbid(unsafe_code)]
 
@@ -64,16 +53,11 @@ pub mod experiments;
 pub mod orders;
 pub mod spaces;
 pub mod survey;
-pub mod survey_flat;
 
-pub use count::{
-    count_permutations, count_permutations_flat_sharded, count_permutations_parallel, CountEngine,
-    CountReport,
-};
+pub use count::{count_permutations, count_permutations_flat_sharded, CountEngine, CountReport};
 pub use counterexample::{eq12_sites, verify_eq12};
 pub use dimension::{estimate_dimension, ReferenceProfile};
 pub use experiments::{uniform_experiment, MetricKind, UniformExperiment};
 pub use orders::{count_distinct_prefixes, refinement_chain, PrefixKind};
 pub use spaces::{theoretical_max, SpaceKind};
-pub use survey::{survey_database, DatabaseSurvey, SurveyConfig};
-pub use survey_flat::survey_database_flat_sharded;
+pub use survey::{survey_database, survey_database_flat_sharded, DatabaseSurvey, SurveyConfig};

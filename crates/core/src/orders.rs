@@ -113,7 +113,7 @@ mod tests {
         for w in chain.windows(2) {
             assert!(w[0] <= w[1], "refinement can only split cells: {chain:?}");
         }
-        let full = count_permutations(&L2, &sites, &db).distinct;
+        let full = count_permutations(&L2, &sites, &db, 1).distinct;
         assert_eq!(*chain.last().unwrap(), full);
     }
 
@@ -141,7 +141,7 @@ mod tests {
         ];
         let pairs = count_distinct_prefixes(&L2, &sites, &db, 2, PrefixKind::Unordered);
         assert!(pairs <= 6);
-        let full = count_permutations(&L2, &sites, &db).distinct;
+        let full = count_permutations(&L2, &sites, &db, 1).distinct;
         assert!(full > pairs);
     }
 

@@ -13,23 +13,26 @@
 //! The `Display` rendering is a plain-text report, the thing a downstream
 //! user actually wants from the paper.
 //!
-//! This module is the generic per-point engine, usable with any metric
-//! over any point type: each per-k count packs every computed
-//! permutation into the narrowest run key (`u64` to k = 12, `u128` to
-//! k = 25, the permutation itself above) and counts on the one
-//! sorted-run counter, whose codebook-ordered occupancies are the
-//! frequency table.  Real-vector databases in flat storage should
-//! prefer [`crate::survey_flat::survey_database_flat_sharded`], which
-//! produces the identical `DatabaseSurvey` (bit for bit) through the
-//! batched kernels several times faster.
+//! Two entry points run one driver and differ only in the per-k count:
+//! [`survey_database`] counts per point, for any metric over any point
+//! type; [`survey_database_flat_sharded`] counts real-vector databases in
+//! [`VectorSet`] storage through the 32-row strip tile, several times
+//! faster.  Both count on the one sorted-run counter (`u64` packed keys
+//! to k = 12, `u128` to k = 25, the permutations themselves above), on
+//! `threads` workers, and the survey is **bit-for-bit identical** —
+//! ρ, counts and the float Huffman/entropy sums — across the two
+//! engines, every thread count and every shard size
+//! (`tests/survey_equivalence.rs`, `tests/sharded_equivalence.rs`).
 
-use crate::count::CountReport;
+use crate::count::{transpose_sites, CountReport};
 use crate::dimension::{estimate_dimension, min_euclidean_dimension, ReferenceProfile};
-use dp_metric::Metric;
+use dp_datasets::VectorSet;
+use dp_metric::{BatchDistance, Metric};
 use dp_permutation::bits::element_bits;
+use dp_permutation::compute::collect_sharded_flat_parallel;
 use dp_permutation::counter::collect_counter;
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
-use dp_permutation::{PackedCountSummary, RunKey};
+use dp_permutation::{FlatKey, PackedCountSummary, RunKey};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt;
@@ -95,48 +98,120 @@ pub struct DatabaseSurvey {
 
 /// Measures a database: ρ plus per-k permutation counts and storage
 /// costs.  Sites are `k` random distinct database elements (deterministic
-/// in `config.seed`); metric cost is `Σ_k k·n` plus the ρ sample.
+/// in `config.seed`); metric cost is `Σ_k k·n` plus the ρ sample.  Each
+/// per-k count runs on `threads` workers; the survey is independent of
+/// the thread count.
 ///
 /// # Panics
 /// Panics if the database has fewer than two points or any `k` exceeds
 /// the database size or [`dp_permutation::MAX_K`].
-pub fn survey_database<P, M: Metric<P>>(
+pub fn survey_database<P, M>(
     metric: &M,
     database: &[P],
     config: &SurveyConfig,
+    threads: usize,
 ) -> DatabaseSurvey
 where
-    P: Clone,
+    P: Clone + Sync,
+    M: Metric<P> + Sync,
 {
-    assert!(database.len() >= 2, "survey needs at least two points");
-    let rho = dp_datasets::intrinsic_dimensionality(
-        metric,
-        database,
-        config.rho_pairs,
-        config.seed ^ 0x9E37_79B9,
-    );
+    survey(database.len(), &PointScan { metric, database, threads }, config)
+}
+
+/// [`survey_database`] over flat vector storage, every per-k count
+/// through the strip tile on `threads` workers, each buffering at most
+/// `shard_rows` keys (0 means [`dp_permutation::DEFAULT_SHARD_ROWS`]).
+/// Bit-identical to the generic path on equal coordinates, at every
+/// thread count and shard size.
+///
+/// # Panics
+/// Panics if the database has fewer than two points or any `k` exceeds
+/// the database size or [`dp_permutation::MAX_K`].
+pub fn survey_database_flat_sharded<M: BatchDistance + Sync>(
+    metric: &M,
+    database: &VectorSet,
+    config: &SurveyConfig,
+    threads: usize,
+    shard_rows: usize,
+) -> DatabaseSurvey {
+    survey(database.len(), &FlatScan { metric, database, threads, shard_rows }, config)
+}
+
+/// A database as the survey driver reads it: its ρ sample and the
+/// finalized per-k count for a set of site ids.
+trait SurveyScan {
+    fn rho(&self, pairs: usize, seed: u64) -> f64;
+    fn count<K: FlatKey>(&self, site_ids: &[usize]) -> PackedCountSummary<K>;
+}
+
+/// The generic per-point scan.
+struct PointScan<'a, P, M> {
+    metric: &'a M,
+    database: &'a [P],
+    threads: usize,
+}
+
+impl<P: Clone + Sync, M: Metric<P> + Sync> SurveyScan for PointScan<'_, P, M> {
+    fn rho(&self, pairs: usize, seed: u64) -> f64 {
+        dp_datasets::intrinsic_dimensionality(self.metric, self.database, pairs, seed)
+    }
+
+    fn count<K: FlatKey>(&self, site_ids: &[usize]) -> PackedCountSummary<K> {
+        let sites: Vec<P> = site_ids.iter().map(|&i| self.database[i].clone()).collect();
+        collect_counter(self.metric, &sites, self.database, self.threads).finalize()
+    }
+}
+
+/// The flat strip-tile scan.
+struct FlatScan<'a, M> {
+    metric: &'a M,
+    database: &'a VectorSet,
+    threads: usize,
+    shard_rows: usize,
+}
+
+impl<M: BatchDistance + Sync> SurveyScan for FlatScan<'_, M> {
+    fn rho(&self, pairs: usize, seed: u64) -> f64 {
+        dp_datasets::intrinsic_dimensionality_flat(self.metric, self.database, pairs, seed)
+    }
+
+    fn count<K: FlatKey>(&self, site_ids: &[usize]) -> PackedCountSummary<K> {
+        let sites_t = transpose_sites(&self.database.gather(site_ids), self.database);
+        let rows = self.database.as_flat();
+        collect_sharded_flat_parallel(self.metric, &sites_t, rows, self.threads, self.shard_rows)
+            .finalize()
+    }
+}
+
+/// The survey protocol over either scan of `n` points: ρ, then for the
+/// i-th k the sites drawn from `config.seed + i`, the count at the run
+/// key [`dp_permutation::for_packed_k!`] picks for k, and its
+/// [`KSurvey`] row; then the dimension estimate.
+fn survey(n: usize, scan: &impl SurveyScan, config: &SurveyConfig) -> DatabaseSurvey {
+    assert!(n >= 2, "survey needs at least two points");
+    let rho = scan.rho(config.rho_pairs, config.seed ^ 0x9E37_79B9);
     let mut per_k = Vec::with_capacity(config.ks.len());
     for (i, &k) in config.ks.iter().enumerate() {
         let mut rng = StdRng::seed_from_u64(config.seed.wrapping_add(i as u64));
-        let site_ids = dp_datasets::vectors::choose_distinct_indices(database.len(), k, &mut rng);
-        let sites: Vec<P> = site_ids.iter().map(|&i| database[i].clone()).collect();
-        per_k.push(dp_permutation::for_packed_k!(k, K => build_ksurvey(
-            k,
-            site_ids,
-            &collect_counter::<K, P, M>(metric, &sites, database).finalize(),
-        )));
+        let site_ids = dp_datasets::vectors::choose_distinct_indices(n, k, &mut rng);
+        per_k.push(dp_permutation::for_packed_k!(k, K => {
+            let summary = scan.count::<K>(&site_ids);
+            build_ksurvey(k, site_ids, &summary)
+        }));
     }
-    let dimension_estimate = dimension_estimate(&per_k, config);
-    DatabaseSurvey { n: database.len(), rho, per_k, dimension_estimate }
+    let dimension_estimate = config.reference.as_ref().and_then(|profile| {
+        let row = per_k.iter().find(|s| s.k == profile.k)?;
+        Some(estimate_dimension(row.report.distinct, profile))
+    });
+    DatabaseSurvey { n, rho, per_k, dimension_estimate }
 }
 
-/// Assembles one [`KSurvey`] row from a finalized count (the shared
-/// tail of both survey engines).  The frequency table is the summary's
-/// occupancies in codebook-id order — the lexicographic rank of each
-/// distinct permutation, which every run key sorts in — so both engines
-/// run the entropy/Huffman sums over identical vectors (bit-identical
-/// results).
-pub(crate) fn build_ksurvey<K: RunKey>(
+/// Assembles one [`KSurvey`] row from a finalized count.  The frequency
+/// table is the summary's occupancies in codebook-id order — the
+/// lexicographic rank of each distinct permutation, which every run key
+/// sorts in — so both engines run the entropy/Huffman sums over
+/// identical vectors (bit-identical results).
+fn build_ksurvey<K: RunKey>(
     k: usize,
     site_ids: Vec<usize>,
     summary: &PackedCountSummary<K>,
@@ -155,16 +230,6 @@ pub(crate) fn build_ksurvey<K: RunKey>(
         min_euclidean_dim: min_euclidean_dimension(report.distinct, k as u32),
         report,
     }
-}
-
-/// Resolves the fractional dimension estimate against the measured rows.
-pub(crate) fn dimension_estimate(per_k: &[KSurvey], config: &SurveyConfig) -> Option<f64> {
-    config.reference.as_ref().and_then(|profile| {
-        per_k
-            .iter()
-            .find(|s| s.k == profile.k)
-            .map(|s| estimate_dimension(s.report.distinct, profile))
-    })
 }
 
 /// ⌈log₂ k!⌉: bits for an unrestricted permutation of k sites.
@@ -209,14 +274,14 @@ impl fmt::Display for DatabaseSurvey {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dp_datasets::vectors::{curve_embedded, uniform_unit_cube};
+    use dp_datasets::vectors::{curve_embedded, uniform_unit_cube, uniform_unit_cube_flat};
     use dp_metric::{Levenshtein, L2};
 
     #[test]
     fn survey_uniform_2d() {
         let db = uniform_unit_cube(5000, 2, 11);
         let cfg = SurveyConfig { ks: vec![4, 6], ..Default::default() };
-        let s = survey_database(&L2, &db, &cfg);
+        let s = survey_database(&L2, &db, &cfg, 1);
         assert_eq!(s.n, 5000);
         assert_eq!(s.per_k.len(), 2);
         let k6 = &s.per_k[1];
@@ -233,7 +298,7 @@ mod tests {
         // verify the inequalities the report is meant to demonstrate.
         let db = uniform_unit_cube(4000, 3, 13);
         let cfg = SurveyConfig { ks: vec![8], ..Default::default() };
-        let s = survey_database(&L2, &db, &cfg);
+        let s = survey_database(&L2, &db, &cfg, 1);
         let k8 = &s.per_k[0];
         assert!(k8.entropy_bits <= k8.huffman_bits + 1e-9);
         assert!(k8.huffman_bits < f64::from(k8.codebook_bits) + 1.0);
@@ -249,7 +314,7 @@ mod tests {
         let words: Vec<String> =
             (0..300).map(|i| format!("w{:03}{}", i % 50, "x".repeat(i % 7))).collect();
         let cfg = SurveyConfig { ks: vec![5], rho_pairs: 2000, ..Default::default() };
-        let s = survey_database(&Levenshtein, &words, &cfg);
+        let s = survey_database(&Levenshtein, &words, &cfg, 1);
         assert!(s.per_k[0].report.distinct >= 1);
         assert!(s.rho.is_finite());
     }
@@ -264,7 +329,7 @@ mod tests {
             rho_pairs: 5000,
             ..Default::default()
         };
-        let s = survey_database(&L2, &db, &cfg);
+        let s = survey_database(&L2, &db, &cfg, 1);
         let est = s.dimension_estimate.expect("profile k matches a surveyed k");
         assert!(est < 3.0, "curve data estimated at {est}");
     }
@@ -279,7 +344,7 @@ mod tests {
             rho_pairs: 1000,
             ..Default::default()
         };
-        assert!(survey_database(&L2, &db, &cfg).dimension_estimate.is_none());
+        assert!(survey_database(&L2, &db, &cfg, 1).dimension_estimate.is_none());
     }
 
     #[test]
@@ -294,7 +359,7 @@ mod tests {
     fn display_renders_rows() {
         let db = uniform_unit_cube(800, 2, 17);
         let cfg = SurveyConfig { ks: vec![4], rho_pairs: 1000, ..Default::default() };
-        let text = survey_database(&L2, &db, &cfg).to_string();
+        let text = survey_database(&L2, &db, &cfg, 1).to_string();
         assert!(text.contains("database survey: n = 800"));
         assert!(text.contains("codebook"));
         assert!(text.lines().count() >= 3);
@@ -304,6 +369,72 @@ mod tests {
     #[should_panic(expected = "at least two points")]
     fn tiny_database_rejected() {
         let db = vec![vec![0.0]];
-        survey_database(&L2, &db, &SurveyConfig::default());
+        survey_database(&L2, &db, &SurveyConfig::default(), 1);
+    }
+
+    /// Field-by-field bit comparison (f64s by `to_bits`).
+    fn assert_surveys_identical(a: &DatabaseSurvey, b: &DatabaseSurvey) {
+        assert_eq!(a.n, b.n);
+        assert_eq!(a.rho.to_bits(), b.rho.to_bits(), "rho differs");
+        assert_eq!(a.dimension_estimate.map(f64::to_bits), b.dimension_estimate.map(f64::to_bits));
+        assert_eq!(a.per_k.len(), b.per_k.len());
+        for (x, y) in a.per_k.iter().zip(b.per_k.iter()) {
+            assert_eq!(x.k, y.k);
+            assert_eq!(x.site_ids, y.site_ids, "k = {}", x.k);
+            assert_eq!(x.report.distinct, y.report.distinct, "k = {}", x.k);
+            assert_eq!(x.report.total, y.report.total);
+            assert_eq!(x.report.mean_occupancy.to_bits(), y.report.mean_occupancy.to_bits());
+            assert_eq!(x.naive_bits, y.naive_bits);
+            assert_eq!(x.raw_bits, y.raw_bits);
+            assert_eq!(x.codebook_bits, y.codebook_bits);
+            assert_eq!(x.huffman_bits.to_bits(), y.huffman_bits.to_bits(), "k = {}", x.k);
+            assert_eq!(x.entropy_bits.to_bits(), y.entropy_bits.to_bits(), "k = {}", x.k);
+            assert_eq!(x.min_euclidean_dim, y.min_euclidean_dim);
+        }
+    }
+
+    #[test]
+    fn flat_survey_matches_generic_bit_for_bit() {
+        let nested = uniform_unit_cube(2500, 3, 23);
+        let flat = uniform_unit_cube_flat(2500, 3, 23);
+        let cfg = SurveyConfig { ks: vec![4, 7, 12], rho_pairs: 4000, ..Default::default() };
+        let generic = survey_database(&L2, &nested, &cfg, 1);
+        let fast = survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0);
+        assert_surveys_identical(&generic, &fast);
+    }
+
+    #[test]
+    fn parallel_flat_survey_is_thread_count_invariant() {
+        let flat = uniform_unit_cube_flat(3000, 2, 29);
+        let cfg = SurveyConfig { ks: vec![5], rho_pairs: 2000, ..Default::default() };
+        let seq = survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0);
+        let nested = flat.to_nested();
+        for threads in [2, 3, 8] {
+            let par = survey_database_flat_sharded(&L2, &flat, &cfg, threads, 0);
+            assert_surveys_identical(&seq, &par);
+            assert_surveys_identical(&seq, &survey_database(&L2, &nested, &cfg, threads));
+        }
+    }
+
+    #[test]
+    fn flat_survey_crosses_the_packed_boundaries() {
+        // k = 13 crosses the u64/u128 seam onto the wide packed keys;
+        // k = 26 exceeds WIDE_MAX_K and counts Permutation keys.
+        // Every key must produce the same report as the generic path,
+        // bit-for-bit including the Huffman and entropy f64 sums.
+        let nested = uniform_unit_cube(1500, 4, 31);
+        let flat = uniform_unit_cube_flat(1500, 4, 31);
+        let cfg = SurveyConfig { ks: vec![12, 13, 25, 26], rho_pairs: 1500, ..Default::default() };
+        assert_surveys_identical(
+            &survey_database(&L2, &nested, &cfg, 1),
+            &survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "at least two points")]
+    fn tiny_flat_database_rejected() {
+        let db = uniform_unit_cube_flat(1, 2, 1);
+        survey_database_flat_sharded(&L2, &db, &SurveyConfig::default(), 1, 0);
     }
 }

@@ -8,8 +8,8 @@
 //! * `row(i)` is a zero-cost `&[f64]` view — the existing `Metric<[f64]>`
 //!   implementations apply unchanged;
 //! * the whole database streams linearly, which the batched
-//!   distance-permutation kernels (`dp_metric::batch`,
-//!   `dp_permutation::compute::database_permutations_flat_parallel`) exploit;
+//!   distance-permutation kernels (`dp_metric::batch`, the 32-row strip
+//!   tile in `dp_permutation::compute`) exploit;
 //! * conversions to/from the nested representation and `FromIterator`
 //!   keep the old API reachable as a thin compatibility shim.
 //!

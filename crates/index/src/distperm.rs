@@ -23,7 +23,7 @@
 //! length-ℓ prefixes, and searches through [`DistPermSearcher`].
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
-use crate::keys::KeyColumn;
+use crate::keys::{clamped_positions, KeyColumn};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
     assert_frac, assert_order_ids_fit, knn_budget, order_id, range_budget, KnnHeap, Neighbor,
@@ -128,8 +128,11 @@ impl<P: Clone, M: Metric<P>> DistPermIndex<P, M> {
         assert_order_ids_fit(points.len());
         let sites: Vec<P> = site_ids.iter().map(|&i| points[i].clone()).collect();
         let mut computer = DistPermComputer::new(site_ids.len());
-        let perms = points.iter().map(|p| computer.compute(&metric, &sites, p));
-        let keys = KeyColumn::collect(site_ids.len(), prefix_len, perms);
+        let keys = KeyColumn::collect(site_ids.len(), prefix_len, points.len(), |push| {
+            for p in &points {
+                push(&clamped_positions(&computer.compute(&metric, &sites, p), prefix_len));
+            }
+        });
         Self { metric, points, site_ids, sites, keys }
     }
 }

@@ -2,15 +2,18 @@
 //!
 //! [`FlatDistPermIndex`] is the vector-workload specialisation of
 //! [`crate::DistPermIndex`]: points live in one contiguous row-major
-//! buffer, the build runs through the batched site-transposed kernels
-//! (`dp_permutation::compute::database_permutations_flat_parallel`), and
-//! queries reuse the same vectorized distance kernel for the k site
-//! evaluations.  Permutations, candidate ordering and budget semantics
-//! are **identical** to the generic index on the same data — only the
-//! storage layout and throughput differ.  Like the generic index, it
-//! keeps each permutation only as its inverse-position key in the shared
-//! key column (a `u64` for k ≤ 12, a `u128` for k ≤ 25, a position array
-//! above that); [`FlatDistPermIndex::permutations`] decodes them.
+//! buffer, the build runs the 32-row strip tile's rank rows
+//! ([`dp_permutation::rank_rows_flat`]) on the workers of
+//! [`dp_metric::par::worker_chunks`], and queries reuse the batched
+//! distance kernel for the k site evaluations.  Permutations, candidate
+//! ordering and budget semantics are **identical** to the generic index
+//! on the same data — only the storage layout and throughput differ.
+//! Like the generic index, it keeps each permutation only as its
+//! inverse-position key in the shared key column (a `u64` for k ≤ 12, a
+//! `u128` for k ≤ 25, a position array above that).  Entry e of a rank
+//! row is the position of site e, which is field e of that key, so each
+//! rank row packs straight into its key with no permutation built;
+//! [`FlatDistPermIndex::permutations`] decodes them.
 //!
 //! An exact query (full budget, `frac = 1.0`) orders nothing: the k site
 //! distances are computed in one kernel call, counted but not ranked,
@@ -40,16 +43,16 @@
 
 use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
 use crate::distperm::OrderingKind;
-use crate::keys::KeyColumn;
+use crate::keys::{clamped_positions, KeyColumn};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
     assert_frac, assert_order_ids_fit, knn_budget, order_id, range_budget, KnnHeap, Neighbor,
     QueryStats,
 };
 use dp_datasets::VectorSet;
+use dp_metric::par::{fork_join, worker_chunks};
 use dp_metric::{BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP_POINTS};
-use dp_permutation::compute::database_permutations_flat_parallel;
-use dp_permutation::{Permutation, MAX_K};
+use dp_permutation::{rank_rows_flat, Permutation, MAX_K};
 
 /// Candidate rows per batched distance call, streamed at full budget
 /// and gathered below it: a multiple of [`STRIP_POINTS`] so full blocks
@@ -68,9 +71,9 @@ pub struct FlatDistPermIndex<M: BatchDistance> {
 }
 
 impl<M: BatchDistance + Sync> FlatDistPermIndex<M> {
-    /// Builds the index: chooses `k` sites with `strategy`, then computes
-    /// every row's permutation on `threads` workers through the batched
-    /// kernel (k·n metric evaluations, deterministic in thread count).
+    /// Builds the index: chooses `k` sites with `strategy`, then keys
+    /// every row by its rank row on `threads` workers (k·n metric
+    /// evaluations; the index is independent of the thread count).
     pub fn build(
         metric: M,
         points: VectorSet,
@@ -97,10 +100,14 @@ impl<M: BatchDistance + Sync> FlatDistPermIndex<M> {
         assert!(site_ids.iter().all(|&i| i < points.len()), "site id out of range");
         assert!(site_ids.len() <= MAX_K, "k = {} exceeds MAX_K = {MAX_K}", site_ids.len());
         assert_order_ids_fit(points.len());
-        let sites_t = TransposedSites::from_rows(points.gather(&site_ids).as_flat(), points.dim());
-        let perms =
-            database_permutations_flat_parallel(&metric, &sites_t, points.as_flat(), threads);
-        let keys = KeyColumn::collect(site_ids.len(), site_ids.len(), perms);
+        let (k, dim) = (site_ids.len(), points.dim());
+        let sites_t = TransposedSites::from_rows(points.gather(&site_ids).as_flat(), dim);
+        let parts = fork_join(worker_chunks(points.as_flat(), dim, threads), |rows| {
+            KeyColumn::collect(k, k, rows.len() / dim.max(1), |push| {
+                rank_rows_flat(&metric, &sites_t, rows, push);
+            })
+        });
+        let keys = KeyColumn::concat(parts);
         Self { metric, points, site_ids, sites_t, keys }
     }
 }
@@ -138,10 +145,13 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
         assert_eq!(sites_t.k(), k, "transposed sites disagree with site count");
         assert_eq!(sites_t.dim(), points.dim(), "transposed sites disagree with point dimension");
         assert_eq!(perm_rows.len(), n * k, "one permutation per point required");
-        let row = |i: usize| Permutation::from_slice(&perm_rows[i * k..][..k]);
-        let perms =
-            (0..n).map(|i| row(i).unwrap_or_else(|_| panic!("row {i} is not a permutation")));
-        let keys = KeyColumn::collect(k, k, perms);
+        let keys = KeyColumn::collect(k, k, n, |push| {
+            for i in 0..n {
+                let row = Permutation::from_slice(&perm_rows[i * k..][..k]);
+                let perm = row.unwrap_or_else(|_| panic!("row {i} is not a permutation"));
+                push(&clamped_positions(&perm, k));
+            }
+        });
         Self { metric, points, site_ids, sites_t, keys }
     }
 

@@ -337,7 +337,8 @@ mod tests {
         let pts = random_points(60, 2, 5);
         let idx = IAesa::build(L2, pts.clone(), 5, PivotSelection::Prefix);
         let sites: Vec<Vec<f64>> = (0..5).map(|i| pts[i].clone()).collect();
-        let direct = dp_permutation::compute::database_permutations(&L2, &sites, &pts);
+        let mut computer = dp_permutation::DistPermComputer::new(5);
+        let direct: Vec<_> = pts.iter().map(|y| computer.compute(&L2, &sites, y)).collect();
         assert_eq!(idx.perms, direct);
         assert_eq!(idx.sites(), &sites[..]);
     }

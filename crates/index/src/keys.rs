@@ -171,28 +171,52 @@ pub(crate) struct KeyColumn {
 }
 
 impl KeyColumn {
-    /// The column of `perms`, each a permutation of the `k` sites, with
-    /// every position clamped to `prefix_len` (≤ k).
+    /// The column of the `n` position rows `rows` emits, field `e` of
+    /// each the position of site `e` clamped to `prefix_len` (≤ k).
     pub(crate) fn collect(
         k: usize,
         prefix_len: usize,
-        perms: impl IntoIterator<Item = Permutation>,
+        n: usize,
+        rows: impl FnOnce(&mut dyn FnMut(&Positions)),
     ) -> Self {
         fn keys<K: Key>(
             k: usize,
-            len: usize,
-            perms: impl IntoIterator<Item = Permutation>,
+            n: usize,
+            rows: impl FnOnce(&mut dyn FnMut(&Positions)),
         ) -> Vec<K> {
-            perms.into_iter().map(|p| K::pack(&clamped_positions(&p, len)[..k])).collect()
+            let mut keys = Vec::with_capacity(n);
+            rows(&mut |pos| keys.push(K::pack(&pos[..k])));
+            keys
         }
         let keys = if k <= PACKED_MAX_K {
-            Keys::Narrow(keys(k, prefix_len, perms))
+            Keys::Narrow(keys(k, n, rows))
         } else if k <= WIDE_MAX_K {
-            Keys::Wide(keys(k, prefix_len, perms))
+            Keys::Wide(keys(k, n, rows))
         } else {
-            Keys::Positions(keys(k, prefix_len, perms))
+            Keys::Positions(keys(k, n, rows))
         };
         Self { k, prefix_len, keys }
+    }
+
+    /// The columns `parts` (at least one, all of one k and ℓ) laid end
+    /// to end in order.
+    pub(crate) fn concat(parts: Vec<Self>) -> Self {
+        fn append<K>(all: &mut Vec<K>, keys: Vec<K>, n: usize) {
+            all.reserve_exact(n - all.len());
+            all.extend(keys);
+        }
+        let n = parts.iter().map(|part| with_keys!(part, keys => keys.len())).sum();
+        let mut parts = parts.into_iter();
+        let mut column = parts.next().expect("a column has at least one part");
+        for part in parts {
+            match (&mut column.keys, part.keys) {
+                (Keys::Narrow(all), Keys::Narrow(keys)) => append(all, keys, n),
+                (Keys::Wide(all), Keys::Wide(keys)) => append(all, keys, n),
+                (Keys::Positions(all), Keys::Positions(keys)) => append(all, keys, n),
+                _ => unreachable!("the parts of one column share its key width"),
+            }
+        }
+        column
     }
 
     /// The key width: `"packed-u64"`, `"packed-u128"` or `"permutation"`.
@@ -269,7 +293,7 @@ impl KeyColumn {
 }
 
 /// `perm`'s site positions, each clamped to `prefix_len`.
-fn clamped_positions(perm: &Permutation, prefix_len: usize) -> Positions {
+pub(crate) fn clamped_positions(perm: &Permutation, prefix_len: usize) -> Positions {
     let mut pos = [0; MAX_K];
     for (rank, &site) in perm.as_slice().iter().enumerate() {
         pos[usize::from(site)] = rank.min(prefix_len) as u8;
@@ -344,6 +368,13 @@ mod tests {
         }
         let q = QueryKey { perm: query, pos: clamped_positions(query, column.prefix_len) };
         with_keys!(column, keys => each(keys, &q, ordering))
+    }
+
+    /// The column of `perms`, positions clamped to `len`.
+    fn column_of(k: usize, len: usize, perms: &[Permutation]) -> KeyColumn {
+        KeyColumn::collect(k, len, perms.len(), |push| {
+            perms.iter().for_each(|p| push(&clamped_positions(p, len)));
+        })
     }
 
     /// A pseudo-random permutation of `0..k`.
@@ -602,7 +633,7 @@ mod tests {
         // column's distance is `OrderingKind::distance` to the bit.
         for k in 0..=6 {
             let perms: Vec<Permutation> = Permutation::all(k).collect();
-            let column = KeyColumn::collect(k, k, perms.iter().copied());
+            let column = column_of(k, k, &perms);
             for q in &perms {
                 for ordering in OrderingKind::ALL {
                     let expected: Vec<u64> =
@@ -623,7 +654,7 @@ mod tests {
             for len in 0..=k {
                 let prefixes: Vec<PrefixPermutation> =
                     perms.iter().map(|p| PrefixPermutation::from_permutation(p, len)).collect();
-                let column = KeyColumn::collect(k, len, perms.iter().copied());
+                let column = column_of(k, len, &perms);
                 for (i, prefix) in prefixes.iter().enumerate() {
                     assert_eq!(&column.prefix(i), prefix, "k = {k}, ℓ = {len}, row {i}");
                 }
@@ -645,7 +676,7 @@ mod tests {
         {
             // Twelve rows, four of them repeats.
             let perms: Vec<Permutation> = (0..12).map(|s| shuffled(k, s % 8)).collect();
-            let column = KeyColumn::collect(k, k, perms.iter().copied());
+            let column = column_of(k, k, &perms);
             assert_eq!(column.engine(), label, "k = {k}");
             for (i, p) in perms.iter().enumerate() {
                 assert_eq!(&column.permutation(i), p, "k = {k}, row {i}");
@@ -654,6 +685,12 @@ mod tests {
             distinct.sort_unstable();
             distinct.dedup();
             assert_eq!(column.distinct(), distinct.len(), "k = {k}");
+            // Split into three parts and joined, the column is unchanged.
+            let parts = [&perms[..5], &perms[5..5], &perms[5..]].map(|p| column_of(k, k, p));
+            let joined = KeyColumn::concat(parts.to_vec());
+            for (i, p) in perms.iter().enumerate() {
+                assert_eq!(&joined.permutation(i), p, "k = {k}, joined row {i}");
+            }
         }
     }
 
@@ -675,7 +712,7 @@ mod tests {
                 (0..n as u64).map(|s| shuffled(k, seed.wrapping_add(s % 37))).collect();
             let qperm = shuffled(k, seed ^ 0x5EED);
             let budget = [1, n / 3, n.saturating_sub(1), n][budget_pick];
-            let column = KeyColumn::collect(k, k, perms.iter().copied());
+            let column = column_of(k, k, &perms);
             let (mut got, mut expected) = (Vec::new(), Vec::new());
             for ordering in OrderingKind::ALL {
                 column.order(&qperm, ordering, budget, &mut got);
@@ -686,7 +723,7 @@ mod tests {
             let prefixes: Vec<PrefixPermutation> =
                 perms.iter().map(|p| PrefixPermutation::from_permutation(p, len)).collect();
             let qpre = PrefixPermutation::from_permutation(&qperm, len);
-            let column = KeyColumn::collect(k, len, perms.iter().copied());
+            let column = column_of(k, len, &perms);
             column.order(&qperm, OrderingKind::Footrule, budget, &mut got);
             budgeted_order(prefixes.iter().map(|p| prefix_footrule(&qpre, p)), budget, &mut expected);
             prop_assert_eq!(&got, &expected, "prefix length {}", len);

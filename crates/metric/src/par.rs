@@ -3,9 +3,9 @@
 //!
 //! [`fork_join`] runs one scoped worker per item and returns the results
 //! in item order.  A data-parallel scan splits its input into at most
-//! `threads` contiguous chunks of near-equal size ([`chunk_len`]) and
-//! combines the per-chunk results in chunk order, so the combined result
-//! never depends on the thread count.  Batch query serving
+//! `threads` contiguous chunks of near-equal size ([`worker_chunks`])
+//! and combines the per-chunk results in chunk order, so the combined
+//! result never depends on the thread count.  Batch query serving
 //! (`dp_index::serve`) starts its workers through [`fork_join`] too;
 //! there each worker claims queries from a shared cursor instead of
 //! owning a fixed chunk.
@@ -17,6 +17,23 @@
 /// so every chunk of the split is non-empty.
 pub fn chunk_len(n: usize, threads: usize) -> usize {
     n.div_ceil(threads.clamp(1, n.max(1)))
+}
+
+/// The contiguous chunks `threads` workers scan `items` in, an item
+/// being `row_len` consecutive values (1 for a slice of points, the
+/// dimension for flat row-major vectors): the whole input as one
+/// chunk, scanned inline, at `threads ≤ 1` or below 1024 items, and
+/// [`chunk_len`] items a chunk otherwise.
+///
+/// Every permutation scan splits its work by this one rule: the
+/// per-point and flat counters and the flat index build.
+pub fn worker_chunks<T>(items: &[T], row_len: usize, threads: usize) -> Vec<&[T]> {
+    let row_len = row_len.max(1);
+    let n = items.len() / row_len;
+    if threads <= 1 || n < 1024 {
+        return vec![items];
+    }
+    items.chunks(chunk_len(n, threads) * row_len).collect()
 }
 
 /// Runs `work` once per item, one scoped worker thread per item, and
@@ -90,6 +107,24 @@ mod tests {
                 let chunks = n.div_ceil(chunk);
                 assert!(chunks <= threads.max(1).min(n));
                 assert!(chunk * chunks >= n);
+            }
+        }
+    }
+
+    #[test]
+    fn worker_chunks_split_only_from_1024_items_and_keep_every_item() {
+        for row_len in [1usize, 3] {
+            for n in [0usize, 5, 1023, 1024, 1031] {
+                let items: Vec<usize> = (0..n * row_len).collect();
+                for threads in [0usize, 1, 2, 5, n + 1] {
+                    let chunks = worker_chunks(&items, row_len, threads);
+                    let tag = format!("n = {n}, row_len = {row_len}, threads = {threads}");
+                    let workers = if threads <= 1 || n < 1024 { 1 } else { threads.min(n) };
+                    assert_eq!(chunks.len(), workers, "{tag}");
+                    assert!(chunks.iter().all(|c| c.len() % row_len == 0), "{tag}");
+                    assert!(n == 0 || chunks.iter().all(|c| !c.is_empty()), "{tag}");
+                    assert_eq!(chunks.concat(), items, "{tag}");
+                }
             }
         }
     }

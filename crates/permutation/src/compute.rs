@@ -8,7 +8,7 @@
 use crate::key::PackedKey;
 use crate::perm::{Permutation, MAX_K};
 use crate::shard::{PackedPermutationCounter, RunKey};
-use dp_metric::par::{chunk_len, fork_join};
+use dp_metric::par::{fork_join, worker_chunks};
 use dp_metric::{BatchDistance, Metric, TransposedSites};
 
 /// Computes the distance permutation of `query` with respect to `sites`.
@@ -81,71 +81,6 @@ impl<D: dp_metric::Distance> DistPermComputer<D> {
         let perm = self.compute(metric, sites, query);
         (perm, &self.scratch)
     }
-}
-
-/// Computes the distance permutation of every database element.
-///
-/// This is the core of the paper's `distperm` index build: `k·n` metric
-/// evaluations producing one permutation per element.
-pub fn database_permutations<P, M: Metric<P>>(
-    metric: &M,
-    sites: &[P],
-    database: &[P],
-) -> Vec<Permutation> {
-    let mut computer = DistPermComputer::new(sites.len());
-    database.iter().map(|y| computer.compute(metric, sites, y)).collect()
-}
-
-/// The contiguous row ranges `threads` workers scan: the whole database
-/// as one range, scanned inline, at one thread or below 1024 rows.
-fn worker_rows<'a>(sites: &TransposedSites, db_rows: &'a [f64], threads: usize) -> Vec<&'a [f64]> {
-    let dim = sites.dim().max(1);
-    assert_eq!(db_rows.len() % dim, 0, "database rows not a multiple of dim");
-    let n = db_rows.len() / dim;
-    if threads <= 1 || n < 1024 {
-        return vec![db_rows];
-    }
-    db_rows.chunks(chunk_len(n, threads) * dim).collect()
-}
-
-/// Computes Π_y for every row of a flat row-major database, split
-/// across `threads` scoped workers.
-///
-/// The batched equivalent of [`database_permutations`]: every row goes
-/// through the 32-row strip tile (site-major distances from
-/// [`BatchDistance::column_distances`], ranked lane-wise), and each
-/// row's permutation is built from its rank row — no per-row
-/// allocation.  Results are **identical** (bit-for-bit distances, same
-/// tie-break) to the per-point path, at any thread count.
-///
-/// # Panics
-/// Panics if `sites.k() > MAX_K`, if `db_rows` is not a multiple of
-/// `sites.dim()`, or if any distance is NaN.
-pub fn database_permutations_flat_parallel<M: BatchDistance + Sync>(
-    metric: &M,
-    sites: &TransposedSites,
-    db_rows: &[f64],
-    threads: usize,
-) -> Vec<Permutation> {
-    let dim = sites.dim().max(1);
-    let parts = worker_rows(sites, db_rows, threads);
-    let mut perms = vec![Permutation::identity(0); db_rows.len() / dim];
-    let mut free = perms.as_mut_slice();
-    let work: Vec<_> = parts
-        .into_iter()
-        .map(|rows| {
-            let (slots, rest) = std::mem::take(&mut free).split_at_mut(rows.len() / dim);
-            free = rest;
-            (rows, slots)
-        })
-        .collect();
-    fork_join(work, |(rows, slots)| {
-        let mut slot = slots.iter_mut();
-        Permutation::scan_flat(metric, sites, rows, |p| {
-            *slot.next().expect("chunk sizes agree") = p;
-        });
-    });
-    perms
 }
 
 /// Largest k whose permutations pack into a u64 key (5 bits per
@@ -401,8 +336,15 @@ fn scan_strips<M: BatchDistance>(
     }
 }
 
-/// Emits every row's rank row (`ranks[site] = position`), in order.
-fn flat_scan_ranks<M: BatchDistance>(
+/// Emits the rank row of every row of `db_rows`, in order: entry `e`
+/// is the position of site `e` in the row's Π (entries past k are 0).
+/// The strip tile's ranking without the pack — the flat index keys
+/// each point by exactly this row.
+///
+/// # Panics
+/// Panics if `sites.k() > MAX_K`, if `db_rows` is not a multiple of
+/// `sites.dim()`, or if any distance is NaN.
+pub fn rank_rows_flat<M: BatchDistance>(
     metric: &M,
     sites: &TransposedSites,
     db_rows: &[f64],
@@ -445,8 +387,7 @@ fn packed_key_from_ranks<K: PackedKey>(ranks: &[u8; MAX_K], k: usize) -> K {
 
 /// A [`RunKey`] the flat strip scan emits, one per row in order: packed
 /// keys come from the fused rank+pack strip tile, [`Permutation`]s
-/// (every k above [`WIDE_MAX_K`], and the index build) from its rank
-/// rows.
+/// (every k above [`WIDE_MAX_K`]) from its rank rows.
 pub trait FlatKey: RunKey {
     /// Emits the key of every row of `db_rows`, in order.
     ///
@@ -493,7 +434,7 @@ impl FlatKey for Permutation {
         mut emit: impl FnMut(Permutation),
     ) {
         let k = sites.k();
-        flat_scan_ranks(metric, sites, db_rows, |ranks| emit(permutation_from_ranks(ranks, k)));
+        rank_rows_flat(metric, sites, db_rows, |ranks| emit(permutation_from_ranks(ranks, k)));
     }
 }
 
@@ -536,8 +477,9 @@ pub fn collect_packed_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
 /// strip scan feeds each strip tile's fused keys straight into the
 /// counter; [`Permutation`] keys come from its rank rows ([`FlatKey`]).
 ///
-/// Each of `threads` scoped workers (1 scans inline) streams its row
-/// range through its own counter flushing every `shard_rows` keys
+/// The rows split by [`worker_chunks`] (one inline chunk at one thread
+/// or below 1024 rows); each worker streams its chunk through its own
+/// counter flushing every `shard_rows` keys
 /// (0 means [`crate::shard::DEFAULT_SHARD_ROWS`]).  Workers sort their
 /// tail shards, and their runs land in one counter; its `finalize`
 /// merges them.  The finalized summary is independent of the split and
@@ -554,7 +496,7 @@ pub fn collect_sharded_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
     shard_rows: usize,
 ) -> PackedPermutationCounter<K> {
     let new_counter = || PackedPermutationCounter::<K>::with_shard_rows(sites.k(), shard_rows);
-    let workers = fork_join(worker_rows(sites, db_rows, threads), |rows| {
+    let workers = fork_join(worker_chunks(db_rows, sites.dim(), threads), |rows| {
         let mut counter = new_counter();
         K::scan_flat(metric, sites, rows, |key| counter.insert_key(key));
         counter.flush();
@@ -632,11 +574,28 @@ mod tests {
         assert_eq!(pairs[0].1, 2);
     }
 
+    /// Every point's permutation through one reused [`DistPermComputer`].
+    fn per_point<P, M: Metric<P>>(metric: &M, sites: &[P], db: &[P]) -> Vec<Permutation> {
+        let mut computer = DistPermComputer::new(sites.len());
+        db.iter().map(|y| computer.compute(metric, sites, y)).collect()
+    }
+
+    /// Every row's permutation through the strip tile's rank rows.
+    fn flat_perms<M: BatchDistance>(
+        metric: &M,
+        sites_t: &TransposedSites,
+        db: &[f64],
+    ) -> Vec<Permutation> {
+        let mut perms = Vec::new();
+        Permutation::scan_flat(metric, sites_t, db, |p| perms.push(p));
+        perms
+    }
+
     #[test]
-    fn database_permutations_bulk() {
+    fn per_point_permutations_of_a_small_database() {
         let sites = vec![vec![0.0], vec![1.0]];
         let db = vec![vec![-1.0], vec![0.4], vec![0.6], vec![2.0]];
-        let perms = database_permutations(&L2, &sites, &db);
+        let perms = per_point(&L2, &sites, &db);
         assert_eq!(perms.len(), 4);
         assert_eq!(perms[0].as_slice(), &[0, 1]);
         assert_eq!(perms[1].as_slice(), &[0, 1]);
@@ -671,28 +630,10 @@ mod tests {
         let nested_db: Vec<Vec<f64>> = db.chunks_exact(dim).map(<[f64]>::to_vec).collect();
         let nested_sites: Vec<Vec<f64>> =
             site_rows.chunks_exact(dim).map(<[f64]>::to_vec).collect();
-        let flat = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
-        let nested = database_permutations(&L2Squared, &nested_sites, &nested_db);
-        assert_eq!(flat, nested);
-        let flat_linf = database_permutations_flat_parallel(&LInf, &sites_t, &db, 1);
-        let nested_linf = database_permutations(&LInf, &nested_sites, &nested_db);
-        assert_eq!(flat_linf, nested_linf);
-    }
-
-    #[test]
-    fn flat_parallel_is_deterministic_in_thread_count() {
-        use dp_metric::L2Squared;
-        let (n, k, dim) = (5000, 7, 3);
-        let db = weyl_rows(n, dim, 3);
-        let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 4), dim);
-        let seq = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(
-                database_permutations_flat_parallel(&L2Squared, &sites_t, &db, threads),
-                seq,
-                "threads = {threads}"
-            );
-        }
+        let flat = flat_perms(&L2Squared, &sites_t, &db);
+        assert_eq!(flat, per_point(&L2Squared, &nested_sites, &nested_db));
+        let flat_linf = flat_perms(&LInf, &sites_t, &db);
+        assert_eq!(flat_linf, per_point(&LInf, &nested_sites, &nested_db));
     }
 
     /// The oracle: the permutation stream sorted, then deduplicated.
@@ -708,8 +649,7 @@ mod tests {
         let (n, k, dim) = (800, 6, 2);
         let db = weyl_rows(n, dim, 5);
         let sites_t = TransposedSites::from_rows(&weyl_rows(k, dim, 6), dim);
-        let perms = database_permutations_flat_parallel(&L1, &sites_t, &db, 1);
-        let expected = sorted_distinct(perms);
+        let expected = sorted_distinct(flat_perms(&L1, &sites_t, &db));
         let packed = collect_packed_flat_parallel::<u64, _>(&L1, &sites_t, &db, 1).finalize();
         let whole =
             collect_packed_flat_parallel::<Permutation, _>(&L1, &sites_t, &db, 1).finalize();
@@ -758,8 +698,7 @@ mod tests {
         assert_eq!(wide.total(), whole.total());
         assert_eq!(wide.mean_occupancy().to_bits(), whole.mean_occupancy().to_bits());
         assert_eq!(wide.lexicographic_counts(), whole.lexicographic_counts());
-        let perms = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
-        assert_eq!(wide.permutations(), sorted_distinct(perms));
+        assert_eq!(wide.permutations(), sorted_distinct(flat_perms(&L2Squared, &sites_t, &db)));
         for threads in [1, 2, 4] {
             let par = collect_packed_flat_parallel::<u128, _>(&L2Squared, &sites_t, &db, threads)
                 .finalize();
@@ -822,8 +761,8 @@ mod tests {
     /// Every output of the strip tile — rank rows, permutations, packed
     /// keys at both widths and the counted summary — against the scalar
     /// oracle, at every k, at tail shapes that pad (n mod 32 ≠ 0), and
-    /// at worker chunks that are not multiples of 32 (n = 1031 split 2
-    /// and 3 ways).
+    /// (the counts) at worker chunks that are not multiples of 32
+    /// (n = 1031 split 2 and 3 ways).
     fn assert_strip_tile_matches_oracle<M: BatchDistance + Sync>(metric: &M, tag: &str) {
         for k in 1..=MAX_K {
             for n in [0usize, 1, 31, 32, 33, 1031] {
@@ -832,7 +771,7 @@ mod tests {
                     let sites_t = TransposedSites::from_rows(&site_rows, dim);
                     let ranks = oracle_ranks(metric, &db, &site_rows, dim);
                     let mut rows = Vec::new();
-                    flat_scan_ranks(metric, &sites_t, &db, |r| rows.push(r[..k].to_vec()));
+                    rank_rows_flat(metric, &sites_t, &db, |r| rows.push(r[..k].to_vec()));
                     let want_rows: Vec<Vec<u8>> = ranks.iter().map(|r| r[..k].to_vec()).collect();
                     assert_eq!(rows, want_rows, "{ctx}: rank rows");
                     if k <= PACKED_MAX_K {
@@ -843,16 +782,12 @@ mod tests {
                     }
                     let perms: Vec<Permutation> =
                         ranks.iter().map(|r| permutation_from_ranks(r, k)).collect();
+                    assert_eq!(flat_perms(metric, &sites_t, &db), perms, "{ctx}: permutations");
                     let mut counted: Vec<(Permutation, u64)> = Vec::new();
                     for p in sorted_distinct(perms.clone()) {
                         counted.push((p, perms.iter().filter(|&q| *q == p).count() as u64));
                     }
                     for threads in [1usize, 2, 3] {
-                        assert_eq!(
-                            database_permutations_flat_parallel(metric, &sites_t, &db, threads),
-                            perms,
-                            "{ctx}, threads = {threads}: permutations"
-                        );
                         let summary: Vec<(Permutation, u64)> = for_packed_k!(k, K => {
                             collect_packed_flat_parallel::<K, _>(metric, &sites_t, &db, threads)
                                 .finalize()
@@ -883,9 +818,8 @@ mod tests {
     #[test]
     fn flat_kernel_handles_empty_inputs() {
         let sites_t = TransposedSites::from_rows(&[0.25, 0.75], 1);
-        assert!(database_permutations_flat_parallel(&L2, &sites_t, &[], 1).is_empty());
+        assert!(flat_perms(&L2, &sites_t, &[]).is_empty());
         let no_sites = TransposedSites::from_rows(&[], 0);
-        let perms = database_permutations_flat_parallel(&L2, &no_sites, &[], 1);
-        assert!(perms.is_empty());
+        assert!(flat_perms(&L2, &no_sites, &[]).is_empty());
     }
 }

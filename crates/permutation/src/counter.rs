@@ -16,16 +16,15 @@
 //! memory, so downstream consumers (Huffman, the survey, the stores)
 //! never pay for n again.  The summary is also the paper's codebook
 //! (§4): a distinct permutation's id is its position in the sorted keys.
-//! [`collect_counter`] and
-//! [`collect_counter_parallel`] feed it from the per-point path, for
-//! any metric over any point type.
+//! [`collect_counter`] feeds it from the per-point path, for any metric
+//! over any point type.
 
 use crate::bits::element_bits;
 use crate::compute::DistPermComputer;
 use crate::key::PackedKey;
 use crate::perm::Permutation;
 use crate::shard::{PackedPermutationCounter, RunKey};
-use dp_metric::par::{chunk_len, fork_join};
+use dp_metric::par::{fork_join, worker_chunks};
 use dp_metric::Metric;
 
 /// Run lengths of consecutive equal values in a sorted (or at least
@@ -186,12 +185,16 @@ pub(crate) fn decode_packed<K: PackedKey>(key: K, k: usize) -> Permutation {
     Permutation::from_slice(&items[..k]).expect("packed key decodes to a permutation")
 }
 
-/// Counts the distinct distance permutations of `database` w.r.t. `sites`.
+/// Counts the distinct distance permutations of `database` w.r.t. `sites`
+/// on the calling thread.
 ///
 /// The headline operation of the paper: |{Π_y : y ∈ database}|.
-pub fn count_distinct<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) -> usize {
+pub fn count_distinct<P: Sync, M>(metric: &M, sites: &[P], database: &[P]) -> usize
+where
+    M: Metric<P> + Sync,
+{
     crate::for_packed_k!(sites.len(), K => {
-        collect_counter::<K, P, M>(metric, sites, database).finalize().distinct()
+        collect_counter::<K, P, M>(metric, sites, database, 1).finalize().distinct()
     })
 }
 
@@ -199,29 +202,14 @@ pub fn count_distinct<P, M: Metric<P>>(metric: &M, sites: &[P], database: &[P]) 
 /// (dispatch `K` on `sites.len()` with
 /// [`for_packed_k!`](crate::for_packed_k)).
 ///
-/// # Panics
-/// Panics if `sites.len()` exceeds `K::MAX_LEN`.
-pub fn collect_counter<K: RunKey, P, M: Metric<P>>(
-    metric: &M,
-    sites: &[P],
-    database: &[P],
-) -> PackedPermutationCounter<K> {
-    let mut computer = DistPermComputer::new(sites.len());
-    let mut counter = PackedPermutationCounter::new(sites.len());
-    for y in database {
-        counter.insert(&computer.compute(metric, sites, y));
-    }
-    counter
-}
-
-/// [`collect_counter`] split across `threads` scoped workers (1, or
-/// fewer than 1024 points, scans inline); each worker counts its
-/// contiguous chunk and their runs merge into one counter, so the
-/// summary is independent of the split.
+/// The points split by [`worker_chunks`] (one inline chunk at one
+/// thread or below 1024 points); each worker counts its chunk and their
+/// runs merge into one counter, so the summary is independent of the
+/// split.
 ///
 /// # Panics
 /// Panics if `sites.len()` exceeds `K::MAX_LEN`.
-pub fn collect_counter_parallel<K, P, M>(
+pub fn collect_counter<K, P, M>(
     metric: &M,
     sites: &[P],
     database: &[P],
@@ -232,17 +220,17 @@ where
     P: Sync,
     M: Metric<P> + Sync,
 {
-    let parts: Vec<&[P]> = if threads <= 1 || database.len() < 1024 {
-        vec![database]
-    } else {
-        database.chunks(chunk_len(database.len(), threads)).collect()
-    };
-    let workers = fork_join(parts, |part| {
-        let mut counter = collect_counter(metric, sites, part);
+    let new_counter = || PackedPermutationCounter::new(sites.len());
+    let workers = fork_join(worker_chunks(database, 1, threads), |part| {
+        let mut computer = DistPermComputer::new(sites.len());
+        let mut counter = new_counter();
+        for y in part {
+            counter.insert(&computer.compute(metric, sites, y));
+        }
         counter.flush();
         counter
     });
-    PackedPermutationCounter::join(workers, || PackedPermutationCounter::new(sites.len()))
+    PackedPermutationCounter::join(workers, new_counter)
 }
 
 #[cfg(test)]
@@ -341,7 +329,7 @@ mod tests {
     fn collected_permutations_are_sorted_and_complete() {
         let sites = vec![vec![0.0], vec![0.4], vec![1.0]];
         let db: Vec<Vec<f64>> = (0..500).map(|i| vec![i as f64 / 250.0 - 0.5]).collect();
-        let packed = collect_counter::<u64, _, _>(&L2, &sites, &db).finalize();
+        let packed = collect_counter::<u64, _, _>(&L2, &sites, &db, 1).finalize();
         let sorted = packed.permutations();
         assert_eq!(sorted.len(), packed.distinct());
         assert!(sorted.windows(2).all(|w| w[0] < w[1]));
@@ -351,28 +339,33 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(sorted, all);
-        let whole = collect_counter::<Permutation, _, _>(&L2, &sites, &db).finalize();
+        let whole = collect_counter::<Permutation, _, _>(&L2, &sites, &db, 1).finalize();
         assert_eq!(whole.permutations(), sorted);
         assert_eq!(whole.lexicographic_counts(), packed.lexicographic_counts());
     }
 
     #[test]
     fn parallel_collector_is_independent_of_the_split() {
-        // ≥ 1024 points so workers split; the merged runs must equal the
-        // one-worker scan at every key type.
+        // Around the 1024-point split threshold, at worker counts that
+        // split unevenly, the merged runs must equal the one-thread scan
+        // at every key type.
         let sites = vec![vec![0.0, 0.3], vec![0.9, 0.1], vec![0.5, 0.8], vec![0.2, 0.9]];
-        let db: Vec<Vec<f64>> =
-            (0..1500).map(|i| vec![(i % 40) as f64 / 40.0, (i / 40) as f64 / 40.0]).collect();
-        let seq = collect_counter::<u64, _, _>(&L2, &sites, &db).finalize();
-        assert_eq!(seq.total(), 1500);
-        for threads in [1usize, 2, 3, 7] {
-            let par = collect_counter_parallel::<u64, _, _>(&L2, &sites, &db, threads).finalize();
-            assert_eq!(par.permutations(), seq.permutations(), "threads = {threads}");
-            assert_eq!(par.lexicographic_counts(), seq.lexicographic_counts());
-            let whole =
-                collect_counter_parallel::<Permutation, _, _>(&L2, &sites, &db, threads).finalize();
-            assert_eq!(whole.permutations(), seq.permutations(), "threads = {threads}");
-            assert_eq!(whole.lexicographic_counts(), seq.lexicographic_counts());
+        for n in [1023usize, 1024, 1031, 1500] {
+            let db: Vec<Vec<f64>> =
+                (0..n).map(|i| vec![(i % 40) as f64 / 40.0, (i / 40) as f64 / 40.0]).collect();
+            let seq = collect_counter::<u64, _, _>(&L2, &sites, &db, 1).finalize();
+            assert_eq!(seq.total(), n as u64);
+            for threads in [0usize, 2, 3, 5, 7] {
+                let tag = format!("n = {n}, threads = {threads}");
+                let par = collect_counter::<u64, _, _>(&L2, &sites, &db, threads).finalize();
+                assert_eq!(par.total(), seq.total(), "{tag}");
+                assert_eq!(par.permutations(), seq.permutations(), "{tag}");
+                assert_eq!(par.lexicographic_counts(), seq.lexicographic_counts(), "{tag}");
+                let whole =
+                    collect_counter::<Permutation, _, _>(&L2, &sites, &db, threads).finalize();
+                assert_eq!(whole.permutations(), seq.permutations(), "{tag}");
+                assert_eq!(whole.lexicographic_counts(), seq.lexicographic_counts(), "{tag}");
+            }
         }
     }
 

@@ -52,26 +52,25 @@
 //! The shard size bounds the working set, never the answer: merging
 //! sorted multiset runs is associative, so the finalized summary — and
 //! everything downstream of it, including the float Huffman/entropy
-//! sums — is the same at every shard size, thread count and key type
-//! (`distperm count/survey --shard-rows` caps it on the command line).
+//! sums — is the same at every shard size, thread count and key type.
 //!
-//! Each flat computation has **one entry point**, taking a `threads`
-//! count (1 scans inline on the calling thread):
-//! [`compute::database_permutations_flat_parallel`] (one permutation per
-//! row) and [`compute::collect_sharded_flat_parallel`] (counting, plus
-//! `shard_rows`).  Both split the rows into contiguous chunks on
-//! [`dp_metric::par::fork_join`], so results never depend on `threads`.
-//! [`compute::collect_packed_flat_parallel`] is the flat collector at
-//! the default shard size.
+//! Each threaded scan has **one entry point** taking a `threads` count:
+//! [`counter::collect_counter`] (per point) and
+//! [`compute::collect_sharded_flat_parallel`] (flat rows, plus
+//! `shard_rows`; [`compute::collect_packed_flat_parallel`] is it at the
+//! default shard size).  Both split their input by
+//! [`dp_metric::par::worker_chunks`] — one inline chunk at one thread or
+//! below 1024 items — so results never depend on `threads`.  The flat
+//! index build splits its rows by the same rule and keys each point by
+//! its rank row ([`compute::rank_rows_flat`]).
 //!
 //! ## Everything else
 //!
 //! * [`Permutation`] — a compact, copyable permutation of up to
 //!   [`MAX_K`] = 32 elements (the paper's experiments use k ≤ 12);
 //! * [`compute::distance_permutation`] and the allocation-free
-//!   [`compute::DistPermComputer`] for per-point scans; the batched
-//!   flat-storage entry points above are bit-identical to that per-point
-//!   path;
+//!   [`compute::DistPermComputer`] for per-point scans; the flat strip
+//!   scans above are bit-identical to that per-point path;
 //! * [`lehmer`] — factorial-base ranking/unranking (k ≤ 33 fits in `u128`);
 //! * [`permdist`] — Kendall tau, Spearman footrule and Spearman rho
 //!   permutation distances (used by the `distperm`/iAESA index types for
@@ -103,9 +102,8 @@ pub mod shard;
 pub mod store;
 
 pub use compute::{
-    collect_packed_flat_parallel, collect_sharded_flat_parallel,
-    database_permutations_flat_parallel, distance_permutation, packed_keys_flat, DistPermComputer,
-    FlatKey, PACKED_MAX_K, WIDE_MAX_K,
+    collect_packed_flat_parallel, collect_sharded_flat_parallel, distance_permutation,
+    packed_keys_flat, rank_rows_flat, DistPermComputer, FlatKey, PACKED_MAX_K, WIDE_MAX_K,
 };
 pub use counter::{count_sorted_runs, pack_perm, PackedCountSummary};
 pub use huffman::{HuffmanCode, HuffmanPermStore};

@@ -7,11 +7,10 @@ use dp_datasets::uniform_unit_cube_flat;
 use dp_datasets::VectorSet;
 use dp_metric::{BatchDistance, L2Squared, LInf, TransposedSites, L1};
 use dp_permutation::compute::{
-    collect_packed_flat_parallel, collect_sharded_flat_parallel,
-    database_permutations_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
+    collect_packed_flat_parallel, collect_sharded_flat_parallel, PACKED_MAX_K, WIDE_MAX_K,
 };
 use dp_permutation::{
-    count_sorted_runs, DistPermComputer, PackedCountSummary, Permutation, RunKey,
+    count_sorted_runs, DistPermComputer, FlatKey, PackedCountSummary, Permutation, RunKey,
 };
 use proptest::prelude::*;
 
@@ -24,6 +23,17 @@ where
     let site_rows: Vec<Vec<f64>> = sites.to_nested();
     let mut computer = DistPermComputer::new(sites.len());
     db.to_nested().iter().map(|row| computer.compute(metric, &site_rows, row)).collect()
+}
+
+/// Every row's permutation through the strip tile's rank rows.
+fn flat_perms<M: BatchDistance>(
+    metric: &M,
+    sites_t: &TransposedSites,
+    db: &VectorSet,
+) -> Vec<Permutation> {
+    let mut perms = Vec::with_capacity(db.len());
+    Permutation::scan_flat(metric, sites_t, db.as_flat(), |p| perms.push(p));
+    perms
 }
 
 /// The oracle counter: every permutation of the flat stream sorted at
@@ -66,12 +76,10 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, sites, sites_t) = flat_setup(n, d, k, seed);
-        let l1 = database_permutations_flat_parallel(&L1, &sites_t, db.as_flat(), 1);
-        prop_assert_eq!(&l1, &reference_perms(&L1, &sites, &db));
-        let l2 = database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
-        prop_assert_eq!(&l2, &reference_perms(&L2Squared, &sites, &db));
-        let linf = database_permutations_flat_parallel(&LInf, &sites_t, db.as_flat(), 1);
-        prop_assert_eq!(&linf, &reference_perms(&LInf, &sites, &db));
+        prop_assert_eq!(flat_perms(&L1, &sites_t, &db), reference_perms(&L1, &sites, &db));
+        let l2 = flat_perms(&L2Squared, &sites_t, &db);
+        prop_assert_eq!(l2, reference_perms(&L2Squared, &sites, &db));
+        prop_assert_eq!(flat_perms(&LInf, &sites_t, &db), reference_perms(&LInf, &sites, &db));
     }
 
     #[test]
@@ -81,12 +89,11 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, _, sites_t) = flat_setup(n, 3, k, seed);
-        let seq = database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
+        let perms = flat_perms(&L2Squared, &sites_t, &db);
         for threads in [2usize, 3, 7] {
-            prop_assert_eq!(
-                &database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), threads),
-                &seq
-            );
+            let summary =
+                collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, db.as_flat(), threads);
+            assert_counts(&summary.finalize(), &perms, &format!("n = {n}, threads = {threads}"));
         }
     }
 
@@ -98,7 +105,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, _, sites_t) = flat_setup(n, d, k, seed);
-        let perms = database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
+        let perms = flat_perms(&L2Squared, &sites_t, &db);
         let packed = collect_packed_flat_parallel::<u64, _>(&L2Squared, &sites_t, db.as_flat(), 1).finalize();
         assert_counts(&packed, &perms, &format!("n = {n}, d = {d}, k = {k}"));
     }
@@ -111,7 +118,7 @@ proptest! {
         seed in 0u64..1_000_000,
     ) {
         let (db, _, sites_t) = flat_setup(n, d, k, seed);
-        let perms = database_permutations_flat_parallel(&L2Squared, &sites_t, db.as_flat(), 1);
+        let perms = flat_perms(&L2Squared, &sites_t, &db);
         let wide = collect_packed_flat_parallel::<u128, _>(&L2Squared, &sites_t, db.as_flat(), 1).finalize();
         assert_counts(&wide, &perms, &format!("n = {n}, d = {d}, k = {k}"));
     }
@@ -127,7 +134,7 @@ fn permutation_keys_count_exactly_at_every_shard_size_and_worker_count() {
     let n = 1031;
     for (k, d, seed) in [(26usize, 1usize, 5u64), (32, 1, 6), (26, 3, 7), (32, 2, 8)] {
         let (db, _, sites_t) = flat_setup(n, d, k, seed);
-        let perms = database_permutations_flat_parallel(&L1, &sites_t, db.as_flat(), 1);
+        let perms = flat_perms(&L1, &sites_t, &db);
         assert!(sort_and_count(&perms).0.len() < n, "k = {k}, d = {d}: no repeats to merge");
         for shard_rows in [1usize, 7, n - 1, n, n + 1] {
             for threads in [1usize, 2, 5] {

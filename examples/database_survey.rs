@@ -29,7 +29,7 @@ fn main() {
 
     println!("=== uniform 3-D control ===");
     let uniform = uniform_unit_cube(n, 3, 1);
-    let report = survey_database(&L2, &uniform, &config);
+    let report = survey_database(&L2, &uniform, &config, 1);
     println!("{report}");
     // Sanity: the control should read back as ≈ 3-dimensional.
     if let Some(d) = report.dimension_estimate {
@@ -38,14 +38,14 @@ fn main() {
 
     println!("=== colour histograms (112-dim embedding, low effective dimension) ===");
     let hists = colors::generate_histograms(n, 2);
-    let report = survey_database(&L2, &hists, &config);
+    let report = survey_database(&L2, &hists, &config, 1);
     println!("{report}");
 
     println!("=== english dictionary under Levenshtein ===");
     let profiles = language_profiles();
     let english = profiles.iter().find(|p| p.name == "english").expect("profile");
     let words = generate_words(english, n, 3);
-    let report = survey_database(&Levenshtein, &words, &config);
+    let report = survey_database(&Levenshtein, &words, &config, 1);
     println!("{report}");
 
     println!("reading the reports:");

@@ -38,7 +38,7 @@ fn main() {
     println!("{:<36} {:>10} {:>12} {:>10}", "database", "perms", "perm-dim", "rho");
     for (name, db) in cases {
         let sites: Vec<Vec<f64>> = db[..K].to_vec();
-        let observed = count_permutations(&L2, &sites, &db).distinct;
+        let observed = count_permutations(&L2, &sites, &db, 1).distinct;
         let est = estimate_dimension(observed, &profile);
         let rho = intrinsic_dimensionality(&L2, &db, 2000, 7);
         println!("{name:<36} {observed:>10} {est:>12.2} {rho:>10.2}");

@@ -27,7 +27,7 @@ fn main() {
     );
 
     // The paper's central quantity: how many distinct permutations occur?
-    let report = count_permutations(&L2, &sites, &db);
+    let report = count_permutations(&L2, &sites, &db, 1);
     let max = theoretical_max(SpaceKind::Euclidean { d: 2 }, 8).expect("small");
     println!(
         "distinct permutations: {} of a theoretical maximum N_2,2(8) = {max} \

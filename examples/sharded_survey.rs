@@ -13,8 +13,7 @@
 //!
 //! Run with: `cargo run --release --example sharded_survey`
 
-use distance_permutations::core::survey_flat::survey_database_flat_sharded;
-use distance_permutations::core::{survey_database, SurveyConfig};
+use distance_permutations::core::{survey_database, survey_database_flat_sharded, SurveyConfig};
 use distance_permutations::datasets::vectors::uniform_unit_cube_flat;
 use distance_permutations::metric::{TransposedSites, L2};
 use distance_permutations::permutation::compute::packed_keys_flat;
@@ -31,7 +30,7 @@ fn main() {
     // bounds the buffered keys without changing a single output bit
     // (0 is the default of 131,072).
     let rows: Vec<Vec<f64>> = db.rows().map(<[f64]>::to_vec).collect();
-    let reference = format!("{}", survey_database(&L2, &rows, &config));
+    let reference = format!("{}", survey_database(&L2, &rows, &config, 1));
     for shard_rows in [0, 4_096, 65_536, n] {
         let flat = format!("{}", survey_database_flat_sharded(&L2, &db, &config, 1, shard_rows));
         assert_eq!(reference, flat, "shard_rows = {shard_rows}: survey must be bit-identical");

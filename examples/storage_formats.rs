@@ -32,7 +32,7 @@ fn main() {
 
     // The permutation column.
     let perms: Vec<Permutation> = db.iter().map(|y| distance_permutation(&L2, &sites, y)).collect();
-    let report = count_permutations(&L2, &sites, &db);
+    let report = count_permutations(&L2, &sites, &db, 1);
     println!("database: n = {n}, d = {d}, k = {k}");
     println!(
         "distinct permutations N = {} (Theorem 7 ceiling N_{{3,2}}(10) = {})",

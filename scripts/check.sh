@@ -96,19 +96,33 @@ cargo test -p dp-datasets --release -q --lib
 # `distperm count` parses a --vectors file on its --threads workers, in
 # line-aligned segments of about 1 MiB committed in file order: a 30k × 2
 # file (two segments) must count byte for byte the same at one and two
-# workers.
-echo "== distperm count smoke (parse on 1 and 2 workers, same stdout)"
+# workers.  From 1024 items on, every permutation scan splits its rows
+# across the workers too: the index `build` writes the same store bytes
+# (u64 keys at k = 8, position keys at k = 26), and a string survey
+# (the per-point counter) prints the same report, at one and two workers.
+echo "== distperm count/build/survey smoke (1 and 2 workers, same stdout and store)"
 PARSE_TMP=$(mktemp -d)
 ./target/release/distperm generate --kind uniform --out "$PARSE_TMP/db.vec" --n 30000 --dim 2 \
+    --seed 3 > /dev/null
+./target/release/distperm generate --kind dictionary --out "$PARSE_TMP/words.txt" --n 3000 \
     --seed 3 > /dev/null
 for t in 1 2; do
     ./target/release/distperm count --vectors "$PARSE_TMP/db.vec" --k 8 --threads "$t" \
         > "$PARSE_TMP/count_t$t.txt"
+    for k in 8 26; do
+        ./target/release/distperm build --vectors "$PARSE_TMP/db.vec" --k "$k" --threads "$t" \
+            --out "$PARSE_TMP/db_k${k}_t$t.dps" > /dev/null
+    done
+    ./target/release/distperm survey --strings "$PARSE_TMP/words.txt" --threads "$t" \
+        > "$PARSE_TMP/survey_t$t.txt"
 done
-cmp "$PARSE_TMP/count_t1.txt" "$PARSE_TMP/count_t2.txt" || {
-    echo "count smoke: stdout differs between --threads 1 and --threads 2" >&2
-    exit 1
-}
+for pair in count_t1.txt:count_t2.txt db_k8_t1.dps:db_k8_t2.dps db_k26_t1.dps:db_k26_t2.dps \
+    survey_t1.txt:survey_t2.txt; do
+    cmp "$PARSE_TMP/${pair%%:*}" "$PARSE_TMP/${pair##*:}" || {
+        echo "smoke: ${pair%%:*} differs between --threads 1 and --threads 2" >&2
+        exit 1
+    }
+done
 rm -rf "$PARSE_TMP"
 
 # The serving robustness suites pin panic isolation and bit-identity of

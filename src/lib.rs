@@ -49,7 +49,7 @@
 //! // 2-D uniform data, 5 random sites.
 //! let db = uniform_unit_cube(20_000, 2, 7);
 //! let sites: Vec<Vec<f64>> = db[..5].to_vec();
-//! let report = count_permutations(&L2, &sites, &db);
+//! let report = count_permutations(&L2, &sites, &db, 1);
 //!
 //! // Theorem 7: at most N_{2,2}(5) = 46 distinct permutations can occur.
 //! let max = theoretical_max(SpaceKind::Euclidean { d: 2 }, 5).unwrap();

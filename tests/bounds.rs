@@ -17,7 +17,7 @@ fn euclidean_counts_respect_theorem7_in_every_dimension() {
         for k in [3usize, 5, 7] {
             let db = uniform_unit_cube(8_000, d, (d * 10 + k) as u64);
             let sites: Vec<Vec<f64>> = db[..k].to_vec();
-            let observed = count_permutations(&L2, &sites, &db).distinct;
+            let observed = count_permutations(&L2, &sites, &db, 1).distinct;
             let max = theoretical_max(SpaceKind::Euclidean { d: d as u32 }, k as u32).unwrap();
             assert!(observed as u128 <= max, "d={d} k={k}: {observed} > {max}");
         }
@@ -30,8 +30,8 @@ fn l1_and_linf_counts_respect_theorem9_and_factorial() {
         for k in [4usize, 6] {
             let db = uniform_unit_cube(8_000, d, (d + 31 * k) as u64);
             let sites: Vec<Vec<f64>> = db[..k].to_vec();
-            let o1 = count_permutations(&L1, &sites, &db).distinct as u128;
-            let oi = count_permutations(&LInf, &sites, &db).distinct as u128;
+            let o1 = count_permutations(&L1, &sites, &db, 1).distinct as u128;
+            let oi = count_permutations(&LInf, &sites, &db, 1).distinct as u128;
             assert!(o1 <= theoretical_max(SpaceKind::L1 { d: d as u32 }, k as u32).unwrap());
             assert!(oi <= theoretical_max(SpaceKind::LInf { d: d as u32 }, k as u32).unwrap());
             let fact: u128 = (1..=k as u128).product();
@@ -47,9 +47,9 @@ fn one_dimensional_counts_respect_binomial_bound_for_all_metrics() {
         let sites: Vec<Vec<f64>> = db[..k].to_vec();
         let bound = theoretical_max(SpaceKind::Tree, k as u32).unwrap();
         for observed in [
-            count_permutations(&L1, &sites, &db).distinct,
-            count_permutations(&L2, &sites, &db).distinct,
-            count_permutations(&LInf, &sites, &db).distinct,
+            count_permutations(&L1, &sites, &db, 1).distinct,
+            count_permutations(&L2, &sites, &db, 1).distinct,
+            count_permutations(&LInf, &sites, &db, 1).distinct,
         ] {
             assert!(observed as u128 <= bound, "k={k}: {observed} > {bound}");
         }
@@ -77,12 +77,12 @@ fn random_trees_respect_theorem4() {
 fn string_and_document_counts_respect_factorial() {
     let words = generate_words(&language_profiles()[2], 3_000, 9);
     let sites: Vec<String> = words[..6].to_vec();
-    let observed = count_permutations(&Levenshtein, &sites, &words).distinct;
+    let observed = count_permutations(&Levenshtein, &sites, &words, 1).distinct;
     assert!(observed as u128 <= theoretical_max(SpaceKind::General, 6).unwrap());
 
     let docs = generate_documents(short_profile(), 2_000, 10);
     let dsites = docs[..5].to_vec();
-    let od = count_permutations(&CosineDistance, &dsites, &docs).distinct;
+    let od = count_permutations(&CosineDistance, &dsites, &docs, 1).distinct;
     assert!(od as u128 <= theoretical_max(SpaceKind::General, 5).unwrap());
 }
 
@@ -92,7 +92,7 @@ fn counts_shrink_when_sites_grow_only_polynomially() {
     // — a tiny fraction of 12! = 479001600.
     let db = uniform_unit_cube(30_000, 2, 77);
     let sites: Vec<Vec<f64>> = db[..12].to_vec();
-    let observed = count_permutations(&L2, &sites, &db).distinct;
+    let observed = count_permutations(&L2, &sites, &db, 1).distinct;
     assert!(observed <= 1992, "{observed}");
     assert!(observed > 200, "implausibly few cells hit: {observed}");
 }

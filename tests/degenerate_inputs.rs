@@ -28,7 +28,7 @@ fn duplicate_sites_tie_break_by_index() {
     // With two of three sites identical, at most 2·1 = 2 orderings of the
     // distinct pair remain (times 1 for the forced tie) = 3 patterns max;
     // actually the duplicates are adjacent, so ≤ 3 distinct permutations.
-    let r = count_permutations(&L2, &sites, &db);
+    let r = count_permutations(&L2, &sites, &db, 1);
     assert!(r.distinct <= 3);
 }
 
@@ -43,7 +43,7 @@ fn query_point_equal_to_a_site() {
 fn k_equals_one_always_identity() {
     let sites = vec![vec![0.5, 0.5]];
     let db: Vec<Vec<f64>> = (0..50).map(|i| vec![i as f64, -(i as f64)]).collect();
-    let r = count_permutations(&L2, &sites, &db);
+    let r = count_permutations(&L2, &sites, &db, 1);
     assert_eq!(r.distinct, 1);
     assert_eq!(distance_permutation(&L2, &sites, &db[7]), Permutation::identity(1));
 }
@@ -52,7 +52,7 @@ fn k_equals_one_always_identity() {
 fn all_identical_database_yields_one_permutation() {
     let db = vec![vec![0.25, 0.75]; 100];
     let sites = vec![vec![0.0, 0.0], vec![1.0, 0.0], vec![0.0, 1.0]];
-    let r = count_permutations(&L2, &sites, &db);
+    let r = count_permutations(&L2, &sites, &db, 1);
     assert_eq!(r.distinct, 1);
     assert!((r.mean_occupancy - 100.0).abs() < 1e-12);
 }
@@ -64,8 +64,8 @@ fn colinear_equidistant_grid_ties_are_deterministic() {
     let db: Vec<Vec<f64>> =
         (0..20).flat_map(|x| (0..20).map(move |y| vec![x as f64, y as f64])).collect();
     let sites = vec![vec![5.0, 5.0], vec![14.0, 5.0], vec![5.0, 14.0], vec![14.0, 14.0]];
-    let a = count_permutations(&L2, &sites, &db).distinct;
-    let b = count_permutations(&L2, &sites, &db).distinct;
+    let a = count_permutations(&L2, &sites, &db, 1).distinct;
+    let b = count_permutations(&L2, &sites, &db, 1).distinct;
     assert_eq!(a, b);
     assert!(a <= 18, "4 sites in the plane: at most 18 cells, got {a}");
 }
@@ -145,7 +145,7 @@ fn empty_strings_are_valid_points() {
     let p = distance_permutation(&Levenshtein, &sites, &String::new());
     assert_eq!(p.get(0), 0, "the empty string is closest to itself");
     let db = vec![String::new(), "ab".to_string(), "abcd".to_string()];
-    let r = count_permutations(&Levenshtein, &sites, &db);
+    let r = count_permutations(&Levenshtein, &sites, &db, 1);
     assert!(r.distinct >= 2);
 }
 
@@ -177,7 +177,7 @@ fn zero_length_prefix_index_degenerates_gracefully() {
 fn survey_handles_two_point_database() {
     let db = vec![vec![0.0, 0.0], vec![1.0, 1.0]];
     let cfg = SurveyConfig { ks: vec![1, 2], rho_pairs: 10, ..Default::default() };
-    let s = survey_database(&L2, &db, &cfg);
+    let s = survey_database(&L2, &db, &cfg, 1);
     assert_eq!(s.n, 2);
     assert_eq!(s.per_k[0].report.distinct, 1);
     assert!(s.per_k[1].report.distinct <= 2);
@@ -190,7 +190,7 @@ fn unit_distance_ties_under_levenshtein_stay_within_factorial() {
     let db: Vec<String> =
         (0..200).map(|i| format!("{}{}", ["a", "b"][i % 2], ["x", "y", "z"][i % 3])).collect();
     let sites: Vec<String> = db[..5].to_vec();
-    let r = count_permutations(&Levenshtein, &sites, &db);
+    let r = count_permutations(&Levenshtein, &sites, &db, 1);
     assert!(r.distinct <= 120);
     assert!(r.distinct >= 1);
 }

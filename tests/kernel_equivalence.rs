@@ -18,9 +18,7 @@ use distance_permutations::index::{DistPermIndex, FlatDistPermIndex};
 use distance_permutations::metric::{
     BatchDistance, F64Dist, L2Squared, LInf, Lp, Metric, TransposedSites, L1, L2,
 };
-use distance_permutations::permutation::compute::{
-    database_permutations, database_permutations_flat_parallel,
-};
+use distance_permutations::permutation::{rank_rows_flat, DistPermComputer, FlatKey, Permutation};
 use proptest::prelude::*;
 
 /// Deterministic irregular filler covering both signs.
@@ -172,17 +170,16 @@ proptest! {
         let nested_sites: Vec<Vec<f64>> =
             site_rows.chunks_exact(dim).map(<[f64]>::to_vec).collect();
 
-        let nested = database_permutations(&L2Squared, &nested_sites, &nested_db);
-        let flat = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, 1);
+        let mut computer = DistPermComputer::new(k);
+        let nested: Vec<Permutation> =
+            nested_db.iter().map(|y| computer.compute(&L2Squared, &nested_sites, y)).collect();
+        let mut flat = Vec::new();
+        Permutation::scan_flat(&L2Squared, &sites_t, &db, |p| flat.push(p));
         prop_assert_eq!(&flat, &nested);
-        for threads in [1usize, 2, 4] {
-            let par = database_permutations_flat_parallel(&L2Squared, &sites_t, &db, threads);
-            prop_assert_eq!(&par, &nested, "threads = {}", threads);
-        }
 
         let db_set = VectorSet::from_raw(dim, db);
         let sites_set = VectorSet::from_raw(dim, site_rows);
-        let nested_count = count_permutations(&L2Squared, &nested_sites, &nested_db);
+        let nested_count = count_permutations(&L2Squared, &nested_sites, &nested_db, 1);
         prop_assert_eq!(&count_permutations_flat_sharded(&L2Squared, &sites_set, &db_set, 1, 0), &nested_count);
         for threads in [1usize, 2, 4] {
             prop_assert_eq!(
@@ -216,7 +213,7 @@ fn counting_bit_identity_all_metrics_at_1_2_4_threads() {
         nested_db: &[Vec<f64>],
         tag: &str,
     ) {
-        let nested = count_permutations(metric, nested_sites, nested_db);
+        let nested = count_permutations(metric, nested_sites, nested_db, 1);
         for threads in [1usize, 2, 4] {
             let flat = count_permutations_flat_sharded(metric, sites_set, db_set, threads, 0);
             assert_eq!(flat, nested, "{tag}, threads = {threads}");
@@ -297,10 +294,9 @@ fn budget_clamp_boundaries_answer_identically() {
 #[test]
 fn zero_dim_sites_with_nonempty_database_panic_loudly() {
     let sites_t = TransposedSites::from_rows(&[], 0);
-    let err = std::panic::catch_unwind(|| {
-        database_permutations_flat_parallel(&L2Squared, &sites_t, &[1.0, 2.0], 1)
-    })
-    .expect_err("dim-0 sites over a non-empty database must panic");
+    let err =
+        std::panic::catch_unwind(|| rank_rows_flat(&L2Squared, &sites_t, &[1.0, 2.0], |_| {}))
+            .expect_err("dim-0 sites over a non-empty database must panic");
     let msg = err
         .downcast_ref::<String>()
         .cloned()

@@ -14,21 +14,20 @@
 //!   entropy sums, for the default shard size (0), degenerate shard
 //!   sizes (1, n-1, n, n+1) and any thread count.
 //!
-//! The sharded path is what `distperm count/survey` runs at every
-//! `--shard-rows`, so any divergence here is a user-visible wrong answer.
+//! The sharded path is what `distperm count/survey` runs, so any
+//! divergence here is a user-visible wrong answer.
 
-use distance_permutations::core::survey_flat::survey_database_flat_sharded;
 use distance_permutations::core::{
-    count_permutations, count_permutations_flat_sharded, survey_database, DatabaseSurvey,
-    SurveyConfig,
+    count_permutations, count_permutations_flat_sharded, survey_database,
+    survey_database_flat_sharded, DatabaseSurvey, SurveyConfig,
 };
 use distance_permutations::datasets::vectors::uniform_unit_cube_flat;
 use distance_permutations::datasets::VectorSet;
 use distance_permutations::metric::{TransposedSites, L2};
-use distance_permutations::permutation::compute::{
-    database_permutations_flat_parallel, packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K,
+use distance_permutations::permutation::compute::{packed_keys_flat, PACKED_MAX_K, WIDE_MAX_K};
+use distance_permutations::permutation::{
+    pack_perm, FlatKey, PackedPermutationCounter, Permutation,
 };
-use distance_permutations::permutation::{pack_perm, PackedPermutationCounter};
 use proptest::prelude::*;
 use std::collections::HashSet;
 
@@ -78,7 +77,8 @@ where
     let sites = uniform_unit_cube_flat(k, d, seed ^ 0xABCD);
     let sites_t = TransposedSites::from_rows(sites.as_flat(), d);
     let fused: Vec<K> = packed_keys_flat(&L2, &sites_t, db.as_flat());
-    let perms = database_permutations_flat_parallel(&L2, &sites_t, db.as_flat(), 1);
+    let mut perms = Vec::new();
+    Permutation::scan_flat(&L2, &sites_t, db.as_flat(), |p| perms.push(p));
     assert_eq!(fused.len(), perms.len(), "n = {n}, k = {k}: key count");
     for (row, (key, perm)) in fused.iter().zip(perms.iter()).enumerate() {
         let reference: K = pack_perm(perm);
@@ -118,7 +118,7 @@ proptest! {
     ) {
         let db = uniform_unit_cube_flat(n, d, seed);
         let sites = uniform_unit_cube_flat(k, d, seed ^ 0x5A5A);
-        let reference = count_permutations(&L2, &nested(&sites), &nested(&db));
+        let reference = count_permutations(&L2, &nested(&sites), &nested(&db), 1);
         for shard_rows in [0usize, 1, n - 1, n, n + 1] {
             for threads in [1usize, 2, 4] {
                 let sharded =
@@ -142,7 +142,7 @@ proptest! {
 fn check_sharded_survey_k(k: usize, n: usize, d: usize) {
     let flat = uniform_unit_cube_flat(n, d, 131);
     let cfg = SurveyConfig { ks: vec![k], rho_pairs: 300, ..Default::default() };
-    let reference = survey_database(&L2, &nested(&flat), &cfg);
+    let reference = survey_database(&L2, &nested(&flat), &cfg, 1);
     for shard_rows in [0usize, 1, n - 1, n, n + 1] {
         for threads in [1usize, 2, 4] {
             let sharded = survey_database_flat_sharded(&L2, &flat, &cfg, threads, shard_rows);

@@ -56,7 +56,7 @@ fn size_hierarchy_matches_the_paper() {
 fn survey_agrees_with_hand_built_stores() {
     let db = uniform_unit_cube(5_000, 2, 3);
     let cfg = SurveyConfig { ks: vec![6], seed: 0x5EED, rho_pairs: 2_000, reference: None };
-    let s = survey_database(&L2, &db, &cfg);
+    let s = survey_database(&L2, &db, &cfg, 1);
     let k6 = &s.per_k[0];
 
     // Rebuild the same column from the survey's own site choice.

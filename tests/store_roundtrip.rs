@@ -8,12 +8,14 @@
 //! five persisted metrics, the k = 2..=32 range (every key-column width:
 //! `u64` keys to k = 12, `u128` to 25, position arrays to 32),
 //! degenerate shapes (n = 0, k = n, d = 1),
-//! and both the sequential searcher and the parallel batch path.
+//! and both the sequential searcher and the parallel batch path.  A
+//! build split across workers (1024 rows and up) must equal the generic
+//! per-point index and store the same bytes at every worker count.
 
 use distance_permutations::datasets::{uniform_unit_cube, VectorSet};
 use distance_permutations::index::laesa::PivotSelection;
 use distance_permutations::index::serve::{query_batch_parallel_approx, ApproxRequest};
-use distance_permutations::index::FlatDistPermIndex;
+use distance_permutations::index::{DistPermIndex, FlatDistPermIndex};
 use distance_permutations::metric::{
     BatchDistance, Distance, F64Dist, L2Squared, LInf, Lp, L1, L2,
 };
@@ -199,4 +201,40 @@ fn explicit_site_build_roundtrips() {
     let index = FlatDistPermIndex::build_with_sites(L2, flat(&db), vec![11, 3, 40, 7], 1);
     let queries = uniform_unit_cube(8, 3, 24);
     assert_roundtrip(&index, as_l2, &queries, 4, 1.0, 2);
+}
+
+/// From 1024 rows on the flat build splits its rows across workers, and
+/// each worker keys its chunk by rank rows: at every worker count and key
+/// width the index must equal the generic per-point index on the same
+/// rows and sites, and its store must be the same bytes.
+#[test]
+fn split_build_matches_the_generic_index_and_stores_identically() {
+    let queries = uniform_unit_cube(4, 3, 99);
+    for n in [1031usize, 4099] {
+        let db = uniform_unit_cube(n, 3, 31 + n as u64);
+        for (k, engine) in
+            [(12usize, "packed-u64"), (13, "packed-u128"), (25, "packed-u128"), (26, "permutation")]
+        {
+            let site_ids: Vec<usize> = (0..k).map(|i| i * 37 % n).collect();
+            let generic = DistPermIndex::build_with_sites(L2, db.clone(), site_ids.clone());
+            let mut stores = Vec::new();
+            for threads in [1usize, 2, 3] {
+                let tag = format!("n = {n}, k = {k}, threads = {threads}");
+                let index =
+                    FlatDistPermIndex::build_with_sites(L2, flat(&db), site_ids.clone(), threads);
+                assert_eq!(index.permutations(), generic.permutations(), "{tag}");
+                assert_eq!(index.distinct_permutations(), generic.distinct_permutations(), "{tag}");
+                assert_eq!(index.ordering_engine(), engine, "{tag}");
+                for q in &queries {
+                    for frac in [0.02, 0.1] {
+                        let (got, want) =
+                            (index.knn_approx(q, 3, frac), generic.knn_approx(q, 3, frac));
+                        assert_eq!(got, want, "{tag}, frac = {frac}");
+                    }
+                }
+                stores.push(store_to_bytes(&index));
+            }
+            assert!(stores.windows(2).all(|w| w[0] == w[1]), "n = {n}, k = {k}: store bytes");
+        }
+    }
 }

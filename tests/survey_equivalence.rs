@@ -8,10 +8,9 @@
 //! 25.  The flat survey is the engine behind `distperm survey` on
 //! vector files, so any divergence here is a user-visible wrong answer.
 
-use distance_permutations::core::survey_flat::survey_database_flat_sharded;
 use distance_permutations::core::{
-    count_permutations, count_permutations_flat_sharded, survey_database, DatabaseSurvey,
-    SurveyConfig,
+    count_permutations, count_permutations_flat_sharded, survey_database,
+    survey_database_flat_sharded, DatabaseSurvey, SurveyConfig,
 };
 use distance_permutations::datasets::vectors::{uniform_unit_cube, uniform_unit_cube_flat};
 use distance_permutations::metric::{BatchDistance, L2Squared, LInf, Lp, Metric, L1, L2};
@@ -56,7 +55,7 @@ where
 {
     let nested = uniform_unit_cube(n, d, seed);
     let flat = uniform_unit_cube_flat(n, d, seed);
-    let generic = survey_database(metric, &nested, cfg);
+    let generic = survey_database(metric, &nested, cfg, 1);
     assert_bit_identical(&generic, &survey_database_flat_sharded(metric, &flat, cfg, 1, 0), tag);
 }
 
@@ -95,7 +94,7 @@ proptest! {
         let cfg = SurveyConfig { ks: vec![k], rho_pairs: 300, ..Default::default() };
         let flat = uniform_unit_cube_flat(n, d, seed);
         let nested = uniform_unit_cube(n, d, seed);
-        let generic = survey_database(&L2, &nested, &cfg);
+        let generic = survey_database(&L2, &nested, &cfg, 1);
         for threads in [1usize, 2, 4] {
             let par = survey_database_flat_sharded(&L2, &flat, &cfg, threads, 0);
             assert_bit_identical(&generic, &par, &format!("threads = {threads}"));
@@ -113,13 +112,13 @@ fn check_cutover_k(k: usize, n: usize, d: usize) {
     let flat = uniform_unit_cube_flat(n, d, 97);
     let sites_nested = uniform_unit_cube(k, d, 98);
     let sites_flat = uniform_unit_cube_flat(k, d, 98);
-    let hash = count_permutations(&L2, &sites_nested, &nested);
+    let hash = count_permutations(&L2, &sites_nested, &nested, 1);
     let fast = count_permutations_flat_sharded(&L2, &sites_flat, &flat, 1, 0);
     assert_eq!(fast.distinct, hash.distinct, "k = {k}: distinct");
     assert_eq!(fast.total, hash.total, "k = {k}: total");
     assert_eq!(fast.mean_occupancy.to_bits(), hash.mean_occupancy.to_bits(), "k = {k}: occupancy");
     let cfg = SurveyConfig { ks: vec![k], rho_pairs: 300, ..Default::default() };
-    let generic = survey_database(&L2, &nested, &cfg);
+    let generic = survey_database(&L2, &nested, &cfg, 1);
     assert_bit_identical(&generic, &survey_database_flat_sharded(&L2, &flat, &cfg, 1, 0), "survey");
     for threads in [1usize, 2, 4] {
         assert_bit_identical(
@@ -169,7 +168,7 @@ fn duplicate_heavy_low_dimensional_data_agrees_across_engines() {
         let nested = uniform_unit_cube(n, 1, 1234);
         let flat = uniform_unit_cube_flat(n, 1, 1234);
         let cfg = SurveyConfig { ks: vec![k], rho_pairs: 400, ..Default::default() };
-        let generic = survey_database(&L2, &nested, &cfg);
+        let generic = survey_database(&L2, &nested, &cfg, 1);
         // 1-D, k sites: at most C(k,2)+1 distinct permutations — heavy
         // duplication by construction.
         assert!(generic.per_k[0].report.distinct <= k * (k - 1) / 2 + 1);
@@ -195,7 +194,7 @@ fn generic_survey_still_serves_string_data() {
     use distance_permutations::metric::Levenshtein;
     let words: Vec<String> = (0..200).map(|i| format!("word{:04}", i * 37 % 977)).collect();
     let cfg = SurveyConfig { ks: vec![4], rho_pairs: 500, ..Default::default() };
-    let s = survey_database(&Levenshtein, &words, &cfg);
+    let s = survey_database(&Levenshtein, &words, &cfg, 1);
     assert_eq!(s.n, 200);
     assert!(s.per_k[0].report.distinct >= 1);
 }
