@@ -1,10 +1,14 @@
 //! Ablation: which permutation-similarity measure should the `distperm`
 //! index order candidates by?
 //!
-//! Chávez–Figueroa–Navarro picked the Spearman footrule; this harness
-//! compares footrule, Spearman rho (squared form), Kendall tau and
-//! Cayley on budgeted 1-NN recall over uniform vectors and a synthetic
-//! dictionary, holding the index, sites and budget fixed.
+//! Chávez–Figueroa–Navarro picked the Spearman footrule, the one ordering
+//! the index runs; this harness compares footrule, Spearman rho (squared
+//! form), Kendall tau and Cayley on budgeted 1-NN recall over uniform
+//! vectors and a synthetic dictionary, holding the index, sites and
+//! budget fixed.  It orders the index's stored permutations itself, the
+//! way the index's budgeted 1-NN does: candidates sorted by
+//! `(measure, id)`, the first ⌈frac·n⌉ (at least one) measured, the
+//! nearest by `(distance, id)` kept.
 //!
 //! `cargo run --release -p dp-bench --bin permdist_ablation [--n 20000]
 //!  [--d 3] [--k 10] [--queries 200] [--frac 0.05] [--seed 1]`
@@ -13,8 +17,14 @@ use dp_bench::Args;
 use dp_datasets::dictionary::{generate_words, language_profiles};
 use dp_datasets::uniform_unit_cube;
 use dp_index::laesa::PivotSelection;
-use dp_index::{DistPermIndex, LinearScan, OrderingKind};
+use dp_index::{DistPermIndex, LinearScan};
 use dp_metric::{Levenshtein, Metric, L2};
+use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
+use dp_permutation::Permutation;
+
+/// The measures compared, in table column order.
+const MEASURES: [fn(&Permutation, &Permutation) -> u64; 4] =
+    [spearman_footrule, spearman_rho_sq, kendall_tau, cayley];
 
 fn recall_sweep<P, M>(label: &str, metric: M, db: Vec<P>, queries: &[P], k: usize, frac: f64)
 where
@@ -23,14 +33,23 @@ where
 {
     let scan = LinearScan::new(metric.clone(), db.clone());
     let truth: Vec<usize> = queries.iter().map(|q| scan.knn(q, 1)[0].id).collect();
-    let idx = DistPermIndex::build(metric, db, k, PivotSelection::MaxMin);
+    let idx = DistPermIndex::build(metric.clone(), db.clone(), k, PivotSelection::MaxMin);
+    let perms = idx.permutations();
+    let budget = ((frac * db.len() as f64).ceil() as usize).clamp(1, db.len());
+    let qperms: Vec<Permutation> = queries.iter().map(|q| idx.query_permutation(q)).collect();
     print!("{label:<22}");
-    for kind in OrderingKind::ALL {
+    for measure in MEASURES {
         let hits = queries
             .iter()
+            .zip(&qperms)
             .zip(&truth)
-            .filter(|(q, &t)| {
-                idx.knn_approx_ordered(q, 1, frac, kind).first().map(|n| n.id) == Some(t)
+            .filter(|((q, qperm), &t)| {
+                let mut order: Vec<(u64, usize)> =
+                    perms.iter().map(|p| measure(qperm, p)).zip(0..).collect();
+                order.sort_unstable();
+                let nearest =
+                    order[..budget].iter().map(|&(_, id)| (metric.distance(q, &db[id]), id));
+                nearest.min().map(|(_, id)| id) == Some(t)
             })
             .count();
         print!(" {:>7.1}%", 100.0 * hits as f64 / queries.len() as f64);

@@ -11,6 +11,11 @@ use crate::CliError;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// Most workers `--threads` accepts: every worker is an OS thread
+/// started at once, so the bound keeps a typo from asking for a thread
+/// per row.
+const MAX_THREADS: usize = 1024;
+
 /// Parsed command-line arguments with typo detection.
 #[derive(Debug)]
 pub struct ParsedArgs {
@@ -146,15 +151,20 @@ impl ParsedArgs {
 
     /// The `--threads` worker count with a default.
     ///
-    /// Rejects 0 with an actionable message — every parallel command
-    /// shares this validation, so `--threads 0` cannot silently mean
-    /// "sequential" in one command and panic in another.
+    /// Rejects 0 and anything above `MAX_THREADS` with an actionable
+    /// message — every parallel command shares this validation, so
+    /// `--threads 0` cannot silently mean "sequential" in one command
+    /// and panic in another, and no command starts one OS thread per
+    /// row of a large file.
     pub fn threads_or(&self, default: usize) -> Result<usize, CliError> {
         let threads = self.usize_or("threads", default)?;
         if threads == 0 {
             return Err(CliError::usage(
                 "--threads must be at least 1 (use --threads 1 for a sequential run)",
             ));
+        }
+        if threads > MAX_THREADS {
+            return Err(CliError::usage(format!("--threads must be at most {MAX_THREADS}")));
         }
         Ok(threads)
     }
@@ -249,6 +259,19 @@ mod tests {
         let a = parse(&["x"]);
         let err = a.require_str("out").unwrap_err();
         assert!(err.to_string().contains("--out"), "{err}");
+    }
+
+    #[test]
+    fn threads_are_bounded_on_both_sides() {
+        assert_eq!(parse(&["x"]).threads_or(4).unwrap(), 4);
+        assert_eq!(parse(&["x", "--threads", "1024"]).threads_or(4).unwrap(), MAX_THREADS);
+        for (value, message) in
+            [("0", "at least 1"), ("1025", "at most 1024"), ("100000", "at most 1024")]
+        {
+            let err = parse(&["x", "--threads", value]).threads_or(4).unwrap_err();
+            assert_eq!(err.exit_code(), 2, "--threads {value}");
+            assert!(err.to_string().contains(message), "--threads {value}: {err}");
+        }
     }
 
     #[test]

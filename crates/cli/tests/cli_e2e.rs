@@ -480,6 +480,16 @@ fn threads_zero_is_a_usage_error_everywhere() {
 }
 
 #[test]
+fn threads_above_the_bound_are_a_usage_error() {
+    // `count` parses --threads before it reads the file, so a missing
+    // file would turn an accepted bound into exit 1; no worker starts
+    // either way.
+    let o = distperm(&["count", "--vectors", "/no/such/file", "--k", "4", "--threads", "100000"]);
+    assert_eq!(o.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&o.stderr).contains("--threads must be at most 1024"));
+}
+
+#[test]
 fn data_errors_exit_1() {
     let o = distperm(&["count", "--vectors", "/no/such/file", "--k", "4"]);
     assert_eq!(o.status.code(), Some(1));

@@ -1,5 +1,5 @@
 //! The unified proximity-query API: [`ProximityIndex`] / [`Searcher`]
-//! and their budgeted counterparts [`ApproxIndex`] / [`ApproxSearcher`].
+//! and the budgeted [`ApproxSearcher`].
 //!
 //! Every index type in this crate answers queries through the same
 //! two-level surface:
@@ -137,47 +137,4 @@ pub trait ApproxSearcher<P: ?Sized>: Searcher<P> {
         radius: Self::Dist,
         frac: f64,
     ) -> (Vec<Neighbor<Self::Dist>>, QueryStats);
-}
-
-/// Marker + convenience surface for indexes whose sessions support
-/// budgeted queries (the permutation family).
-///
-/// The searcher bound lives on the methods (at the borrow's concrete
-/// lifetime) rather than on the trait, so implementations and generic
-/// code avoid higher-ranked `for<'s>` obligations.  Generic code over an
-/// `ApproxIndex` names the borrow lifetime explicitly:
-///
-/// ```text
-/// fn sweep<'i, P, I>(idx: &'i I)
-/// where
-///     I: ApproxIndex<P>,
-///     I::Searcher<'i>: ApproxSearcher<P>,
-/// { ... }
-/// ```
-pub trait ApproxIndex<P: ?Sized>: ProximityIndex<P> {
-    /// One-shot budgeted k-NN (builds a throwaway session).
-    fn query_knn_approx<'a>(
-        &'a self,
-        query: &P,
-        k: usize,
-        frac: f64,
-    ) -> (Vec<Neighbor<Self::Dist>>, QueryStats)
-    where
-        Self::Searcher<'a>: ApproxSearcher<P>,
-    {
-        self.searcher().knn_approx(query, k, frac)
-    }
-
-    /// One-shot budgeted range query (builds a throwaway session).
-    fn query_range_approx<'a>(
-        &'a self,
-        query: &P,
-        radius: Self::Dist,
-        frac: f64,
-    ) -> (Vec<Neighbor<Self::Dist>>, QueryStats)
-    where
-        Self::Searcher<'a>: ApproxSearcher<P>,
-    {
-        self.searcher().range_approx(query, radius, frac)
-    }
 }

@@ -14,7 +14,10 @@
 //!
 //! Search follows Chávez–Figueroa–Navarro: order candidates by the
 //! Spearman footrule between their stored permutation and the query's,
-//! computed on the keys, then measure true distances in that order.
+//! computed on the keys, then measure true distances in that order.  The
+//! footrule is the one ordering the index runs; the `permdist_ablation`
+//! bench binary compares it with other permutation measures over the
+//! decoded permutations.
 //! Permutations carry no lower bound, so a budgeted scan is
 //! *approximate*; the full budget (`frac = 1.0`) is exact — which is how
 //! the index satisfies the exact [`crate::ProximityIndex`] contract while
@@ -22,7 +25,7 @@
 //! [`crate::PrefixPermIndex`] is this index over a key column clamped to
 //! length-ℓ prefixes, and searches through [`DistPermSearcher`].
 
-use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
+use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::keys::{clamped_positions, KeyColumn};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
@@ -31,57 +34,7 @@ use crate::query::{
 };
 use dp_metric::Metric;
 use dp_permutation::bits::element_bits;
-use dp_permutation::permdist::{cayley, kendall_tau, spearman_footrule, spearman_rho_sq};
 use dp_permutation::{DistPermComputer, PackedCountSummary, PackedPermutationCounter, Permutation};
-
-/// Permutation-similarity measures available for candidate ordering.
-///
-/// Chávez–Figueroa–Navarro use the Spearman footrule; rho and Kendall
-/// tau are the standard alternatives, and Cayley is the cheap
-/// coarse-grained one.  The `permdist_ablation` harness measures what
-/// the choice costs in recall.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum OrderingKind {
-    /// Spearman footrule (CFN's choice; the default).
-    #[default]
-    Footrule,
-    /// Sum of squared rank displacements (Spearman rho, unnormalised).
-    RhoSq,
-    /// Kendall tau (discordant pairs).
-    KendallTau,
-    /// Cayley distance (transpositions).
-    Cayley,
-}
-
-impl OrderingKind {
-    /// Evaluates the measure between two permutations.
-    pub fn distance(self, a: &Permutation, b: &Permutation) -> u64 {
-        match self {
-            OrderingKind::Footrule => spearman_footrule(a, b),
-            OrderingKind::RhoSq => spearman_rho_sq(a, b),
-            OrderingKind::KendallTau => kendall_tau(a, b),
-            OrderingKind::Cayley => cayley(a, b),
-        }
-    }
-
-    /// All variants, for sweeps.
-    pub const ALL: [OrderingKind; 4] = [
-        OrderingKind::Footrule,
-        OrderingKind::RhoSq,
-        OrderingKind::KendallTau,
-        OrderingKind::Cayley,
-    ];
-
-    /// Short display name.
-    pub fn name(self) -> &'static str {
-        match self {
-            OrderingKind::Footrule => "footrule",
-            OrderingKind::RhoSq => "rho_sq",
-            OrderingKind::KendallTau => "kendall",
-            OrderingKind::Cayley => "cayley",
-        }
-    }
-}
 
 /// Distance-permutation index over an owned database.
 ///
@@ -265,17 +218,6 @@ impl<P, M: Metric<P>> DistPermIndex<P, M> {
         self.session().knn_approx(query, k, frac).0
     }
 
-    /// [`Self::knn_approx`] with an explicit candidate-ordering measure.
-    pub fn knn_approx_ordered(
-        &self,
-        query: &P,
-        k: usize,
-        frac: f64,
-        ordering: OrderingKind,
-    ) -> Vec<Neighbor<M::Dist>> {
-        self.session().knn_approx_ordered(query, k, frac, ordering).0
-    }
-
     /// Approximate range query: report elements within `radius` among the
     /// `frac` permutation-nearest fraction of the database.
     ///
@@ -306,31 +248,16 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
         self.computer.compute(&self.index.metric, &self.index.sites, query)
     }
 
-    /// Budgeted k-NN with the default footrule ordering; returns the
+    /// Budgeted k-NN over the footrule-nearest candidates; returns the
     /// neighbours and the native evaluation count (k + budget).
+    ///
+    /// The budget is `⌈frac·n⌉` clamped to `[min(k, n), n]`; `n == 0`
+    /// and `k == 0` answer empty with no evaluations.
     pub fn knn_approx(
         &mut self,
         query: &P,
         k: usize,
         frac: f64,
-    ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
-        self.knn_approx_ordered(query, k, frac, OrderingKind::Footrule)
-    }
-
-    /// [`Self::knn_approx`] with an explicit candidate-ordering measure.
-    ///
-    /// The budget is `⌈frac·n⌉` clamped to `[min(k, n), n]`; `n == 0`
-    /// and `k == 0` answer empty with no evaluations.
-    ///
-    /// # Panics
-    /// On a [`crate::PrefixPermIndex`]'s searcher, for any measure but
-    /// the footrule.
-    pub fn knn_approx_ordered(
-        &mut self,
-        query: &P,
-        k: usize,
-        frac: f64,
-        ordering: OrderingKind,
     ) -> (Vec<Neighbor<M::Dist>>, QueryStats) {
         assert_frac(frac);
         let n = self.index.len();
@@ -339,7 +266,7 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
         }
         let budget = knn_budget(n, k, frac);
         let mut heap = KnnHeap::new(k.min(n));
-        self.scan(query, ordering, budget, |id, dist| heap.push(id, dist));
+        self.scan(query, budget, |id, dist| heap.push(id, dist));
         (heap.into_sorted(), QueryStats::new((self.index.k() + budget) as u64))
     }
 
@@ -358,7 +285,7 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
         }
         let budget = range_budget(n, frac);
         let mut out = Vec::new();
-        self.scan(query, OrderingKind::Footrule, budget, |id, dist| {
+        self.scan(query, budget, |id, dist| {
             if dist <= radius {
                 out.push(Neighbor { id, dist });
             }
@@ -368,19 +295,13 @@ impl<P, M: Metric<P>> DistPermSearcher<'_, P, M> {
     }
 
     /// The budgeted scan both queries share: the query permutation (k
-    /// evaluations), the `budget` nearest candidates under `ordering`,
-    /// and each one's measured distance fed to `visit` — every element
-    /// in storage order at full budget, which orders nothing.
-    fn scan(
-        &mut self,
-        query: &P,
-        ordering: OrderingKind,
-        budget: usize,
-        mut visit: impl FnMut(usize, M::Dist),
-    ) {
+    /// evaluations), the `budget` footrule-nearest candidates, and each
+    /// one's measured distance fed to `visit` — every element in storage
+    /// order at full budget, which orders nothing.
+    fn scan(&mut self, query: &P, budget: usize, mut visit: impl FnMut(usize, M::Dist)) {
         let index = self.index;
         let qperm = self.computer.compute(&index.metric, &index.sites, query);
-        index.keys.order(&qperm, ordering, budget, &mut self.order);
+        index.keys.order(&qperm, budget, &mut self.order);
         let mut measure = |id: usize| visit(id, index.metric.distance(query, &index.points[id]));
         if budget == index.len() {
             (0..budget).for_each(measure);
@@ -444,8 +365,6 @@ impl<P: Sync, M: Metric<P> + Sync> ApproxSearcher<P> for DistPermSearcher<'_, P,
     }
 }
 
-impl<P: Sync, M: Metric<P> + Sync> ApproxIndex<P> for DistPermIndex<P, M> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,6 +373,7 @@ mod tests {
     use crate::query::KnnHeap;
     use dp_metric::L2;
     use dp_permutation::counter::count_distinct;
+    use dp_permutation::permdist::spearman_footrule;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
 
@@ -571,49 +491,6 @@ mod tests {
     }
 
     #[test]
-    fn every_ordering_kind_is_exact_at_full_budget() {
-        let pts = random_points(150, 3, 21);
-        let scan = LinearScan::new(L2, pts.clone());
-        let idx = DistPermIndex::build(L2, pts, 8, PivotSelection::MaxMin);
-        for q in random_points(5, 3, 22) {
-            let truth = scan.knn(&q, 3);
-            for kind in OrderingKind::ALL {
-                assert_eq!(idx.knn_approx_ordered(&q, 3, 1.0, kind), truth, "{kind:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn ordering_kinds_give_sane_budgeted_recall() {
-        let pts = random_points(800, 3, 23);
-        let scan = LinearScan::new(L2, pts.clone());
-        let idx = DistPermIndex::build(L2, pts, 10, PivotSelection::MaxMin);
-        let queries = random_points(30, 3, 24);
-        for kind in OrderingKind::ALL {
-            let hits = queries
-                .iter()
-                .filter(|q| {
-                    let truth = scan.knn(q, 1)[0].id;
-                    idx.knn_approx_ordered(q, 1, 0.1, kind).first().map(|n| n.id) == Some(truth)
-                })
-                .count();
-            // All measures should massively beat the 10% random baseline.
-            assert!(hits >= 15, "{kind:?}: recall {hits}/30");
-        }
-    }
-
-    #[test]
-    fn ordering_kind_distances_match_permdist() {
-        use dp_permutation::permdist;
-        let a = Permutation::from_slice(&[2, 0, 3, 1]).unwrap();
-        let b = Permutation::from_slice(&[1, 3, 0, 2]).unwrap();
-        assert_eq!(OrderingKind::Footrule.distance(&a, &b), permdist::spearman_footrule(&a, &b));
-        assert_eq!(OrderingKind::RhoSq.distance(&a, &b), permdist::spearman_rho_sq(&a, &b));
-        assert_eq!(OrderingKind::KendallTau.distance(&a, &b), permdist::kendall_tau(&a, &b));
-        assert_eq!(OrderingKind::Cayley.distance(&a, &b), permdist::cayley(&a, &b));
-    }
-
-    #[test]
     fn budgeted_order_matches_full_sort_prefix() {
         // The select_nth fast path must scan exactly the same candidates,
         // in the same order, as a full sort truncated to the budget.
@@ -621,27 +498,25 @@ mod tests {
         let idx = DistPermIndex::build(L2, pts.clone(), 9, PivotSelection::MaxMin);
         for (qi, q) in random_points(8, 3, 32).iter().enumerate() {
             let qperm = idx.query_permutation(q);
-            for kind in OrderingKind::ALL {
-                // Reference: full sort of (distance, id), then truncate.
-                let mut full: Vec<(u64, usize)> = idx
-                    .permutations()
-                    .iter()
-                    .enumerate()
-                    .map(|(i, p)| (kind.distance(&qperm, p), i))
-                    .collect();
-                full.sort_unstable();
-                for budget_frac in [0.05f64, 0.33, 0.8] {
-                    let budget = ((budget_frac * 700.0).ceil() as usize).max(3);
-                    let expected: Vec<Neighbor<_>> = {
-                        let mut heap = KnnHeap::new(3);
-                        for &(_, i) in full.iter().take(budget) {
-                            heap.push(i, L2.distance(q, &pts[i]));
-                        }
-                        heap.into_sorted()
-                    };
-                    let got = idx.knn_approx_ordered(q, 3, budget_frac, kind);
-                    assert_eq!(got, expected, "query {qi}, {kind:?}, frac {budget_frac}");
-                }
+            // Reference: full sort of (footrule, id), then truncate.
+            let mut full: Vec<(u64, usize)> = idx
+                .permutations()
+                .iter()
+                .enumerate()
+                .map(|(i, p)| (spearman_footrule(&qperm, p), i))
+                .collect();
+            full.sort_unstable();
+            for budget_frac in [0.05f64, 0.33, 0.8] {
+                let budget = ((budget_frac * 700.0).ceil() as usize).max(3);
+                let expected: Vec<Neighbor<_>> = {
+                    let mut heap = KnnHeap::new(3);
+                    for &(_, i) in full.iter().take(budget) {
+                        heap.push(i, L2.distance(q, &pts[i]));
+                    }
+                    heap.into_sorted()
+                };
+                let got = idx.knn_approx(q, 3, budget_frac);
+                assert_eq!(got, expected, "query {qi}, frac {budget_frac}");
             }
         }
     }

@@ -39,10 +39,10 @@
 //! any non-`f64` point type.  Through the trait family this index is a
 //! `ProximityIndex<[f64]>`: queries are plain `&[f64]` rows, which is
 //! what makes it the natural engine under
-//! [`crate::serve::query_batch_parallel`].
+//! [`crate::serve::query_batch_parallel_approx`], which serves
+//! `distperm search`.
 
-use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
-use crate::distperm::OrderingKind;
+use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::keys::{clamped_positions, KeyColumn};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::{
@@ -240,17 +240,6 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
         self.session().knn_approx(query, k, frac).0
     }
 
-    /// [`Self::knn_approx`] with an explicit ordering measure.
-    pub fn knn_approx_ordered(
-        &self,
-        query: &[f64],
-        k: usize,
-        frac: f64,
-        ordering: OrderingKind,
-    ) -> Vec<Neighbor<F64Dist>> {
-        self.session().knn_approx_ordered(query, k, frac, ordering).0
-    }
-
     /// Approximate range query over the `frac` permutation-nearest
     /// fraction (subset of the true answer; `frac = 1.0` is exact).
     pub fn range_approx(
@@ -286,17 +275,7 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         query_permutation_into(self.index, &mut self.dists, query)
     }
 
-    /// Budgeted k-NN with the default footrule ordering.
-    pub fn knn_approx(
-        &mut self,
-        query: &[f64],
-        k: usize,
-        frac: f64,
-    ) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
-        self.knn_approx_ordered(query, k, frac, OrderingKind::Footrule)
-    }
-
-    /// [`Self::knn_approx`] with an explicit ordering measure.
+    /// Budgeted k-NN over the footrule-nearest candidates.
     ///
     /// Candidate measurement runs through the strip-mined batched kernel
     /// (the query acts as a 1-site transposed set; candidates are
@@ -305,14 +284,13 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
     /// row)` — `|x − s|`, `(x − s)²` and `|x − s|^p` are all exactly
     /// symmetric — so answers are identical to the generic
     /// [`crate::DistPermIndex`] on the same data.  At full budget the
-    /// query is the exact scan of [`Searcher::knn_batch`], and the
-    /// ordering measure plays no part.
-    pub fn knn_approx_ordered(
+    /// query is the exact scan of [`Searcher::knn_batch`], which orders
+    /// nothing.
+    pub fn knn_approx(
         &mut self,
         query: &[f64],
         k: usize,
         frac: f64,
-        ordering: OrderingKind,
     ) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         let index = self.index;
         check_dimension(index, query);
@@ -327,13 +305,13 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
             return answers.pop().expect("one answer per swept query");
         }
         let mut heap = KnnHeap::new(k.min(n));
-        self.measure_budget(query, ordering, budget, |i, d| heap.push(i, d));
+        self.measure_budget(query, budget, |i, d| heap.push(i, d));
         (heap.into_sorted(), QueryStats::new((index.k() + budget) as u64))
     }
 
     /// Budgeted range query; a subset of the true answer, exact at
     /// `frac = 1.0`.  Below full budget, candidates are measured through
-    /// the batched kernel exactly as in [`Self::knn_approx_ordered`]; at
+    /// the batched kernel exactly as in [`Self::knn_approx`]; at
     /// full budget the k site distances are computed but not ranked, and
     /// every row is streamed in storage order.
     pub fn range_approx(
@@ -363,28 +341,27 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
                 sink(i, F64Dist::new(d[0]));
             });
         } else {
-            self.measure_budget(query, OrderingKind::Footrule, budget, sink);
+            self.measure_budget(query, budget, sink);
         }
         out.sort_unstable();
         (out, QueryStats::new((index.k() + budget) as u64))
     }
 
     /// A budgeted scan below full budget: the query permutation (k
-    /// batched evaluations), the `budget` candidates nearest under
-    /// `ordering`, and their rows gathered block by block in that order
-    /// and measured through the batched kernel against the query as a
-    /// 1-site transposed set, each `(id, distance)` fed to `sink`.  NaN
+    /// batched evaluations), the `budget` footrule-nearest candidates,
+    /// and their rows gathered block by block in that order and measured
+    /// through the batched kernel against the query as a 1-site
+    /// transposed set, each `(id, distance)` fed to `sink`.  NaN
     /// distances panic (at `F64Dist::new`) exactly like the scalar path.
     fn measure_budget(
         &mut self,
         query: &[f64],
-        ordering: OrderingKind,
         budget: usize,
         mut sink: impl FnMut(usize, F64Dist),
     ) {
         let index = self.index;
         let qperm = query_permutation_into(index, &mut self.dists, query);
-        index.keys.order(&qperm, ordering, budget, &mut self.order);
+        index.keys.order(&qperm, budget, &mut self.order);
         self.query_sites.assign_rows(query, index.points.dim());
         for block in self.order.chunks(CANDIDATE_BLOCK_ROWS) {
             self.gather.clear();
@@ -571,14 +548,13 @@ impl<M: BatchDistance + Sync> ApproxSearcher<[f64]> for FlatDistPermSearcher<'_,
     }
 }
 
-impl<M: BatchDistance + Sync> ApproxIndex<[f64]> for FlatDistPermIndex<M> {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::distperm::DistPermIndex;
     use crate::linear::LinearScan;
     use dp_metric::{L2Squared, Metric, L2};
+    use dp_permutation::permdist::spearman_footrule;
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -735,12 +711,11 @@ mod tests {
     }
 
     /// The candidate path the packed order and the storage-order scan
-    /// replaced: every `(ordering distance, id)` pair fully sorted, the
-    /// first `budget` measured one at a time with the scalar metric.
+    /// replaced: every `(footrule, id)` pair fully sorted, the first
+    /// `budget` measured one at a time with the scalar metric.
     fn oracle_candidates(
         idx: &FlatDistPermIndex<L2>,
         q: &[f64],
-        ordering: OrderingKind,
         budget: usize,
     ) -> Vec<Neighbor<F64Dist>> {
         let qperm = idx.query_permutation(q);
@@ -748,7 +723,7 @@ mod tests {
             .permutations()
             .iter()
             .enumerate()
-            .map(|(i, p)| (ordering.distance(&qperm, p), i))
+            .map(|(i, p)| (spearman_footrule(&qperm, p), i))
             .collect();
         pairs.sort_unstable();
         pairs[..budget]
@@ -779,13 +754,11 @@ mod tests {
             n in 40usize..240,
             dim in 1usize..4,
             k_pick in 0usize..3,
-            ordering_pick in 0usize..4,
             grid in any::<bool>(),
             nn in 1usize..5,
             seed in any::<u64>(),
         ) {
             let k = [8usize, 16, 26][k_pick];
-            let ordering = OrderingKind::ALL[ordering_pick];
             let mut rng = StdRng::seed_from_u64(seed);
             let mut coord = || {
                 let x = rng.random::<f64>();
@@ -801,14 +774,14 @@ mod tests {
                 for budget in [1, n / 20, n - 1, n] {
                     let frac = frac_for(budget, n);
                     let knn_budget = budget.max(nn);
-                    let mut expected = oracle_candidates(&idx, q, ordering, knn_budget);
+                    let mut expected = oracle_candidates(&idx, q, knn_budget);
                     expected.sort_unstable();
                     expected.truncate(nn);
-                    let (got, stats) = searcher.knn_approx_ordered(q, nn, frac, ordering);
+                    let (got, stats) = searcher.knn_approx(q, nn, frac);
                     prop_assert_eq!(&got, &expected, "knn budget {}", budget);
                     prop_assert_eq!(stats, QueryStats::new((k + knn_budget) as u64));
 
-                    let mut expected: Vec<_> = oracle_candidates(&idx, q, OrderingKind::Footrule, budget)
+                    let mut expected: Vec<_> = oracle_candidates(&idx, q, budget)
                         .into_iter()
                         .filter(|nb| nb.dist <= radius)
                         .collect();

@@ -8,20 +8,14 @@
 //! 5-bit fields for k ≤ 12, a `u128` for k ≤ 25, and a `[u8; MAX_K]`
 //! position array above that.
 //!
-//! Every candidate ordering reads the keys as they are:
-//!
-//! * the Spearman footrule is the field-wise `|a − b|` sum (SWAR on the
-//!   packed widths); over clamped keys it is exactly `prefix_footrule`:
-//!   a site missing from one prefix costs |r − ℓ|, from both 0;
-//! * Spearman rho sums the squared field differences;
-//! * Kendall tau and Cayley read the candidate only through
-//!   σ[i] = pos_c[q[i]], q the query permutation: Kendall tau counts σ's
-//!   inversions, and Cayley is k minus σ's cycle count.
+//! Candidates are ordered by the Spearman footrule, the field-wise
+//! `|a − b|` sum of two keys (SWAR on the packed widths).  Over clamped
+//! keys it is exactly `prefix_footrule`: a site missing from one prefix
+//! costs |r − ℓ|, from both 0.
 //!
 //! A key decodes back to the permutation (or prefix) it encodes, and
 //! the distinct count sorts and dedups a copy of the column.
 
-use crate::distperm::OrderingKind;
 use crate::query::budgeted_order;
 use dp_permutation::compute::{PACKED_MAX_K, WIDE_MAX_K};
 use dp_permutation::{PackedKey, Permutation, PrefixPermutation, MAX_K};
@@ -259,35 +253,13 @@ impl KeyColumn {
     }
 
     /// Fills `order` with the `budget` candidates nearest to the query
-    /// permutation `query` under `ordering`, through
-    /// [`budgeted_order`] (at full budget it orders nothing).
-    ///
-    /// # Panics
-    /// Panics if a prefix column is asked for any measure but the
-    /// footrule.
-    pub(crate) fn order(
-        &self,
-        query: &Permutation,
-        ordering: OrderingKind,
-        budget: usize,
-        order: &mut Vec<u64>,
-    ) {
-        assert!(
-            ordering == OrderingKind::Footrule || self.prefix_len == self.k,
-            "a prefix index orders candidates by the footrule only"
-        );
-        let query = QueryKey { perm: query, pos: clamped_positions(query, self.prefix_len) };
+    /// permutation `query` by footrule, through [`budgeted_order`] (at
+    /// full budget it orders nothing).
+    pub(crate) fn order(&self, query: &Permutation, budget: usize, order: &mut Vec<u64>) {
+        let pos = clamped_positions(query, self.prefix_len);
         with_keys!(self, keys => {
-            let (packed, keys) = (Key::pack(&query.pos[..self.k]), keys.iter());
-            // The footrule gets a loop of its own: with the measure matched
-            // inside the loop, the serve benchmark's budgeted queries ran
-            // about a third slower.
-            match ordering {
-                OrderingKind::Footrule => {
-                    budgeted_order(keys.map(|&c| c.footrule(packed)), budget, order);
-                }
-                _ => budgeted_order(keys.map(|&c| query.distance(packed, c, ordering)), budget, order),
-            }
+            let packed = Key::pack(&pos[..self.k]);
+            budgeted_order(keys.iter().map(|&c| c.footrule(packed)), budget, order);
         });
     }
 }
@@ -301,73 +273,32 @@ pub(crate) fn clamped_positions(perm: &Permutation, prefix_len: usize) -> Positi
     pos
 }
 
-/// A query as the orderings read it: its permutation and its clamped
-/// positions.
-struct QueryKey<'q> {
-    perm: &'q Permutation,
-    pos: Positions,
-}
-
-impl QueryKey<'_> {
-    /// The ordering distance to `candidate`; `packed` is the query's
-    /// own key at that width, which the footrule compares it with.  The
-    /// other measures read the candidate's positions `c`, Kendall tau and
-    /// Cayley through σ[i] = c[q[i]].
-    fn distance<K: Key>(&self, packed: K, candidate: K, ordering: OrderingKind) -> u64 {
-        let (k, c) = (self.perm.len(), candidate.positions(self.perm.len()));
-        let sigma = |i: usize| c[usize::from(self.perm.get(i))];
-        match ordering {
-            OrderingKind::Footrule => packed.footrule(candidate),
-            OrderingKind::RhoSq => {
-                self.pos.iter().zip(&c).map(|(&a, &b)| u64::from(a.abs_diff(b)).pow(2)).sum()
-            }
-            OrderingKind::KendallTau => {
-                let after = |i: usize| (i + 1..k).filter(|&j| sigma(i) > sigma(j)).count();
-                (0..k).map(after).sum::<usize>() as u64
-            }
-            OrderingKind::Cayley => {
-                let (mut seen, mut cycles) = (0u64, 0u64);
-                for start in 0..k {
-                    cycles += !(seen >> start) & 1;
-                    let mut at = start;
-                    while (seen >> at) & 1 == 0 {
-                        seen |= 1 << at;
-                        at = usize::from(sigma(at));
-                    }
-                }
-                k as u64 - cycles
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::query::MAX_ORDERING_DISTANCE;
+    use dp_permutation::permdist::spearman_footrule;
     use dp_permutation::prefix_footrule;
     use proptest::prelude::*;
 
     /// The ordering the key column replaced, kept as its oracle: the
-    /// permutation walk over stored permutations.
+    /// footrule walk over stored permutations.
     fn order_candidates(
         perms: &[Permutation],
         qperm: &Permutation,
-        ordering: OrderingKind,
         budget: usize,
         order: &mut Vec<u64>,
     ) {
-        budgeted_order(perms.iter().map(|p| ordering.distance(qperm, p)), budget, order);
+        budgeted_order(perms.iter().map(|p| spearman_footrule(qperm, p)), budget, order);
     }
 
-    /// Every ordering distance from `query` to each key of `column`.
-    fn distances(column: &KeyColumn, query: &Permutation, ordering: OrderingKind) -> Vec<u64> {
-        fn each<K: Key>(keys: &[K], q: &QueryKey<'_>, ordering: OrderingKind) -> Vec<u64> {
-            let packed = K::pack(&q.pos[..q.perm.len()]);
-            keys.iter().map(|&c| q.distance(packed, c, ordering)).collect()
-        }
-        let q = QueryKey { perm: query, pos: clamped_positions(query, column.prefix_len) };
-        with_keys!(column, keys => each(keys, &q, ordering))
+    /// The footrule from `query` to each key of `column`.
+    fn distances(column: &KeyColumn, query: &Permutation) -> Vec<u64> {
+        let pos = clamped_positions(query, column.prefix_len);
+        with_keys!(column, keys => {
+            let packed = Key::pack(&pos[..column.k]);
+            keys.iter().map(|&c| c.footrule(packed)).collect()
+        })
     }
 
     /// The column of `perms`, positions clamped to `len`.
@@ -404,7 +335,6 @@ mod tests {
         // Every k from 1 to a full key (12 fields of a u64, 25 of a
         // u128): the unused fields must add nothing and the used ones,
         // the top field included, everything.
-        use dp_permutation::permdist::spearman_footrule;
         for k in 1..=WIDE_MAX_K {
             for s in 0..40u64 {
                 let (a, b) = (shuffled(k, 2 * s), shuffled(k, 2 * s + 1));
@@ -515,44 +445,11 @@ mod tests {
         counts
     }
 
-    /// Mahonian numbers: the coefficients of ∏ᵢ₌₁ᵏ (1 + q + … + q^{i−1}),
-    /// the permutations of k elements counted by inversions.
-    fn mahonian_numbers(k: usize) -> Vec<u64> {
-        let mut poly = vec![1u64];
-        for i in 1..=k {
-            let mut next = vec![0u64; poly.len() + i - 1];
-            for (d, &c) in poly.iter().enumerate() {
-                for slot in &mut next[d..d + i] {
-                    *slot += c;
-                }
-            }
-            poly = next;
-        }
-        poly
-    }
-
-    /// Unsigned Stirling numbers of the first kind c(k, j), the
-    /// permutations of k elements with j cycles, indexed by the Cayley
-    /// distance k − j.
-    fn cayley_numbers(k: usize) -> Vec<u64> {
-        let mut row = vec![1u64];
-        for n in 0..k {
-            let mut next = vec![0u64; n + 2];
-            for (j, &c) in row.iter().enumerate() {
-                next[j] += n as u64 * c;
-                next[j + 1] += c;
-            }
-            row = next;
-        }
-        row.iter().rev().copied().take(k.max(1)).collect()
-    }
-
-    /// Counts all k! permutations by their distance from the identity
-    /// under the SWAR and the field footrule at both key widths, the
-    /// position-array footrule, and the key column's Kendall tau and
-    /// Cayley at every width and through `OrderingKind::distance`, and
-    /// checks each histogram against its closed form; also checks every
-    /// measure's maximum, footrule's ⌊k²/2⌋ included.
+    /// Counts all k! permutations by their footrule distance from the
+    /// identity under the SWAR and the field loop at both key widths and
+    /// the key column at each of its three widths, and checks each
+    /// histogram against the total displacement numbers, the maximum
+    /// ⌊k²/2⌋ included.
     fn check_closed_forms(k: usize) {
         let id = Permutation::identity(k);
         let perms: Vec<Permutation> = Permutation::all(k).collect();
@@ -573,27 +470,11 @@ mod tests {
             ("fields u128", histogram(wide.iter().map(|&key| footrule_fields(w0, key)))),
         ];
         for column in &columns {
-            let footrule = histogram(distances(column, &id, OrderingKind::Footrule));
-            measured.push((column.engine(), footrule));
+            measured.push((column.engine(), histogram(distances(column, &id))));
         }
         for (name, counts) in &measured {
             assert_eq!(counts, &footrule, "{name} footrule, k = {k}");
             assert_eq!(counts.len() - 1, k * k / 2, "{name} footrule maximum, k = {k}");
-        }
-        let kendall = histogram(perms.iter().map(|p| OrderingKind::KendallTau.distance(&id, p)));
-        assert_eq!(kendall, mahonian_numbers(k), "Kendall tau, k = {k}");
-        let cayley = histogram(perms.iter().map(|p| OrderingKind::Cayley.distance(&id, p)));
-        assert_eq!(cayley, cayley_numbers(k), "Cayley, k = {k}");
-        let rho_max = perms.iter().map(|p| OrderingKind::RhoSq.distance(&id, p)).max();
-        assert_eq!(rho_max, Some(((k * k * k - k) / 3) as u64), "Spearman rho maximum, k = {k}");
-        for column in &columns {
-            let name = column.engine();
-            let kendall = histogram(distances(column, &id, OrderingKind::KendallTau));
-            assert_eq!(kendall, mahonian_numbers(k), "{name} Kendall tau, k = {k}");
-            let cayley = histogram(distances(column, &id, OrderingKind::Cayley));
-            assert_eq!(cayley, cayley_numbers(k), "{name} Cayley, k = {k}");
-            let rho_max = distances(column, &id, OrderingKind::RhoSq).into_iter().max();
-            assert_eq!(rho_max, Some(((k * k * k - k) / 3) as u64), "{name} rho maximum, k = {k}");
         }
     }
 
@@ -601,8 +482,6 @@ mod tests {
     fn closed_form_oracles_match_known_values() {
         // k = 4, small enough to count by hand.
         assert_eq!(total_displacement_numbers(4), [1, 0, 3, 0, 7, 0, 9, 0, 4]);
-        assert_eq!(mahonian_numbers(4), [1, 3, 5, 6, 5, 3, 1]);
-        assert_eq!(cayley_numbers(4), [1, 6, 11, 6]);
     }
 
     #[test]
@@ -610,15 +489,13 @@ mod tests {
         for k in 1..=8 {
             check_closed_forms(k);
         }
-        // The maxima checked there, at the largest k the indexes
-        // accept, must fit the candidate-order words.
+        // The candidate-order words must hold the footrule over keys
+        // clamped to any ℓ ≤ k at the largest k the indexes accept: each
+        // of the k fields differs by at most ℓ, so by at most k².  The
+        // full footrule's maximum ⌊k²/2⌋, checked there, is below it.
         let m = MAX_K as u64;
-        assert_eq!(MAX_ORDERING_DISTANCE, (m * m * m - m) / 3, "Spearman rho at MAX_K");
-        for (name, max) in
-            [("footrule", m * m / 2), ("Kendall tau", m * (m - 1) / 2), ("Cayley", m - 1)]
-        {
-            assert!(max <= MAX_ORDERING_DISTANCE, "{name} maximum {max} at MAX_K");
-        }
+        assert_eq!(MAX_ORDERING_DISTANCE, m * m, "k² at MAX_K");
+        assert!(m * m / 2 <= MAX_ORDERING_DISTANCE, "footrule maximum at MAX_K");
     }
 
     #[test]
@@ -628,18 +505,15 @@ mod tests {
     }
 
     #[test]
-    fn column_distances_match_the_permutation_measures_exhaustively() {
-        // Every pair of permutations for k ≤ 6, every measure: the key
-        // column's distance is `OrderingKind::distance` to the bit.
+    fn column_footrule_matches_the_permutation_footrule_exhaustively() {
+        // Every pair of permutations for k ≤ 6: the key column's
+        // distance is `spearman_footrule` to the bit.
         for k in 0..=6 {
             let perms: Vec<Permutation> = Permutation::all(k).collect();
             let column = column_of(k, k, &perms);
             for q in &perms {
-                for ordering in OrderingKind::ALL {
-                    let expected: Vec<u64> =
-                        perms.iter().map(|p| ordering.distance(q, p)).collect();
-                    assert_eq!(distances(&column, q, ordering), expected, "k = {k}, {ordering:?}");
-                }
+                let expected: Vec<u64> = perms.iter().map(|p| spearman_footrule(q, p)).collect();
+                assert_eq!(distances(&column, q), expected, "k = {k}, query {q}");
             }
         }
     }
@@ -661,7 +535,7 @@ mod tests {
                 for (q, qpre) in perms.iter().zip(&prefixes) {
                     let expected: Vec<u64> =
                         prefixes.iter().map(|p| prefix_footrule(qpre, p)).collect();
-                    let got = distances(&column, q, OrderingKind::Footrule);
+                    let got = distances(&column, q);
                     assert_eq!(got, expected, "k = {k}, ℓ = {len}, query {q}");
                 }
             }
@@ -697,9 +571,9 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // At every width, every measure and any budget, the column's
-        // order is the permutation walk's, word for word; prefix columns
-        // order as the walk over `prefix_footrule` does.
+        // At every width and any budget, the column's order is the
+        // footrule walk's, word for word; prefix columns order as the
+        // walk over `prefix_footrule` does.
         #[test]
         fn column_order_matches_the_permutation_walk(
             k in 1usize..=MAX_K,
@@ -714,17 +588,15 @@ mod tests {
             let budget = [1, n / 3, n.saturating_sub(1), n][budget_pick];
             let column = column_of(k, k, &perms);
             let (mut got, mut expected) = (Vec::new(), Vec::new());
-            for ordering in OrderingKind::ALL {
-                column.order(&qperm, ordering, budget, &mut got);
-                order_candidates(&perms, &qperm, ordering, budget, &mut expected);
-                prop_assert_eq!(&got, &expected, "{:?}", ordering);
-            }
+            column.order(&qperm, budget, &mut got);
+            order_candidates(&perms, &qperm, budget, &mut expected);
+            prop_assert_eq!(&got, &expected);
             let len = len_pick % (k + 1);
             let prefixes: Vec<PrefixPermutation> =
                 perms.iter().map(|p| PrefixPermutation::from_permutation(p, len)).collect();
             let qpre = PrefixPermutation::from_permutation(&qperm, len);
             let column = column_of(k, len, &perms);
-            column.order(&qperm, OrderingKind::Footrule, budget, &mut got);
+            column.order(&qperm, budget, &mut got);
             budgeted_order(prefixes.iter().map(|p| prefix_footrule(&qpre, p)), budget, &mut expected);
             prop_assert_eq!(&got, &expected, "prefix length {}", len);
         }

@@ -18,23 +18,26 @@
 //!   [`ProximityIndex::searcher`] that owns all per-query scratch, is
 //!   `Send`, and counts metric evaluations natively: every query returns
 //!   `(Vec<Neighbor>, QueryStats)`;
-//! * [`ApproxIndex`] / [`ApproxSearcher`] — the budgeted surface of the
-//!   permutation family (`knn_approx`/`range_approx` with a scan
+//! * [`ApproxSearcher`] — the budgeted surface of the permutation
+//!   family's searchers (`knn_approx`/`range_approx` with a scan
 //!   fraction; `frac = 1.0` is exact).
 //!
 //! On top of the traits sit [`spec`] — build any index by name
 //! ([`IndexSpec`] → [`AnyIndex`]) — and [`serve`] — deterministic batch
 //! serving, sequentially or across scoped worker threads with one
-//! searcher per worker ([`serve::query_batch_parallel`]).
+//! searcher per worker ([`serve::query_batch_parallel`], and
+//! [`serve::query_batch_parallel_approx`] for budgeted queries).
 //!
 //! ## Serving & failure model
 //!
 //! Every batch, strict or resilient, goes through one dispatcher: up to
-//! `threads` workers, one searcher each, claim queries one at a time
-//! from a shared atomic cursor, and results come back in query order.
-//! On the strict path ([`serve::query_batch_parallel`], behind
-//! `distperm search`) a panicking query takes the batch down with its
-//! own message.  The [`serve`] module also hosts the fault-tolerant
+//! `threads` workers, one searcher each, claim runs of up to eight
+//! consecutive queries from a shared atomic cursor, and results come
+//! back in query order.  On the strict path
+//! ([`serve::query_batch_parallel_approx`], behind `distperm search`;
+//! the BK-tree, which has no budget, through
+//! [`serve::query_batch_parallel`]) a panicking query takes the batch
+//! down with its own message.  The [`serve`] module also hosts the fault-tolerant
 //! serving subsystem behind `distperm serve` (see its module docs for
 //! the full contract):
 //!
@@ -105,10 +108,10 @@ pub mod spec;
 pub mod vptree;
 
 pub use aesa::{Aesa, AesaSearcher};
-pub use api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
+pub use api::{ApproxSearcher, ProximityIndex, Searcher};
 pub use bktree::{BkSearcher, BkTree};
 pub use counting::CountingMetric;
-pub use distperm::{DistPermIndex, DistPermSearcher, OrderingKind};
+pub use distperm::{DistPermIndex, DistPermSearcher};
 pub use flatperm::{FlatDistPermIndex, FlatDistPermSearcher};
 pub use ghtree::{GhSearcher, GhTree};
 pub use iaesa::{IAesa, IAesaSearcher};

@@ -14,7 +14,7 @@
 //! share a prefix, and the footrule over clamped keys is the induced
 //! prefix footrule (`prefix_footrule`) its searcher orders by.
 
-use crate::api::{ApproxIndex, ProximityIndex};
+use crate::api::ProximityIndex;
 use crate::distperm::{DistPermIndex, DistPermSearcher};
 use crate::laesa::{choose_pivots, PivotSelection};
 use crate::query::Neighbor;
@@ -163,8 +163,6 @@ impl<P: Sync, M: Metric<P> + Sync> ProximityIndex<P> for PrefixPermIndex<P, M> {
         self.session()
     }
 }
-
-impl<P: Sync, M: Metric<P> + Sync> ApproxIndex<P> for PrefixPermIndex<P, M> {}
 
 #[cfg(test)]
 mod tests {

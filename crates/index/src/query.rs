@@ -120,11 +120,11 @@ impl<D: Distance> KnnHeap<D> {
 /// the ordering distance sits in the bits above them.
 const ORDER_ID_BITS: u32 = 48;
 
-/// Largest ordering distance between two permutations of at most
-/// [`MAX_K`] sites: Spearman rho's (k³ − k)/3, which is 10,912 at
-/// k = 32.  Footrule (⌊k²/2⌋), Kendall tau (k(k − 1)/2), Cayley (k − 1)
-/// and the prefix footrule (at most k·ℓ ≤ k²) are all smaller.
-pub(crate) const MAX_ORDERING_DISTANCE: u64 = ((MAX_K * MAX_K * MAX_K - MAX_K) / 3) as u64;
+/// Largest ordering distance between two keys of at most [`MAX_K`]
+/// sites: the footrule over keys clamped to ℓ ≤ k, whose k fields each
+/// differ by at most ℓ, is at most k², which is 1,024 at k = 32.  The
+/// full footrule's ⌊k²/2⌋ is smaller.
+pub(crate) const MAX_ORDERING_DISTANCE: u64 = (MAX_K * MAX_K) as u64;
 
 const _: () = assert!(MAX_ORDERING_DISTANCE < 1 << (u64::BITS - ORDER_ID_BITS));
 

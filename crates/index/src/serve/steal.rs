@@ -232,7 +232,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::api::ApproxIndex;
     use crate::laesa::PivotSelection;
     use crate::serve::tests::sequential;
     use crate::DistPermIndex;
@@ -364,7 +363,7 @@ mod tests {
             let (expected, expected_stats) = match requests[i] {
                 ServeRequest::Exact(Request::Knn { k }) => idx.query_knn(&queries[i], k),
                 ServeRequest::Approx(ApproxRequest::Knn { k, frac }) => {
-                    idx.query_knn_approx(&queries[i], k, frac)
+                    idx.searcher().knn_approx(&queries[i], k, frac)
                 }
                 _ => unreachable!(),
             };

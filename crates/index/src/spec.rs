@@ -15,7 +15,7 @@
 //! [`dp_datasets::VectorSet`] storage.  [`IndexSpec`] still parses both
 //! so front ends can dispatch on the spec.
 
-use crate::api::{ApproxIndex, ApproxSearcher, ProximityIndex, Searcher};
+use crate::api::{ApproxSearcher, ProximityIndex, Searcher};
 use crate::laesa::PivotSelection;
 use crate::query::{Neighbor, QueryStats};
 use crate::{
@@ -490,8 +490,6 @@ impl<P: Sync, M: Metric<P> + Sync> ApproxSearcher<P> for AnySearcher<'_, P, M> {
         }
     }
 }
-
-impl<P: Sync, M: Metric<P> + Sync> ApproxIndex<P> for AnyIndex<P, M> {}
 
 #[cfg(test)]
 mod tests {

@@ -69,18 +69,6 @@ impl<D: dp_metric::Distance> DistPermComputer<D> {
         }
         Permutation::from_sorted_indices(&items[..self.k])
     }
-
-    /// Computes Π_query and also returns the sorted `(distance, site)`
-    /// pairs — used by index structures that need the distances anyway.
-    pub fn compute_with_distances<P, M: Metric<P, Dist = D>>(
-        &mut self,
-        metric: &M,
-        sites: &[P],
-        query: &P,
-    ) -> (Permutation, &[(D, u8)]) {
-        let perm = self.compute(metric, sites, query);
-        (perm, &self.scratch)
-    }
 }
 
 /// Largest k whose permutations pack into a u64 key (5 bits per
@@ -561,17 +549,6 @@ mod tests {
         for q in &queries {
             assert_eq!(computer.compute(&L2, &sites, q), distance_permutation(&L2, &sites, q));
         }
-    }
-
-    #[test]
-    fn compute_with_distances_returns_sorted_pairs() {
-        let sites = vec![vec![0.0], vec![10.0], vec![4.0]];
-        let mut computer = DistPermComputer::new(3);
-        let (p, pairs) = computer.compute_with_distances(&L2, &sites, &vec![3.0]);
-        assert_eq!(p.as_slice(), &[2, 0, 1]);
-        assert_eq!(pairs.len(), 3);
-        assert!(pairs.windows(2).all(|w| w[0] <= w[1]));
-        assert_eq!(pairs[0].1, 2);
     }
 
     /// Every point's permutation through one reused [`DistPermComputer`].

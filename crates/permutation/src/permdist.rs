@@ -239,6 +239,85 @@ mod tests {
         }
     }
 
+    /// Histogram of `values`: entry d counts the values equal to d.
+    fn histogram(values: impl IntoIterator<Item = u64>) -> Vec<u64> {
+        let mut counts = Vec::new();
+        for d in values {
+            let d = d as usize;
+            if counts.len() <= d {
+                counts.resize(d + 1, 0);
+            }
+            counts[d] += 1;
+        }
+        counts
+    }
+
+    /// Mahonian numbers: the coefficients of ∏ᵢ₌₁ᵏ (1 + q + … + q^{i−1}),
+    /// the permutations of k elements counted by inversions.
+    fn mahonian_numbers(k: usize) -> Vec<u64> {
+        let mut poly = vec![1u64];
+        for i in 1..=k {
+            let mut next = vec![0u64; poly.len() + i - 1];
+            for (d, &c) in poly.iter().enumerate() {
+                for slot in &mut next[d..d + i] {
+                    *slot += c;
+                }
+            }
+            poly = next;
+        }
+        poly
+    }
+
+    /// Unsigned Stirling numbers of the first kind c(k, j), the
+    /// permutations of k elements with j cycles, indexed by the Cayley
+    /// distance k − j.
+    fn cayley_numbers(k: usize) -> Vec<u64> {
+        let mut row = vec![1u64];
+        for n in 0..k {
+            let mut next = vec![0u64; n + 2];
+            for (j, &c) in row.iter().enumerate() {
+                next[j] += n as u64 * c;
+                next[j + 1] += c;
+            }
+            row = next;
+        }
+        row.iter().rev().copied().take(k.max(1)).collect()
+    }
+
+    /// Counts all k! permutations by their Kendall tau and Cayley
+    /// distance from the identity against the Mahonian and Stirling
+    /// numbers, and checks Spearman rho's maximum (k³ − k)/3.
+    fn check_closed_forms(k: usize) {
+        let id = Permutation::identity(k);
+        let perms: Vec<Permutation> = Permutation::all(k).collect();
+        let kendall = histogram(perms.iter().map(|p| kendall_tau(&id, p)));
+        assert_eq!(kendall, mahonian_numbers(k), "Kendall tau, k = {k}");
+        let cayley = histogram(perms.iter().map(|p| cayley(&id, p)));
+        assert_eq!(cayley, cayley_numbers(k), "Cayley, k = {k}");
+        let rho_max = perms.iter().map(|p| spearman_rho_sq(&id, p)).max();
+        assert_eq!(rho_max, Some(((k * k * k - k) / 3) as u64), "Spearman rho maximum, k = {k}");
+    }
+
+    #[test]
+    fn closed_form_oracles_match_known_values() {
+        // k = 4, small enough to count by hand.
+        assert_eq!(mahonian_numbers(4), [1, 3, 5, 6, 5, 3, 1]);
+        assert_eq!(cayley_numbers(4), [1, 6, 11, 6]);
+    }
+
+    #[test]
+    fn distance_histograms_match_closed_forms_up_to_k8() {
+        for k in 1..=8 {
+            check_closed_forms(k);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "all 9! permutations; runs in the release suite")]
+    fn distance_histograms_match_closed_forms_at_k9() {
+        check_closed_forms(9);
+    }
+
     #[test]
     fn hamming_basic_properties() {
         let id = Permutation::identity(5);

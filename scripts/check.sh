@@ -133,12 +133,17 @@ rm -rf "$PARSE_TMP"
 echo "== cargo test --release --test serve_robustness (release-mode fault-injection run)"
 cargo test -p distance-permutations --release -q --test serve_robustness
 
-# The exhaustive closed-form checks of the permutation distances (the
-# footrule's SWAR form and field loop at both key widths, Kendall tau,
-# Cayley) enumerate all 9! permutations only under release; the debug
-# suite stops at k = 8.
+# The exhaustive closed-form checks of the permutation distances
+# enumerate all 9! permutations only under release; the debug suites
+# stop at k = 8.  dp-index checks the footrule the indexes order by (its
+# SWAR form and field loop at both key widths, and the key column at
+# each width); dp-permutation checks Kendall tau, Cayley and Spearman
+# rho's maximum, the measures the candidate-ordering ablation compares.
 echo "== cargo test --release -p dp-index closed_forms (release-mode exhaustive run)"
 cargo test -p dp-index --release -q --lib closed_forms
+
+echo "== cargo test --release -p dp-permutation closed_forms (release-mode exhaustive run)"
+cargo test -p dp-permutation --release -q --lib closed_forms
 
 echo "== cargo test --release --test protocol_robustness (release-mode adversarial-input run)"
 cargo test -p dp-index --release -q --test protocol_robustness
