@@ -28,7 +28,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dp_bench::column_pass;
 use dp_datasets::vectors::uniform_unit_cube_flat;
-use dp_metric::{L2Squared, TransposedSites};
+use dp_metric::{L2Squared, TransposedSites, STRIP};
 use dp_permutation::huffman::{entropy_bits, HuffmanCode};
 use dp_permutation::{collect_packed_flat_parallel, packed_keys_flat, RadixSorter, PACKED_MAX_K};
 use std::hint::black_box;
@@ -46,13 +46,10 @@ fn setup(k: usize) -> (Vec<f64>, TransposedSites) {
 /// The scan's k values: both `u64` (4, 12) and `u128` (16, 24) keys.
 const SCAN_KS: [usize; 4] = [4, 12, 16, 24];
 
-/// Rows per strip, as the scan runs the column kernel.
-const LANES: usize = 32;
-
 fn bench_distances(c: &mut Criterion) {
     for k in SCAN_KS {
         let (db, sites_t) = setup(k);
-        let mut tile = vec![[0.0f64; LANES]; k];
+        let mut tile = vec![[0.0f64; STRIP]; k];
         let mut group = c.benchmark_group(format!("phase_distances_n{N}_k{k}_d{DIM}"));
         group.sample_size(20);
         group.throughput(Throughput::Elements((N * k) as u64));

@@ -1,21 +1,19 @@
-//! The three batch-distance kernels, and the full counting pipeline on
-//! top of the reference kernel and the column kernel.
+//! The distance kernel as the workspace runs it: all distances of a
+//! database, the count on top, and the flat index's searcher shapes.
 //!
-//! Two layers on the paper's headline 100k-point, k = 12, d = 8
-//! configuration (plus a k = 4 point for the small-k regime):
-//!
-//! * `batch_dist_*` — the raw kernel: all `n × k` distances, through
-//!   the row-major strip-mined kernel
-//!   ([`BatchDistance::batch_distances`], the one the index searchers
-//!   use), the row-at-a-time reference (`batch_distances_rowwise`), and
-//!   the column kernel ([`BatchDistance::column_distances`], the one
-//!   every flat count runs) over 32-row coordinate-major strips into a
-//!   site-major tile, transpose included.
+//! * `batch_dist_*` — all `n × k` distances on the paper's headline
+//!   100k-point, d = 8 configuration at k = 4 and 12: through the column
+//!   kernel ([`BatchDistance::column_distances`]) over 32-row strips
+//!   from the loader into a site-major tile, as every flat count runs
+//!   it (`columns`), and through the row-major adapter
+//!   [`BatchDistance::batch_distances`] (`row_major`).
 //! * `count_*` — the full Table 3 counting pipeline
-//!   (`count_permutations_flat_sharded`), as it runs and through
-//!   `Rowwise<M>`, which routes the column kernel to the reference
-//!   kernel (one row at a time, then scattered into the tile) so the
-//!   identical pipeline can be measured both ways.
+//!   (`count_permutations_flat_sharded`) at k = 12.
+//! * `search_*` — the flat index's query paths over 50k × 8 rows
+//!   (k = 12 sites): the exact 3-NN sweep with 1, 4 and 8 queries swept
+//!   together (`Searcher::knn_batch`, as a serving worker's run calls
+//!   it), and one budgeted 3-NN query at `frac = 0.05`, whose 2,500
+//!   candidates are gathered into strips.
 //!
 //! Set `CRITERION_JSON=BENCH_kernels.json` to append machine-readable
 //! medians; the committed baseline was recorded that way.
@@ -25,58 +23,14 @@ use dp_bench::column_pass;
 use dp_core::count::count_permutations_flat_sharded;
 use dp_datasets::vectors::uniform_unit_cube_flat;
 use dp_datasets::VectorSet;
-use dp_metric::{BatchDistance, F64Dist, L2Squared, Metric, TransposedSites};
+use dp_index::api::Searcher;
+use dp_index::laesa::PivotSelection;
+use dp_index::FlatDistPermIndex;
+use dp_metric::{BatchDistance, L2Squared, TransposedSites, L2, STRIP};
 use std::hint::black_box;
 
 const DIM: usize = 8;
 const N: usize = 100_000;
-
-/// Routes every kernel to the row-at-a-time reference, so any flat
-/// consumer can be benchmarked on it without a second code path.
-#[derive(Debug, Clone, Copy)]
-struct Rowwise<M>(M);
-
-impl<M: Metric<[f64], Dist = F64Dist>> Metric<[f64]> for Rowwise<M> {
-    type Dist = F64Dist;
-
-    fn distance(&self, a: &[f64], b: &[f64]) -> F64Dist {
-        self.0.distance(a, b)
-    }
-}
-
-impl<M: BatchDistance> BatchDistance for Rowwise<M> {
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        self.0.batch_distances_rowwise(rows, sites, out);
-    }
-
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        self.0.batch_distances_rowwise(rows, sites, out);
-    }
-
-    fn column_distances<const L: usize>(
-        &self,
-        cols: &[[f64; L]],
-        sites: &TransposedSites,
-        out: &mut [[f64; L]],
-    ) {
-        let k = sites.k();
-        let mut row = vec![0.0f64; cols.len()];
-        let mut dists = vec![0.0f64; k];
-        for lane in 0..L {
-            for (x, col) in row.iter_mut().zip(cols) {
-                *x = col[lane];
-            }
-            self.0.batch_distances_rowwise(&row, sites, &mut dists);
-            for (tile, &d) in out.iter_mut().zip(&dists) {
-                tile[lane] = d;
-            }
-        }
-    }
-}
-
-/// Rows per coordinate-major strip in the `columns` rows — the width
-/// the flat scan runs the column kernel at.
-const LANES: usize = 32;
 
 fn bench_batch_distances(c: &mut Criterion) {
     for k in [4usize, 12] {
@@ -87,19 +41,13 @@ fn bench_batch_distances(c: &mut Criterion) {
         let mut group = c.benchmark_group(format!("batch_dist_n{N}_k{k}_d{DIM}"));
         group.sample_size(20);
         group.throughput(Throughput::Elements((N * k) as u64));
-        group.bench_function("rowwise", |b| {
-            b.iter(|| {
-                L2Squared.batch_distances_rowwise(db.as_flat(), &sites_t, &mut out);
-                black_box(out[0])
-            });
-        });
-        group.bench_function("strip", |b| {
+        group.bench_function("row_major", |b| {
             b.iter(|| {
                 L2Squared.batch_distances(db.as_flat(), &sites_t, &mut out);
                 black_box(out[0])
             });
         });
-        let mut tile = vec![[0.0f64; LANES]; k];
+        let mut tile = vec![[0.0f64; STRIP]; k];
         group.bench_function("columns", |b| {
             b.iter(|| black_box(column_pass(&L2Squared, db.as_flat(), &sites_t, &mut tile)));
         });
@@ -114,13 +62,6 @@ fn bench_count(c: &mut Criterion) {
     let mut group = c.benchmark_group(format!("count_n{N}_k{k}_d{DIM}"));
     group.sample_size(30);
     group.throughput(Throughput::Elements(N as u64));
-    group.bench_function("flat_rowwise", |b| {
-        b.iter(|| {
-            black_box(
-                count_permutations_flat_sharded(&Rowwise(L2Squared), &sites, &db, 1, 0).distinct,
-            )
-        });
-    });
     group.bench_function("flat_columns", |b| {
         b.iter(|| {
             black_box(count_permutations_flat_sharded(&L2Squared, &sites, &db, 1, 0).distinct)
@@ -129,5 +70,27 @@ fn bench_count(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_batch_distances, bench_count);
+/// Rows of the searcher benches: the `serve_50k_mixed` index.
+const SEARCH_N: usize = 50_000;
+
+fn bench_search(c: &mut Criterion) {
+    let points = uniform_unit_cube_flat(SEARCH_N, DIM, 1);
+    let queries = uniform_unit_cube_flat(8, DIM, 2);
+    let index = FlatDistPermIndex::build(L2, points, 12, PivotSelection::MaxMin, 1);
+    let rows: Vec<&[f64]> = queries.rows().collect();
+    let mut searcher = index.session();
+    let mut group = c.benchmark_group(format!("search_n{SEARCH_N}_d{DIM}"));
+    group.sample_size(30);
+    for m in [1usize, 4, 8] {
+        group.bench_function(format!("sweep_m{m}"), |b| {
+            b.iter(|| black_box(searcher.knn_batch(&rows[..m], 3)));
+        });
+    }
+    group.bench_function("budget_frac0.05", |b| {
+        b.iter(|| black_box(searcher.knn_approx(rows[0], 3, 0.05)));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_batch_distances, bench_count, bench_search);
 criterion_main!(benches);

@@ -24,7 +24,7 @@
 
 #![forbid(unsafe_code)]
 
-use dp_metric::{BatchDistance, TransposedSites};
+use dp_metric::{load_strip, BatchDistance, TransposedSites, STRIP};
 use std::collections::HashMap;
 
 /// Minimal `--flag value` parser (no external dependency needed for a
@@ -90,26 +90,20 @@ pub fn ensure_out_dir(path: &str) -> std::io::Result<std::path::PathBuf> {
 }
 
 /// All `n × k` distances of a row-major database through
-/// [`BatchDistance::column_distances`], one `L`-row strip at a time,
-/// each strip transposed coordinate-major first — the distance half of
-/// the flat strip scan, as the `kernels` and `counting_phases` benches
-/// time it.  `n` must be a multiple of `L`.  Returns the sum of one
-/// tile entry per strip, for the caller to black-box.
-pub fn column_pass<M: BatchDistance, const L: usize>(
+/// [`BatchDistance::column_distances`], one [`STRIP`]-row strip from
+/// [`load_strip`] at a time — the distance half of the flat strip scan,
+/// as the `kernels` and `counting_phases` benches time it.  Returns the
+/// sum of one tile entry per strip, for the caller to black-box.
+pub fn column_pass<M: BatchDistance>(
     metric: &M,
     db: &[f64],
     sites: &TransposedSites,
-    tile: &mut [[f64; L]],
+    tile: &mut [[f64; STRIP]],
 ) -> f64 {
-    let dim = sites.dim();
-    let mut cols = vec![[0.0f64; L]; dim];
+    let mut cols = vec![[0.0; STRIP]; sites.dim()];
     let mut sink = 0.0;
-    for strip in db.chunks_exact(L * dim) {
-        for (lane, row) in strip.chunks_exact(dim).enumerate() {
-            for (col, &x) in cols.iter_mut().zip(row) {
-                col[lane] = x;
-            }
-        }
+    for strip in db.chunks(STRIP * sites.dim()) {
+        load_strip(&mut cols, strip);
         metric.column_distances(&cols, sites, tile);
         sink += tile[0][0];
     }

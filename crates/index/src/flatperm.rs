@@ -4,8 +4,9 @@
 //! [`crate::DistPermIndex`]: points live in one contiguous row-major
 //! buffer, the build runs the 32-row strip tile's rank rows
 //! ([`dp_permutation::rank_rows_flat`]) on the workers of
-//! [`dp_metric::par::worker_chunks`], and queries reuse the batched
-//! distance kernel for the k site evaluations.  Permutations, candidate
+//! [`dp_metric::par::worker_chunks`], and every distance a query
+//! measures runs through the one column kernel
+//! ([`BatchDistance::column_distances`]).  Permutations, candidate
 //! ordering and budget semantics are **identical** to the generic index
 //! on the same data — only the storage layout and throughput differ.
 //! Like the generic index, it keeps each permutation only as its
@@ -17,23 +18,25 @@
 //!
 //! An exact query (full budget, `frac = 1.0`) orders nothing: the k site
 //! distances are computed in one kernel call, counted but not ranked,
-//! and the rows are streamed in storage order, contiguous block by
-//! block, through the batched kernel — k + n evaluations.  Several exact
-//! k-NN queries answered together ([`Searcher::knn_batch`], which the
-//! serving dispatcher uses) share that one pass: the queries are
-//! transposed into one site set, so each row block goes through the
-//! kernel's 4 × 4 register tile once for all of them, and each query's
-//! column feeds its own k-NN heap.  A row whose distance exceeds a full
-//! heap's k-th best is dropped before it is wrapped or pushed.  Every
-//! answer is bit-identical to the query served alone: the kernel folds
-//! each (row, query) pair's coordinates in the same order whatever the
-//! tile, and a heap's result does not depend on arrival order.
+//! and the rows are swept in storage order, one [`STRIP`]-row strip at
+//! a time, through the column kernel with the query as its one site —
+//! k + n evaluations.  Several exact k-NN queries answered together
+//! ([`Searcher::knn_batch`], which the serving dispatcher uses) share
+//! that one sweep: the queries are transposed into one site set, each
+//! strip's tile holds one lane array per query, and each query's heap
+//! reads its own lane array, real lanes only.  A row whose distance
+//! exceeds a full heap's k-th best is dropped before it is wrapped or
+//! pushed.  Every answer is bit-identical to the query served alone:
+//! the kernel folds each (row, query) pair's coordinates in the same
+//! order whatever the strip, and a heap's result does not depend on
+//! arrival order.
 //!
 //! A budgeted query orders candidates by footrule as one packed word
 //! each — the footrule is SWAR arithmetic over the keys — then gathers
-//! and measures the first `budget` of them.  Every query's length is
-//! checked against the index dimension first, and a mismatch panics with
-//! the vector metrics' own message.
+//! the first `budget` of them [`STRIP`] rows at a time into one strip,
+//! loads it ([`load_strip`]) and measures it against the query.  Every
+//! query's length is checked against the index dimension first, and a
+//! mismatch panics with the vector metrics' own message.
 //!
 //! The generic `DistPermIndex` remains the path for strings, trees and
 //! any non-`f64` point type.  Through the trait family this index is a
@@ -51,14 +54,10 @@ use crate::query::{
 };
 use dp_datasets::VectorSet;
 use dp_metric::par::{fork_join, worker_chunks};
-use dp_metric::{BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP_POINTS};
+use dp_metric::{
+    load_strip, BatchDistance, Distance, F64Dist, SliceRefMetric, TransposedSites, STRIP,
+};
 use dp_permutation::{rank_rows_flat, Permutation, MAX_K};
-
-/// Candidate rows per batched distance call, streamed at full budget
-/// and gathered below it: a multiple of [`STRIP_POINTS`] so full blocks
-/// stay on the strip-mined kernel path, small enough that the gather
-/// buffer and its distances stay in L1.
-const CANDIDATE_BLOCK_ROWS: usize = 16 * STRIP_POINTS;
 
 /// Distance-permutation index over flat vector storage.
 #[derive(Debug, Clone)]
@@ -219,18 +218,20 @@ impl<M: BatchDistance> FlatDistPermIndex<M> {
     }
 
     /// A reusable query cursor (scratch allocated once): site-distance
-    /// buffer, packed candidate order, and the gather/distance blocks of
-    /// the batched candidate measurement — sized in whole
-    /// [`STRIP_POINTS`]-strips, and grown once to the largest set of
-    /// queries swept together, so serving does not re-allocate.
+    /// buffer, packed candidate order, the queries as a site set, a
+    /// row-major gather buffer (a strip of candidates, or the queries of
+    /// a sweep), and one transposed strip with its distance tile — grown
+    /// once to the largest set of queries swept together, so serving
+    /// does not re-allocate.
     pub fn session(&self) -> FlatDistPermSearcher<'_, M> {
         FlatDistPermSearcher {
             index: self,
             dists: vec![0.0; self.k()],
             order: Vec::new(),
             query_sites: TransposedSites::from_rows(&[], 0),
-            gather: Vec::with_capacity(CANDIDATE_BLOCK_ROWS * self.points.dim()),
-            block_dists: vec![0.0; CANDIDATE_BLOCK_ROWS],
+            gather: Vec::with_capacity(STRIP * self.points.dim()),
+            cols: vec![[0.0; STRIP]; self.points.dim()],
+            tile: vec![[0.0; STRIP]; 1],
         }
     }
 
@@ -260,7 +261,8 @@ pub struct FlatDistPermSearcher<'a, M: BatchDistance> {
     order: Vec<u64>,
     query_sites: TransposedSites,
     gather: Vec<f64>,
-    block_dists: Vec<f64>,
+    cols: Vec<[f64; STRIP]>,
+    tile: Vec<[f64; STRIP]>,
 }
 
 impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
@@ -277,15 +279,14 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
 
     /// Budgeted k-NN over the footrule-nearest candidates.
     ///
-    /// Candidate measurement runs through the strip-mined batched kernel
-    /// (the query acts as a 1-site transposed set; candidates are
-    /// gathered in 64-row blocks), which for every supported metric
-    /// produces the same bits as the per-point `metric.distance(query,
-    /// row)` — `|x − s|`, `(x − s)²` and `|x − s|^p` are all exactly
-    /// symmetric — so answers are identical to the generic
-    /// [`crate::DistPermIndex`] on the same data.  At full budget the
-    /// query is the exact scan of [`Searcher::knn_batch`], which orders
-    /// nothing.
+    /// Candidates are measured through the column kernel (gathered
+    /// [`STRIP`] at a time; the query is a 1-site set), which for every
+    /// supported metric produces the same bits as the per-point
+    /// `metric.distance(query, row)` — `|x − s|`, `(x − s)²` and
+    /// `|x − s|^p` are all exactly symmetric — so answers are identical
+    /// to the generic [`crate::DistPermIndex`] on the same data.  At
+    /// full budget the query is the exact scan of
+    /// [`Searcher::knn_batch`], which orders nothing.
     pub fn knn_approx(
         &mut self,
         query: &[f64],
@@ -310,10 +311,10 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
     }
 
     /// Budgeted range query; a subset of the true answer, exact at
-    /// `frac = 1.0`.  Below full budget, candidates are measured through
-    /// the batched kernel exactly as in [`Self::knn_approx`]; at
-    /// full budget the k site distances are computed but not ranked, and
-    /// every row is streamed in storage order.
+    /// `frac = 1.0`.  Below full budget, candidates are measured exactly
+    /// as in [`Self::knn_approx`]; at full budget the k site distances
+    /// are computed but not ranked, and every row is swept in storage
+    /// order.
     pub fn range_approx(
         &mut self,
         query: &[f64],
@@ -337,8 +338,10 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         if budget == n {
             index.metric.batch_distances(query, &index.sites_t, &mut self.dists[..index.k()]);
             self.query_sites.assign_rows(query, index.points.dim());
-            sweep_rows(index, &self.query_sites, &mut self.block_dists, |i, d| {
-                sink(i, F64Dist::new(d[0]));
+            self.sweep_rows(|first, tile, live| {
+                for (l, &d) in tile[0][..live].iter().enumerate() {
+                    sink(first + l, F64Dist::new(d));
+                }
             });
         } else {
             self.measure_budget(query, budget, sink);
@@ -349,10 +352,11 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
 
     /// A budgeted scan below full budget: the query permutation (k
     /// batched evaluations), the `budget` footrule-nearest candidates,
-    /// and their rows gathered block by block in that order and measured
-    /// through the batched kernel against the query as a 1-site
-    /// transposed set, each `(id, distance)` fed to `sink`.  NaN
-    /// distances panic (at `F64Dist::new`) exactly like the scalar path.
+    /// and their rows gathered [`STRIP`] at a time, in that order, into
+    /// one strip, loaded and measured through the column kernel against
+    /// the query as a 1-site set, each `(id, distance)` fed to `sink`.
+    /// NaN distances panic (at `F64Dist::new`) exactly like the scalar
+    /// path.
     fn measure_budget(
         &mut self,
         query: &[f64],
@@ -363,14 +367,14 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         let qperm = query_permutation_into(index, &mut self.dists, query);
         index.keys.order(&qperm, budget, &mut self.order);
         self.query_sites.assign_rows(query, index.points.dim());
-        for block in self.order.chunks(CANDIDATE_BLOCK_ROWS) {
+        for block in self.order.chunks(STRIP) {
             self.gather.clear();
             for &word in block {
                 self.gather.extend_from_slice(index.points.row(order_id(word)));
             }
-            let out = &mut self.block_dists[..block.len()];
-            index.metric.batch_distances(&self.gather, &self.query_sites, out);
-            for (&word, &d) in block.iter().zip(out.iter()) {
+            load_strip(&mut self.cols, &self.gather);
+            index.metric.column_distances(&self.cols, &self.query_sites, &mut self.tile[..1]);
+            for (&word, &d) in block.iter().zip(&self.tile[0]) {
                 sink(order_id(word), F64Dist::new(d));
             }
         }
@@ -384,7 +388,8 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
     /// so each answer's [`QueryStats`] counts the evaluations a
     /// permutation-index query makes, k + n; an exact scan has no use
     /// for their order.  The queries are then transposed into one site
-    /// set and every row block is measured against all of them at once.
+    /// set and every strip of rows is measured against all of them at
+    /// once.
     /// Each query keeps its own heap and its own bound: a distance
     /// strictly above a full heap's k-th best cannot enter it whatever
     /// its id, so only `d <= bound` (and NaN, which `F64Dist::new`
@@ -406,18 +411,40 @@ impl<M: BatchDistance> FlatDistPermSearcher<'_, M> {
         let mut heaps: Vec<KnnHeap<F64Dist>> =
             queries.iter().map(|_| KnnHeap::new(k.min(n))).collect();
         let mut bounds = vec![f64::INFINITY; queries.len()];
-        sweep_rows(index, &self.query_sites, &mut self.block_dists, |id, row| {
-            for ((heap, bound), &d) in heaps.iter_mut().zip(bounds.iter_mut()).zip(row) {
-                if d <= *bound || d.is_nan() {
-                    heap.push(id, F64Dist::new(d));
-                    if let Some(worst) = heap.bound() {
-                        *bound = worst.get();
+        self.sweep_rows(|first, tile, live| {
+            for ((heap, bound), lanes) in heaps.iter_mut().zip(bounds.iter_mut()).zip(tile) {
+                for (l, &d) in lanes[..live].iter().enumerate() {
+                    if d <= *bound || d.is_nan() {
+                        heap.push(first + l, F64Dist::new(d));
+                        if let Some(worst) = heap.bound() {
+                            *bound = worst.get();
+                        }
                     }
                 }
             }
         });
         let stats = QueryStats::new((index.k() + n) as u64);
         heaps.into_iter().map(|heap| (heap.into_sorted(), stats)).collect()
+    }
+
+    /// Sweeps every row once, in storage order, one [`STRIP`]-row strip
+    /// at a time through the column kernel with the `m ≥ 1` queries in
+    /// `query_sites` as its sites.  `visit(first, tile, live)` receives
+    /// each strip's site-major tile — `tile[q][l]` is the distance of
+    /// row `first + l` to query `q` — and its count of real rows; lanes
+    /// from `live` on are the loader's padding.
+    fn sweep_rows(&mut self, mut visit: impl FnMut(usize, &[[f64; STRIP]], usize)) {
+        // Callers sweep only non-empty indexes, and flat storage holds no
+        // width-0 rows, so dim > 0 here.
+        let (index, m) = (self.index, self.query_sites.k());
+        if self.tile.len() < m {
+            self.tile.resize(m, [0.0; STRIP]);
+        }
+        for (s, strip) in index.points.as_flat().chunks(STRIP * index.points.dim()).enumerate() {
+            let live = load_strip(&mut self.cols, strip);
+            index.metric.column_distances(&self.cols, &self.query_sites, &mut self.tile);
+            visit(s * STRIP, &self.tile[..m], live);
+        }
     }
 }
 
@@ -432,29 +459,6 @@ fn check_dimension<M: BatchDistance>(index: &FlatDistPermIndex<M>, query: &[f64]
         "vector metric applied to vectors of different dimension ({} vs {dim})",
         query.len()
     );
-}
-
-/// Streams every row once, in storage order and in contiguous
-/// [`CANDIDATE_BLOCK_ROWS`] blocks, through the batched kernel against
-/// the `m ≥ 1` queries transposed in `queries`; `visit(id, dists)`
-/// receives each row's m distances, in query order.
-fn sweep_rows<M: BatchDistance>(
-    index: &FlatDistPermIndex<M>,
-    queries: &TransposedSites,
-    block_dists: &mut Vec<f64>,
-    mut visit: impl FnMut(usize, &[f64]),
-) {
-    // Callers sweep only non-empty indexes, and flat storage holds no
-    // width-0 rows, so dim > 0 here.
-    let (dim, m) = (index.points.dim(), queries.k());
-    block_dists.resize(CANDIDATE_BLOCK_ROWS * m, 0.0);
-    for (b, rows) in index.points.as_flat().chunks(CANDIDATE_BLOCK_ROWS * dim).enumerate() {
-        let out = &mut block_dists[..rows.len() / dim * m];
-        index.metric.batch_distances(rows, queries, out);
-        for (r, row) in out.chunks_exact(m).enumerate() {
-            visit(b * CANDIDATE_BLOCK_ROWS + r, row);
-        }
-    }
 }
 
 /// The batched query-permutation kernel.  It uses the first k entries
@@ -495,15 +499,15 @@ impl<M: BatchDistance + Sync> Searcher<[f64]> for FlatDistPermSearcher<'_, M> {
     type Dist = F64Dist;
 
     /// Exact k-NN as the full-budget scan: the k site evaluations, then
-    /// every row measured in storage order, streamed in contiguous
-    /// blocks with no candidate ordering (k + n evaluations).
+    /// every row measured in storage order, swept strip by strip with no
+    /// candidate ordering (k + n evaluations).
     fn knn(&mut self, query: &[f64], k: usize) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         self.knn_approx(query, k, 1.0)
     }
 
     /// Exact k-NN for all `queries` in one pass over the rows: each
-    /// row block goes through the batched kernel once against every
-    /// query (see the module docs).  Answers and stats are bit-identical
+    /// strip goes through the column kernel once against every query
+    /// (see the module docs).  Answers and stats are bit-identical
     /// to [`Self::knn`] on each query alone.  Every query's dimension is
     /// checked before any is measured.
     fn knn_batch(
@@ -521,7 +525,7 @@ impl<M: BatchDistance + Sync> Searcher<[f64]> for FlatDistPermSearcher<'_, M> {
     }
 
     /// Exact range query as the full-budget scan: k site evaluations in
-    /// one kernel call, then every row streamed in storage order (k + n
+    /// one kernel call, then every row swept in storage order (k + n
     /// evaluations), with no query permutation built.
     fn range(&mut self, query: &[f64], radius: F64Dist) -> (Vec<Neighbor<F64Dist>>, QueryStats) {
         FlatDistPermSearcher::range_approx(self, query, radius, 1.0)
@@ -794,30 +798,68 @@ mod tests {
         }
     }
 
-    /// The exact scan the shared sweep replaced, kept as its oracle: the
-    /// one query as a 1-site transposed set, every row block measured
-    /// and every distance pushed, with no bound filter.
+    /// The exact scan's oracle: every row measured with the scalar
+    /// `Metric::distance` and pushed, in storage order, with no bound
+    /// filter.
     fn one_query_scan(idx: &FlatDistPermIndex<L2>, q: &[f64], k: usize) -> Vec<Neighbor<F64Dist>> {
-        let dim = idx.points().dim();
-        let site = TransposedSites::from_rows(q, dim);
         let mut heap = KnnHeap::new(k.min(idx.len()));
-        let mut dists = vec![0.0; CANDIDATE_BLOCK_ROWS];
-        for (b, rows) in idx.points().as_flat().chunks(CANDIDATE_BLOCK_ROWS * dim).enumerate() {
-            let out = &mut dists[..rows.len() / dim];
-            idx.metric().batch_distances(rows, &site, out);
-            for (j, &d) in out.iter().enumerate() {
-                heap.push(b * CANDIDATE_BLOCK_ROWS + j, F64Dist::new(d));
-            }
+        for (id, row) in idx.points().rows().enumerate() {
+            heap.push(id, L2.distance(q, row));
         }
         heap.into_sorted()
+    }
+
+    /// Row counts one short of, at and one past one and two strips; 1, 4
+    /// and 9 queries swept together; and budgets of 1, 31, 32 and 33
+    /// gathered candidates, all answered as the linear scan and the
+    /// generic index answer.  The first query is the last row itself,
+    /// so a sweep or gather that read a tail strip's padded lanes would
+    /// report ids past the end at distance 0.
+    #[test]
+    fn strip_edges_match_linear_scan_and_generic_index() {
+        let radius = F64Dist::new(0.4);
+        for n in [31usize, 32, 33, 63, 64, 65] {
+            let nested = random_points(n, 3, 90 + n as u64);
+            let site_ids: Vec<usize> = (0..6).map(|i| (i * 5 + 1) % n).collect();
+            let scan = LinearScan::new(L2, nested.clone());
+            let generic = DistPermIndex::build_with_sites(L2, nested.clone(), site_ids.clone());
+            let flat = VectorSet::from_nested(&nested);
+            let idx = FlatDistPermIndex::build_with_sites(L2, flat, site_ids, 1);
+            let mut queries = random_points(9, 3, 91);
+            queries[0].clone_from(&nested[n - 1]);
+            let mut searcher = idx.session();
+            for m in [1usize, 4, 9] {
+                let refs: Vec<&[f64]> = queries[..m].iter().map(Vec::as_slice).collect();
+                for (q, (got, stats)) in queries.iter().zip(searcher.knn_batch(&refs, 3)) {
+                    assert_eq!(got, scan.knn(q, 3), "n = {n}, m = {m}");
+                    assert_eq!(stats, QueryStats::new(6 + n as u64), "n = {n}, m = {m}");
+                }
+            }
+            for (qi, q) in queries.iter().enumerate() {
+                let tag = format!("n = {n}, query {qi}");
+                assert_eq!(searcher.range(q, radius).0, scan.range(q, radius), "{tag}");
+                for budget in [1usize, 31, 32, 33].map(|b| b.min(n)) {
+                    let frac = frac_for(budget, n);
+                    let (got, stats) = searcher.knn_approx(q, 3, frac);
+                    assert_eq!(got, generic.knn_approx(q, 3, frac), "{tag}, budget {budget}");
+                    assert_eq!(stats, QueryStats::new((6 + budget.max(3)) as u64), "{tag}");
+                    let (got, stats) = searcher.range_approx(q, radius, frac);
+                    assert_eq!(
+                        got,
+                        generic.range_approx(q, radius, frac),
+                        "{tag}, budget {budget}"
+                    );
+                    assert_eq!(stats, QueryStats::new((6 + budget) as u64), "{tag}");
+                }
+            }
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        // Any number of queries swept together (register tiles and
-        // remainder columns), at any k (past n included), over any row
-        // count (block and strip remainders included), answers each
+        // Any number of queries swept together, at any k (past n
+        // included), over any row count (tail strips included), answers each
         // query exactly as the unfiltered one-query scan and as `knn`
         // alone, with k + n evaluations.  Grid-snapped rows and queries
         // copied from rows make distance ties common, so the id

@@ -1,88 +1,125 @@
 //! Batched vector-metric kernels for flat (row-major) storage.
 //!
 //! The headline workloads — counting distinct distance permutations over
-//! 10⁶-point databases and building `distperm` indexes — spend nearly all
-//! of their time in `k·n` metric evaluations.  Evaluating each pair with
-//! [`Metric::distance`] leaves throughput on the table twice over: every
-//! distance is a scalar reduction (`sum += …` is a serial dependency
-//! chain the compiler must not reorder), and every site is re-walked per
-//! point.
+//! 10⁶-point databases, building `distperm` indexes and sweeping them
+//! for exact answers — spend nearly all of their time in metric
+//! evaluations.  Evaluating each pair with [`Metric::distance`] leaves
+//! throughput on the table twice over: every distance is a scalar
+//! reduction (`sum += …` is a serial dependency chain the compiler must
+//! not reorder), and every site is re-walked per point.
 //!
-//! # Strip-mined layout
+//! # One kernel
 //!
-//! [`BatchDistance::batch_distances`] restructures the loop around two
-//! levels of blocking:
+//! [`BatchDistance::column_distances`] is the one per-metric kernel.
+//! Its input is a strip of `L` rows transposed coordinate-major
+//! (`cols[c][l]`), its output a site-major tile (`out[j][l]`): for each
+//! site one `[f64; L]` accumulator array folds the coordinates in
+//! order, so the fold vectorizes across the `L` rows with no shuffle,
+//! and the tile is laid out exactly as the lane-wise ranking in
+//! `dp-permutation` reads it.  Every count, survey and index build runs
+//! it on [`STRIP`]-row strips of the database against the k sites; the
+//! flat index's searchers run it on strips of rows against their
+//! queries, which take the place of the sites.
 //!
-//! * **Sites are transposed** ([`TransposedSites`]: coordinate-major, so
-//!   all k j-th coordinates are adjacent) — the per-coordinate site loop
-//!   is a contiguous read of k values.
-//! * **Points are strip-mined [`STRIP_POINTS`] (= 4) at a time.**  For
-//!   each strip the kernel walks 4 × 4 (point × site) tiles whose 16
-//!   accumulators live in locals of a fixed-size array — small and
-//!   constant enough for the compiler to keep them **in registers** for
-//!   the whole coordinate loop.  The inner step is 16 independent
-//!   fused updates per coordinate: the compiler vectorizes across
-//!   *sites* (the 4 site coordinates are contiguous) and pipelines
-//!   across *points* (4 independent dependency chains), and — unlike a
-//!   one-row-at-a-time kernel with a `k`-length accumulator array —
-//!   no accumulator traffic touches memory until the tile is done.
-//!   Site-count remainders (k mod 4) run a register tile of 4 × 1;
-//!   point-count remainders (n mod 4) fall back to the row-at-a-time
-//!   kernel.
+//! # The loader
 //!
-//! # Column layout
+//! [`load_strip`] is the one strip transpose: it reads up to [`STRIP`]
+//! row-major rows into `[[f64; STRIP]; d]` and pads a short strip by
+//! repeating its last real row, so every lane of the tile is a real
+//! distance and the caller reads only the first `live`.  The flat
+//! index's candidate gather copies its candidates' rows into one strip
+//! buffer and loads that.
 //!
-//! [`BatchDistance::column_distances`] is the kernel every flat count
-//! and permutation scan runs.  Its input is a strip of `L` rows already
-//! transposed coordinate-major (`cols[c][l]`), its output a site-major
-//! tile (`out[j][l]`): for each site one `[f64; L]` accumulator array
-//! folds the coordinates in order, so the fold vectorizes across the
-//! `L` rows with no shuffle, and the tile is laid out exactly as the
-//! lane-wise ranking in `dp-permutation` reads it.
+//! # The row-major adapter
+//!
+//! [`BatchDistance::batch_distances`] is a provided method with no
+//! per-metric code: full strips of a row-major block go through the
+//! loader and the column kernel and are scattered back row-major, and
+//! the remaining rows run one lane each, so a one-row call costs k
+//! evaluations, not `STRIP · k`.  It exists for row-major callers (a
+//! query's k site distances, and `perfbench/trace`, which calls it by
+//! name) and can go once the trace no longer does.
 //!
 //! # Bit-identity
 //!
-//! Every accumulator — tiled, column, remainder, or row-at-a-time —
-//! belongs to exactly one (point, site) pair and folds that pair's
-//! coordinates in ascending coordinate order, which is precisely the order
-//! [`Metric::distance`] uses.  Blocking changes *which* accumulators are
-//! live concurrently, never the sequence of operations any single
-//! accumulator performs, so `out[r*k + j]` is the same `f64`, to the
-//! bit, that `self.distance(row_r, site_j)` produces, for every
-//! representable (non-NaN) result — ±∞ included.  NaN results agree in
-//! NaN-ness but not necessarily in payload bits (scalar and vector
-//! instruction selections generate different quiet-NaN patterns); that
-//! is immaterial to callers because every public consumer rejects NaN
+//! Every accumulator belongs to exactly one (row, site) pair and folds
+//! that pair's coordinates in ascending coordinate order, which is
+//! precisely the order [`Metric::distance`] uses.  The lane count, the
+//! padding and the scatter change *which* accumulators are live
+//! together, never the sequence of operations any single accumulator
+//! performs, so every output is the same `f64`, to the bit, that
+//! `self.distance(row, site)` produces, for every representable
+//! (non-NaN) result — ±∞ included.  NaN results agree in NaN-ness but
+//! not necessarily in payload bits (scalar and vector instruction
+//! selections generate different quiet-NaN patterns); that is
+//! immaterial to callers because every public consumer rejects NaN
 //! distances with a panic ([`F64Dist::new`], the flat scan's NaN
-//! check).  The flat/nested equivalence property suites
-//! (`tests/kernel_equivalence.rs` at the workspace root, run under
-//! `--release` by `scripts/check.sh`) pin exactly this contract.
-//!
-//! [`BatchDistance::batch_distances_rowwise`] keeps the one-row-at-a-time
-//! kernel callable as the in-tree reference: the equivalence tests pin
-//! strip == column == rowwise == scalar, and the `kernels` Criterion
-//! bench measures what each layout buys over it.
+//! check).  `tests/kernel_equivalence.rs` at the workspace root, run
+//! under `--release` by `scripts/check.sh`, pins exactly this contract
+//! against the scalar `distance`.
 //!
 //! Implemented for [`L1`], [`L2`], [`L2Squared`], [`LInf`] and [`Lp`].
 
 use crate::vector::{L2Squared, LInf, Lp, L1, L2};
 use crate::{F64Dist, Metric};
 
-/// Query points processed per strip by the strip-mined kernels.
+/// Rows per strip: the lane count of every column-kernel call that
+/// scans a database.  Every flat row is computed, ranked and packed in
+/// a strip of this many rows, one lane per row.
 ///
-/// Block sizes fed to [`BatchDistance::batch_distances`] should be a
-/// multiple of this so full blocks never take the remainder path.
-pub const STRIP_POINTS: usize = 4;
+/// The width is measured, not a knob.  Ranking alone at k = 24 on an
+/// AVX-512 host took about 135–150, 175–200, 190–240 and 56–71 ns a
+/// row at 4, 8, 16 and 32 lanes.  Below 32 LLVM fully unrolls the lane
+/// loop and vectorizes the site loop instead, with shuffles
+/// (`vpermt2pd`/`vpermt2q`/`vpunpck*`) to gather each pair's lanes; at
+/// 32 the lane loop survives unrolling and every site pair becomes
+/// eight 4-lane `vcmplepd` with no shuffle.  The tile (`32 × k` f64,
+/// 8 KiB at k = 32) and the pending ranks stay in L1.
+pub const STRIP: usize = 32;
 
-/// Sites per register tile inside one strip (4 points × 4 sites = 16
-/// register accumulators; on x86-64 that is 8 SSE2 / 4 AVX2 vectors).
-const SITE_TILE: usize = 4;
+/// Transposes a block of 1 to [`STRIP`] row-major rows of width
+/// `cols.len()` into `cols`, coordinate-major (`cols[c][l]` is
+/// coordinate `c` of row `l`), and returns the block's row count
+/// `live`.  Lanes from `live` on repeat the last real row; lanes are
+/// independent, so the real lanes' distances are unchanged.
+///
+/// A full strip takes a loop of its own: with the lane count a
+/// constant, its coordinate-outer loop is plain strided loads.  With
+/// the count clamped per lane, or the rows walked one lane at a time,
+/// the 1-query sweep of 50k × 8 rows ran 1.2–1.9× slower than with this
+/// loop on an AVX-512 host.
+///
+/// # Panics
+/// Panics if `cols` is empty, or `rows` is empty, longer than a strip
+/// or not a multiple of the width.
+#[inline(always)]
+pub fn load_strip(cols: &mut [[f64; STRIP]], rows: &[f64]) -> usize {
+    let dim = cols.len();
+    assert!(dim > 0 && rows.len().is_multiple_of(dim), "row data not a multiple of dim = {dim}");
+    let live = rows.len() / dim;
+    assert!((1..=STRIP).contains(&live), "a strip holds 1 to {STRIP} rows, not {live}");
+    if live == STRIP {
+        let rows = &rows[..STRIP * dim];
+        for (c, col) in cols.iter_mut().enumerate() {
+            for (x, row) in col.iter_mut().zip(rows.chunks_exact(dim)) {
+                *x = row[c];
+            }
+        }
+    } else {
+        for (c, col) in cols.iter_mut().enumerate() {
+            for (l, x) in col.iter_mut().enumerate() {
+                *x = rows[l.min(live - 1) * dim + c];
+            }
+        }
+    }
+    live
+}
 
 /// k sites stored coordinate-major: `data[c*k + j]` is coordinate `c` of
 /// site `j`.
 ///
-/// The transposed layout makes the per-coordinate site loop in
-/// [`BatchDistance::batch_distances`] a contiguous read of k values.
+/// The transposed layout gives the column kernel each site's
+/// coordinates at a fixed stride of k.
 #[derive(Debug, Clone)]
 pub struct TransposedSites {
     k: usize,
@@ -104,9 +141,8 @@ impl TransposedSites {
     }
 
     /// Refills this transposed buffer from a new set of row-major sites,
-    /// reusing the existing allocation — the per-query path of the flat
-    /// searchers turns one query point into a 1-site set this way without
-    /// allocating.
+    /// reusing the existing allocation — the flat searchers turn their
+    /// queries into a site set this way without allocating.
     ///
     /// # Panics
     /// As [`Self::from_rows`].
@@ -170,25 +206,8 @@ impl TransposedSites {
 /// The contract, for every method: each output receives the same `f64`
 /// — same value, same floating-point rounding, bit for bit — that
 /// `self.distance(row, site)` would produce, because every accumulator
-/// sums its pair's coordinates in ascending order.  The row-major
-/// methods write `out[r*k + j]`, so `out` must hold `rows_count * k`
-/// elements.
+/// sums its pair's coordinates in ascending order.
 pub trait BatchDistance: Metric<[f64], Dist = F64Dist> {
-    /// Computes all `rows × sites` distances into `out`, row-major,
-    /// through the strip-mined register-tiled kernel (see the module
-    /// docs).
-    ///
-    /// # Panics
-    /// Panics if `rows.len()` is not a multiple of `sites.dim()` or
-    /// `out` is shorter than `rows_count * sites.k()`.
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]);
-
-    /// The one-row-at-a-time reference kernel: identical contract and
-    /// identical bits, k memory-resident accumulators per row instead of
-    /// the register-tiled strip.  Kept callable so the equivalence tests
-    /// and the `kernels` bench can pin the strip kernel against it.
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]);
-
     /// The column kernel: distances of `L` rows given coordinate-major
     /// (`cols[c][l]` is coordinate `c` of row `l`) to every site,
     /// site-major — `out[j][l]` is the same `f64`, to the bit, as
@@ -205,155 +224,59 @@ pub trait BatchDistance: Metric<[f64], Dist = F64Dist> {
         sites: &TransposedSites,
         out: &mut [[f64; L]],
     );
-}
 
-/// Handles the `dim = 0` / `k = 0` degenerate shapes shared by both
-/// drivers: every distance is the empty fold `finish(init)`.  Returns
-/// `true` if the call was fully handled.
-#[inline(always)]
-fn degenerate_fill(rows: &[f64], sites: &TransposedSites, out: &mut [f64], value: f64) -> bool {
-    let (k, dim) = (sites.k(), sites.dim());
-    if dim > 0 && k > 0 {
-        return false;
-    }
-    // Width-0 rows are not representable in flat storage, so a zero-dim
-    // site set only ever meets an empty row buffer.
-    assert!(dim > 0 || rows.is_empty(), "dim = 0 with non-empty row data");
-    let n = rows.len().checked_div(dim).unwrap_or(0);
-    out[..n * k].fill(value);
-    true
-}
-
-/// Validates the shared shape contract and returns `(n, k, dim)`.
-#[inline(always)]
-fn checked_shape(rows: &[f64], sites: &TransposedSites, out: &[f64]) -> (usize, usize, usize) {
-    let (k, dim) = (sites.k(), sites.dim());
-    assert_eq!(rows.len() % dim, 0, "row data not a multiple of dim = {dim}");
-    let n = rows.len() / dim;
-    assert!(out.len() >= n * k, "output buffer too small");
-    (n, k, dim)
-}
-
-/// One row's k accumulators, folded coordinate-by-coordinate — the
-/// scalar-remainder and reference kernel body.
-#[inline(always)]
-fn accumulate_one(
-    row: &[f64],
-    sites: &TransposedSites,
-    acc: &mut [f64],
-    init: f64,
-    step: impl Fn(f64, f64, f64) -> f64 + Copy,
-    finish: impl Fn(f64) -> f64 + Copy,
-) {
-    acc.fill(init);
-    for (c, &x) in row.iter().enumerate() {
-        let coords = sites.coordinate(c);
-        for (a, &s) in acc.iter_mut().zip(coords.iter()) {
-            *a = step(*a, x, s);
+    /// All `rows × sites` distances into `out`, row-major (`out[r*k +
+    /// j]`), through the column kernel: whole [`STRIP`]-row strips via
+    /// [`load_strip`], then the remaining rows one lane each, so a
+    /// one-row call costs k evaluations.  This adapter exists for
+    /// row-major callers — a flat index query's k site distances, and
+    /// `perfbench/trace`, which calls it by name — and can go once the
+    /// trace no longer does (ROADMAP, the benchmark item).
+    ///
+    /// # Panics
+    /// Panics if `rows.len()` is not a multiple of `sites.dim()` or
+    /// `out` is shorter than `rows_count * sites.k()`.
+    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
+        let (k, dim) = (sites.k(), sites.dim());
+        if dim == 0 {
+            // Width-0 rows are not representable in flat storage, so a
+            // zero-dim site set only ever meets an empty row buffer.
+            assert!(rows.is_empty(), "dim = 0 with non-empty row data");
+            return;
         }
-    }
-    for a in acc.iter_mut() {
-        *a = finish(*a);
-    }
-}
-
-/// Row-at-a-time driver (the reference kernel).
-#[inline(always)]
-fn rowwise_rows(
-    rows: &[f64],
-    sites: &TransposedSites,
-    out: &mut [f64],
-    init: f64,
-    step: impl Fn(f64, f64, f64) -> f64 + Copy,
-    finish: impl Fn(f64) -> f64 + Copy,
-) {
-    if degenerate_fill(rows, sites, out, finish(init)) {
-        return;
-    }
-    let (_, k, dim) = checked_shape(rows, sites, out);
-    for (row, acc) in rows.chunks_exact(dim).zip(out.chunks_exact_mut(k)) {
-        accumulate_one(row, sites, acc, init, step, finish);
-    }
-}
-
-/// One strip of [`STRIP_POINTS`] rows: 4 × [`SITE_TILE`] register tiles
-/// over the site axis, 4 × 1 register columns for the site remainder.
-#[inline(always)]
-fn accumulate_strip(
-    quad: &[f64],
-    sites: &TransposedSites,
-    oquad: &mut [f64],
-    init: f64,
-    step: impl Fn(f64, f64, f64) -> f64 + Copy,
-    finish: impl Fn(f64) -> f64 + Copy,
-) {
-    let (k, dim) = (sites.k(), sites.dim());
-    let (r0, rest) = quad.split_at(dim);
-    let (r1, rest) = rest.split_at(dim);
-    let (r2, r3) = rest.split_at(dim);
-    let mut j = 0;
-    while j + SITE_TILE <= k {
-        // 16 accumulators in a fixed-size local: register-resident for
-        // the whole coordinate loop, no memory traffic until the stores.
-        let mut acc = [[init; SITE_TILE]; STRIP_POINTS];
-        for c in 0..dim {
-            let coords = &sites.coordinate(c)[j..j + SITE_TILE];
-            let (x0, x1, x2, x3) = (r0[c], r1[c], r2[c], r3[c]);
-            for (t, &s) in coords.iter().enumerate() {
-                acc[0][t] = step(acc[0][t], x0, s);
-                acc[1][t] = step(acc[1][t], x1, s);
-                acc[2][t] = step(acc[2][t], x2, s);
-                acc[3][t] = step(acc[3][t], x3, s);
+        assert_eq!(rows.len() % dim, 0, "row data not a multiple of dim = {dim}");
+        let n = rows.len() / dim;
+        assert!(out.len() >= n * k, "output buffer too small");
+        if k == 0 {
+            return;
+        }
+        let full = n - n % STRIP;
+        if full > 0 {
+            let mut cols = vec![[0.0; STRIP]; dim];
+            let mut tile = vec![[0.0; STRIP]; k];
+            let strips = rows[..full * dim].chunks_exact(STRIP * dim);
+            for (strip, outs) in strips.zip(out.chunks_exact_mut(STRIP * k)) {
+                load_strip(&mut cols, strip);
+                self.column_distances(&cols, sites, &mut tile);
+                for (l, row_out) in outs.chunks_exact_mut(k).enumerate() {
+                    for (o, lanes) in row_out.iter_mut().zip(&tile) {
+                        *o = lanes[l];
+                    }
+                }
             }
         }
-        for (p, tile) in acc.iter().enumerate() {
-            for (t, &a) in tile.iter().enumerate() {
-                oquad[p * k + j + t] = finish(a);
+        let mut lane = vec![[0.0; 1]; dim];
+        let mut dists = vec![[0.0; 1]; k];
+        let tail = rows[full * dim..].chunks_exact(dim);
+        for (row, row_out) in tail.zip(out[full * k..].chunks_exact_mut(k)) {
+            for (x, &v) in lane.iter_mut().zip(row) {
+                *x = [v];
+            }
+            self.column_distances(&lane, sites, &mut dists);
+            for (o, &[d]) in row_out.iter_mut().zip(&dists) {
+                *o = d;
             }
         }
-        j += SITE_TILE;
-    }
-    while j < k {
-        let mut acc = [init; STRIP_POINTS];
-        for c in 0..dim {
-            let s = sites.coordinate(c)[j];
-            acc[0] = step(acc[0], r0[c], s);
-            acc[1] = step(acc[1], r1[c], s);
-            acc[2] = step(acc[2], r2[c], s);
-            acc[3] = step(acc[3], r3[c], s);
-        }
-        for (p, &a) in acc.iter().enumerate() {
-            oquad[p * k + j] = finish(a);
-        }
-        j += 1;
-    }
-}
-
-/// Strip-mined driver: full strips through the register tiles, the
-/// n mod [`STRIP_POINTS`] tail through the row-at-a-time kernel.
-#[inline(always)]
-fn strip_rows(
-    rows: &[f64],
-    sites: &TransposedSites,
-    out: &mut [f64],
-    init: f64,
-    step: impl Fn(f64, f64, f64) -> f64 + Copy,
-    finish: impl Fn(f64) -> f64 + Copy,
-) {
-    if degenerate_fill(rows, sites, out, finish(init)) {
-        return;
-    }
-    let (n, k, dim) = checked_shape(rows, sites, out);
-    let out = &mut out[..n * k];
-    let mut quads = rows.chunks_exact(STRIP_POINTS * dim);
-    let mut oquads = out.chunks_exact_mut(STRIP_POINTS * k);
-    for (quad, oquad) in quads.by_ref().zip(oquads.by_ref()) {
-        accumulate_strip(quad, sites, oquad, init, step, finish);
-    }
-    let tail = quads.remainder();
-    let otail = oquads.into_remainder();
-    for (row, acc) in tail.chunks_exact(dim).zip(otail.chunks_exact_mut(k)) {
-        accumulate_one(row, sites, acc, init, step, finish);
     }
 }
 
@@ -364,7 +287,6 @@ fn column_rows<const L: usize>(
     cols: &[[f64; L]],
     sites: &TransposedSites,
     out: &mut [[f64; L]],
-    init: f64,
     step: impl Fn(f64, f64, f64) -> f64 + Copy,
     finish: impl Fn(f64) -> f64 + Copy,
 ) {
@@ -373,7 +295,7 @@ fn column_rows<const L: usize>(
     assert!(out.len() >= k, "output buffer too small");
     let site_coords = sites.as_flat();
     for (j, lanes) in out[..k].iter_mut().enumerate() {
-        let mut acc = [init; L];
+        let mut acc = [0.0; L];
         for (c, xs) in cols.iter().enumerate() {
             let s = site_coords[c * k + j];
             for (a, &x) in acc.iter_mut().zip(xs.iter()) {
@@ -387,31 +309,17 @@ fn column_rows<const L: usize>(
 }
 
 /// Implements [`BatchDistance`] for a metric whose distance is the fold
-/// `finish(step(…step(0.0, x₀, s₀)…, x_{d-1}, s_{d-1}))`: all three
-/// drivers run the one `(step, finish)` pair, so they agree to the bit.
+/// `finish(step(…step(0.0, x₀, s₀)…, x_{d-1}, s_{d-1}))`.
 macro_rules! batch_distance_impl {
     ($metric:ty, $step:expr, $finish:expr) => {
         impl BatchDistance for $metric {
-            fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-                strip_rows(rows, sites, out, 0.0, $step, $finish);
-            }
-
-            fn batch_distances_rowwise(
-                &self,
-                rows: &[f64],
-                sites: &TransposedSites,
-                out: &mut [f64],
-            ) {
-                rowwise_rows(rows, sites, out, 0.0, $step, $finish);
-            }
-
             fn column_distances<const L: usize>(
                 &self,
                 cols: &[[f64; L]],
                 sites: &TransposedSites,
                 out: &mut [[f64; L]],
             ) {
-                column_rows(cols, sites, out, 0.0, $step, $finish);
+                column_rows(cols, sites, out, $step, $finish);
             }
         }
     };
@@ -423,44 +331,7 @@ batch_distance_impl!(L2, |a, x, s| a + (x - s) * (x - s), f64::sqrt);
 batch_distance_impl!(LInf, |a, x, s| a.max((x - s).abs()), |a| a);
 
 impl BatchDistance for Lp {
-    // Each method matches Lp::distance exactly: it special-cases p = 1
-    // and p = 2.
-    fn batch_distances(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        let p = self.p();
-        if p == 1.0 {
-            return L1.batch_distances(rows, sites, out);
-        }
-        if p == 2.0 {
-            return L2.batch_distances(rows, sites, out);
-        }
-        strip_rows(
-            rows,
-            sites,
-            out,
-            0.0,
-            move |a, x, s| a + (x - s).abs().powf(p),
-            move |a| a.powf(1.0 / p),
-        );
-    }
-
-    fn batch_distances_rowwise(&self, rows: &[f64], sites: &TransposedSites, out: &mut [f64]) {
-        let p = self.p();
-        if p == 1.0 {
-            return L1.batch_distances_rowwise(rows, sites, out);
-        }
-        if p == 2.0 {
-            return L2.batch_distances_rowwise(rows, sites, out);
-        }
-        rowwise_rows(
-            rows,
-            sites,
-            out,
-            0.0,
-            move |a, x, s| a + (x - s).abs().powf(p),
-            move |a| a.powf(1.0 / p),
-        );
-    }
-
+    // Matches Lp::distance exactly: it special-cases p = 1 and p = 2.
     fn column_distances<const L: usize>(
         &self,
         cols: &[[f64; L]],
@@ -478,7 +349,6 @@ impl BatchDistance for Lp {
             cols,
             sites,
             out,
-            0.0,
             move |a, x, s| a + (x - s).abs().powf(p),
             move |a| a.powf(1.0 / p),
         );
@@ -500,40 +370,45 @@ mod tests {
             .collect()
     }
 
+    /// `batch_distances`, and the column kernel over strips from
+    /// `load_strip`, against the scalar `distance` of every pair.
     fn check_matches_scalar<M: BatchDistance>(metric: &M, n: usize, k: usize, dim: usize) {
         let rows = deterministic_rows(n, dim, 1);
         let site_rows = deterministic_rows(k, dim, 2);
         let sites = TransposedSites::from_rows(&site_rows, dim);
         let mut out = vec![f64::NAN; n * k];
         metric.batch_distances(&rows, &sites, &mut out);
-        let mut out_ref = vec![f64::NAN; n * k];
-        metric.batch_distances_rowwise(&rows, &sites, &mut out_ref);
-        for r in 0..n {
-            for j in 0..k {
-                let scalar = metric
-                    .distance(&rows[r * dim..(r + 1) * dim], &site_rows[j * dim..(j + 1) * dim]);
-                assert_eq!(F64Dist::new(out[r * k + j]), scalar, "strip: row {r}, site {j}");
-                assert_eq!(
-                    out[r * k + j].to_bits(),
-                    out_ref[r * k + j].to_bits(),
-                    "strip vs rowwise: row {r}, site {j}"
-                );
+        let mut cols = vec![[0.0; STRIP]; dim];
+        let mut tile = vec![[f64::NAN; STRIP]; k];
+        for (s, strip) in rows.chunks(STRIP * dim).enumerate() {
+            let live = load_strip(&mut cols, strip);
+            metric.column_distances(&cols, &sites, &mut tile);
+            for (j, lanes) in tile.iter().enumerate() {
+                for (l, &got) in lanes[..live].iter().enumerate() {
+                    let r = s * STRIP + l;
+                    let scalar = metric
+                        .distance(&rows[r * dim..][..dim], &site_rows[j * dim..][..dim])
+                        .get();
+                    let tag = format!("n = {n}, k = {k}, row {r}, site {j}");
+                    assert_eq!(out[r * k + j].to_bits(), scalar.to_bits(), "adapter: {tag}");
+                    assert_eq!(got.to_bits(), scalar.to_bits(), "columns: {tag}");
+                }
             }
         }
     }
 
     #[test]
     fn all_metrics_match_scalar_bit_for_bit() {
-        // Shapes straddle every remainder combination: n mod 4 ∈
-        // {0,1,2,3} and k mod 4 ∈ {0,1,2,3}.
+        // Row counts below, at and past a strip, with and without a
+        // one-lane tail.
         for &(n, k, dim) in &[
             (17usize, 5usize, 3usize),
-            (8, 12, 7),
+            (32, 12, 7),
             (3, 1, 1),
-            (20, 4, 16),
-            (6, 7, 2),
-            (5, 6, 4),
-            (4, 3, 9),
+            (70, 4, 16),
+            (33, 7, 2),
+            (64, 6, 4),
+            (1, 3, 9),
         ] {
             check_matches_scalar(&L1, n, k, dim);
             check_matches_scalar(&L2, n, k, dim);
@@ -543,6 +418,33 @@ mod tests {
             check_matches_scalar(&Lp::new(1.0), n, k, dim);
             check_matches_scalar(&Lp::new(2.0), n, k, dim);
         }
+    }
+
+    #[test]
+    fn loader_transposes_and_pads_with_the_last_row() {
+        let rows: Vec<f64> = (0..3 * 2).map(f64::from).collect(); // 3 rows in 2-D
+        let mut cols = [[f64::NAN; STRIP]; 2];
+        assert_eq!(load_strip(&mut cols, &rows), 3);
+        assert_eq!(&cols[0][..4], &[0.0, 2.0, 4.0, 4.0]);
+        assert!(cols[0][2..].iter().all(|&x| x == 4.0));
+        assert!(cols[1][2..].iter().all(|&x| x == 5.0));
+        let full: Vec<f64> = (0..STRIP * 2).map(|i| i as f64).collect();
+        assert_eq!(load_strip(&mut cols, &full), STRIP);
+        for (l, (&x, &y)) in cols[0].iter().zip(&cols[1]).enumerate() {
+            assert_eq!((x, y), ((2 * l) as f64, (2 * l + 1) as f64), "lane {l}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a strip holds 1 to 32 rows")]
+    fn loader_rejects_an_empty_strip() {
+        load_strip(&mut [[0.0; STRIP]; 2], &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "a strip holds 1 to 32 rows")]
+    fn loader_rejects_more_than_a_strip() {
+        load_strip(&mut [[0.0; STRIP]; 1], &[0.0; STRIP + 1]);
     }
 
     #[test]
@@ -573,11 +475,13 @@ mod tests {
     }
 
     #[test]
-    fn empty_rows_produce_no_output() {
+    fn empty_rows_and_sites_produce_no_output() {
         let sites = TransposedSites::from_rows(&[0.0, 1.0], 2);
-        let mut out = [f64::NAN; 0];
-        L2.batch_distances(&[], &sites, &mut out);
-        L2.batch_distances_rowwise(&[], &sites, &mut out);
+        L2.batch_distances(&[], &sites, &mut []);
+        let no_sites = TransposedSites::from_rows(&[], 2);
+        L2.batch_distances(&[1.0, 2.0], &no_sites, &mut []);
+        let zero_dim = TransposedSites::from_rows(&[], 0);
+        L2.batch_distances(&[], &zero_dim, &mut []);
     }
 
     #[test]
@@ -597,25 +501,31 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_inputs_propagate_identically() {
+    fn non_finite_inputs_propagate_like_the_scalar_fold() {
         let specials = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -1.5];
-        // 5 rows of dim 2 sweeping special values against 5 sites.
-        let rows: Vec<f64> = specials.iter().flat_map(|&x| [x, 1.0]).collect();
+        // 35 rows of dim 2 (a full strip and a tail) sweeping special
+        // values against 5 sites.
+        let rows: Vec<f64> = (0..35).flat_map(|i| [specials[i % 5], 1.0]).collect();
         let site_rows: Vec<f64> = specials.iter().flat_map(|&s| [0.5, s]).collect();
         let sites = TransposedSites::from_rows(&site_rows, 2);
         for p in [1.5f64, 3.0] {
             let metric = Lp::new(p);
-            let mut strip = vec![0.0; 25];
-            let mut rowwise = vec![0.0; 25];
-            metric.batch_distances(&rows, &sites, &mut strip);
-            metric.batch_distances_rowwise(&rows, &sites, &mut rowwise);
-            for (a, b) in strip.iter().zip(rowwise.iter()) {
+            let mut out = vec![0.0; 35 * 5];
+            metric.batch_distances(&rows, &sites, &mut out);
+            for (i, &got) in out.iter().enumerate() {
+                let (r, j) = (i / 5, i % 5);
+                // Lp::distance's fold, unwrapped: F64Dist rejects NaN.
+                let mut want = 0.0;
+                for (x, s) in rows[2 * r..][..2].iter().zip(&site_rows[2 * j..][..2]) {
+                    want += (x - s).abs().powf(p);
+                }
+                let want = want.powf(1.0 / p);
                 // NaN payload bits are codegen-defined; everything else
                 // (including ±∞) must agree to the bit.
-                if a.is_nan() || b.is_nan() {
-                    assert!(a.is_nan() && b.is_nan());
+                if got.is_nan() || want.is_nan() {
+                    assert!(got.is_nan() && want.is_nan(), "row {r}, site {j}");
                 } else {
-                    assert_eq!(a.to_bits(), b.to_bits());
+                    assert_eq!(got.to_bits(), want.to_bits(), "row {r}, site {j}");
                 }
             }
         }

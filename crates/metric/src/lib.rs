@@ -38,7 +38,7 @@ pub mod string;
 pub mod tree;
 pub mod vector;
 
-pub use batch::{BatchDistance, TransposedSites, STRIP_POINTS};
+pub use batch::{load_strip, BatchDistance, TransposedSites, STRIP};
 pub use dist::{Distance, F64Dist};
 pub use reconstruct::{reconstruct_tree, ReconstructedTree};
 pub use sparse::{CosineDistance, SparseVec};

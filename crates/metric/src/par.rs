@@ -19,21 +19,27 @@ pub fn chunk_len(n: usize, threads: usize) -> usize {
     n.div_ceil(threads.clamp(1, n.max(1)))
 }
 
+/// The items a worker must get for [`worker_chunks`] to start it: no
+/// split makes more chunks than `n / MIN_CHUNK_ITEMS`.
+const MIN_CHUNK_ITEMS: usize = 1024;
+
 /// The contiguous chunks `threads` workers scan `items` in, an item
 /// being `row_len` consecutive values (1 for a slice of points, the
-/// dimension for flat row-major vectors): the whole input as one
-/// chunk, scanned inline, at `threads ≤ 1` or below 1024 items, and
-/// [`chunk_len`] items a chunk otherwise.
+/// dimension for flat row-major vectors): `min(threads, n / 1024)`
+/// workers, at least one, each taking [`chunk_len`] items, so no
+/// thread is started for a sliver of rows.  One worker means the whole
+/// input as one chunk, scanned inline.
 ///
 /// Every permutation scan splits its work by this one rule: the
 /// per-point and flat counters and the flat index build.
 pub fn worker_chunks<T>(items: &[T], row_len: usize, threads: usize) -> Vec<&[T]> {
     let row_len = row_len.max(1);
     let n = items.len() / row_len;
-    if threads <= 1 || n < 1024 {
+    let workers = threads.min(n / MIN_CHUNK_ITEMS).max(1);
+    if workers == 1 {
         return vec![items];
     }
-    items.chunks(chunk_len(n, threads) * row_len).collect()
+    items.chunks(chunk_len(n, workers) * row_len).collect()
 }
 
 /// Runs `work` once per item, one scoped worker thread per item, and
@@ -114,15 +120,21 @@ mod tests {
     #[test]
     fn worker_chunks_split_only_from_1024_items_and_keep_every_item() {
         for row_len in [1usize, 3] {
-            for n in [0usize, 5, 1023, 1024, 1031] {
+            for n in [0usize, 5, 1023, 1024, 1031, 2047, 2048, 4000, 10_240] {
                 let items: Vec<usize> = (0..n * row_len).collect();
-                for threads in [0usize, 1, 2, 5, n + 1] {
+                for threads in [0usize, 1, 2, 5, 1024, n + 1] {
                     let chunks = worker_chunks(&items, row_len, threads);
                     let tag = format!("n = {n}, row_len = {row_len}, threads = {threads}");
-                    let workers = if threads <= 1 || n < 1024 { 1 } else { threads.min(n) };
+                    let workers = threads.min(n / 1024).max(1);
                     assert_eq!(chunks.len(), workers, "{tag}");
                     assert!(chunks.iter().all(|c| c.len() % row_len == 0), "{tag}");
                     assert!(n == 0 || chunks.iter().all(|c| !c.is_empty()), "{tag}");
+                    // Each chunk holds ⌈n / workers⌉ ≥ 1024 items, the
+                    // last up to workers − 1 fewer.
+                    assert!(
+                        workers == 1 || chunks.iter().all(|c| c.len() / row_len > 1000),
+                        "{tag}"
+                    );
                     assert_eq!(chunks.concat(), items, "{tag}");
                 }
             }

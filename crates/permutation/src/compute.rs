@@ -9,7 +9,7 @@ use crate::key::PackedKey;
 use crate::perm::{Permutation, MAX_K};
 use crate::shard::{PackedPermutationCounter, RunKey};
 use dp_metric::par::{fork_join, worker_chunks};
-use dp_metric::{BatchDistance, Metric, TransposedSites};
+use dp_metric::{load_strip, BatchDistance, Metric, TransposedSites, STRIP};
 
 /// Computes the distance permutation of `query` with respect to `sites`.
 ///
@@ -80,23 +80,13 @@ pub const PACKED_MAX_K: usize = <u64 as PackedKey>::MAX_K;
 /// [`Permutation`] keys instead, through the same run counter.
 pub const WIDE_MAX_K: usize = <u128 as PackedKey>::MAX_K;
 
-/// Rows per strip tile.  Every flat row is computed, ranked and packed
-/// in a strip of this many rows, one lane per row: the strip is
-/// transposed coordinate-major, its `k × STRIP` distance tile computed
-/// site-major by [`BatchDistance::column_distances`], and every
-/// per-site step of the ranking runs lane-wise across the strip.
-///
-/// The width is measured, not a knob.  Ranking alone at k = 24 on an
-/// AVX-512 host took about 135–150, 175–200, 190–240 and 56–71 ns a
-/// row at 4, 8, 16 and 32 lanes.  Below 32 LLVM fully unrolls the lane
-/// loop and vectorizes the site loop `j` instead, with shuffles
-/// (`vpermt2pd`/`vpermt2q`/`vpunpck*`) to gather each pair's lanes; at
-/// 32 the lane loop survives unrolling and every site pair becomes
-/// eight 4-lane `vcmplepd` with no shuffle.  The tile (`32 × k` f64,
-/// 8 KiB at k = 32) and the pending ranks stay in L1.
-const STRIP: usize = 32;
-
-/// One value per row of a strip.
+/// One value per row of a strip.  Every flat row is computed, ranked
+/// and packed in a strip of [`STRIP`] rows, one lane per row: the strip
+/// is transposed coordinate-major by [`load_strip`], its `k × STRIP`
+/// distance tile computed site-major by
+/// [`BatchDistance::column_distances`], and every per-site step of the
+/// ranking runs lane-wise across the strip ([`STRIP`] records why the
+/// width is 32).
 type Lanes<T> = [T; STRIP];
 
 /// Branchless distance-permutation ranking of one row — the scalar
@@ -280,15 +270,14 @@ fn rank_strip(dists: &[Lanes<f64>], rows: &mut Lanes<[u8; MAX_K]>) {
 }
 
 /// The strip driver behind every flat scan: walks `db_rows` one strip
-/// of [`STRIP`] rows at a time, transposes it coordinate-major,
+/// of [`STRIP`] rows at a time, transposes it with [`load_strip`],
 /// computes its site-major distance tile, rejects NaN distances on the
 /// tile, and hands the tile (`k` lane arrays) with its count of real
 /// rows to `tile`.
 ///
-/// A tail strip of `live < STRIP` rows is padded by replicating its
-/// last real row into the remaining lanes: lanes are independent, so
-/// the real lanes are unchanged, and the callers emit only the first
-/// `live`.  One code path serves full strips and tails.
+/// The loader pads a tail strip of `live < STRIP` rows with its last
+/// real row, so the NaN check sees only real distances, and the callers
+/// emit only the first `live` lanes.
 fn scan_strips<M: BatchDistance>(
     metric: &M,
     sites: &TransposedSites,
@@ -310,13 +299,7 @@ fn scan_strips<M: BatchDistance>(
     let mut tile_buf = [[0.0f64; STRIP]; MAX_K];
     let dists = &mut tile_buf[..k];
     for strip in db_rows.chunks(STRIP * row_len) {
-        let live = strip.len() / row_len;
-        for lane in 0..STRIP {
-            let row = &strip[lane.min(live - 1) * dim..][..dim];
-            for (col, &x) in cols.iter_mut().zip(row.iter()) {
-                col[lane] = x;
-            }
-        }
+        let live = load_strip(&mut cols, strip);
         metric.column_distances(&cols, sites, dists);
         let any_nan = dists.iter().flatten().fold(false, |acc, d| acc | d.is_nan());
         assert!(!any_nan, "distance must not be NaN");
@@ -465,10 +448,10 @@ pub fn collect_packed_flat_parallel<K: FlatKey, M: BatchDistance + Sync>(
 /// strip scan feeds each strip tile's fused keys straight into the
 /// counter; [`Permutation`] keys come from its rank rows ([`FlatKey`]).
 ///
-/// The rows split by [`worker_chunks`] (one inline chunk at one thread
-/// or below 1024 rows); each worker streams its chunk through its own
-/// counter flushing every `shard_rows` keys
-/// (0 means [`crate::shard::DEFAULT_SHARD_ROWS`]).  Workers sort their
+/// The rows split by [`worker_chunks`] (at most one worker per 1024
+/// rows, one inline chunk at one worker); each worker streams its chunk
+/// through its own counter flushing every `shard_rows` keys (0 means
+/// [`crate::shard::DEFAULT_SHARD_ROWS`]).  Workers sort their
 /// tail shards, and their runs land in one counter; its `finalize`
 /// merges them.  The finalized summary is independent of the split and
 /// the shard size (a merge of sorted counted multisets is the
@@ -739,10 +722,10 @@ mod tests {
     /// keys at both widths and the counted summary — against the scalar
     /// oracle, at every k, at tail shapes that pad (n mod 32 ≠ 0), and
     /// (the counts) at worker chunks that are not multiples of 32
-    /// (n = 1031 split 2 and 3 ways).
+    /// (n = 2063 split in two).
     fn assert_strip_tile_matches_oracle<M: BatchDistance + Sync>(metric: &M, tag: &str) {
         for k in 1..=MAX_K {
-            for n in [0usize, 1, 31, 32, 33, 1031] {
+            for n in [0usize, 1, 31, 32, 33, 2063] {
                 for (db, site_rows, dim) in strip_inputs(n, k) {
                     let ctx = format!("{tag}, k = {k}, n = {n}, dim = {dim}");
                     let sites_t = TransposedSites::from_rows(&site_rows, dim);

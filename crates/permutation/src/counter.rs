@@ -202,10 +202,10 @@ where
 /// (dispatch `K` on `sites.len()` with
 /// [`for_packed_k!`](crate::for_packed_k)).
 ///
-/// The points split by [`worker_chunks`] (one inline chunk at one
-/// thread or below 1024 points); each worker counts its chunk and their
-/// runs merge into one counter, so the summary is independent of the
-/// split.
+/// The points split by [`worker_chunks`] (at most one worker per 1024
+/// points, one inline chunk at one worker); each worker counts its
+/// chunk and their runs merge into one counter, so the summary is
+/// independent of the split.
 ///
 /// # Panics
 /// Panics if `sites.len()` exceeds `K::MAX_LEN`.
@@ -346,11 +346,12 @@ mod tests {
 
     #[test]
     fn parallel_collector_is_independent_of_the_split() {
-        // Around the 1024-point split threshold, at worker counts that
-        // split unevenly, the merged runs must equal the one-thread scan
-        // at every key type.
+        // Around the 2048 points where a split starts, and past 3072
+        // where three workers start, at worker counts that split
+        // unevenly, the merged runs must equal the one-thread scan at
+        // every key type.
         let sites = vec![vec![0.0, 0.3], vec![0.9, 0.1], vec![0.5, 0.8], vec![0.2, 0.9]];
-        for n in [1023usize, 1024, 1031, 1500] {
+        for n in [1023usize, 2047, 2048, 2063, 3500] {
             let db: Vec<Vec<f64>> =
                 (0..n).map(|i| vec![(i % 40) as f64 / 40.0, (i / 40) as f64 / 40.0]).collect();
             let seq = collect_counter::<u64, _, _>(&L2, &sites, &db, 1).finalize();

@@ -59,8 +59,9 @@
 //! [`compute::collect_sharded_flat_parallel`] (flat rows, plus
 //! `shard_rows`; [`compute::collect_packed_flat_parallel`] is it at the
 //! default shard size).  Both split their input by
-//! [`dp_metric::par::worker_chunks`] — one inline chunk at one thread or
-//! below 1024 items — so results never depend on `threads`.  The flat
+//! [`dp_metric::par::worker_chunks`] — at most one worker per 1024
+//! items, one inline chunk at one worker — so results never depend on
+//! `threads`.  The flat
 //! index build splits its rows by the same rule and keys each point by
 //! its rank row ([`compute::rank_rows_flat`]).
 //!

@@ -503,7 +503,7 @@ mod tests {
 
     #[test]
     fn collector_matches_oracle_at_every_shard_size_and_worker_count() {
-        let (n, k, dim) = (1031, 6, 3); // ≥ 1024 rows, so workers split
+        let (n, k, dim) = (2063, 6, 3); // ≥ 2048 rows, so workers split
         let coords = |salt: u64, len: usize| -> Vec<f64> {
             (0..len)
                 .map(|i| {

@@ -127,11 +127,11 @@ proptest! {
 /// `Permutation` keys — the run counter above `WIDE_MAX_K` — against the
 /// sorted permutation stream at k = 26 and 32, for every shard size
 /// that puts a shard edge at the start, middle or end of the rows, and
-/// for worker counts that split the rows (n ≥ 1024) unevenly.  Both
+/// for worker counts that split the rows (n ≥ 2048) unevenly.  Both
 /// shapes repeat permutations: d = 1 holds at most C(k, 2) + 1 of them.
 #[test]
 fn permutation_keys_count_exactly_at_every_shard_size_and_worker_count() {
-    let n = 1031;
+    let n = 2063;
     for (k, d, seed) in [(26usize, 1usize, 5u64), (32, 1, 6), (26, 3, 7), (32, 2, 8)] {
         let (db, _, sites_t) = flat_setup(n, d, k, seed);
         let perms = flat_perms(&L1, &sites_t, &db);

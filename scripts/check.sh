@@ -50,9 +50,10 @@ cargo test --workspace -q
 
 # The survey and kernel equivalence suites assert bit-for-bit
 # floating-point and integer-overflow behaviour; debug-only runs have
-# missed overflow-class bugs before, and the strip-mined kernel tiles
-# only vectorize under optimized codegen — which is exactly where their
-# bit-identity could break — so both must also pass under release.
+# missed overflow-class bugs before, and the column distance kernel's
+# lane loops only vectorize under optimized codegen — which is exactly
+# where their bit-identity could break — so both must also pass under
+# release.
 # survey_equivalence covers both packed-key width seams (k = 12 → 13
 # and k = 25 → 26), so the u128 wide path gets release coverage here.
 echo "== cargo test --release --test survey_equivalence (release-mode property run)"
@@ -74,6 +75,14 @@ cargo test -p distance-permutations --release -q --test sharded_equivalence
 # rank_row oracle, under the codegen that vectorizes the tile.
 echo "== cargo test --release -p dp-permutation --lib compute (strip tile vs scalar oracle)"
 cargo test -p dp-permutation --release -q --lib compute
+
+# The flat index's searchers sweep rows and gather candidates into
+# 32-row strips for the column kernel; their suite (strip-edge row
+# counts, swept query counts and candidate budgets against the scalar
+# metric, the linear scan and the generic index) runs under the codegen
+# that vectorizes the sweep.
+echo "== cargo test --release -p dp-index --lib flatperm (strip sweeps vs scalar oracle)"
+cargo test -p dp-index --release -q --lib flatperm
 
 # The radix sorter's contract is exact equality with sort_unstable at
 # both key widths (u64 and u128 since the width-generic refactor); its

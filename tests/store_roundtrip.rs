@@ -9,7 +9,7 @@
 //! `u64` keys to k = 12, `u128` to 25, position arrays to 32),
 //! degenerate shapes (n = 0, k = n, d = 1),
 //! and both the sequential searcher and the parallel batch path.  A
-//! build split across workers (1024 rows and up) must equal the generic
+//! build split across workers (2048 rows and up) must equal the generic
 //! per-point index and store the same bytes at every worker count.
 
 use distance_permutations::datasets::{uniform_unit_cube, VectorSet};
@@ -203,14 +203,14 @@ fn explicit_site_build_roundtrips() {
     assert_roundtrip(&index, as_l2, &queries, 4, 1.0, 2);
 }
 
-/// From 1024 rows on the flat build splits its rows across workers, and
+/// From 2048 rows on the flat build splits its rows across workers, and
 /// each worker keys its chunk by rank rows: at every worker count and key
 /// width the index must equal the generic per-point index on the same
 /// rows and sites, and its store must be the same bytes.
 #[test]
 fn split_build_matches_the_generic_index_and_stores_identically() {
     let queries = uniform_unit_cube(4, 3, 99);
-    for n in [1031usize, 4099] {
+    for n in [2063usize, 4099] {
         let db = uniform_unit_cube(n, 3, 31 + n as u64);
         for (k, engine) in
             [(12usize, "packed-u64"), (13, "packed-u128"), (25, "packed-u128"), (26, "permutation")]
